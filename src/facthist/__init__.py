@@ -56,7 +56,6 @@ from .history import (
     disintegration_atoms,
     generates,
     history,
-    history_via_atoms,
     is_rectangle,
     structural_time_leq,
     structurally_independent,

@@ -215,13 +215,19 @@ def embed_dag(dag: Dag, *, max_outcomes: int | None = None) -> Embedding:
     pa_counts = {
         v: math.prod(doms[p] for p in dag.parents(v)) for v in dag.nodes
     }
-    sizes = {v: doms[v] ** pa_counts[v] for v in dag.nodes}
     cap = _default_outcome_cap() if max_outcomes is None else max_outcomes
-    total = math.prod(sizes.values())
-    if total > cap:
-        raise SpaceCapError(
-            f"embedding needs {total} outcomes, exceeding the cap of {cap}"
-        )
+    # Multiply one response digit at a time and stop as soon as the running
+    # total passes the cap: the exact count can have millions of digits.
+    sizes = {}
+    total = 1
+    for v in dag.nodes:
+        size = 1
+        for _ in range(pa_counts[v]):
+            size *= doms[v]
+            if total * size > cap:
+                raise SpaceCapError(f"embedding exceeds the cap of {cap} outcomes")
+        sizes[v] = size
+        total *= size
     factors = [
         Factor(name=f"u_{v}", domain=tuple(str(k) for k in range(sizes[v])))
         for v in dag.nodes

@@ -12,11 +12,46 @@ outcomes of C have distinct (proj_J, proj_Jbar) pairs, and those pairs always
 lie inside the projection product, so equality of counts says every cross
 pair is attained.
 
-Generating sets are closed under intersection, so there is a unique
-subset-minimal one, the *history* of x given C.  Enumerating subsets by
-increasing cardinality and returning the first generating set therefore
-returns the history: the history is contained in every generating set, so
-any generating set of minimum cardinality is the history itself.
+The rectangle sets of C form a field of factor sets.  Its *atoms* (minimal
+non-empty members, once the factors constant on C are set aside as the
+trivial part) partition the non-constant factors, and every rectangle set is
+a union of atoms plus any part of the trivial part.  Generating sets are
+closed under intersection, so there is a unique subset-minimal one, the
+*history* of x given C.  It is a rectangle set without constant factors,
+hence a union of atoms, and an atom A lies inside it exactly when the
+factors outside A fail to determine x: that complement is itself a
+rectangle set, so if it determines x it generates x and contains the
+history.  history() therefore makes one pass over C per atom: the factors
+outside A determine x exactly when they split C into as many classes as
+the pairs (outside-A key, x-value) do.
+
+The atoms are built one factor at a time.  A factor constant on C joins the
+trivial part.  Otherwise factor k joins the factors seen so far, S, whose
+atoms are already known; projections are compared through integer keys,
+sums of scaled digits.
+
+* Product shortcut: if |proj_{S+k}(C)| = |proj_S(C)| * |proj_k(C)|, the
+  projection is a product with a factor k, so {k} is a new atom and the
+  atoms of S are unchanged.
+* Merge rule: otherwise {k} absorbs exactly those atoms A of S for which
+  |proj_A| * |proj_{S+k minus A}| != |proj_{S+k}|, and the other atoms stay.
+
+Proof sketch: projecting away k maps a rectangle of proj_{S+k}(C) to a
+rectangle of proj_S(C), so every new atom is a union of old atoms plus
+perhaps k.  An old atom A inside a new atom D that avoids k is a rectangle
+of proj_S(C), so proj_D splits as proj_A times proj_{D minus A} and A is a
+rectangle of proj_{S+k}(C) as well; minimality of D gives D = A.  Only the
+atom of k can grow, and it grows by the old atoms that are no longer
+rectangles, which is what the count test detects.
+
+Each non-constant factor costs O(|C|) for its keys and counts plus O(|C|)
+per atom when the shortcut fails, so factorizing a block of n factors costs
+O(n^2 * |C|) time and O(n * |C|) transient memory, and a history O(n * |C|)
+on top.  The result (trivial mask, atom masks and their projection counts;
+no key lists) is memoized on the FactoredSpace keyed by the block's ranks,
+because independence checks, verification and the law suites ask for
+several histories per block and blocks_of builds fresh Block objects on
+every call.
 
 The *conditional history* maps every attained value of a conditioning
 variable z to the history on that block.  Two variables are *structurally
@@ -29,8 +64,8 @@ verification suites and the acceptance tests).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Mapping, Sequence
+from operator import add, itemgetter, sub
+from typing import Callable, Mapping, Sequence
 
 from .errors import InvariantViolationError
 from .space import (
@@ -41,7 +76,6 @@ from .space import (
     blocks_of,
     ensure_block,
     ensure_on_space,
-    factor_var,
     trivial_var,
 )
 
@@ -53,7 +87,6 @@ __all__ = [
     "determines",
     "generates",
     "history",
-    "history_via_atoms",
     "conditional_history",
     "structurally_independent",
     "disintegration_atoms",
@@ -166,20 +199,84 @@ def generates(space: FactoredSpace, c: Block, j: IndexSet, x: RandomVariable) ->
     return _scan_generates(space, c.ranks, j.members(), x.table)
 
 
+def _picker(ranks: Sequence[int]) -> Callable[[Sequence[int]], Sequence[int]]:
+    """A function that reads a dense table at the block's ranks, in order."""
+    get = itemgetter(*ranks)
+    if len(ranks) == 1:
+        return lambda table: (get(table),)
+    return get
+
+
+Atom = tuple[int, int]  # (factor mask, |proj_A(C)|)
+
+
+def _factorize(
+    space: FactoredSpace, ranks: tuple[int, ...]
+) -> tuple[int, tuple[Atom, ...]]:
+    """(trivial mask, atoms in increasing mask order) of the block with these ranks."""
+    cached = space._atoms.get(ranks)
+    if cached is not None:
+        return cached
+    pick = _picker(ranks)
+    cols = [pick(space.scaled_digits(k)) for k in range(space.factor_count)]
+    widths = [len(set(col)) for col in cols]
+    free = [k for k, w in enumerate(widths) if w > 1]
+    trivial = sum(1 << k for k, w in enumerate(widths) if w == 1)
+    seen: Sequence[int] = ()  # keys of proj_S, S = the free factors so far
+    seen_count = 1
+    atoms: list[tuple[int, Sequence[int], int]] = []  # (mask, keys of proj_A, |proj_A|)
+    for k in free:
+        if not atoms:
+            grown, count = cols[k], widths[k]
+        elif k == free[-1]:
+            # All free factors are in, so the key is the rank up to a constant.
+            grown, count = ranks, len(ranks)
+        else:
+            grown = list(map(add, seen, cols[k]))
+            count = len(set(grown))
+        if count == seen_count * widths[k]:
+            atoms.append((1 << k, cols[k], widths[k]))
+        else:
+            mask, keys, kept = 1 << k, cols[k], []
+            for atom in atoms:
+                a_mask, a_keys, a_count = atom
+                if a_count * len(set(map(sub, grown, a_keys))) == count:
+                    kept.append(atom)
+                else:
+                    mask |= a_mask
+                    keys = list(map(add, keys, a_keys))
+            kept.append((mask, keys, len(set(keys))))
+            atoms = kept
+        seen, seen_count = grown, count
+    result = (trivial, tuple(sorted((m, c) for m, _, c in atoms)))
+    space._atoms[ranks] = result
+    return result
+
+
 def history(space: FactoredSpace, c: Block, x: RandomVariable) -> IndexSet:
     """The unique subset-minimal generating set of x on C."""
     ensure_block(space, c)
     ensure_on_space(space, x)
     n = space.factor_count
     ranks = c.ranks
-    table = x.table
-    for k in range(n + 1):
-        for ids in combinations(range(n), k):
-            if _scan_generates(space, ranks, ids, table):
-                return IndexSet.of(ids, n)
-    raise InvariantViolationError(
-        f"no generating set found for {x.name!r}; the full index set must generate"
-    )
+    pick = _picker(ranks)
+    values = pick(x.table)
+    mask = 0
+    if len(set(values)) == 1:
+        return IndexSet(mask, n)
+    # Keys stay below outcome_count, so r + value * outcome_count - key_A
+    # encodes the pair (key of the factors outside A, value) injectively.
+    tagged = list(map(add, ranks, map(space.outcome_count.__mul__, values)))
+    for atom, count in _factorize(space, ranks)[1]:
+        ids = [i for i in range(n) if atom >> i & 1]
+        keys = pick(space.scaled_digits(ids[0]))
+        for i in ids[1:]:
+            keys = list(map(add, keys, pick(space.scaled_digits(i))))
+        # Since A is a rectangle, |proj_{outside A}| = |C| / |proj_A|; the
+        # factors outside A determine x iff no key class holds two values.
+        if len(set(map(sub, tagged, keys))) * count != len(ranks):
+            mask |= atom
+    return IndexSet(mask, n)
 
 
 def conditional_history(
@@ -214,59 +311,38 @@ def structurally_independent(
 def disintegration_atoms(space: FactoredSpace, c: Block) -> DisintegrationAtoms:
     """Constant factors of C plus the finest partition of the rest.
 
-    The atom containing a non-constant factor i is history(U_i | C); the
-    rectangle sets of C are exactly the unions of atoms together with any
-    subset of the constant part.  A failure of the partition property would
-    mean the closure laws are broken, so it raises InvariantViolationError.
+    The rectangle sets of C are exactly the unions of atoms together with
+    any subset of the constant part.  A failure of the partition property
+    would mean the factorization is broken, so it raises
+    InvariantViolationError.
     """
     ensure_block(space, c)
     n = space.factor_count
-    trivial_ids = []
-    for i in range(n):
-        col = space.digits(i)
-        first = col[c.ranks[0]]
-        if all(col[r] == first for r in c.ranks):
-            trivial_ids.append(i)
-    trivial_part = IndexSet.of(trivial_ids, n)
-    atoms: dict[int, IndexSet] = {}
-    for i in range(n):
-        if i in trivial_part:
-            continue
-        atom = history(space, c, factor_var(space, i))
-        if i not in atom:
-            raise InvariantViolationError(
-                f"factor {i} missing from its own atom on block {c.label!r}"
-            )
-        atoms[atom.mask] = atom
-    ordered = tuple(atoms[m] for m in sorted(atoms))
+    trivial_mask, atoms = _factorize(space, c.ranks)
+    atom_masks = [m for m, _ in atoms]
     covered = 0
-    for atom in ordered:
-        if covered & atom.mask:
-            raise InvariantViolationError(
-                f"atoms overlap on block {c.label!r}"
-            )
-        covered |= atom.mask
-    if covered != trivial_part.complement().mask:
+    for m in atom_masks:
+        if covered & m:
+            raise InvariantViolationError(f"atoms overlap on block {c.label!r}")
+        covered |= m
+    if covered != ~trivial_mask & ((1 << n) - 1):
         raise InvariantViolationError(
             f"atoms do not cover the non-constant factors on block {c.label!r}"
         )
-    return DisintegrationAtoms(atoms=ordered, trivial_part=trivial_part)
+    return DisintegrationAtoms(
+        atoms=tuple(IndexSet(m, n) for m in atom_masks),
+        trivial_part=IndexSet(trivial_mask, n),
+    )
 
 
 def history_via_atoms(space: FactoredSpace, c: Block, x: RandomVariable) -> IndexSet:
-    """Atom-based history: drop every atom whose removal keeps x determined.
+    """Former name of history(), which now always goes through the atoms.
 
-    Agrees with history() by construction (the history is a union of atoms,
-    and an atom lies inside it exactly when the complementary factors fail
-    to determine x); the test suite checks the agreement property.
+    Not exported and not called.  It stays defined only because the
+    benchmark tracer (perfbench/spans.py) looks it up by name; drop it
+    together with that entry.
     """
-    ensure_on_space(space, x)
-    parts = disintegration_atoms(space, c)
-    mask = 0
-    for atom in parts.atoms:
-        if not determines(space, c, atom.complement(), x):
-            mask |= atom.mask
-    return IndexSet(mask, space.factor_count)
+    return history(space, c, x)
 
 
 def structural_time_leq(

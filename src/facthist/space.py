@@ -13,7 +13,8 @@ stored as dense tables of codomain indices.  Blocks are the level sets
 outcome set.
 
 Everything here is immutable after construction and safe to share between
-threads.  Internal per-factor coordinate tables are memoized lazily; the
+threads.  Internal per-factor coordinate tables, and the per-block atom
+factorizations computed by the history module, are memoized lazily; each
 memo is idempotent, so a racing double computation is harmless.
 """
 
@@ -202,7 +203,9 @@ class FactoredSpace:
     (default 20).  Exceeding either raises SpaceCapError.
     """
 
-    __slots__ = ("factors", "outcome_count", "_strides", "_ids", "_digits", "_scaled")
+    __slots__ = (
+        "factors", "outcome_count", "_strides", "_ids", "_digits", "_scaled", "_atoms"
+    )
 
     def __init__(
         self,
@@ -233,6 +236,9 @@ class FactoredSpace:
         object.__setattr__(self, "_ids", {f.name: i for i, f in enumerate(fs)})
         object.__setattr__(self, "_digits", {})
         object.__setattr__(self, "_scaled", {})
+        # Block ranks -> (trivial mask, atoms as (mask, projection count)),
+        # filled and read by history.py.
+        object.__setattr__(self, "_atoms", {})
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("FactoredSpace is immutable")

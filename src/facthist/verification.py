@@ -41,7 +41,6 @@ from .history import (
     disintegration_atoms,
     generates,
     history,
-    history_via_atoms,
     is_rectangle,
     structurally_independent,
 )
@@ -212,7 +211,8 @@ def check_history_laws(
     part; generating sets are intersection-closed with the history as least
     element; rectangle sets form a field symmetric under complement; the
     rectangle sets are exactly unions of atoms plus constant factors; and
-    the atom-based history fast path agrees with subset enumeration.
+    history() returns the least generating set found by the exhaustive
+    mask loop here, an enumeration independent of the atom algorithm.
     """
     n = space.factor_count
     results = {law: True for law in HISTORY_LAWS}
@@ -285,7 +285,7 @@ def check_history_laws(
             )
             if (mask in rect_masks) != union_of_atoms:
                 results["atoms_rectangle"] = False
-        if history_via_atoms(space, c, x) != hx:
+        if inter_all not in gen_set or inter_all != hx.mask:
             results["atoms_fast_path"] = False
     return results
 

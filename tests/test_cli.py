@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -131,6 +132,19 @@ def test_embed_respects_cap(capsys, tmp_path, monkeypatch):
     code, out, err = run_cli(capsys, "embed", str(path))
     assert code == 3
     assert not out and "cap" in err
+
+
+def test_embed_cap_is_checked_before_counting(capsys, tmp_path):
+    # One node with four domain-60 parents has 60 ** (60 ** 4) response
+    # functions; the cap check must not compute or print that number.
+    dag = Dag([(f"n{i}", 60) for i in range(5)], [(f"n{i}", "n4") for i in range(4)])
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(dag_to_doc(dag)))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "embed", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert not out and "cap" in err and len(err) < 200
 
 
 def test_verify_soundness_branch(capsys, space_file):

@@ -8,6 +8,7 @@ implementations were written, then pinned here.
 from __future__ import annotations
 
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -23,9 +24,9 @@ from facthist import (
     full_block,
     generates,
     history,
-    history_via_atoms,
     is_rectangle,
     blocks_of,
+    outcome_unrank,
     pair_var,
     structural_time_leq,
     structurally_independent,
@@ -34,7 +35,7 @@ from facthist import (
 from facthist.errors import SpaceMismatchError
 
 from helpers import make_space, make_var, xor_bundle
-from oracles import oracle_determines, oracle_history, oracle_rectangle
+from oracles import all_subsets, oracle_determines, oracle_history, oracle_rectangle
 
 
 def _ids(space, *members):
@@ -191,13 +192,90 @@ def test_disintegration_finds_constant_factors():
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_atom_route_agrees_with_enumeration(data):
-    sizes = data.draw(st.lists(st.integers(2, 3), min_size=2, max_size=3))
+    # Domains of size 1 put constant factors in every block.
+    sizes = data.draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
     space = make_space(*sizes)
     n = space.outcome_count
     x = make_var(space, "x", 3, data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
     z = make_var(space, "z", 2, data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
     for block in blocks_of(space, z).values():
-        assert history_via_atoms(space, block, x) == history(space, block, x)
+        assert history(space, block, x).members() == tuple(
+            sorted(oracle_history(space, block, x))
+        )
+
+
+def _draw_block(data, space):
+    """A product of arbitrary subsets over a random grouping of the factors.
+
+    Singleton groups give product blocks, one-value subsets constant
+    factors, and a single group an arbitrary subset of the space.
+    """
+    groups = data.draw(
+        st.lists(st.integers(0, 2), min_size=space.factor_count, max_size=space.factor_count)
+    )
+    outcomes = [outcome_unrank(space, r) for r in range(space.outcome_count)]
+    allowed = []
+    for g in set(groups):
+        ids = [i for i, h in enumerate(groups) if h == g]
+        tuples = sorted({tuple(o[i] for i in ids) for o in outcomes})
+        keep = data.draw(st.lists(st.booleans(), min_size=len(tuples), max_size=len(tuples)))
+        allowed.append((ids, {t for t, k in zip(tuples, keep) if k} or {tuples[0]}))
+    ranks = [
+        r for r, o in enumerate(outcomes)
+        if all(tuple(o[i] for i in ids) in chosen for ids, chosen in allowed)
+    ]
+    return Block(label="c", ranks=tuple(ranks))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_atoms_are_the_minimal_rectangle_sets(data):
+    sizes = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    space = make_space(*sizes)
+    block = _draw_block(data, space)
+    outcomes = [outcome_unrank(space, r) for r in block.ranks]
+    constant = {
+        i for i in range(space.factor_count) if len({o[i] for o in outcomes}) == 1
+    }
+    rects = [
+        frozenset(ids)
+        for ids in all_subsets(range(space.factor_count))
+        if ids and oracle_rectangle(space, block, ids)
+    ]
+    minimal = {r for r in rects if not any(s < r for s in rects)}
+    parts = disintegration_atoms(space, block)
+    assert set(parts.trivial_part.members()) == constant
+    # Each constant factor is a minimal rectangle set on its own.
+    got = {frozenset(a.members()) for a in parts.atoms}
+    got |= {frozenset({i}) for i in constant}
+    assert got == minimal
+    assert [a.mask for a in parts.atoms] == sorted(a.mask for a in parts.atoms)
+
+
+def _parity_block(n):
+    space = make_space(*[2] * n)
+    parity = make_var(
+        space, "Z", 2, (r.bit_count() & 1 for r in range(space.outcome_count))
+    )
+    return space, blocks_of(space, parity)["0"]
+
+
+def test_parity_block_is_polynomial():
+    # 2^13 subset scans of this block take seconds to minutes; a polynomial
+    # algorithm takes a few hundredths of a second, so the bound leaves
+    # ample room for a loaded machine.
+    n = 13
+    space, block = _parity_block(n)
+    start = time.perf_counter()
+    got = history(space, block, factor_var(space, 0))
+    assert time.perf_counter() - start < 2.0
+    assert got == space.full_set()
+    space, block = _parity_block(n)  # a fresh space, so no memoized atoms
+    start = time.perf_counter()
+    parts = disintegration_atoms(space, block)
+    assert time.perf_counter() - start < 2.0
+    assert parts.atoms == (space.full_set(),)
+    assert parts.trivial_part == space.empty_set()
 
 
 def test_structural_time_on_parity():

@@ -9,7 +9,18 @@ is_cond_independent meant for spaces too large to enumerate exactly.
 Internally the checks run on integer weights: scaling each factor's vector
 to a common denominator leaves every conditional-probability identity
 unchanged after cross multiplication, so the hot paths never build Fraction
-objects.  Reported probabilities are still exact Fractions.
+objects.  Reported probabilities are still exact Fractions.  The weight of
+every outcome comes from expanding the outer product of the per-factor
+integer vectors, in rank order (last factor fastest).
+
+A CI check of x and y given z is a prepared query.  Setting it up costs
+O(|Omega|) once: one blocks_of call, then each block's ranks are grouped
+into (x-value, y-value) cells, each read by one operator.itemgetter.  Each
+distribution then costs an O(|Omega|) product expansion for the weights
+plus one C-level sum per cell; block totals and the x and y marginals come
+from the cell sums, and the comparisons are O(|x| * |y|) per block.
+verify_soundness and find_witness prepare the query once for all of their
+samples.
 """
 
 from __future__ import annotations
@@ -18,6 +29,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import (
@@ -214,20 +226,20 @@ def _int_vectors(p: ProductDistribution) -> list[list[int]]:
     out = []
     for vec in p.per_factor:
         scale = math.lcm(*(f.denominator for f in vec))
-        out.append([int(f * scale) for f in vec])
+        out.append([f.numerator * (scale // f.denominator) for f in vec])
     return out
 
 
 def _weights(space: FactoredSpace, p: ProductDistribution) -> list[int]:
-    """Integer weight per outcome, proportional to its probability."""
+    """Integer weight per outcome, proportional to its probability.
+
+    The outer product of the factor vectors, expanded so that the last
+    factor varies fastest, is the rank order.
+    """
     _check_arity(space, p)
-    vecs = _int_vectors(p)
-    w = [1] * space.outcome_count
-    for i in range(space.factor_count):
-        col = space.digits(i)
-        vec = vecs[i]
-        for r in range(space.outcome_count):
-            w[r] *= vec[col[r]]
+    w = [1]
+    for vec in _int_vectors(p):
+        w = [a * b for a in w for b in vec]
     return w
 
 
@@ -281,6 +293,82 @@ def cond_table(
     return out
 
 
+class _CiQuery:
+    """The CI check of x and y given z, prepared once for many distributions.
+
+    Each block of z is split into cells, the ranks where (x, y) takes one
+    attained value pair; one itemgetter per cell reads the cell's weights.
+    """
+
+    __slots__ = ("space", "x", "y", "getters", "blocks")
+
+    def __init__(
+        self,
+        space: FactoredSpace,
+        x: RandomVariable,
+        y: RandomVariable,
+        z: RandomVariable | None,
+    ) -> None:
+        if z is None:
+            z = trivial_var(space)
+        self.space, self.x, self.y = space, x, y
+        # Per block: its label and (x-value, y-value, index into getters)
+        # for every attained cell.
+        self.getters: list[itemgetter] = []
+        self.blocks: list[tuple[str, list[tuple[int, int, int]]]] = []
+        xt, yt = x.table, y.table
+        for label, c in blocks_of(space, z).items():
+            cells: dict[tuple[int, int], list[int]] = {}
+            for r in c.ranks:
+                cells.setdefault((xt[r], yt[r]), []).append(r)
+            refs = []
+            for (a, b), ranks in cells.items():
+                refs.append((a, b, len(self.getters)))
+                # itemgetter with one key returns a scalar; a slice keeps
+                # every getter's result summable.
+                key = [slice(ranks[0], ranks[0] + 1)] if len(ranks) == 1 else ranks
+                self.getters.append(itemgetter(*key))
+            self.blocks.append((label, refs))
+
+    def check(self, p: ProductDistribution, tolerance: float | None = None) -> CiReport:
+        w = _weights(self.space, p)
+        sums = [sum(get(w)) for get in self.getters]
+        x, y = self.x, self.y
+        kx, ky = len(x.codomain), len(y.codomain)
+        for zlabel, refs in self.blocks:
+            wx = [0] * kx
+            wy = [0] * ky
+            joint: dict[tuple[int, int], int] = {}
+            for a, b, k in refs:
+                s = sums[k]
+                wx[a] += s
+                wy[b] += s
+                joint[a, b] = s
+            total = sum(wx)
+            if total == 0:
+                raise DegenerateBlockError(f"block {zlabel!r} has zero probability mass")
+            for a in range(kx):
+                for b in range(ky):
+                    lhs_num = joint.get((a, b), 0) * total
+                    rhs_num = wx[a] * wy[b]
+                    if tolerance is None:
+                        ok = lhs_num == rhs_num
+                    else:
+                        ok = abs(lhs_num - rhs_num) <= tolerance * total * total
+                    if not ok:
+                        return CiReport(
+                            holds=False,
+                            first_violation=(
+                                zlabel,
+                                x.codomain[a],
+                                y.codomain[b],
+                                Fraction(joint.get((a, b), 0), total),
+                                Fraction(wx[a] * wy[b], total * total),
+                            ),
+                        )
+        return CiReport(holds=True)
+
+
 def is_cond_independent(
     space: FactoredSpace,
     p: ProductDistribution,
@@ -295,46 +383,7 @@ def is_cond_independent(
     With ``tolerance`` set, comparisons switch to floats with that absolute
     tolerance; the default mode admits no error at all.
     """
-    if z is None:
-        z = trivial_var(space)
-    weights = _weights(space, p)
-    kx, ky = len(x.codomain), len(y.codomain)
-    for zlabel, c in blocks_of(space, z).items():
-        total = 0
-        wx = [0] * kx
-        wy = [0] * ky
-        joint: dict[tuple[int, int], int] = {}
-        xt, yt = x.table, y.table
-        for r in c.ranks:
-            w = weights[r]
-            total += w
-            a, b = xt[r], yt[r]
-            wx[a] += w
-            wy[b] += w
-            key = (a, b)
-            joint[key] = joint.get(key, 0) + w
-        if total == 0:
-            raise DegenerateBlockError(f"block {zlabel!r} has zero probability mass")
-        for a in range(kx):
-            for b in range(ky):
-                lhs_num = joint.get((a, b), 0) * total
-                rhs_num = wx[a] * wy[b]
-                if tolerance is None:
-                    ok = lhs_num == rhs_num
-                else:
-                    ok = abs(lhs_num - rhs_num) <= tolerance * total * total
-                if not ok:
-                    return CiReport(
-                        holds=False,
-                        first_violation=(
-                            zlabel,
-                            x.codomain[a],
-                            y.codomain[b],
-                            Fraction(joint.get((a, b), 0), total),
-                            Fraction(wx[a] * wy[b], total * total),
-                        ),
-                    )
-    return CiReport(holds=True)
+    return _CiQuery(space, x, y, z).check(p, tolerance)
 
 
 def spawn_seed(seed: int, index: int) -> int:
@@ -356,10 +405,10 @@ def verify_soundness(
             f"{x.name!r} and {y.name!r} are not structurally independent given the "
             "conditioner; soundness checks only apply to structural pairs"
         )
+    query = _CiQuery(space, x, y, z)
     violations = []
     for i in range(n):
-        p = sample_product(space, spawn_seed(seed, i))
-        report = is_cond_independent(space, p, x, y, z)
+        report = query.check(sample_product(space, spawn_seed(seed, i)))
         if not report.holds:
             violations.append((i, report))
     return SoundnessReport(samples=n, violations=tuple(violations))
@@ -383,9 +432,10 @@ def find_witness(
             f"{x.name!r} and {y.name!r} are structurally independent given the "
             "conditioner; no witness can exist"
         )
+    query = _CiQuery(space, x, y, z)
     for i in range(max_tries):
         p = sample_product(space, spawn_seed(seed, i))
-        if not is_cond_independent(space, p, x, y, z).holds:
+        if not query.check(p).holds:
             return p
     return None
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -272,8 +273,7 @@ class FactoredSpace:
         self._check_factor(i)
         cached = self._digits.get(i)
         if cached is None:
-            stride, size = self._strides[i], self.factors[i].size
-            cached = tuple((r // stride) % size for r in range(self.outcome_count))
+            cached = self._column(i, 1)
             self._digits[i] = cached
         return cached
 
@@ -287,10 +287,16 @@ class FactoredSpace:
         self._check_factor(i)
         cached = self._scaled.get(i)
         if cached is None:
-            stride = self._strides[i]
-            cached = tuple(d * stride for d in self.digits(i))
+            cached = self._column(i, self._strides[i])
             self._scaled[i] = cached
         return cached
+
+    def _column(self, i: int, scale: int) -> tuple[int, ...]:
+        # Factor i holds each value for `stride` consecutive ranks, and the
+        # period of size * stride ranks repeats; both steps repeat tuples in C.
+        stride, size = self._strides[i], self.factors[i].size
+        period = tuple(chain.from_iterable((v * scale,) * stride for v in range(size)))
+        return period * (self.outcome_count // len(period))
 
     def index_set(self, ids: Iterable[int]) -> IndexSet:
         return IndexSet.of(ids, len(self.factors))
@@ -362,26 +368,40 @@ def trivial_var(space: FactoredSpace) -> RandomVariable:
     )
 
 
+_LABEL_ESCAPES = str.maketrans({c: "\\" + c for c in "\\,()"})
+
+
 def pair_var(space: FactoredSpace, x: RandomVariable, y: RandomVariable) -> RandomVariable:
     """The joint variable (x, y); its codomain is the attained value pairs."""
-    ensure_on_space(space, x)
-    ensure_on_space(space, y)
-    attained = sorted({(a, b) for a, b in zip(x.table, y.table)})
-    index = {p: k for k, p in enumerate(attained)}
-    codomain = tuple(f"({x.codomain[a]},{y.codomain[b]})" for a, b in attained)
-    table = tuple(index[(a, b)] for a, b in zip(x.table, y.table))
-    return RandomVariable(name=f"({x.name},{y.name})", codomain=codomain, table=table)
+    return fold_pair(space, (x, y))
 
 
 def fold_pair(space: FactoredSpace, xs: Sequence[RandomVariable]) -> RandomVariable:
-    """Left fold of pair_var; empty folds to the trivial variable."""
+    """The joint variable of xs; its codomain is the attained value tuples.
+
+    A label is "(l1,...,lk)" with a backslash before every backslash, comma
+    and parenthesis inside each component label, so labels are injective.
+    Tables and codomain order equal those of a left fold of pair_var.  One
+    variable is returned as it is; none gives the trivial variable.
+    """
     if not xs:
         return trivial_var(space)
-    acc = xs[0]
-    ensure_on_space(space, acc)
-    for x in xs[1:]:
-        acc = pair_var(space, acc, x)
-    return acc
+    for x in xs:
+        ensure_on_space(space, x)
+    if len(xs) == 1:
+        return xs[0]
+    keys = list(zip(*(x.table for x in xs)))
+    attained = sorted(set(keys))
+    index = {key: k for k, key in enumerate(attained)}
+    codomains = [[c.translate(_LABEL_ESCAPES) for c in x.codomain] for x in xs]
+    codomain = tuple(
+        "(" + ",".join(cod[v] for cod, v in zip(codomains, key)) + ")" for key in attained
+    )
+    return RandomVariable(
+        name="(" + ",".join(x.name for x in xs) + ")",
+        codomain=codomain,
+        table=tuple(map(index.__getitem__, keys)),
+    )
 
 
 def blocks_of(space: FactoredSpace, z: RandomVariable) -> dict[str, Block]:

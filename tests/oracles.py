@@ -4,19 +4,23 @@ Everything in here recomputes results from first principles, by brute
 force, without reusing the package's algorithms: rectangles by literal
 cross-pair membership, determination by pairwise comparison, histories by
 enumerating all subsets and taking the subset-minimal generating ones,
-probabilities by summing exact outcome products, d-separation both by walk
-enumeration and by moralization, and the separator condition by full event
-enumeration.  Slow on purpose; only run on small inputs.
+probabilities by summing exact outcome products, CI reports by a per-rank
+pass over each block, d-separation both by walk enumeration and by
+moralization, and the separator condition by full event enumeration.  Slow
+on purpose; only run on small inputs.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import chain, combinations
 
 from facthist import (
     Block,
+    CiReport,
     Dag,
+    DegenerateBlockError,
     FactoredSpace,
     ProductDistribution,
     RandomVariable,
@@ -106,6 +110,75 @@ def oracle_ci(
                 if joint / pz != (px / pz) * (py / pz):
                     return False
     return True
+
+
+def oracle_int_weights(space: FactoredSpace, p: ProductDistribution) -> list[int]:
+    """Outcome probabilities times the product of the per-factor denominators' lcms.
+
+    These are the integers the package's CI path works with: each factor's
+    vector scaled by the lcm of its denominators, multiplied out per outcome.
+    """
+    scale = math.prod(math.lcm(*(e.denominator for e in vec)) for vec in p.per_factor)
+    out = []
+    for r in range(space.outcome_count):
+        w = outcome_prob(p, outcome_unrank(space, r)) * scale
+        assert w.denominator == 1
+        out.append(w.numerator)
+    return out
+
+
+def oracle_ci_report(
+    space: FactoredSpace,
+    p: ProductDistribution,
+    x: RandomVariable,
+    y: RandomVariable,
+    z: RandomVariable,
+    tolerance: float | None = None,
+) -> CiReport:
+    """The full CI report by a per-rank pass over each block of z.
+
+    Blocks are taken in codomain order and value pairs (a, b) in row-major
+    order, so the first violation is the one the package must report.
+    """
+    weights = oracle_int_weights(space, p)
+    kx, ky = len(x.codomain), len(y.codomain)
+    for zv, zlabel in enumerate(z.codomain):
+        ranks = [r for r in range(space.outcome_count) if z.table[r] == zv]
+        if not ranks:
+            continue
+        total = 0
+        wx = [0] * kx
+        wy = [0] * ky
+        joint: dict[tuple[int, int], int] = {}
+        for r in ranks:
+            w = weights[r]
+            total += w
+            a, b = x.table[r], y.table[r]
+            wx[a] += w
+            wy[b] += w
+            joint[a, b] = joint.get((a, b), 0) + w
+        if total == 0:
+            raise DegenerateBlockError(f"block {zlabel!r} has zero probability mass")
+        for a in range(kx):
+            for b in range(ky):
+                lhs_num = joint.get((a, b), 0) * total
+                rhs_num = wx[a] * wy[b]
+                if tolerance is None:
+                    ok = lhs_num == rhs_num
+                else:
+                    ok = abs(lhs_num - rhs_num) <= tolerance * total * total
+                if not ok:
+                    return CiReport(
+                        holds=False,
+                        first_violation=(
+                            zlabel,
+                            x.codomain[a],
+                            y.codomain[b],
+                            Fraction(joint.get((a, b), 0), total),
+                            Fraction(wx[a] * wy[b], total * total),
+                        ),
+                    )
+    return CiReport(holds=True)
 
 
 def _neighbors(dag: Dag):

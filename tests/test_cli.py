@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from facthist import space_to_doc, dag_to_doc, Dag, space_from_doc
+from facthist import RandomVariable, space_to_doc, dag_to_doc, Dag, space_from_doc
 from facthist.cli import main
 
 from helpers import xor_bundle
@@ -69,6 +69,28 @@ def test_indep_exit_codes(capsys, space_file):
     doc = json.loads(out)
     assert doc["independent"] is False
     assert doc["overlaps"] == {"0": ["u0", "u1"], "1": ["u0", "u1"]}
+
+
+def test_given_labels_with_commas_and_three_names(capsys, tmp_path):
+    space, u0, u1, xor = xor_bundle()
+    x = RandomVariable("x", ("p", "p,q"), u0.table)
+    y = RandomVariable("y", ("q,r", "r"), u1.table)
+    path = tmp_path / "commas.json"
+    path.write_text(json.dumps(space_to_doc(space, {"x": x, "y": y, "XOR": xor})))
+    code, out, _ = run_cli(capsys, "indep", str(path), "u0", "u1", "--given", "x,y")
+    assert code == 0
+    assert json.loads(out)["independent"] is True
+    code, out, _ = run_cli(capsys, "history", str(path), "--var", "u0", "--given", "x,y")
+    assert code == 0
+    assert list(json.loads(out)["history"]) == [
+        "(p,q\\,r)", "(p,r)", "(p\\,q,q\\,r)", "(p\\,q,r)",
+    ]
+    # Three or more names join into one flat tuple label.
+    code, out, _ = run_cli(
+        capsys, "history", str(path), "--var", "u0", "--given", "u0,u1,XOR"
+    )
+    assert code == 0
+    assert list(json.loads(out)["history"]) == ["(0,0,0)", "(0,1,1)", "(1,0,1)", "(1,1,0)"]
 
 
 def test_unknown_name_is_a_usage_error(capsys, space_file):

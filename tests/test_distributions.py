@@ -8,12 +8,14 @@ integer-weight internals never get to grade their own homework.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from facthist import (
     DegenerateBlockError,
+    IndependenceVerdict,
     PerturbationError,
     PreconditionError,
     ProductDistribution,
@@ -29,20 +31,24 @@ from facthist import (
     irrelevance_invariance,
     is_cond_independent,
     outcome_prob,
+    outcome_unrank,
     pair_var,
     perturb_factor,
     product_difference_identity,
     sample_product,
     sample_vector,
     spawn_seed,
+    structurally_independent,
+    trivial_var,
     uniform_product,
     verify_soundness,
 )
-from facthist.distributions import SAMPLE_GRID_MAX
+from facthist import distributions
+from facthist.distributions import SAMPLE_GRID_MAX, _weights
 from facthist.errors import FormatError
 
 from helpers import make_space, make_var, xor_bundle
-from oracles import oracle_ci, oracle_event_prob
+from oracles import oracle_ci, oracle_ci_report, oracle_event_prob, oracle_int_weights
 
 F = Fraction
 
@@ -259,3 +265,145 @@ def test_distribution_doc_roundtrip():
         distribution_from_doc([])
     with pytest.raises(FormatError):
         distribution_from_doc({"per_factor": [["x/y"]]})
+
+
+def _function_of(space, name, ids, k, rng):
+    """A random variable with k labels that reads only the factors in ids."""
+    values: dict[tuple[int, ...], int] = {}
+    table = []
+    for r in range(space.outcome_count):
+        o = outcome_unrank(space, r)
+        key = tuple(o[i] for i in ids)
+        table.append(values.setdefault(key, rng.randrange(k)))
+    return make_var(space, name, k, table)
+
+
+def _random_ids(space, rng):
+    return [i for i in range(space.factor_count) if rng.random() < 0.5]
+
+
+def _skewed_product(space, rng):
+    """A product distribution with zero entries and lopsided weights."""
+    vecs = []
+    for f in space.factors:
+        nums = [rng.choice((0, 0, 1, 2, 7, 50)) for _ in range(f.size)]
+        if not any(nums):
+            nums[rng.randrange(f.size)] = 1
+        total = sum(nums)
+        vecs.append(tuple(F(n, total) for n in nums))
+    return ProductDistribution(tuple(vecs))
+
+
+def _random_instance(rng, trial):
+    """Mixed domains (1 to 3 values), x and y, z with 1 to 3 labels, a distribution."""
+    space = make_space(*(rng.randint(1, 3) for _ in range(rng.randint(1, 4))))
+    x = _function_of(space, "x", _random_ids(space, rng), rng.randint(1, 3), rng)
+    y = _function_of(space, "y", _random_ids(space, rng), rng.randint(1, 3), rng)
+    z = _function_of(space, "z", _random_ids(space, rng), rng.randint(1, 3), rng)
+    if rng.random() < 0.5:
+        p = sample_product(space, 300 + trial)
+    else:
+        p = _skewed_product(space, rng)
+    return space, x, y, z, p
+
+
+def _report_or_degenerate(check, *args, **kwargs):
+    try:
+        return check(*args, **kwargs)
+    except DegenerateBlockError:
+        return "degenerate"
+
+
+def test_prepared_ci_matches_per_rank_oracle():
+    rng = random.Random("prepared-ci")
+    seen = Counter()
+    for trial in range(400):
+        space, x, y, z, p = _random_instance(rng, trial)
+        tolerance = rng.choice((None, None, 0.0, 0.01, 0.1))
+        got = _report_or_degenerate(is_cond_independent, space, p, x, y, z, tolerance=tolerance)
+        want = _report_or_degenerate(oracle_ci_report, space, p, x, y, z, tolerance)
+        assert got == want, (trial, space, tolerance)
+        if want == "degenerate":
+            seen["degenerate"] += 1
+        else:
+            seen["holds" if want.holds else "violated"] += 1
+            seen["tolerance" if tolerance is not None else "strict"] += 1
+            seen["multi-block"] += len(set(z.table)) > 1
+    assert all(seen[k] >= 20 for k in ("holds", "violated", "tolerance", "strict", "multi-block"))
+    assert seen["degenerate"], "skewed distributions should produce zero-mass blocks"
+
+
+def test_first_violation_is_row_major():
+    # One 9-valued factor carries the joint table of (x, y) = divmod(u, 3):
+    #   1 2 1 / 1 3 2 / 2 2 2, over 16.  Cell (0, 0) factorizes, but (0, 1)
+    # and (1, 0) do not; value pairs are compared x-major, so (0, 1) is first.
+    space = make_space(9)
+    x = make_var(space, "x", 3, [v // 3 for v in range(9)])
+    y = make_var(space, "y", 3, [v % 3 for v in range(9)])
+    p = ProductDistribution((tuple(F(n, 16) for n in (1, 2, 1, 1, 3, 2, 2, 2, 2)),))
+    report = is_cond_independent(space, p, x, y)
+    assert report.first_violation == ("*", "0", "1", F(2, 16), F(4 * 7, 16 * 16))
+    assert report == oracle_ci_report(space, p, x, y, trivial_var(space))
+
+
+def test_soundness_violations_equal_per_sample_reports(monkeypatch):
+    space, u0, u1, xor = xor_bundle()
+    # The structural pair holds on every sample.
+    assert verify_soundness(space, u0, u1, None, n=20, seed=4).violations == ()
+    # Skip the precondition so a dependent pair reports violations.
+    monkeypatch.setattr(
+        distributions,
+        "structurally_independent",
+        lambda *args: IndependenceVerdict(independent=True, overlaps={}),
+    )
+    for x, y, z, seed in ((u0, u1, xor, 4), (u0, xor, None, 9)):
+        report = verify_soundness(space, x, y, z, n=20, seed=seed)
+        expected = []
+        for i in range(20):
+            ci = is_cond_independent(space, sample_product(space, spawn_seed(seed, i)), x, y, z)
+            if not ci.holds:
+                expected.append((i, ci))
+        assert expected and report.violations == tuple(expected)
+
+
+def test_find_witness_returns_the_first_violating_sample():
+    rng = random.Random("witness-order")
+    found = 0
+    for trial in range(300):
+        space, x, y, z, _ = _random_instance(rng, trial)
+        if structurally_independent(space, x, y, z).independent:
+            continue
+        tries = rng.randint(0, 4)
+        first = next(
+            (
+                i
+                for i in range(tries)
+                if not is_cond_independent(
+                    space, sample_product(space, spawn_seed(trial, i)), x, y, z
+                ).holds
+            ),
+            None,
+        )
+        got = find_witness(space, x, y, z, max_tries=tries, seed=trial)
+        if first is None:
+            assert got is None
+        else:
+            found += 1
+            assert got == sample_product(space, spawn_seed(trial, first))
+    assert found >= 20
+
+
+def test_weights_are_proportional_to_outcome_probabilities():
+    rng = random.Random("weights")
+    for trial in range(60):
+        space = make_space(*(rng.randint(1, 3) for _ in range(rng.randint(1, 4))))
+        p = sample_product(space, trial) if trial % 2 else _skewed_product(space, rng)
+        w = _weights(space, p)
+        assert w == oracle_int_weights(space, p)
+        probs = [outcome_prob(p, outcome_unrank(space, r)) for r in range(space.outcome_count)]
+        ref = next(r for r, pr in enumerate(probs) if pr)
+        assert w[ref] > 0
+        assert all(w[r] * probs[ref] == w[ref] * pr for r, pr in enumerate(probs))
+    with pytest.raises(ValueError):
+        _weights(make_space(2, 3), uniform_product(make_space(3, 2)))
+

@@ -1,7 +1,8 @@
 """Core space behaviour.
 
 Claims covered here: mixed-radix outcome ranking with the last factor
-fastest, rank/unrank inversion, projection and pair variables, level-set
+fastest, rank/unrank inversion, per-factor digit tables, projection and
+pair variables with injective joint labels, level-set
 blocks partitioning the space, size caps (including the environment
 override), and lossless document round-trips.
 """
@@ -19,6 +20,7 @@ from facthist import (
     IndexSet,
     InvalidOutcomeError,
     InvalidRankError,
+    RandomVariable,
     SpaceCapError,
     SpaceMismatchError,
     UnknownFactorError,
@@ -118,6 +120,65 @@ def test_pair_var_recovers_components(sizes, data):
             if xy.table[r] == xy.table[s]:
                 assert x.table[r] == x.table[s]
                 assert y.table[r] == y.table[s]
+
+
+def _split_joint_label(label: str) -> list[str]:
+    """Decode "(l1,...,lk)": split at unescaped commas, drop the escapes."""
+    assert label[0] == "(" and label[-1] == ")"
+    parts, cur, chars = [], [], iter(label[1:-1])
+    for ch in chars:
+        if ch == "\\":
+            cur.append(next(chars))
+        elif ch == ",":
+            parts.append("".join(cur))
+            cur = []
+        else:
+            assert ch not in "()", f"unescaped parenthesis in {label!r}"
+            cur.append(ch)
+    parts.append("".join(cur))
+    return parts
+
+
+LABELS = st.lists(st.text(alphabet="ab,()\\", max_size=4), min_size=1, max_size=3, unique=True)
+
+
+@given(LABELS, LABELS, LABELS)
+def test_joint_labels_are_injective(xs, ys, ws):
+    # One factor per variable, so every label combination is attained.
+    space = make_space(len(xs), len(ys), len(ws))
+    x, y, w = (
+        RandomVariable(name, tuple(labels), factor_var(space, i).table)
+        for i, (name, labels) in enumerate((("x", xs), ("y", ys), ("w", ws)))
+    )
+    xy = pair_var(space, x, y)
+    assert len(set(xy.codomain)) == len(xs) * len(ys)
+    assert [_split_joint_label(c) for c in xy.codomain] == [[a, b] for a in xs for b in ys]
+    xyw = fold_pair(space, [x, y, w])
+    assert [_split_joint_label(c) for c in xyw.codomain] == [
+        [a, b, c] for a in xs for b in ys for c in ws
+    ]
+    assert xyw.table == pair_var(space, xy, w).table
+    nested = pair_var(space, xy, w).codomain
+    assert len(set(nested)) == len(nested)
+
+
+def test_pair_labels_with_commas_do_not_collide():
+    space = make_space(2, 2)
+    x = RandomVariable("x", ("p", "p,q"), factor_var(space, 0).table)
+    y = RandomVariable("y", ("q,r", "r"), factor_var(space, 1).table)
+    assert pair_var(space, x, y).codomain == (
+        "(p,q\\,r)", "(p,r)", "(p\\,q,q\\,r)", "(p\\,q,r)",
+    )
+
+
+def test_digit_tables_match_the_mixed_radix_definition():
+    for sizes in ((2, 3, 4), (3, 1, 2, 1), (1, 1), (1,), (5,), (2,) * 6):
+        space = make_space(*sizes)
+        for i, size in enumerate(sizes):
+            stride = space.stride(i)
+            want = tuple((r // stride) % size for r in range(space.outcome_count))
+            assert space.digits(i) == want
+            assert space.scaled_digits(i) == tuple(d * stride for d in want)
 
 
 def test_blocks_partition_and_keys_are_attained():

@@ -14,6 +14,7 @@ against factor names.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -153,8 +154,10 @@ def _cmd_embed(args: argparse.Namespace) -> int:
     emb = embed_dag(dag)
     doc = space_to_doc(emb.space, {v.name: v for v in emb.node_vars.values()})
     if args.output:
+        # json.dump would stream through the pure-Python encoder.
+        text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+            fh.write(text)
             fh.write("\n")
         _emit(
             {
@@ -264,7 +267,11 @@ def _cmd_atoms(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: argparse sets up a help formatter for every
+    # argument, which costs more than a small command.  parse_args keeps
+    # its results in a fresh Namespace, so reuse carries no state.
     parser = argparse.ArgumentParser(
         prog="facthist",
         description=(
@@ -283,13 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("space", help="space file (JSON)")
     p.add_argument("--var", required=True, help="variable or factor name")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--given", help="comma-separated conditioning names")
-    group.add_argument(
-        "--unconditional",
-        action="store_true",
-        help="condition on nothing (the default)",
-    )
+    p.add_argument("--given", help="comma-separated conditioning names")
     p.set_defaults(func=_cmd_history)
 
     p = sub.add_parser(

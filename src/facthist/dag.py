@@ -14,6 +14,11 @@ and a factor value is read as a base-|dom v| numeral whose digit at
 position r (most significant first) is the response to parent assignment
 rank r.  Both conventions are fixed so emitted space files are identical
 across runs and platforms.
+
+The evaluation runs column-wise, one node at a time in topological order:
+X_v's whole table is one lookup of the column u_v * m + (parent rank) in a
+table of response digits, with both built by C-level passes over the
+parents' finished tables, never by a Python loop over outcomes.
 """
 
 from __future__ import annotations
@@ -21,6 +26,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain, product, repeat
+from operator import add, mul
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -234,27 +241,24 @@ def embed_dag(dag: Dag, *, max_outcomes: int | None = None) -> Embedding:
     ]
     space = FactoredSpace(factors, max_outcomes=cap)
     findex = {v: k for k, v in enumerate(dag.nodes)}
-    # Precomputed base-|dom v| place values, most significant digit first.
-    powers = {
-        v: [doms[v] ** (pa_counts[v] - 1 - r) for r in range(pa_counts[v])]
-        for v in dag.nodes
-    }
-    topo = dag.topological_order()
-    tables: dict[str, list[int]] = {v: [0] * space.outcome_count for v in dag.nodes}
-    for r in range(space.outcome_count):
-        vals: dict[str, int] = {}
-        for v in topo:
-            pa_rank = 0
-            for p in dag.parents(v):
-                pa_rank = pa_rank * doms[p] + vals[p]
-            k = space.digits(findex[v])[r]
-            vals[v] = (k // powers[v][pa_rank]) % doms[v]
-            tables[v][r] = vals[v]
+    tables: dict[str, tuple[int, ...]] = {}
+    for v in dag.topological_order():
+        # resp[k * m + a] is digit a (most significant first) of factor
+        # value k, the response to parent-assignment rank a; product()
+        # lists the digit strings of k = 0, 1, ... in that order.
+        digit_strings = product(range(doms[v]), repeat=pa_counts[v])
+        resp = tuple(chain.from_iterable(digit_strings))
+        # Folding each parent's column into u_v's digits as idx * |dom p| + X_p
+        # gives k * m + a, with the last parent varying fastest.
+        idx: Iterable[int] = space.digits(findex[v])
+        for p in dag.parents(v):
+            idx = map(add, map(mul, idx, repeat(doms[p])), tables[p])
+        tables[v] = tuple(map(resp.__getitem__, idx))
     node_vars = {
         v: RandomVariable(
             name=f"X_{v}",
             codomain=tuple(str(k) for k in range(doms[v])),
-            table=tuple(tables[v]),
+            table=tables[v],
         )
         for v in dag.nodes
     }

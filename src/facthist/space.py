@@ -24,6 +24,7 @@ import math
 import os
 from dataclasses import dataclass
 from itertools import chain
+from operator import lt
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -171,11 +172,12 @@ class RandomVariable:
         if len(set(self.codomain)) != len(self.codomain):
             raise ValueError(f"variable {self.name!r} has duplicate codomain labels")
         k = len(self.codomain)
-        for v in self.table:
-            if not 0 <= v < k:
-                raise ValueError(
-                    f"variable {self.name!r} table entry {v} outside codomain of {k}"
-                )
+        table = self.table
+        if table and not (0 <= min(table) and max(table) < k):
+            bad = next(v for v in table if not 0 <= v < k)
+            raise ValueError(
+                f"variable {self.name!r} table entry {bad} outside codomain of {k}"
+            )
 
 
 @dataclass(frozen=True)
@@ -188,7 +190,7 @@ class Block:
     def __post_init__(self) -> None:
         if not self.ranks:
             raise ValueError(f"block {self.label!r} must be non-empty")
-        if any(a >= b for a, b in zip(self.ranks, self.ranks[1:])):
+        if not all(map(lt, self.ranks, self.ranks[1:])):
             raise ValueError(f"block {self.label!r} ranks must be strictly increasing")
 
     def __len__(self) -> int:
@@ -486,8 +488,9 @@ def space_from_doc(doc: object) -> tuple[FactoredSpace, dict[str, RandomVariable
             raise FormatError(
                 f"variables[{name!r}].codomain must be a non-empty list of strings"
             )
+        # One C-level pass collects the entry types; few are distinct.
         if not isinstance(table, list) or not all(
-            isinstance(t, int) and not isinstance(t, bool) for t in table
+            issubclass(t, int) and not issubclass(t, bool) for t in set(map(type, table))
         ):
             raise FormatError(f"variables[{name!r}].table must be a list of integers")
         if len(table) != space.outcome_count:

@@ -6,15 +6,16 @@ cross-pair membership, determination by pairwise comparison, histories by
 enumerating all subsets and taking the subset-minimal generating ones,
 probabilities by summing exact outcome products, CI reports by a per-rank
 pass over each block, d-separation both by walk enumeration and by
-moralization, and the separator condition by full event enumeration.  Slow
-on purpose; only run on small inputs.
+moralization, DAG embeddings by evaluating every node at every outcome,
+and the separator condition by full event enumeration.  Slow on purpose;
+only run on small inputs.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 
 from facthist import (
     Block,
@@ -251,6 +252,30 @@ def oracle_dsep_moralize(dag: Dag, xs, ys, zs) -> bool:
                 seen.add(m)
                 frontier.append(m)
     return True
+
+
+def oracle_embed_tables(dag: Dag) -> dict[str, tuple[int, ...]]:
+    """X_v tables of the response-function embedding, one outcome at a time.
+
+    Outcomes are enumerated in rank order (u_v factors in node order, the
+    last varying fastest); at each one the nodes are evaluated in
+    topological order, reading the response to parent-assignment rank a as
+    base-|dom v| digit a of u_v, most significant first.
+    """
+    doms = dag.domains
+    m = {v: math.prod(doms[p] for p in dag.parents(v)) for v in dag.nodes}
+    sizes = [doms[v] ** m[v] for v in dag.nodes]
+    tables: dict[str, list[int]] = {v: [] for v in dag.nodes}
+    for outcome in product(*(range(s) for s in sizes)):
+        u = dict(zip(dag.nodes, outcome))
+        vals: dict[str, int] = {}
+        for v in dag.topological_order():
+            pa_rank = 0
+            for p in dag.parents(v):
+                pa_rank = pa_rank * doms[p] + vals[p]
+            vals[v] = u[v] // doms[v] ** (m[v] - 1 - pa_rank) % doms[v]
+            tables[v].append(vals[v])
+    return {v: tuple(t) for v, t in tables.items()}
 
 
 def oracle_separation_global(space: FactoredSpace, z: RandomVariable, ids) -> bool:

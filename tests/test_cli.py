@@ -7,15 +7,24 @@ subprocess entry point.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import math
+import os
 import subprocess
 import sys
+import tempfile
 import time
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from facthist import RandomVariable, space_to_doc, dag_to_doc, Dag, space_from_doc
-from facthist.cli import main
+from facthist.cli import _build_parser, main
+from facthist.space import OUTCOME_CAP_ENV
 
 from helpers import xor_bundle
 
@@ -54,9 +63,7 @@ def test_history_command(capsys, space_file):
     doc = json.loads(out)
     assert doc["given"] == ["XOR"]
     assert doc["history"] == {"0": ["u0", "u1"], "1": ["u0", "u1"]}
-    code, out, _ = run_cli(
-        capsys, "history", space_file, "--var", "XOR", "--unconditional"
-    )
+    code, out, _ = run_cli(capsys, "history", space_file, "--var", "XOR")
     assert json.loads(out)["history"] == {"*": ["u0", "u1"]}
 
 
@@ -243,10 +250,146 @@ def test_pretty_output(capsys, space_file):
     assert json.loads(out)["variable"] == "u0"
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(capsys, space_file):
     assert run_cli(capsys, "history")[0] == 2
     assert run_cli(capsys, "nosuch")[0] == 2
     assert run_cli(capsys)[0] == 2
+    # Conditioning on nothing is the default; there is no flag for it.
+    assert run_cli(capsys, "history", space_file, "--var", "u0", "--unconditional")[0] == 2
+
+
+def test_reused_parser_leaks_no_state(capsys, monkeypatch, space_file):
+    assert _build_parser() is _build_parser()
+    # Usage text is wrapped to the terminal width; fix it for both sides.
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = [
+        ("indep", space_file, "u0"),
+        ("indep", space_file, "u0", "u1", "--given", "XOR"),
+        ("indep", space_file, "u0", "u1"),
+        ("history", space_file, "--var", "u0", "--pretty"),
+        ("history", space_file, "--var", "u0"),
+    ]
+    got = [run_cli(capsys, *argv) for argv in calls]
+    fresh = [
+        subprocess.run(
+            [sys.executable, "-m", "facthist.cli", *argv],
+            capture_output=True,
+            text=True,
+        )
+        for argv in calls
+    ]
+    assert got == [(p.returncode, p.stdout, p.stderr) for p in fresh]
+    assert got[0][0] == 2 and not got[0][1]
+    assert json.loads(got[1][1])["given"] == ["XOR"]
+    assert json.loads(got[2][1])["given"] == []
+    assert got[3][1].startswith("{\n")
+    assert got[4][1].startswith("{") and got[4][1].count("\n") == 1
+
+
+TABLE_TYPE_ERROR = "variables['x'].table must be a list of integers"
+
+
+def _space_doc(sizes, k, table):
+    return {
+        "factors": [
+            {"name": f"u{i}", "domain": [str(v) for v in range(s)]}
+            for i, s in enumerate(sizes)
+        ],
+        "variables": {"x": {"codomain": [str(v) for v in range(k)], "table": table}},
+    }
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ([0, 1, True, 0], TABLE_TYPE_ERROR),
+        ([0, 1.0, 1, 0], TABLE_TYPE_ERROR),
+        (["1", 1, 1, 0], TABLE_TYPE_ERROR),
+        ([0, 1, 1, None], TABLE_TYPE_ERROR),
+        ([0, -1, 1, 0], "variable 'x' table entry -1 outside codomain of 2"),
+        ([0, 1, 2, 0], "variable 'x' table entry 2 outside codomain of 2"),
+        ([0, 1, 1], "variables['x'].table has 3 entries, space has 4 outcomes"),
+        ([0, 1, 1, 0, 1], "variables['x'].table has 5 entries, space has 4 outcomes"),
+    ],
+    ids=["true", "float", "string", "null", "negative", "codomain-size", "short", "long"],
+)
+def test_malformed_tables_keep_their_messages(capsys, tmp_path, table, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_space_doc([2, 2], 2, table)))
+    assert run_cli(capsys, "indep", str(path), "u0", "u1") == (
+        2, "", f"error: {message}\n"
+    )
+
+
+def test_malformed_table_at_the_cap_is_rejected_promptly(capsys, tmp_path):
+    n = 10**6
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(_space_doc([1000, 1000], 3, [0] * (n - 1) + [3])))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "atoms", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == "error: variable 'x' table entry 3 outside codomain of 3\n"
+
+
+MALFORMED_CAP = 4096
+BAD_TYPED = [True, False, 1.0, float("nan"), "1", None, [0], {"a": 0}]
+COMMANDS = [
+    ("history", "--var", "x"),
+    ("indep", "x", "u0"),
+    ("atoms",),
+    ("verify", "x", "u0"),
+    ("witness", "x", "u0"),
+]
+
+
+@st.composite
+def malformed_space_files(draw):
+    """A space document with one defect, and the exit code and message it must give."""
+    kind = draw(st.sampled_from(["type", "range", "length", "cap"]))
+    if kind == "cap":
+        # At least 17 ** 3 outcomes; the cap is checked before any table.
+        sizes = draw(st.lists(st.integers(17, 40), min_size=3, max_size=6))
+        count = math.prod(sizes)
+        return _space_doc(sizes, 2, [0]), 3, (
+            f"{count} outcomes exceeds cap of {MALFORMED_CAP}"
+        )
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    n = math.prod(sizes)
+    k = draw(st.integers(1, 4))
+    table = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    if kind == "length":
+        m = draw(st.integers(0, n + 3).filter(lambda m: m != n))
+        table = (table + [0] * 3)[:m]
+        return _space_doc(sizes, k, table), 2, (
+            f"variables['x'].table has {m} entries, space has {n} outcomes"
+        )
+    pos = draw(st.integers(0, n - 1))
+    if kind == "type":
+        table[pos] = draw(st.sampled_from(BAD_TYPED))
+        return _space_doc(sizes, k, table), 2, TABLE_TYPE_ERROR
+    bad = draw(st.integers(max_value=-1) | st.integers(min_value=k))
+    table[pos] = bad
+    return _space_doc(sizes, k, table), 2, (
+        f"variable 'x' table entry {bad} outside codomain of {k}"
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(malformed_space_files(), st.sampled_from(COMMANDS))
+def test_malformed_space_files_exit_promptly(case, command):
+    doc, code, message = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "space.json"
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.dict(os.environ, {OUTCOME_CAP_ENV: str(MALFORMED_CAP)}):
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                start = time.perf_counter()
+                got = main([command[0], str(path), *command[1:]])
+                elapsed = time.perf_counter() - start
+    assert elapsed < 1.0
+    assert (got, out.getvalue(), err.getvalue()) == (code, "", f"error: {message}\n")
 
 
 def test_console_entry_point(space_file):

@@ -1,15 +1,24 @@
 """DAGs, d-separation, and the response-function embedding.
 
-d-separation verdicts are checked two independent ways: against literal
-walk enumeration and against the moralization construction, then the
-embedding bridges them to structural independence on the factored side.
+d-separation verdicts are checked three independent ways: against literal
+walk enumeration, against the moralization construction and against
+networkx; the embedding's tables are checked against a per-outcome
+evaluation, and the embedding bridges d-separation to structural
+independence on the factored side.
 """
 
 from __future__ import annotations
 
-from itertools import product
+import contextlib
+import io
+import json
+import math
+import tempfile
+from itertools import combinations, product
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from facthist import (
     Dag,
@@ -26,11 +35,13 @@ from facthist import (
     embed_dag,
     full_block,
     history,
+    space_to_doc,
     structural_time_vs_ancestry,
 )
+from facthist.cli import main
 
 from helpers import all_single_pair_queries, random_binary_dag
-from oracles import oracle_dsep_moralize, oracle_dsep_walks
+from oracles import oracle_dsep_moralize, oracle_dsep_walks, oracle_embed_tables
 
 
 def chain3():
@@ -152,6 +163,29 @@ def test_dsep_matches_moralization_oracle_on_random_dags():
             assert got == oracle_dsep_moralize(dag, [x], [y], zs), (dag, x, y, zs)
 
 
+def _indegree_dags(indegrees):
+    """Every binary DAG whose node i draws indegrees[i] parents from nodes before it."""
+    names = [f"v{i}" for i in range(len(indegrees))]
+    choices = (combinations(range(i), d) for i, d in enumerate(indegrees))
+    for parents in product(*choices):
+        edges = [(names[p], names[i]) for i, ps in enumerate(parents) for p in ps]
+        yield Dag([(n, 2) for n in names], edges)
+
+
+def test_dsep_matches_networkx_oracle():
+    nx = pytest.importorskip("networkx")
+    dags = list(_indegree_dags((0, 0, 1, 1, 2)))
+    assert len(dags) == 36
+    dags += [random_binary_dag("networkx", index, max_nodes=6) for index in range(40)]
+    for dag in dags:
+        graph = nx.DiGraph(dag.edges)
+        graph.add_nodes_from(dag.nodes)
+        for x, y, zs in all_single_pair_queries(dag):
+            expected = nx.is_d_separator(graph, {x}, {y}, set(zs))
+            assert d_separated(dag, [x], [y], zs) == expected, (dag, x, y, zs)
+            assert d_separated(dag, [y], [x], zs) == expected, (dag, y, x, zs)
+
+
 def test_embedding_sizes_and_digit_convention():
     chain = Dag([("A", 2), ("B", 2)], [("A", "B")])
     emb = embed_dag(chain)
@@ -166,6 +200,53 @@ def test_embedding_sizes_and_digit_convention():
     assert list(xb.table) == expect_b
     coll = collider3()
     assert embed_dag(coll).space.outcome_count == 2 * 2 * 16
+
+
+EMBED_CAP = 4096
+
+
+@st.composite
+def small_dags(draw):
+    """1-5 nodes with domains 2-3 and in-degree at most 2.
+
+    Edges follow the order n0, n1, ...; the nodes are declared in a drawn
+    permutation of it, so declaration and topological order can differ.
+    """
+    n = draw(st.integers(1, 5))
+    doms = draw(st.lists(st.sampled_from([2, 3]), min_size=n, max_size=n))
+    edges = []
+    for child in range(1, n):
+        parents = draw(st.lists(st.integers(0, child - 1), max_size=2, unique=True))
+        edges += [(f"n{p}", f"n{child}") for p in parents]
+    order = draw(st.permutations(range(n)))
+    return Dag([(f"n{i}", doms[i]) for i in order], edges)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_dags())
+def test_embedding_matches_per_outcome_oracle(dag):
+    doms = dag.domains
+    size = math.prod(
+        doms[v] ** math.prod(doms[p] for p in dag.parents(v)) for v in dag.nodes
+    )
+    if size > EMBED_CAP:
+        with pytest.raises(SpaceCapError):
+            embed_dag(dag, max_outcomes=EMBED_CAP)
+        return
+    emb = embed_dag(dag, max_outcomes=EMBED_CAP)
+    assert emb.space.outcome_count == size
+    expected = oracle_embed_tables(dag)
+    assert {v: x.table for v, x in emb.node_vars.items()} == expected
+    # embed -o writes the compact, key-sorted document plus one newline.
+    doc = space_to_doc(emb.space, {x.name: x for x in emb.node_vars.values()})
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        dag_path = Path(tmp) / "dag.json"
+        out_path = Path(tmp) / "space.json"
+        dag_path.write_text(json.dumps(dag_to_doc(dag)))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["embed", str(dag_path), "-o", str(out_path)]) == 0
+        assert out_path.read_bytes() == text.encode()
 
 
 def test_embedding_histories_are_ancestral():

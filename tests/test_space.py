@@ -4,7 +4,7 @@ Claims covered here: mixed-radix outcome ranking with the last factor
 fastest, rank/unrank inversion, per-factor digit tables, projection and
 pair variables with injective joint labels, level-set
 blocks partitioning the space, size caps (including the environment
-override), and lossless document round-trips.
+override), validation messages, and lossless document round-trips.
 """
 
 from __future__ import annotations
@@ -254,6 +254,21 @@ def test_validation_of_building_blocks():
         FactoredSpace([])
     with pytest.raises(ValueError):
         FactoredSpace([Factor("u", ("0",)), Factor("u", ("0",))])
+
+
+@pytest.mark.parametrize("ranks", [(1, 1), (0, 2, 2), (2, 1), (0, 3, 1), (0, 1, 2, 0)])
+def test_block_ranks_must_strictly_increase(ranks):
+    with pytest.raises(ValueError, match=r"^block 'b' ranks must be strictly increasing$"):
+        Block(label="b", ranks=ranks)
+
+
+@pytest.mark.parametrize(
+    "table, bad", [((0, 3, -1), 3), ((0, -1, 3), -1), ((1, 1, 2), 2), ((-5,), -5)]
+)
+def test_table_range_error_names_the_first_bad_entry(table, bad):
+    message = rf"^variable 'x' table entry {bad} outside codomain of 2$"
+    with pytest.raises(ValueError, match=message):
+        RandomVariable(name="x", codomain=("0", "1"), table=table)
 
 
 def test_space_mismatch_detected():

@@ -92,6 +92,12 @@ def _names(space: FactoredSpace, ids) -> list[str]:
     return [space.factors[i].name for i in ids]
 
 
+def _check_budgets(args: argparse.Namespace, *names: str) -> None:
+    for name in names:
+        if getattr(args, name) < 0:
+            raise ValueError(f"--{name} must be non-negative")
+
+
 def _emit(doc: object, pretty: bool) -> None:
     if pretty:
         print(json.dumps(doc, sort_keys=True, indent=2))
@@ -175,6 +181,7 @@ def _cmd_embed(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    _check_budgets(args, "samples", "tries")
     space, variables = space_from_doc(_load_json(args.space))
     x = _resolve(space, variables, args.x)
     y = _resolve(space, variables, args.y)
@@ -219,6 +226,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
+    _check_budgets(args, "tries")
     space, variables = space_from_doc(_load_json(args.space))
     x = _resolve(space, variables, args.x)
     y = _resolve(space, variables, args.y)

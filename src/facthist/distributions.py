@@ -13,14 +13,30 @@ objects.  Reported probabilities are still exact Fractions.  The weight of
 every outcome comes from expanding the outer product of the per-factor
 integer vectors, in rank order (last factor fastest).
 
+Sampled distributions stay integers until one is reported.  sample_product
+draws a numerator on 1..101 per entry and divides each factor's numerators
+by their sum; _sample_ints makes the same draws in the same order and
+returns the numerators themselves, which verify_soundness and find_witness
+check directly.  find_witness builds Fractions only for the sample it
+returns, so its result equals sample_product for that seed.
+
 A CI check of x and y given z is a prepared query.  Setting it up costs
 O(|Omega|) once: one blocks_of call, then each block's ranks are grouped
-into (x-value, y-value) cells, each read by one operator.itemgetter.  Each
-distribution then costs an O(|Omega|) product expansion for the weights
-plus one C-level sum per cell; block totals and the x and y marginals come
-from the cell sums, and the comparisons are O(|x| * |y|) per block.
-verify_soundness and find_witness prepare the query once for all of their
-samples.
+into (x-value, y-value) cells.  The trailing factors form a tail of T
+outcomes: rank r is head rank r // T and tail rank r % T, and its weight is
+the product of a head weight and a tail weight.  Each cell is split into
+parts by tail rank, and one operator.itemgetter per part reads the part's
+head weights.  Trailing factors join the tail while T**2 * cells <= |Omega|,
+that is while the parts, at most cells * T, are no more than the |Omega| / T
+head weights.  Each distribution then costs an O(|Omega| / T) expansion of
+the head weights, one C-level sum per part over O(|Omega|) weights in all,
+and one product by a tail weight per part.  Block totals and the x and y
+marginals come from the cell sums.  In exact mode a block holds when every
+attained cell satisfies P(x=a, y=b, C) * P(C) = P(x=a, C) * P(y=b, C), which
+costs O(cells) (the unattained pairs then follow, see _CiQuery.check_ints);
+only a failing block, or tolerance mode, compares all |x| * |y| value pairs
+to report the first violation in x-major order.  verify_soundness and
+find_witness prepare the query once for all of their samples.
 """
 
 from __future__ import annotations
@@ -29,7 +45,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
+from itertools import repeat
+from operator import itemgetter, mul
 from typing import Sequence
 
 from .errors import (
@@ -187,11 +204,25 @@ def uniform_product(space: FactoredSpace) -> ProductDistribution:
     )
 
 
-def sample_vector(rng: random.Random, size: int) -> tuple[Fraction, ...]:
-    """A positive rational vector: numerators uniform on 1..101, normalized."""
-    nums = [rng.randint(1, SAMPLE_GRID_MAX) for _ in range(size)]
+def _normalized(nums: Sequence[int]) -> tuple[Fraction, ...]:
     total = sum(nums)
     return tuple(Fraction(n, total) for n in nums)
+
+
+def sample_vector(rng: random.Random, size: int) -> tuple[Fraction, ...]:
+    """A positive rational vector: numerators uniform on 1..101, normalized."""
+    return _normalized([rng.randint(1, SAMPLE_GRID_MAX) for _ in range(size)])
+
+
+def _sample_ints(space: FactoredSpace, seed: int) -> list[list[int]]:
+    """The numerators of sample_product(space, seed), one list per factor.
+
+    The draws are made in the same order, so normalizing each list gives
+    that distribution; the integers themselves are weights proportional to
+    it, which is all a CI check needs.
+    """
+    randint = random.Random(seed).randint
+    return [[randint(1, SAMPLE_GRID_MAX) for _ in range(f.size)] for f in space.factors]
 
 
 def sample_product(space: FactoredSpace, seed: int) -> ProductDistribution:
@@ -200,9 +231,8 @@ def sample_product(space: FactoredSpace, seed: int) -> ProductDistribution:
     Every entry is at least 1/(101*d) for a d-valued factor, so sampled
     distributions never have degenerate blocks.
     """
-    rng = random.Random(seed)
     return ProductDistribution(
-        per_factor=tuple(sample_vector(rng, f.size) for f in space.factors)
+        per_factor=tuple(map(_normalized, _sample_ints(space, seed)))
     )
 
 
@@ -230,17 +260,21 @@ def _int_vectors(p: ProductDistribution) -> list[list[int]]:
     return out
 
 
+def _expand(vecs: Sequence[Sequence[int]]) -> list[int]:
+    """The outer product of vecs, expanded so that the last varies fastest."""
+    w = [1]
+    for vec in vecs:
+        w = [a * b for a in w for b in vec]
+    return w
+
+
 def _weights(space: FactoredSpace, p: ProductDistribution) -> list[int]:
     """Integer weight per outcome, proportional to its probability.
 
-    The outer product of the factor vectors, expanded so that the last
-    factor varies fastest, is the rank order.
+    The outer product of the factor vectors is in rank order.
     """
     _check_arity(space, p)
-    w = [1]
-    for vec in _int_vectors(p):
-        w = [a * b for a in w for b in vec]
-    return w
+    return _expand(_int_vectors(p))
 
 
 def _block_marginal(
@@ -293,14 +327,25 @@ def cond_table(
     return out
 
 
+def _summable_getter(keys: list[int]) -> itemgetter:
+    # itemgetter with one key returns a scalar; a slice keeps the result
+    # summable.
+    return itemgetter(*([slice(keys[0], keys[0] + 1)] if len(keys) == 1 else keys))
+
+
 class _CiQuery:
     """The CI check of x and y given z, prepared once for many distributions.
 
     Each block of z is split into cells, the ranks where (x, y) takes one
-    attained value pair; one itemgetter per cell reads the cell's weights.
+    attained value pair.  The last factors form a tail: with T tail
+    outcomes, rank r is head rank r // T followed by tail rank r % T, and
+    its weight is w_head[r // T] * w_tail[r % T].  Each cell is split
+    further into parts by tail rank, and one itemgetter per part reads the
+    part's head weights, so a cell's weight is the sum over its parts of
+    w_tail[t] times the part's head sum.
     """
 
-    __slots__ = ("space", "x", "y", "getters", "blocks")
+    __slots__ = ("space", "x", "y", "head", "getters", "tails", "cells", "blocks")
 
     def __init__(
         self,
@@ -312,41 +357,80 @@ class _CiQuery:
         if z is None:
             z = trivial_var(space)
         self.space, self.x, self.y = space, x, y
-        # Per block: its label and (x-value, y-value, index into getters)
-        # for every attained cell.
-        self.getters: list[itemgetter] = []
-        self.blocks: list[tuple[str, list[tuple[int, int, int]]]] = []
         xt, yt = x.table, y.table
+        grouped = []
         for label, c in blocks_of(space, z).items():
             cells: dict[tuple[int, int], list[int]] = {}
             for r in c.ranks:
                 cells.setdefault((xt[r], yt[r]), []).append(r)
+            grouped.append((label, cells))
+        # Fold trailing factors while the parts, at most (cells * T), stay
+        # no more than the head weights, |Omega| / T.  Each sample then
+        # expands |Omega| / T weights instead of |Omega|, and the per-part
+        # overhead does not outgrow what the fold saves.
+        n_cells = sum(len(cells) for _, cells in grouped)
+        head, tail = space.factor_count, 1
+        while head:
+            grown = tail * space.factors[head - 1].size
+            if grown * grown * n_cells > space.outcome_count:
+                break
+            head, tail = head - 1, grown
+        self.head = head
+        self.getters: list[itemgetter] = []  # one per part, cell after cell
+        self.tails: list[int] = []  # the tail rank of each part
+        self.cells: list[slice] = []  # each cell's run of parts
+        # Per block: its label and (x-value, y-value, cell index) for every
+        # attained cell.
+        self.blocks: list[tuple[str, list[tuple[int, int, int]]]] = []
+        for label, cells in grouped:
             refs = []
             for (a, b), ranks in cells.items():
-                refs.append((a, b, len(self.getters)))
-                # itemgetter with one key returns a scalar; a slice keeps
-                # every getter's result summable.
-                key = [slice(ranks[0], ranks[0] + 1)] if len(ranks) == 1 else ranks
-                self.getters.append(itemgetter(*key))
+                parts: dict[int, list[int]] = {}
+                for h, t in map(divmod, ranks, repeat(tail)):
+                    parts.setdefault(t, []).append(h)
+                start = len(self.getters)
+                for t, heads in parts.items():
+                    self.tails.append(t)
+                    self.getters.append(_summable_getter(heads))
+                refs.append((a, b, len(self.cells)))
+                self.cells.append(slice(start, len(self.getters)))
             self.blocks.append((label, refs))
 
     def check(self, p: ProductDistribution, tolerance: float | None = None) -> CiReport:
-        w = _weights(self.space, p)
-        sums = [sum(get(w)) for get in self.getters]
+        _check_arity(self.space, p)
+        return self.check_ints(_int_vectors(p), tolerance)
+
+    def check_ints(
+        self, vecs: Sequence[Sequence[int]], tolerance: float | None = None
+    ) -> CiReport:
+        """The check under the product of vecs, one integer vector per factor."""
+        w_head = _expand(vecs[: self.head])
+        w_tail = _expand(vecs[self.head :])
+        head_sums = [sum(get(w_head)) for get in self.getters]
+        parts = list(map(mul, head_sums, map(w_tail.__getitem__, self.tails)))
+        sums = [sum(parts[cell]) for cell in self.cells]
         x, y = self.x, self.y
         kx, ky = len(x.codomain), len(y.codomain)
         for zlabel, refs in self.blocks:
             wx = [0] * kx
             wy = [0] * ky
-            joint: dict[tuple[int, int], int] = {}
             for a, b, k in refs:
                 s = sums[k]
                 wx[a] += s
                 wy[b] += s
-                joint[a, b] = s
             total = sum(wx)
             if total == 0:
                 raise DegenerateBlockError(f"block {zlabel!r} has zero probability mass")
+            # Over all value pairs the products wx[a] * wy[b] sum to total**2,
+            # and so do the attained cells' joint * total.  Weights are not
+            # negative, so exact equality on the attained cells leaves every
+            # other pair with wx[a] * wy[b] = 0: the block holds.  Otherwise
+            # the scan below finds the first violation in x-major order.
+            if tolerance is None and all(
+                sums[k] * total == wx[a] * wy[b] for a, b, k in refs
+            ):
+                continue
+            joint = {(a, b): sums[k] for a, b, k in refs}
             for a in range(kx):
                 for b in range(ky):
                     lhs_num = joint.get((a, b), 0) * total
@@ -400,6 +484,8 @@ def verify_soundness(
     seed: int,
 ) -> SoundnessReport:
     """Exact CI under n sampled positive distributions; requires a structural pair."""
+    if n < 0:
+        raise ValueError(f"sample count must be non-negative, got {n}")
     if not structurally_independent(space, x, y, z).independent:
         raise PreconditionError(
             f"{x.name!r} and {y.name!r} are not structurally independent given the "
@@ -408,7 +494,7 @@ def verify_soundness(
     query = _CiQuery(space, x, y, z)
     violations = []
     for i in range(n):
-        report = query.check(sample_product(space, spawn_seed(seed, i)))
+        report = query.check_ints(_sample_ints(space, spawn_seed(seed, i)))
         if not report.holds:
             violations.append((i, report))
     return SoundnessReport(samples=n, violations=tuple(violations))
@@ -427,6 +513,8 @@ def find_witness(
     Only defined for non-structural pairs; a miss flags the instance for
     review rather than counting as evidence either way.
     """
+    if max_tries < 0:
+        raise ValueError(f"max_tries must be non-negative, got {max_tries}")
     if structurally_independent(space, x, y, z).independent:
         raise PreconditionError(
             f"{x.name!r} and {y.name!r} are structurally independent given the "
@@ -434,9 +522,9 @@ def find_witness(
         )
     query = _CiQuery(space, x, y, z)
     for i in range(max_tries):
-        p = sample_product(space, spawn_seed(seed, i))
-        if not query.check(p).holds:
-            return p
+        nums = _sample_ints(space, spawn_seed(seed, i))
+        if not query.check_ints(nums).holds:
+            return ProductDistribution(per_factor=tuple(map(_normalized, nums)))
     return None
 
 

@@ -51,7 +51,13 @@ on top.  The result (trivial mask, atom masks and their projection counts;
 no key lists) is memoized on the FactoredSpace keyed by the block's ranks,
 because independence checks, verification and the law suites ask for
 several histories per block and blocks_of builds fresh Block objects on
-every call.
+every call.  The same entry memoizes each history, keyed by the variable's
+values on the block: a history depends on nothing else, so variables with
+equal tables share it whatever their names, and a repeated question (verify
+asks structurally_independent once itself and once more through
+verify_soundness or find_witness) costs one O(|C|) read of those values.
+A variable constant on the block has the empty history and is neither
+factorized nor memoized.
 
 The *conditional history* maps every attained value of a conditioning
 variable z to the history on that block.  Two variables are *structurally
@@ -208,12 +214,13 @@ def _picker(ranks: Sequence[int]) -> Callable[[Sequence[int]], Sequence[int]]:
 
 
 Atom = tuple[int, int]  # (factor mask, |proj_A(C)|)
+# (trivial mask, atoms in increasing mask order, history masks memoized by
+# the variable's values on the block)
+Factorization = tuple[int, tuple[Atom, ...], dict[Sequence[int], int]]
 
 
-def _factorize(
-    space: FactoredSpace, ranks: tuple[int, ...]
-) -> tuple[int, tuple[Atom, ...]]:
-    """(trivial mask, atoms in increasing mask order) of the block with these ranks."""
+def _factorize(space: FactoredSpace, ranks: tuple[int, ...]) -> Factorization:
+    """The memoized factorization of the block with these ranks."""
     cached = space._atoms.get(ranks)
     if cached is not None:
         return cached
@@ -248,27 +255,25 @@ def _factorize(
             kept.append((mask, keys, len(set(keys))))
             atoms = kept
         seen, seen_count = grown, count
-    result = (trivial, tuple(sorted((m, c) for m, _, c in atoms)))
+    result = (trivial, tuple(sorted((m, c) for m, _, c in atoms)), {})
     space._atoms[ranks] = result
     return result
 
 
-def history(space: FactoredSpace, c: Block, x: RandomVariable) -> IndexSet:
-    """The unique subset-minimal generating set of x on C."""
-    ensure_block(space, c)
-    ensure_on_space(space, x)
-    n = space.factor_count
-    ranks = c.ranks
-    pick = _picker(ranks)
-    values = pick(x.table)
-    mask = 0
-    if len(set(values)) == 1:
-        return IndexSet(mask, n)
+def _scan_atoms(
+    space: FactoredSpace,
+    ranks: tuple[int, ...],
+    pick: Callable[[Sequence[int]], Sequence[int]],
+    values: Sequence[int],
+    atoms: tuple[Atom, ...],
+) -> int:
+    """Mask of the atoms whose outside factors fail to determine the values."""
     # Keys stay below outcome_count, so r + value * outcome_count - key_A
     # encodes the pair (key of the factors outside A, value) injectively.
     tagged = list(map(add, ranks, map(space.outcome_count.__mul__, values)))
-    for atom, count in _factorize(space, ranks)[1]:
-        ids = [i for i in range(n) if atom >> i & 1]
+    mask = 0
+    for atom, count in atoms:
+        ids = [i for i in range(space.factor_count) if atom >> i & 1]
         keys = pick(space.scaled_digits(ids[0]))
         for i in ids[1:]:
             keys = list(map(add, keys, pick(space.scaled_digits(i))))
@@ -276,7 +281,23 @@ def history(space: FactoredSpace, c: Block, x: RandomVariable) -> IndexSet:
         # factors outside A determine x iff no key class holds two values.
         if len(set(map(sub, tagged, keys))) * count != len(ranks):
             mask |= atom
-    return IndexSet(mask, n)
+    return mask
+
+
+def history(space: FactoredSpace, c: Block, x: RandomVariable) -> IndexSet:
+    """The unique subset-minimal generating set of x on C."""
+    ensure_block(space, c)
+    ensure_on_space(space, x)
+    ranks = c.ranks
+    pick = _picker(ranks)
+    values = pick(x.table)
+    mask = 0
+    if len(set(values)) > 1:
+        _, atoms, known = _factorize(space, ranks)
+        mask = known.get(values)
+        if mask is None:
+            mask = known[values] = _scan_atoms(space, ranks, pick, values, atoms)
+    return IndexSet(mask, space.factor_count)
 
 
 def conditional_history(
@@ -318,7 +339,7 @@ def disintegration_atoms(space: FactoredSpace, c: Block) -> DisintegrationAtoms:
     """
     ensure_block(space, c)
     n = space.factor_count
-    trivial_mask, atoms = _factorize(space, c.ranks)
+    trivial_mask, atoms, _ = _factorize(space, c.ranks)
     atom_masks = [m for m, _ in atoms]
     covered = 0
     for m in atom_masks:

@@ -14,8 +14,9 @@ outcome set.
 
 Everything here is immutable after construction and safe to share between
 threads.  Internal per-factor coordinate tables, and the per-block atom
-factorizations computed by the history module, are memoized lazily; each
-memo is idempotent, so a racing double computation is harmless.
+factorizations and histories computed by the history module, are memoized
+lazily; each memo is idempotent, so a racing double computation is
+harmless.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from operator import lt
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -239,8 +240,9 @@ class FactoredSpace:
         object.__setattr__(self, "_ids", {f.name: i for i, f in enumerate(fs)})
         object.__setattr__(self, "_digits", {})
         object.__setattr__(self, "_scaled", {})
-        # Block ranks -> (trivial mask, atoms as (mask, projection count)),
-        # filled and read by history.py.
+        # Block ranks -> (trivial mask, atoms as (mask, projection count),
+        # history masks by the variable's values on the block), filled and
+        # read by history.py.
         object.__setattr__(self, "_atoms", {})
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -295,9 +297,13 @@ class FactoredSpace:
 
     def _column(self, i: int, scale: int) -> tuple[int, ...]:
         # Factor i holds each value for `stride` consecutive ranks, and the
-        # period of size * stride ranks repeats; both steps repeat tuples in C.
+        # period of size * stride ranks repeats.  Both steps run in C: range
+        # and repeat build the period, tuple repetition the column.
         stride, size = self._strides[i], self.factors[i].size
-        period = tuple(chain.from_iterable((v * scale,) * stride for v in range(size)))
+        values = range(0, size * scale, scale)
+        if stride > 1:
+            values = chain.from_iterable(map(repeat, values, repeat(stride, size)))
+        period = tuple(values)
         return period * (self.outcome_count // len(period))
 
     def index_set(self, ids: Iterable[int]) -> IndexSet:

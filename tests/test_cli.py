@@ -22,6 +22,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import facthist
 from facthist import RandomVariable, space_to_doc, dag_to_doc, Dag, space_from_doc
 from facthist.cli import _build_parser, main
 from facthist.space import OUTCOME_CAP_ENV
@@ -43,6 +44,18 @@ def dag_file(tmp_path):
     path = tmp_path / "dag.json"
     path.write_text(json.dumps(dag_to_doc(dag)))
     return str(path)
+
+
+def run_module(*argv):
+    """Run ``python -m facthist.cli`` on the package these tests import."""
+    src = str(Path(facthist.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "facthist.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 def run_cli(capsys, *argv):
@@ -258,6 +271,24 @@ def test_usage_errors(capsys, space_file):
     assert run_cli(capsys, "history", space_file, "--var", "u0", "--unconditional")[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("verify", "u0", "u1", "--samples", "-5"), "--samples must be non-negative"),
+        (("verify", "u0", "XOR", "--samples", "-1"), "--samples must be non-negative"),
+        (("verify", "u0", "XOR", "--tries", "-3"), "--tries must be non-negative"),
+        (("verify", "u0", "u1", "--tries", "-3"), "--tries must be non-negative"),
+        (("witness", "u0", "XOR", "--tries", "-3"), "--tries must be non-negative"),
+    ],
+)
+def test_negative_budgets_are_usage_errors(capsys, space_file, argv, message):
+    # Both budgets are checked whichever mode the verdict selects, as
+    # axioms checks its own.
+    command, *rest = argv
+    code, out, err = run_cli(capsys, command, space_file, *rest)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_reused_parser_leaks_no_state(capsys, monkeypatch, space_file):
     assert _build_parser() is _build_parser()
     # Usage text is wrapped to the terminal width; fix it for both sides.
@@ -270,14 +301,7 @@ def test_reused_parser_leaks_no_state(capsys, monkeypatch, space_file):
         ("history", space_file, "--var", "u0"),
     ]
     got = [run_cli(capsys, *argv) for argv in calls]
-    fresh = [
-        subprocess.run(
-            [sys.executable, "-m", "facthist.cli", *argv],
-            capture_output=True,
-            text=True,
-        )
-        for argv in calls
-    ]
+    fresh = [run_module(*argv) for argv in calls]
     assert got == [(p.returncode, p.stdout, p.stderr) for p in fresh]
     assert got[0][0] == 2 and not got[0][1]
     assert json.loads(got[1][1])["given"] == ["XOR"]
@@ -393,10 +417,6 @@ def test_malformed_space_files_exit_promptly(case, command):
 
 
 def test_console_entry_point(space_file):
-    proc = subprocess.run(
-        [sys.executable, "-m", "facthist.cli", "indep", space_file, "u0", "u1"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module("indep", space_file, "u0", "u1")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["independent"] is True

@@ -7,11 +7,14 @@ integer-weight internals never get to grade their own homework.
 
 from __future__ import annotations
 
+import json
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from facthist import (
     DegenerateBlockError,
@@ -19,6 +22,7 @@ from facthist import (
     PerturbationError,
     PreconditionError,
     ProductDistribution,
+    RandomVariable,
     UnknownFactorError,
     block_conditional,
     blocks_of,
@@ -37,6 +41,7 @@ from facthist import (
     product_difference_identity,
     sample_product,
     sample_vector,
+    space_to_doc,
     spawn_seed,
     structurally_independent,
     trivial_var,
@@ -44,7 +49,8 @@ from facthist import (
     verify_soundness,
 )
 from facthist import distributions
-from facthist.distributions import SAMPLE_GRID_MAX, _weights
+from facthist.cli import main
+from facthist.distributions import SAMPLE_GRID_MAX, _CiQuery, _sample_ints, _weights
 from facthist.errors import FormatError
 
 from helpers import make_space, make_var, xor_bundle
@@ -407,3 +413,157 @@ def test_weights_are_proportional_to_outcome_probabilities():
     with pytest.raises(ValueError):
         _weights(make_space(2, 3), uniform_product(make_space(3, 2)))
 
+
+
+def test_negative_budgets_raise():
+    space, u0, u1, xor = xor_bundle()
+    with pytest.raises(ValueError, match="non-negative"):
+        verify_soundness(space, u0, u1, None, n=-1, seed=0)
+    with pytest.raises(ValueError, match="non-negative"):
+        find_witness(space, u0, xor, max_tries=-1)
+
+
+def _normalized_product(nums):
+    return ProductDistribution(tuple(tuple(F(n, sum(v)) for n in v) for v in nums))
+
+
+def test_integer_samples_normalize_to_sample_product():
+    rng = random.Random("sample-ints")
+    for seed in range(200):
+        space = make_space(*(rng.randint(1, 5) for _ in range(rng.randint(1, 5))))
+        nums = _sample_ints(space, seed)
+        assert [len(vec) for vec in nums] == [f.size for f in space.factors]
+        assert all(1 <= n <= SAMPLE_GRID_MAX for vec in nums for n in vec)
+        assert _normalized_product(nums) == sample_product(space, seed)
+
+
+@st.composite
+def _ci_instances(draw):
+    """Two to five factors of 1-3 values; x, y, z read random factor subsets.
+
+    Entries of the integer vectors come from {0, 1, 2, 7, 50}, so some
+    vectors have zeros and some blocks carry no mass.
+    """
+    sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=5))
+    space = make_space(*sizes)
+    outcomes = list(product(*(range(s) for s in sizes)))
+
+    def variable(name):
+        ids = [i for i in range(len(sizes)) if draw(st.booleans())]
+        k = draw(st.integers(1, 4))
+        keys = list(product(*(range(sizes[i]) for i in ids)))
+        values = draw(st.lists(st.integers(0, k - 1), min_size=len(keys), max_size=len(keys)))
+        value_of = dict(zip(keys, values))
+        return make_var(space, name, k, [value_of[tuple(o[i] for i in ids)] for o in outcomes])
+
+    x, y, z = variable("x"), variable("y"), variable("z")
+    entries = st.sampled_from((0, 1, 2, 7, 50))
+    nums = [
+        draw(st.lists(entries, min_size=s, max_size=s).filter(any)) for s in sizes
+    ]
+    return space, x, y, z, nums
+
+
+def _fold_instance(sizes, x_ids, y_ids, z_ids):
+    rng = random.Random(f"fold:{sizes}")
+    space = make_space(*sizes)
+    x, y, z = (
+        _function_of(space, name, ids, 3, rng)
+        for name, ids in (("x", x_ids), ("y", y_ids), ("z", z_ids))
+    )
+    nums = [[rng.randint(1, 9) for _ in range(s)] for s in sizes]
+    return space, x, y, z, nums
+
+
+# Instances whose queries fold 0, 1 and 3 trailing factors into the tail.
+# x and y share a factor, and the last one shares a tail factor, so their
+# violations depend on the tail weights.
+FOLD_INSTANCES = {
+    0: _fold_instance((2, 2, 2), (0, 2), (1, 2), ()),
+    1: _fold_instance((2, 2, 2, 2, 2), (0, 4), (1, 4), (2,)),
+    3: _fold_instance((2, 3, 2, 2, 2, 1, 2, 2), (0, 7), (1, 7), (4, 6)),
+}
+
+
+def _folds(query):
+    return query.space.factor_count - query.head
+
+
+def test_fold_instances_fold_what_they_name():
+    for folds, (space, x, y, z, nums) in FOLD_INSTANCES.items():
+        query = _CiQuery(space, x, y, z)
+        assert _folds(query) == folds
+        assert not query.check_ints(nums).holds
+
+
+@example(instance=FOLD_INSTANCES[0], tolerance=None)
+@example(instance=FOLD_INSTANCES[1], tolerance=0.01)
+@example(instance=FOLD_INSTANCES[3], tolerance=None)
+@settings(max_examples=300, deadline=None)
+@given(instance=_ci_instances(), tolerance=st.sampled_from((None, None, 0.0, 0.01, 0.1)))
+def test_prepared_query_matches_oracle(instance, tolerance):
+    space, x, y, z, nums = instance
+    p = _normalized_product(nums)
+    want = _report_or_degenerate(oracle_ci_report, space, p, x, y, z, tolerance)
+    query = _CiQuery(space, x, y, z)
+    assert _report_or_degenerate(query.check_ints, nums, tolerance) == want
+    assert _report_or_degenerate(query.check, p, tolerance) == want
+
+
+def test_generated_queries_fold_zero_one_and_more_factors():
+    # The property above draws from this strategy; its instances must reach
+    # every fold regime, not only the pinned examples.
+    seen = Counter()
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(_ci_instances())
+    def count(instance):
+        space, x, y, z, _ = instance
+        seen[min(_folds(_CiQuery(space, x, y, z)), 2)] += 1
+
+    count()
+    assert all(seen[k] >= 10 for k in (0, 1, 2)), seen
+
+
+def _pinned_space_doc():
+    """Five factors; X reads u0, u1; Y reads u2, u3; Z reads u4; W reads u1, u2."""
+    rng = random.Random("pinned-verify")
+    space = make_space(2, 3, 2, 3, 2)
+    variables = {}
+    for name, ids, k in (("X", (0, 1), 3), ("Y", (2, 3), 3), ("Z", (4,), 2), ("W", (1, 2), 2)):
+        table = _function_of(space, name, ids, k, rng).table
+        codomain = tuple(f"{name.lower()}{v}" for v in range(k))
+        variables[name] = RandomVariable(name, codomain, table)
+    return space_to_doc(space, variables)
+
+
+# stdout of these calls, recorded before samples were checked as integers.
+PINNED_VERIFY = [
+    (
+        ("verify", "X", "Y", "--given", "Z", "--seed", "7"),
+        '{"all_hold":true,"given":["Z"],"independent":true,"mode":"soundness",'
+        '"samples":50,"violations":[],"x":"X","y":"Y"}\n',
+    ),
+    (
+        ("verify", "X", "W", "--given", "Z", "--seed", "7"),
+        '{"found":true,"given":["Z"],"independent":false,"mode":"witness",'
+        '"overlaps":{"z0":["u1"],"z1":["u1"]},"witness":{"per_factor":'
+        '[["23/113","90/113"],["29/127","34/127","64/127"],["61/148","87/148"],'
+        '["41/122","35/122","23/61"],["14/27","13/27"]]},"x":"X","y":"W"}\n',
+    ),
+    (
+        ("witness", "W", "X", "--seed", "3", "--tries", "5"),
+        '{"found":true,"given":[],"tries":5,"witness":{"per_factor":'
+        '[["22/53","31/53"],["49/177","50/177","26/59"],["19/61","42/61"],'
+        '["51/178","73/178","27/89"],["23/94","71/94"]]},"x":"W","y":"X"}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, stdout", PINNED_VERIFY)
+def test_verify_output_is_pinned(capsys, tmp_path, argv, stdout):
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(_pinned_space_doc()))
+    command, *rest = argv
+    assert main([command, str(path), *rest]) == 0
+    assert capsys.readouterr().out == stdout

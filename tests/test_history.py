@@ -7,8 +7,10 @@ implementations were written, then pinned here.
 
 from __future__ import annotations
 
+import importlib
 import random
 import time
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -36,6 +38,9 @@ from facthist.errors import SpaceMismatchError
 
 from helpers import make_space, make_var, xor_bundle
 from oracles import all_subsets, oracle_determines, oracle_history, oracle_rectangle
+
+# The package re-exports the function history() under the module's name.
+history_module = importlib.import_module("facthist.history")
 
 
 def _ids(space, *members):
@@ -297,3 +302,56 @@ def test_history_rejects_foreign_variables():
     foreign = make_var(make_space(2, 3), "x", 2, [0] * 6)
     with pytest.raises(SpaceMismatchError):
         history(space, full_block(space), foreign)
+
+
+def test_history_memo_scans_each_block_and_table_once(monkeypatch):
+    scans = Counter()
+    scan = history_module._scan_atoms
+
+    def counting_scan(space, ranks, pick, values, atoms):
+        scans[ranks, values] += 1
+        return scan(space, ranks, pick, values, atoms)
+
+    monkeypatch.setattr(history_module, "_scan_atoms", counting_scan)
+    rng = random.Random("history-memo")
+    total = 0
+    for trial in range(40):
+        space = make_space(*(rng.randint(1, 3) for _ in range(rng.randint(2, 4))))
+        n = space.outcome_count
+        x, y, z = (
+            make_var(space, name, 3, [rng.randrange(3) for _ in range(n)]) for name in "xyz"
+        )
+        scans.clear()
+        first = structurally_independent(space, x, y, z)
+        after_first = Counter(scans)
+        total += len(after_first)
+        blocks = blocks_of(space, z)
+        assert first.overlaps == {
+            label: IndexSet.of(
+                oracle_history(space, c, x) & oracle_history(space, c, y), space.factor_count
+            )
+            for label, c in blocks.items()
+            if oracle_history(space, c, x) & oracle_history(space, c, y)
+        }
+        assert structurally_independent(space, x, y, z) == first
+        # A variable with an equal table under another name shares the entry.
+        twin = make_var(space, "twin", 3, x.table)
+        assert structurally_independent(space, twin, y, z) == first
+        assert scans == after_first
+        assert set(scans.values()) <= {1}
+        for c in blocks.values():
+            for v in (x, y):
+                if len(set(v.table[r] for r in c.ranks)) > 1:
+                    assert scans[c.ranks, tuple(v.table[r] for r in c.ranks)] == 1
+        # Every memoized mask is the history the oracle gives for those values.
+        for ranks, (_, _, known) in space._atoms.items():
+            block = Block(label="b", ranks=ranks)
+            for values, mask in known.items():
+                table = [0] * n
+                for r, v in zip(ranks, values):
+                    table[r] = v
+                var = make_var(space, "v", 3, table)
+                assert IndexSet(mask, space.factor_count).members() == tuple(
+                    sorted(oracle_history(space, block, var))
+                )
+    assert total >= 60

@@ -172,7 +172,11 @@ def test_pair_labels_with_commas_do_not_collide():
 
 
 def test_digit_tables_match_the_mixed_radix_definition():
-    for sizes in ((2, 3, 4), (3, 1, 2, 1), (1, 1), (1,), (5,), (2,) * 6):
+    # The last two hold a factor of 10**5 values at stride 1 and one of
+    # 10**4 values at stride 10 between strides 10**5 and 1.
+    for sizes in (
+        (2, 3, 4), (3, 1, 2, 1), (1, 1), (1,), (5,), (2,) * 6, (10**5,), (3, 10**4, 10)
+    ):
         space = make_space(*sizes)
         for i, size in enumerate(sizes):
             stride = space.stride(i)

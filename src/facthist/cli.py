@@ -45,7 +45,6 @@ from .space import (
     fold_pair,
     space_from_doc,
     space_to_doc,
-    trivial_var,
 )
 from .verification import SuiteConfig, run_suite
 
@@ -81,10 +80,10 @@ def _split_csv(raw: str | None) -> list[str]:
 
 def _conditioner(
     space: FactoredSpace, variables: dict[str, RandomVariable], raw: str | None
-) -> tuple[RandomVariable, list[str]]:
+) -> tuple[RandomVariable | None, list[str]]:
     names = _split_csv(raw)
     if not names:
-        return trivial_var(space), []
+        return None, []
     return fold_pair(space, [_resolve(space, variables, n) for n in names]), names
 
 

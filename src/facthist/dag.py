@@ -23,6 +23,7 @@ parents' finished tables, never by a Python loop over outcomes.
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -36,7 +37,7 @@ from .errors import (
     SpaceCapError,
     UnknownNodeError,
 )
-from .history import conditional_history, history
+from .history import history, structurally_independent
 from .space import (
     Factor,
     FactoredSpace,
@@ -103,18 +104,18 @@ class Dag:
         for n in names:
             parents[n].sort(key=order.__getitem__)
             children[n].sort(key=order.__getitem__)
-        # Kahn's algorithm; ties broken by declaration order for determinism.
+        # Kahn's algorithm; ties broken by declaration order for determinism,
+        # through a heap of the ready nodes' declaration indices.
         indeg = {n: len(parents[n]) for n in names}
-        ready = [n for n in names if indeg[n] == 0]
+        ready = [k for k, n in enumerate(names) if indeg[n] == 0]
         topo = []
         while ready:
-            ready.sort(key=order.__getitem__)
-            n = ready.pop(0)
+            n = names[heapq.heappop(ready)]
             topo.append(n)
             for c in children[n]:
                 indeg[c] -= 1
                 if indeg[c] == 0:
-                    ready.append(c)
+                    heapq.heappush(ready, order[c])
         if len(topo) != len(names):
             raise ValueError("edges contain a cycle")
         object.__setattr__(self, "nodes", tuple(names))
@@ -303,40 +304,23 @@ def dsep_structural_equivalence(
 ) -> EquivalenceReport:
     """Run each (x, y, Z) query through both sides and collect the verdicts."""
     emb = embed_dag(dag, max_outcomes=max_outcomes)
-    space = emb.space
     order = {n: k for k, n in enumerate(dag.nodes)}
-    zvar_cache: dict[frozenset[str], RandomVariable] = {}
-    hist_cache: dict[tuple[str, frozenset[str]], Mapping[str, IndexSet]] = {}
-
-    def conditioner(zs: Sequence[str]) -> tuple[frozenset[str], RandomVariable]:
-        key = frozenset(zs)
-        if key not in zvar_cache:
-            ordered = sorted(key, key=order.__getitem__)
-            zvar_cache[key] = fold_pair(space, [emb.node_vars[n] for n in ordered])
-        return key, zvar_cache[key]
-
-    def block_histories(node: str, zs_key: frozenset[str], zvar: RandomVariable):
-        cache_key = (node, zs_key)
-        if cache_key not in hist_cache:
-            hist_cache[cache_key] = conditional_history(
-                space, emb.node_vars[node], zvar
-            ).per_block
-        return hist_cache[cache_key]
-
     results = []
     for x, y, zs in queries:
+        # d_separated first: it rejects unknown and overlapping nodes.
         dsep = d_separated(dag, [x], [y], zs)
-        zs_key, zvar = conditioner(zs)
-        hx = block_histories(x, zs_key, zvar)
-        hy = block_histories(y, zs_key, zvar)
-        structural = all(hx[label].isdisjoint(hy[label]) for label in hx)
+        given = tuple(sorted(zs, key=order.__getitem__))
+        z = fold_pair(emb.space, [emb.node_vars[n] for n in given])
+        verdict = structurally_independent(
+            emb.space, emb.node_vars[x], emb.node_vars[y], z
+        )
         results.append(
             QueryOutcome(
                 x=x,
                 y=y,
-                given=tuple(sorted(zs, key=order.__getitem__)),
+                given=given,
                 d_sep=dsep,
-                structural=structural,
+                structural=verdict.independent,
             )
         )
     return EquivalenceReport(results=tuple(results))

@@ -46,7 +46,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from operator import itemgetter, mul
+from operator import mul
 from typing import Sequence
 
 from .errors import (
@@ -57,8 +57,8 @@ from .errors import (
     PreconditionError,
     UnknownFactorError,
 )
-from .history import conditional_history, structurally_independent
-from .space import Block, FactoredSpace, RandomVariable, blocks_of, trivial_var
+from .history import Picker, _picker, conditional_history, structurally_independent
+from .space import Block, FactoredSpace, RandomVariable, blocks_of
 
 __all__ = [
     "ProductDistribution",
@@ -314,8 +314,6 @@ def cond_table(
     Rows sum to 1; a zero-mass block (possible only for non-positive p)
     raises DegenerateBlockError.
     """
-    if z is None:
-        z = trivial_var(space)
     weights = _weights(space, p)
     out: dict[tuple[str, str], Fraction] = {}
     for zlabel, c in blocks_of(space, z).items():
@@ -325,12 +323,6 @@ def cond_table(
         for k, xlabel in enumerate(x.codomain):
             out[(zlabel, xlabel)] = Fraction(per_value[k], total)
     return out
-
-
-def _summable_getter(keys: list[int]) -> itemgetter:
-    # itemgetter with one key returns a scalar; a slice keeps the result
-    # summable.
-    return itemgetter(*([slice(keys[0], keys[0] + 1)] if len(keys) == 1 else keys))
 
 
 class _CiQuery:
@@ -354,8 +346,6 @@ class _CiQuery:
         y: RandomVariable,
         z: RandomVariable | None,
     ) -> None:
-        if z is None:
-            z = trivial_var(space)
         self.space, self.x, self.y = space, x, y
         xt, yt = x.table, y.table
         grouped = []
@@ -376,7 +366,7 @@ class _CiQuery:
                 break
             head, tail = head - 1, grown
         self.head = head
-        self.getters: list[itemgetter] = []  # one per part, cell after cell
+        self.getters: list[Picker] = []  # one per part, cell after cell
         self.tails: list[int] = []  # the tail rank of each part
         self.cells: list[slice] = []  # each cell's run of parts
         # Per block: its label and (x-value, y-value, cell index) for every
@@ -391,7 +381,7 @@ class _CiQuery:
                 start = len(self.getters)
                 for t, heads in parts.items():
                     self.tails.append(t)
-                    self.getters.append(_summable_getter(heads))
+                    self.getters.append(_picker(heads))
                 refs.append((a, b, len(self.cells)))
                 self.cells.append(slice(start, len(self.getters)))
             self.blocks.append((label, refs))
@@ -558,8 +548,6 @@ def irrelevance_invariance(
     z: RandomVariable | None = None,
 ) -> InvarianceReport:
     """Conditionals of x must match on every block whose history omits the factor."""
-    if z is None:
-        z = trivial_var(space)
     ch = conditional_history(space, x, z)
     wb = _weights(space, pair.base)
     wq = _weights(space, pair.perturbed)
@@ -607,8 +595,6 @@ def product_difference_identity(
     every block and every value pair; value events suffice because within a
     block either every x-difference or every y-difference vanishes.
     """
-    if z is None:
-        z = trivial_var(space)
     if not structurally_independent(space, x, y, z).independent:
         raise PreconditionError(
             f"{x.name!r} and {y.name!r} are not structurally independent given the "

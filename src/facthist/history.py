@@ -12,6 +12,15 @@ outcomes of C have distinct (proj_J, proj_Jbar) pairs, and those pairs always
 lie inside the projection product, so equality of counts says every cross
 pair is attained.
 
+Both conditions are counts over one list of projection keys.  The key of a
+rank on J (_keys) is the sum of its scaled digits over J: it is injective on
+J-projections, and rank - key is the key on the complement.  The rectangle
+test (_rectangle) compares |keys| * |ranks - keys| with |C|; determination
+(_determined) compares the number of key classes with the number of (key,
+value) classes.  is_rectangle, determines and generates build the key list
+once and apply one test or both; the atom scan below and the law suites'
+mask loops read the same kernel.
+
 The rectangle sets of C form a field of factor sets.  Its *atoms* (minimal
 non-empty members, once the factors constant on C are set aside as the
 trivial part) partition the non-constant factors, and every rectangle set is
@@ -75,6 +84,7 @@ from typing import Callable, Mapping, Sequence
 
 from .errors import InvariantViolationError
 from .space import (
+    TRIVIAL_NAME,
     Block,
     FactoredSpace,
     IndexSet,
@@ -82,7 +92,6 @@ from .space import (
     blocks_of,
     ensure_block,
     ensure_on_space,
-    trivial_var,
 )
 
 __all__ = [
@@ -129,88 +138,71 @@ class DisintegrationAtoms:
     trivial_part: IndexSet
 
 
-def _scan_rectangle(space: FactoredSpace, ranks: Sequence[int], ids: Sequence[int]) -> bool:
-    cols = [space.scaled_digits(i) for i in ids]
-    left: set[int] = set()
-    right: set[int] = set()
-    for r in ranks:
-        a = 0
-        for col in cols:
-            a += col[r]
-        left.add(a)
-        right.add(r - a)
-    return len(ranks) == len(left) * len(right)
+Picker = Callable[[Sequence[int]], Sequence[int]]
 
 
-def _scan_determines(
-    space: FactoredSpace, ranks: Sequence[int], ids: Sequence[int], table: Sequence[int]
-) -> bool:
-    cols = [space.scaled_digits(i) for i in ids]
-    seen: dict[int, int] = {}
-    for r in ranks:
-        a = 0
-        for col in cols:
-            a += col[r]
-        v = table[r]
-        prev = seen.setdefault(a, v)
-        if prev != v:
-            return False
-    return True
+def _picker(ranks: Sequence[int]) -> Picker:
+    """An itemgetter that reads a table at these positions, in order.
+
+    itemgetter returns a bare item for one key, so one position becomes a
+    one-item slice: the result is always a sequence of the table's type.
+    """
+    if len(ranks) == 1:
+        return itemgetter(slice(ranks[0], ranks[0] + 1))
+    return itemgetter(*ranks)
 
 
-def _scan_generates(
-    space: FactoredSpace, ranks: Sequence[int], ids: Sequence[int], table: Sequence[int]
-) -> bool:
-    # One pass for both conditions; a determination conflict exits early.
-    cols = [space.scaled_digits(i) for i in ids]
-    left: set[int] = set()
-    right: set[int] = set()
-    seen: dict[int, int] = {}
-    for r in ranks:
-        a = 0
-        for col in cols:
-            a += col[r]
-        v = table[r]
-        prev = seen.setdefault(a, v)
-        if prev != v:
-            return False
-        left.add(a)
-        right.add(r - a)
-    return len(ranks) == len(left) * len(right)
+def _keys(space: FactoredSpace, pick: Picker, ids: Sequence[int]) -> Sequence[int]:
+    """The projection key of each picked rank: its scaled digits summed over ids."""
+    if not ids:
+        return [0] * len(pick(space.scaled_digits(0)))
+    keys = pick(space.scaled_digits(ids[0]))
+    for i in ids[1:]:
+        keys = list(map(add, keys, pick(space.scaled_digits(i))))
+    return keys
+
+
+def _rectangle(ranks: Sequence[int], keys: Sequence[int]) -> bool:
+    """Is |proj_J| * |proj_Jbar| = |C|, given the J-keys of C's ranks?"""
+    return len(set(keys)) * len(set(map(sub, ranks, keys))) == len(ranks)
+
+
+def _determined(space: FactoredSpace, keys: Sequence[int], values: Sequence[int]) -> bool:
+    """Do the key classes split no further by value?"""
+    # Keys stay below outcome_count, so key + value * outcome_count encodes
+    # the pair (key, value) injectively.
+    tagged = map(add, keys, map(space.outcome_count.__mul__, values))
+    return len(set(keys)) == len(set(tagged))
+
+
+def _checked_keys(
+    space: FactoredSpace, c: Block, j: IndexSet, x: RandomVariable | None = None
+) -> tuple[Picker, Sequence[int]]:
+    ensure_block(space, c)
+    if x is not None:
+        ensure_on_space(space, x)
+    if j.size != space.factor_count:
+        raise ValueError("index set universe does not match the space")
+    pick = _picker(c.ranks)
+    return pick, _keys(space, pick, j.members())
 
 
 def is_rectangle(space: FactoredSpace, c: Block, j: IndexSet) -> bool:
     """Does C recombine as proj_J(C) x proj_Jbar(C)?"""
-    ensure_block(space, c)
-    if j.size != space.factor_count:
-        raise ValueError("index set universe does not match the space")
-    return _scan_rectangle(space, c.ranks, j.members())
+    _, keys = _checked_keys(space, c, j)
+    return _rectangle(c.ranks, keys)
 
 
 def determines(space: FactoredSpace, c: Block, j: IndexSet, x: RandomVariable) -> bool:
     """Do equal J-coordinates force equal x-values on C?"""
-    ensure_block(space, c)
-    ensure_on_space(space, x)
-    if j.size != space.factor_count:
-        raise ValueError("index set universe does not match the space")
-    return _scan_determines(space, c.ranks, j.members(), x.table)
+    pick, keys = _checked_keys(space, c, j, x)
+    return _determined(space, keys, pick(x.table))
 
 
 def generates(space: FactoredSpace, c: Block, j: IndexSet, x: RandomVariable) -> bool:
-    """determines and is_rectangle in one pass."""
-    ensure_block(space, c)
-    ensure_on_space(space, x)
-    if j.size != space.factor_count:
-        raise ValueError("index set universe does not match the space")
-    return _scan_generates(space, c.ranks, j.members(), x.table)
-
-
-def _picker(ranks: Sequence[int]) -> Callable[[Sequence[int]], Sequence[int]]:
-    """A function that reads a dense table at the block's ranks, in order."""
-    get = itemgetter(*ranks)
-    if len(ranks) == 1:
-        return lambda table: (get(table),)
-    return get
+    """determines and is_rectangle, from one key list."""
+    pick, keys = _checked_keys(space, c, j, x)
+    return _rectangle(c.ranks, keys) and _determined(space, keys, pick(x.table))
 
 
 Atom = tuple[int, int]  # (factor mask, |proj_A(C)|)
@@ -263,7 +255,7 @@ def _factorize(space: FactoredSpace, ranks: tuple[int, ...]) -> Factorization:
 def _scan_atoms(
     space: FactoredSpace,
     ranks: tuple[int, ...],
-    pick: Callable[[Sequence[int]], Sequence[int]],
+    pick: Picker,
     values: Sequence[int],
     atoms: tuple[Atom, ...],
 ) -> int:
@@ -273,10 +265,7 @@ def _scan_atoms(
     tagged = list(map(add, ranks, map(space.outcome_count.__mul__, values)))
     mask = 0
     for atom, count in atoms:
-        ids = [i for i in range(space.factor_count) if atom >> i & 1]
-        keys = pick(space.scaled_digits(ids[0]))
-        for i in ids[1:]:
-            keys = list(map(add, keys, pick(space.scaled_digits(i))))
+        keys = _keys(space, pick, [i for i in range(space.factor_count) if atom >> i & 1])
         # Since A is a rectangle, |proj_{outside A}| = |C| / |proj_A|; the
         # factors outside A determine x iff no key class holds two values.
         if len(set(map(sub, tagged, keys))) * count != len(ranks):
@@ -304,12 +293,11 @@ def conditional_history(
     space: FactoredSpace, x: RandomVariable, z: RandomVariable | None = None
 ) -> ConditionalHistory:
     """history(x | block) for every attained value of z (trivial z by default)."""
-    if z is None:
-        z = trivial_var(space)
     per_block = {
         label: history(space, block, x) for label, block in blocks_of(space, z).items()
     }
-    return ConditionalHistory(variable=x.name, given=z.name, per_block=per_block)
+    given = TRIVIAL_NAME if z is None else z.name
+    return ConditionalHistory(variable=x.name, given=given, per_block=per_block)
 
 
 def structurally_independent(
@@ -319,8 +307,6 @@ def structurally_independent(
     z: RandomVariable | None = None,
 ) -> IndependenceVerdict:
     """Are the histories of x and y disjoint on every block of z?"""
-    if z is None:
-        z = trivial_var(space)
     overlaps: dict[str, IndexSet] = {}
     for label, block in blocks_of(space, z).items():
         inter = history(space, block, x) & history(space, block, y)
@@ -373,8 +359,6 @@ def structural_time_leq(
     z: RandomVariable | None = None,
 ) -> bool:
     """Is history(x) contained in history(y) on every block of z?"""
-    if z is None:
-        z = trivial_var(space)
     for block in blocks_of(space, z).values():
         if not history(space, block, x).issubset(history(space, block, y)):
             return False

@@ -42,6 +42,7 @@ DEFAULT_MAX_FACTORS = 20
 OUTCOME_CAP_ENV = "FACTHIST_MAX_OUTCOMES"
 
 TRIVIAL_LABEL = "*"
+TRIVIAL_NAME = "const"
 
 Outcome = tuple[int, ...]
 
@@ -370,7 +371,7 @@ def factor_var(space: FactoredSpace, i: int) -> RandomVariable:
 def trivial_var(space: FactoredSpace) -> RandomVariable:
     """The constant variable; conditioning on it means not conditioning."""
     return RandomVariable(
-        name="const",
+        name=TRIVIAL_NAME,
         codomain=(TRIVIAL_LABEL,),
         table=(0,) * space.outcome_count,
     )
@@ -412,8 +413,15 @@ def fold_pair(space: FactoredSpace, xs: Sequence[RandomVariable]) -> RandomVaria
     )
 
 
-def blocks_of(space: FactoredSpace, z: RandomVariable) -> dict[str, Block]:
-    """Level sets of z, keyed by the attained value labels in codomain order."""
+def blocks_of(
+    space: FactoredSpace, z: RandomVariable | None = None
+) -> dict[str, Block]:
+    """Level sets of z, keyed by the attained value labels in codomain order.
+
+    Without z there is one block, the whole outcome set.
+    """
+    if z is None:
+        return {TRIVIAL_LABEL: full_block(space)}
     ensure_on_space(space, z)
     groups: dict[int, list[int]] = {}
     for r, v in enumerate(z.table):

@@ -14,6 +14,10 @@ maximality direction of the history/irrelevance duality is budgeted search,
 so a miss is recorded as inconclusive, never as a pass.  The separation
 characterization is exploratory only; agreements and disagreements are
 recorded without affecting the verdict.
+
+The exhaustive mask loops (check_history_laws and the separation check)
+build one projection-key list per block and factor mask, and read the
+rectangle test, generation and the projection classes from that list.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import hashlib
 import json
 import random
 from dataclasses import asdict, dataclass, field
+from operator import sub
 from typing import Mapping, Sequence
 
 from .distributions import (
@@ -37,11 +42,13 @@ from .distributions import (
     verify_soundness,
 )
 from .history import (
+    _determined,
+    _keys,
+    _picker,
+    _rectangle,
     conditional_history,
     disintegration_atoms,
-    generates,
     history,
-    is_rectangle,
     structurally_independent,
 )
 from .space import (
@@ -253,13 +260,17 @@ def check_history_laws(
         trivial_mask = parts.trivial_part.mask
         rect_masks = set()
         gen_masks = []
+        pick = _picker(c.ranks)
+        values = pick(x.table)
         for mask in range(1 << n):
-            j = IndexSet(mask, n)
-            if is_rectangle(space, c, j):
-                rect_masks.add(mask)
-                if history(space, c, uj(mask)).mask != mask & ~trivial_mask:
-                    results["atom_law"] = False
-            if generates(space, c, j, x):
+            keys = _keys(space, pick, IndexSet(mask, n).members())
+            if not _rectangle(c.ranks, keys):
+                continue
+            rect_masks.add(mask)
+            if history(space, c, uj(mask)).mask != mask & ~trivial_mask:
+                results["atom_law"] = False
+            # Generation is the rectangle condition plus determination.
+            if _determined(space, keys, values):
                 gen_masks.append(mask)
         gen_set = set(gen_masks)
         inter_all = full
@@ -364,17 +375,18 @@ class SeparationOutcome:
     disagreements: tuple[tuple[tuple[int, ...], str, bool, bool], ...]
 
 
+def _classes(ranks: Sequence[int], keys: Sequence[int]) -> list[set[int]]:
+    groups: dict[int, set[int]] = {}
+    for r, a in zip(ranks, keys):
+        groups.setdefault(a, set()).add(r)
+    return list(groups.values())
+
+
 def _separated_classes(
     space: FactoredSpace, c: Block, ids: Sequence[int]
 ) -> list[set[int]]:
-    cols = [space.scaled_digits(i) for i in ids]
-    groups: dict[int, set[int]] = {}
-    for r in c.ranks:
-        a = 0
-        for col in cols:
-            a += col[r]
-        groups.setdefault(a, set()).add(r)
-    return list(groups.values())
+    """The ranks of C grouped by their projection onto the factors ids."""
+    return _classes(c.ranks, _keys(space, _picker(c.ranks), ids))
 
 
 def check_separation_characterization(
@@ -386,17 +398,20 @@ def check_separation_characterization(
     always admit a conditioner-measurable separator; with separators being
     unions of blocks, that reduces to every pair of projection classes
     inside one block having a common outcome.  Disagreements are recorded,
-    never asserted.
+    never asserted.  The J-keys of a block give the rectangle test and the
+    J-classes, and rank - key the complementary classes.
     """
     n = space.factor_count
     agreements = 0
     disagreements = []
     for label, c in blocks_of(space, z).items():
+        pick = _picker(c.ranks)
         for mask in range(1 << n):
             j = IndexSet(mask, n)
-            rect = is_rectangle(space, c, j)
-            left = _separated_classes(space, c, j.members())
-            right = _separated_classes(space, c, j.complement().members())
+            keys = _keys(space, pick, j.members())
+            rect = _rectangle(c.ranks, keys)
+            left = _classes(c.ranks, keys)
+            right = _classes(c.ranks, list(map(sub, c.ranks, keys)))
             sep = all(a & b for a in left for b in right)
             if rect == sep:
                 agreements += 1

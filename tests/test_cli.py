@@ -420,3 +420,53 @@ def test_console_entry_point(space_file):
     proc = run_module("indep", space_file, "u0", "u1")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["independent"] is True
+
+
+STDLIB_CHILD = r"""
+import contextlib, io, json, os, sys, tempfile
+from facthist import Dag, dag_to_doc, space_to_doc
+from facthist.cli import main
+from facthist.space import Factor, FactoredSpace, RandomVariable, factor_var
+
+space = FactoredSpace([Factor("u0", ("0", "1")), Factor("u1", ("0", "1"))])
+xor = RandomVariable("XOR", ("0", "1"), (0, 1, 1, 0))
+tmp = tempfile.mkdtemp()
+space_path, dag_path = os.path.join(tmp, "space.json"), os.path.join(tmp, "dag.json")
+with open(space_path, "w") as fh:
+    json.dump(space_to_doc(space, {"XOR": xor}), fh)
+with open(dag_path, "w") as fh:
+    json.dump(dag_to_doc(Dag([("A", 2), ("B", 2)], [("A", "B")])), fh)
+calls = [
+    ["history", space_path, "--var", "XOR", "--given", "u0"],
+    ["indep", space_path, "u0", "u1"],
+    ["atoms", space_path, "--given", "XOR"],
+    ["verify", space_path, "u0", "u1"],
+    ["verify", space_path, "u0", "u1", "--given", "XOR"],
+    ["witness", space_path, "u0", "u1", "--given", "XOR"],
+    ["dsep", dag_path, "A", "B"],
+    ["embed", dag_path, "-o", os.path.join(tmp, "embedded.json")],
+    ["axioms", "--iters", "1"],
+]
+codes = []
+for argv in calls:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+allowed = set(sys.stdlib_module_names) | {"facthist", "__main__"}
+foreign = sorted({m.split(".")[0] for m in sys.modules} - allowed)
+print(json.dumps({"codes": codes, "foreign": foreign}))
+"""
+
+
+def test_runtime_imports_only_the_standard_library():
+    # -S keeps site hooks out of sys.modules; numpy, scipy and networkx are
+    # importable in a test environment, so only a bare child can tell.
+    src = str(Path(facthist.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", STDLIB_CHILD],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    # Every call answers; only dsep, on the edge A -> B, says "connected".
+    assert json.loads(proc.stdout) == {"codes": [0, 0, 0, 0, 0, 0, 1, 0, 0], "foreign": []}

@@ -13,9 +13,12 @@ import contextlib
 import io
 import json
 import math
+import os
 import tempfile
+import time
 from itertools import combinations, product
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,6 +42,7 @@ from facthist import (
     structural_time_vs_ancestry,
 )
 from facthist.cli import main
+from facthist.space import OUTCOME_CAP_ENV
 
 from helpers import all_single_pair_queries, random_binary_dag
 from oracles import oracle_dsep_moralize, oracle_dsep_walks, oracle_embed_tables
@@ -280,6 +284,13 @@ def test_equivalence_on_textbook_graphs():
     report = dsep_structural_equivalence(collider3(), [("a", "b", []), ("a", "b", ["c"])])
     assert report.results[0].d_sep and report.results[0].structural
     assert not report.results[1].d_sep and not report.results[1].structural
+    # Queries are validated as d_separated validates them.
+    for bad in [("a", "zz", []), ("a", "b", ["zz"])]:
+        with pytest.raises(UnknownNodeError):
+            dsep_structural_equivalence(collider3(), [bad])
+    for bad in [("a", "a", []), ("a", "b", ["a"])]:
+        with pytest.raises(InvalidQueryError):
+            dsep_structural_equivalence(collider3(), [bad])
 
 
 def test_conditioning_entangles_collider_embedding():
@@ -323,3 +334,131 @@ def test_dag_doc_roundtrip():
 def test_dag_doc_rejects_malformed(doc):
     with pytest.raises(FormatError):
         dag_from_doc(doc)
+
+
+def _run_timed(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        start = time.perf_counter()
+        code = main(argv)
+        elapsed = time.perf_counter() - start
+    return code, out.getvalue(), err.getvalue(), elapsed
+
+
+def test_many_roots_embed_and_dsep_promptly(tmp_path):
+    path = tmp_path / "roots.json"
+    nodes = [{"name": f"n{i}", "domain": 2} for i in range(40_000)]
+    path.write_text(json.dumps({"nodes": nodes, "edges": []}))
+    code, out, err, elapsed = _run_timed(["embed", str(path)])
+    assert (code, out) == (3, "") and elapsed < 1.0
+    assert err == "error: embedding exceeds the cap of 1000000 outcomes\n"
+    code, out, err, elapsed = _run_timed(["dsep", str(path), "n0", "n1"])
+    assert (code, err) == (0, "") and elapsed < 1.0
+    assert json.loads(out)["d_separated"] is True
+
+
+BAD_DAG_CAP = 4096
+SEPARATED = '{"d_separated":true,"given":[],"x":"n0","y":"n1"}\n'
+
+
+@st.composite
+def malformed_dag_files(draw):
+    """A DAG document with one defect, and the exit code and message it must give.
+
+    Graphs over the cap are valid: dsep answers them and embed exits 3.
+    """
+    kind = draw(
+        st.sampled_from(
+            ["type", "unknown", "duplicate_node", "duplicate_edge", "cycle", "domain", "cap"]
+        )
+    )
+    if kind == "cap":
+        # Unconnected binary roots n0.. plus perhaps one child of all the
+        # others, whose response factor alone passes any cap.
+        n = draw(st.integers(13, 40))
+        nodes = [{"name": f"n{i}", "domain": 2} for i in range(n)]
+        edges = []
+        if draw(st.booleans()):
+            nodes.append({"name": "c", "domain": 2})
+            edges = [[f"n{i}", "c"] for i in range(2, n)]
+        message = f"error: embedding exceeds the cap of {BAD_DAG_CAP} outcomes\n"
+        doc = {"nodes": nodes, "edges": edges}
+        return doc, {"dsep": (0, SEPARATED, ""), "embed": (3, "", message)}
+    n = draw(st.integers(2, 6))
+    nodes = [{"name": f"n{i}", "domain": draw(st.integers(2, 3))} for i in range(n)]
+    edges = [
+        [f"n{i}", f"n{j}"] for j in range(n) for i in range(j) if draw(st.booleans())
+    ]
+    doc = {"nodes": nodes, "edges": edges}
+    k = draw(st.integers(0, n - 1))
+    if kind == "type":
+        defect = draw(
+            st.sampled_from(
+                ["doc", "nodes", "node", "name", "empty_name", "domain", "edges", "edge"]
+            )
+        )
+        if defect == "doc":
+            doc, message = draw(st.sampled_from([[], None, "x", 3])), (
+                "DAG document must be a JSON object"
+            )
+        elif defect == "nodes":
+            doc["nodes"] = draw(st.sampled_from([[], {}, None, "n0"]))
+            message = "DAG document needs a non-empty 'nodes' list"
+        elif defect == "node":
+            nodes[k] = draw(st.sampled_from([["n", 2], "n", None, 2]))
+            message = f"nodes[{k}] must be an object"
+        elif defect == "name":
+            nodes[k]["name"] = draw(st.sampled_from([None, 3, True, ["n"]]))
+            message = f"nodes[{k}].name must be a string"
+        elif defect == "empty_name":
+            nodes[k]["name"] = ""
+            message = "node names must be non-empty strings"
+        elif defect == "domain":
+            nodes[k]["domain"] = draw(st.sampled_from([True, 2.0, "2", None, [2]]))
+            message = f"nodes[{k}].domain must be an integer"
+        elif defect == "edges":
+            doc["edges"] = draw(st.sampled_from([{}, "n0", 1, None]))
+            message = "'edges' must be a list"
+        else:
+            pos = draw(st.integers(0, len(edges)))
+            bad = draw(st.sampled_from([["n0"], ["n0", 1], "n0", ["n0", "n1", "n1"]]))
+            edges.insert(pos, bad)
+            message = f"edges[{pos}] must be a [parent, child] pair of strings"
+    elif kind == "unknown":
+        pos = draw(st.integers(0, len(edges)))
+        pair = draw(st.sampled_from([["zz", "n0"], ["n0", "zz"]]))
+        edges.insert(pos, pair)
+        message = "edge references unknown node 'zz'"
+    elif kind == "duplicate_node":
+        nodes.insert(draw(st.integers(0, n)), {"name": f"n{k}", "domain": 2})
+        message = "node names must be unique"
+    elif kind == "duplicate_edge":
+        if not edges:
+            edges.append(["n0", "n1"])
+        parent, child = draw(st.sampled_from(edges))
+        edges.insert(draw(st.integers(0, len(edges))), [parent, child])
+        message = f"duplicate edge {parent!r} -> {child!r}"
+    elif kind == "cycle":
+        # A self-loop, or an existing edge reversed.
+        back = [[c, p] for p, c in edges] + [[f"n{k}", f"n{k}"]]
+        edges.insert(draw(st.integers(0, len(edges))), draw(st.sampled_from(back)))
+        message = "edges contain a cycle"
+    else:
+        nodes[k]["domain"] = draw(st.integers(-3, 1))
+        message = f"node 'n{k}' needs a domain of at least 2"
+    failure = (2, "", f"error: {message}\n")
+    return doc, {"dsep": failure, "embed": failure}
+
+
+@settings(max_examples=150, deadline=None)
+@given(malformed_dag_files(), st.sampled_from(["dsep", "embed"]))
+def test_malformed_dag_files_exit_promptly(case, command):
+    doc, expected = case
+    argv = [command, "", "n0", "n1"] if command == "dsep" else [command, ""]
+    with tempfile.TemporaryDirectory() as tmp:
+        argv[1] = str(Path(tmp) / "dag.json")
+        Path(argv[1]).write_text(json.dumps(doc))
+        with mock.patch.dict(os.environ, {OUTCOME_CAP_ENV: str(BAD_DAG_CAP)}):
+            code, out, err, elapsed = _run_timed(argv)
+    assert elapsed < 1.0
+    assert (code, out, err) == expected[command]

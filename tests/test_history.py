@@ -125,6 +125,10 @@ def test_determination_matches_pairwise_oracle():
                 assert determines(space, block, j, x) == oracle_determines(
                     space, block, ids, x
                 )
+                assert generates(space, block, j, x) == (
+                    oracle_rectangle(space, block, ids)
+                    and oracle_determines(space, block, ids, x)
+                )
 
 
 @settings(max_examples=60, deadline=None)

@@ -88,6 +88,7 @@ def test_trivial_var_has_one_block_covering_everything():
     assert list(blocks) == ["*"]
     assert blocks["*"].ranks == tuple(range(6))
     assert blocks["*"] == full_block(space)
+    assert blocks_of(space) == blocks
 
 
 def test_pair_var_attained_codomain():

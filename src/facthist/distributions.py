@@ -13,12 +13,13 @@ objects.  Reported probabilities are still exact Fractions.  The weight of
 every outcome comes from expanding the outer product of the per-factor
 integer vectors, in rank order (last factor fastest).
 
-Sampled distributions stay integers until one is reported.  sample_product
-draws a numerator on 1..101 per entry and divides each factor's numerators
-by their sum; _sample_ints makes the same draws in the same order and
-returns the numerators themselves, which verify_soundness and find_witness
-check directly.  find_witness builds Fractions only for the sample it
-returns, so its result equals sample_product for that seed.
+Sampled distributions stay integers until one is reported.  _draw_ints
+draws a vector's numerators on 1..101; sample_vector normalizes one draw,
+and _sample_ints returns one per factor, the numerators of sample_product,
+which verify_soundness, find_witness and the duality suite use directly.
+find_witness builds Fractions only for the sample it returns.  _shifts is
+the one test of whether a conditional moved between two distributions,
+over _block_marginal rows, which also raise on a zero-mass block.
 
 A CI check of x and y given z is a prepared query.  Setting it up costs
 O(|Omega|) once: one blocks_of call, then each block's ranks are grouped
@@ -209,9 +210,14 @@ def _normalized(nums: Sequence[int]) -> tuple[Fraction, ...]:
     return tuple(Fraction(n, total) for n in nums)
 
 
+def _draw_ints(rng: random.Random, size: int) -> list[int]:
+    """size numerators drawn uniformly from 1..SAMPLE_GRID_MAX, in order."""
+    return [rng.randint(1, SAMPLE_GRID_MAX) for _ in range(size)]
+
+
 def sample_vector(rng: random.Random, size: int) -> tuple[Fraction, ...]:
     """A positive rational vector: numerators uniform on 1..101, normalized."""
-    return _normalized([rng.randint(1, SAMPLE_GRID_MAX) for _ in range(size)])
+    return _normalized(_draw_ints(rng, size))
 
 
 def _sample_ints(space: FactoredSpace, seed: int) -> list[list[int]]:
@@ -221,8 +227,8 @@ def _sample_ints(space: FactoredSpace, seed: int) -> list[list[int]]:
     that distribution; the integers themselves are weights proportional to
     it, which is all a CI check needs.
     """
-    randint = random.Random(seed).randint
-    return [[randint(1, SAMPLE_GRID_MAX) for _ in range(f.size)] for f in space.factors]
+    rng = random.Random(seed)
+    return [_draw_ints(rng, f.size) for f in space.factors]
 
 
 def sample_product(space: FactoredSpace, seed: int) -> ProductDistribution:
@@ -287,7 +293,16 @@ def _block_marginal(
         w = weights[r]
         total += w
         per_value[table[r]] += w
+    if total == 0:
+        raise DegenerateBlockError(f"block {c.label!r} has zero probability mass")
     return total, per_value
+
+
+def _shifts(base: tuple[int, list[int]], moved: tuple[int, list[int]]) -> list[int]:
+    """P(x=a | C) under base minus under moved, times both block totals, per a."""
+    tb, pb = base
+    tq, pq = moved
+    return [b * tq - q * tb for b, q in zip(pb, pq)]
 
 
 def block_conditional(
@@ -296,8 +311,6 @@ def block_conditional(
     """P(x = value | C) for every codomain value, as exact Fractions."""
     weights = _weights(space, p)
     total, per_value = _block_marginal(weights, c, x.table, len(x.codomain))
-    if total == 0:
-        raise DegenerateBlockError(f"block {c.label!r} has zero probability mass")
     return {
         label: Fraction(per_value[k], total) for k, label in enumerate(x.codomain)
     }
@@ -318,8 +331,6 @@ def cond_table(
     out: dict[tuple[str, str], Fraction] = {}
     for zlabel, c in blocks_of(space, z).items():
         total, per_value = _block_marginal(weights, c, x.table, len(x.codomain))
-        if total == 0:
-            raise DegenerateBlockError(f"block {zlabel!r} has zero probability mass")
         for k, xlabel in enumerate(x.codomain):
             out[(zlabel, xlabel)] = Fraction(per_value[k], total)
     return out
@@ -562,10 +573,8 @@ def irrelevance_invariance(
         checked.append(zlabel)
         tb, pb = _block_marginal(wb, c, x.table, k)
         tq, pq = _block_marginal(wq, c, x.table, k)
-        if tb == 0 or tq == 0:
-            raise DegenerateBlockError(f"block {zlabel!r} has zero probability mass")
-        for a in range(k):
-            if pb[a] * tq != pq[a] * tb:
+        for a, shift in enumerate(_shifts((tb, pb), (tq, pq))):
+            if shift:
                 violations.append(
                     (
                         zlabel,
@@ -605,18 +614,14 @@ def product_difference_identity(
     wq = _weights(space, pair.perturbed)
     kx, ky = len(x.codomain), len(y.codomain)
     for zlabel, c in blocks_of(space, z).items():
-        tb, pbx = _block_marginal(wb, c, x.table, kx)
-        tq, pqx = _block_marginal(wq, c, x.table, kx)
-        _, pby = _block_marginal(wb, c, y.table, ky)
-        _, pqy = _block_marginal(wq, c, y.table, ky)
-        if tb == 0 or tq == 0:
-            raise DegenerateBlockError(f"block {zlabel!r} has zero probability mass")
-        for a in range(kx):
-            dx = pbx[a] * tq - pqx[a] * tb
+        rb = _block_marginal(wb, c, x.table, kx)
+        rq = _block_marginal(wq, c, x.table, kx)
+        dys = _shifts(_block_marginal(wb, c, y.table, ky), _block_marginal(wq, c, y.table, ky))
+        scale = rb[0] * rq[0]
+        for a, dx in enumerate(_shifts(rb, rq)):
             if dx == 0:
                 continue
-            for b in range(ky):
-                dy = pby[b] * tq - pqy[b] * tb
+            for b, dy in enumerate(dys):
                 if dy != 0:
                     return IdentityReport(
                         holds=False,
@@ -624,8 +629,8 @@ def product_difference_identity(
                             zlabel,
                             x.codomain[a],
                             y.codomain[b],
-                            Fraction(dx, tb * tq),
-                            Fraction(dy, tb * tq),
+                            Fraction(dx, scale),
+                            Fraction(dy, scale),
                         ),
                     )
     return IdentityReport(holds=True)

@@ -18,6 +18,11 @@ recorded without affecting the verdict.
 The exhaustive mask loops (check_history_laws and the separation check)
 build one projection-key list per block and factor mask, and read the
 rectangle test, generation and the projection classes from that list.
+
+The duality law runs on integer draws, the numerators sample_product and
+sample_vector normalize, with one blocks/histories pass per call and the
+shift comparison of irrelevance_invariance.  The joint-factorization law is
+the chain rule over is_cond_independent.
 """
 
 from __future__ import annotations
@@ -32,13 +37,16 @@ from typing import Mapping, Sequence
 from .distributions import (
     ProductDistribution,
     _block_marginal,
-    _weights,
-    irrelevance_invariance,
+    _draw_ints,
+    _expand,
+    _sample_ints,
+    _shifts,
+    find_witness,
+    is_cond_independent,
     perturb_factor,
     product_difference_identity,
     sample_product,
     sample_vector,
-    find_witness,
     verify_soundness,
 )
 from .history import (
@@ -46,7 +54,6 @@ from .history import (
     _keys,
     _picker,
     _rectangle,
-    conditional_history,
     disintegration_atoms,
     history,
     structurally_independent,
@@ -324,40 +331,43 @@ def check_duality(
     move some conditional for at least one of perturbation_budget sampled
     vectors; a budget exhausted without a hit is inconclusive, not a pass.
     """
-    base = sample_product(space, _int_seed(cfg.seed, "dual-base", index))
-    ch = conditional_history(space, x, z)
-    blocks = blocks_of(space, z)
-    base_w = _weights(space, base)
+    base = _sample_ints(space, _int_seed(cfg.seed, "dual-base", index))
     k = len(x.codomain)
+    blocks = blocks_of(space, z)
+    hist = {label: history(space, c, x) for label, c in blocks.items()}
+    base_w = _expand(base)
     base_rows = {
         label: _block_marginal(base_w, c, x.table, k) for label, c in blocks.items()
     }
+
+    def perturbed(i: int, vec: list[int]) -> list[int]:
+        return _expand(base[:i] + [vec] + base[i + 1 :])
+
+    def shifts(w: list[int], label: str) -> list[int]:
+        return _shifts(base_rows[label], _block_marginal(w, blocks[label], x.table, k))
+
     violations = 0
     witnessed = 0
     inconclusive = 0
     for i in range(space.factor_count):
         size = space.factors[i].size
-        for t in range(IRRELEVANCE_TRIALS):
-            vec = sample_vector(_stream(cfg.seed, f"dual-vec:{index}:{i}", t), size)
-            pair = perturb_factor(base, i, vec)
-            violations += len(irrelevance_invariance(space, pair, x, z).violations)
-        for label, c in blocks.items():
-            if i not in ch.per_block[label]:
+        outside = [label for label in blocks if i not in hist[label]]
+        if outside:
+            for t in range(IRRELEVANCE_TRIALS):
+                vec = _draw_ints(_stream(cfg.seed, f"dual-vec:{index}:{i}", t), size)
+                w = perturbed(i, vec)
+                for label in outside:
+                    violations += sum(map(bool, shifts(w, label)))
+        for label in blocks:
+            if i not in hist[label]:
                 continue
-            tb, pb = base_rows[label]
-            hit = False
             for t in range(cfg.perturbation_budget):
-                vec = sample_vector(
+                vec = _draw_ints(
                     _stream(cfg.seed, f"dual-max:{index}:{i}:{label}", t), size
                 )
-                pair = perturb_factor(base, i, vec)
-                pert_w = _weights(space, pair.perturbed)
-                tq, pq = _block_marginal(pert_w, c, x.table, k)
-                if any(pb[a] * tq != pq[a] * tb for a in range(k)):
-                    hit = True
+                if any(shifts(perturbed(i, vec), label)):
+                    witnessed += 1
                     break
-            if hit:
-                witnessed += 1
             else:
                 inconclusive += 1
     return DualityOutcome(
@@ -428,36 +438,15 @@ def _joint_factorizes(
     xs: Sequence[RandomVariable],
     z: RandomVariable,
 ) -> bool:
-    """Does P(x1,..,xk | z) factor into marginals on every block, exactly?"""
-    weights = _weights(space, p)
-    sizes = [len(v.codomain) for v in xs]
-    for c in blocks_of(space, z).values():
-        total = 0
-        per_var = [[0] * s for s in sizes]
-        joint: dict[tuple[int, ...], int] = {}
-        for r in c.ranks:
-            w = weights[r]
-            total += w
-            key = tuple(v.table[r] for v in xs)
-            for slot, val in enumerate(key):
-                per_var[slot][val] += w
-            joint[key] = joint.get(key, 0) + w
-        power = total ** (len(xs) - 1)
-        for key_vals in _value_grid(sizes):
-            lhs = joint.get(key_vals, 0) * power
-            rhs = 1
-            for slot, val in enumerate(key_vals):
-                rhs *= per_var[slot][val]
-            if lhs != rhs:
-                return False
-    return True
+    """Does P(x1,..,xk | z) factor into marginals on every block, exactly?
 
-
-def _value_grid(sizes: Sequence[int]):
-    grid = [()]
-    for s in sizes:
-        grid = [key + (v,) for key in grid for v in range(s)]
-    return grid
+    By the chain rule, iff (x1,..,xj) is independent of x(j+1) given z for
+    every j (blocks have positive mass).
+    """
+    return all(
+        is_cond_independent(space, p, fold_pair(space, xs[:j]), xs[j], z).holds
+        for j in range(1, len(xs))
+    )
 
 
 @dataclass

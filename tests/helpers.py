@@ -5,7 +5,14 @@ from __future__ import annotations
 import random
 from typing import NamedTuple
 
-from facthist import Dag, Factor, FactoredSpace, RandomVariable, factor_var
+from facthist import (
+    Dag,
+    Factor,
+    FactoredSpace,
+    RandomVariable,
+    factor_var,
+    outcome_unrank,
+)
 
 
 def make_space(*sizes: int, max_outcomes: int | None = None) -> FactoredSpace:
@@ -22,6 +29,17 @@ def make_var(space: FactoredSpace, name: str, k: int, table) -> RandomVariable:
     return RandomVariable(
         name=name, codomain=tuple(str(v) for v in range(k)), table=tuple(table)
     )
+
+
+def function_of(space: FactoredSpace, name: str, ids, k: int, rng) -> RandomVariable:
+    """A random variable with k labels that reads only the factors in ids."""
+    values: dict[tuple[int, ...], int] = {}
+    table = []
+    for r in range(space.outcome_count):
+        o = outcome_unrank(space, r)
+        key = tuple(o[i] for i in ids)
+        table.append(values.setdefault(key, rng.randrange(k)))
+    return make_var(space, name, k, table)
 
 
 class XorBundle(NamedTuple):

@@ -4,8 +4,9 @@ Everything in here recomputes results from first principles, by brute
 force, without reusing the package's algorithms: rectangles by literal
 cross-pair membership, determination by pairwise comparison, histories by
 enumerating all subsets and taking the subset-minimal generating ones,
-probabilities by summing exact outcome products, CI reports by a per-rank
-pass over each block, d-separation both by walk enumeration and by
+probabilities by summing exact outcome products, CI reports and joint
+factorization by a per-rank pass over each block, the duality law through
+the public Fraction API, d-separation both by walk enumeration and by
 moralization, DAG embeddings by evaluating every node at every outcome,
 and the separator condition by full event enumeration.  Slow on purpose;
 only run on small inputs.
@@ -22,12 +23,22 @@ from facthist import (
     CiReport,
     Dag,
     DegenerateBlockError,
+    DualityOutcome,
     FactoredSpace,
     ProductDistribution,
     RandomVariable,
+    SuiteConfig,
+    block_conditional,
+    blocks_of,
+    conditional_history,
+    irrelevance_invariance,
     outcome_prob,
     outcome_unrank,
+    perturb_factor,
+    sample_product,
+    sample_vector,
 )
+from facthist.verification import IRRELEVANCE_TRIALS, _int_seed, _stream
 
 
 def all_subsets(ids):
@@ -180,6 +191,85 @@ def oracle_ci_report(
                         ),
                     )
     return CiReport(holds=True)
+
+
+def oracle_joint_factorizes(
+    space: FactoredSpace,
+    p: ProductDistribution,
+    xs,
+    z: RandomVariable,
+) -> bool:
+    """P(x1,..,xk | z) equals the product of the P(xj | z), by a per-rank pass.
+
+    Per block: the joint weight of every value tuple times total**(k-1)
+    must equal the product of the per-variable weights, over the full grid
+    of value tuples, attained or not.
+    """
+    weights = oracle_int_weights(space, p)
+    sizes = [len(v.codomain) for v in xs]
+    for zv in set(z.table):
+        total = 0
+        per_var = [[0] * s for s in sizes]
+        joint: dict[tuple[int, ...], int] = {}
+        for r in range(space.outcome_count):
+            if z.table[r] != zv:
+                continue
+            w = weights[r]
+            total += w
+            key = tuple(v.table[r] for v in xs)
+            for slot, val in enumerate(key):
+                per_var[slot][val] += w
+            joint[key] = joint.get(key, 0) + w
+        power = total ** (len(xs) - 1)
+        for key in product(*(range(s) for s in sizes)):
+            rhs = math.prod(per_var[slot][val] for slot, val in enumerate(key))
+            if joint.get(key, 0) * power != rhs:
+                return False
+    return True
+
+
+def oracle_duality(
+    space: FactoredSpace,
+    x: RandomVariable,
+    z: RandomVariable,
+    cfg: SuiteConfig,
+    index: int = 0,
+) -> DualityOutcome:
+    """The duality law through the public Fraction API, one pair at a time.
+
+    Same streams as the suite: a sample_product base, sample_vector
+    perturbations validated by perturb_factor, irrelevance_invariance for
+    the out-of-history direction, and a changed block_conditional as a
+    maximality hit.
+    """
+    base = sample_product(space, _int_seed(cfg.seed, "dual-base", index))
+    ch = conditional_history(space, x, z)
+    violations = witnessed = inconclusive = 0
+    for i in range(space.factor_count):
+        size = space.factors[i].size
+        for t in range(IRRELEVANCE_TRIALS):
+            vec = sample_vector(_stream(cfg.seed, f"dual-vec:{index}:{i}", t), size)
+            pair = perturb_factor(base, i, vec)
+            violations += len(irrelevance_invariance(space, pair, x, z).violations)
+        for label, c in blocks_of(space, z).items():
+            if i not in ch.per_block[label]:
+                continue
+            before = block_conditional(space, base, x, c)
+            for t in range(cfg.perturbation_budget):
+                vec = sample_vector(
+                    _stream(cfg.seed, f"dual-max:{index}:{i}:{label}", t), size
+                )
+                after = block_conditional(space, perturb_factor(base, i, vec).perturbed, x, c)
+                if after != before:
+                    witnessed += 1
+                    break
+            else:
+                inconclusive += 1
+    return DualityOutcome(
+        irrelevance_violations=violations,
+        maximality_witnessed=witnessed,
+        maximality_inconclusive=inconclusive,
+    )
 
 
 def _neighbors(dag: Dag):

@@ -8,6 +8,7 @@ subprocess entry point.
 from __future__ import annotations
 
 import contextlib
+import importlib.util
 import io
 import json
 import math
@@ -470,3 +471,16 @@ def test_runtime_imports_only_the_standard_library():
     assert proc.returncode == 0, proc.stderr
     # Every call answers; only dsep, on the edge A -> B, says "connected".
     assert json.loads(proc.stdout) == {"codes": [0, 0, 0, 0, 0, 0, 1, 0, 0], "foreign": []}
+
+
+def test_traced_names_resolve():
+    # perfbench/spans.py wraps functions by name; a renamed or deleted one
+    # makes `run.py --trace 1` fail, which no other test runs.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    names = [(mod, fn) for mod, funcs in spans.SPANS.items() for fn in funcs]
+    names += [tuple(fn.split(".")) for fn, _ in spans.COUNTS.values()]
+    for mod, fn in names:
+        assert callable(getattr(importlib.import_module(f"facthist.{mod}"), fn)), (mod, fn)

@@ -17,8 +17,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from facthist import (
+    ConditionalHistory,
     DegenerateBlockError,
+    IdentityReport,
     IndependenceVerdict,
+    IndexSet,
     PerturbationError,
     PreconditionError,
     ProductDistribution,
@@ -50,10 +53,17 @@ from facthist import (
 )
 from facthist import distributions
 from facthist.cli import main
-from facthist.distributions import SAMPLE_GRID_MAX, _CiQuery, _sample_ints, _weights
+from facthist.distributions import (
+    SAMPLE_GRID_MAX,
+    _CiQuery,
+    _draw_ints,
+    _normalized,
+    _sample_ints,
+    _weights,
+)
 from facthist.errors import FormatError
 
-from helpers import make_space, make_var, xor_bundle
+from helpers import function_of, make_space, make_var, xor_bundle
 from oracles import oracle_ci, oracle_ci_report, oracle_event_prob, oracle_int_weights
 
 F = Fraction
@@ -257,6 +267,8 @@ def test_degenerate_block_detected():
     dead = ProductDistribution(((F(1), F(0)), (F(1, 2), F(1, 2))))
     with pytest.raises(DegenerateBlockError):
         cond_table(space, dead, u1, u0)
+    with pytest.raises(DegenerateBlockError, match="block '1' has zero probability mass"):
+        block_conditional(space, dead, u1, blocks_of(space, u0)["1"])
 
 
 def test_distribution_doc_roundtrip():
@@ -271,17 +283,6 @@ def test_distribution_doc_roundtrip():
         distribution_from_doc([])
     with pytest.raises(FormatError):
         distribution_from_doc({"per_factor": [["x/y"]]})
-
-
-def _function_of(space, name, ids, k, rng):
-    """A random variable with k labels that reads only the factors in ids."""
-    values: dict[tuple[int, ...], int] = {}
-    table = []
-    for r in range(space.outcome_count):
-        o = outcome_unrank(space, r)
-        key = tuple(o[i] for i in ids)
-        table.append(values.setdefault(key, rng.randrange(k)))
-    return make_var(space, name, k, table)
 
 
 def _random_ids(space, rng):
@@ -303,9 +304,9 @@ def _skewed_product(space, rng):
 def _random_instance(rng, trial):
     """Mixed domains (1 to 3 values), x and y, z with 1 to 3 labels, a distribution."""
     space = make_space(*(rng.randint(1, 3) for _ in range(rng.randint(1, 4))))
-    x = _function_of(space, "x", _random_ids(space, rng), rng.randint(1, 3), rng)
-    y = _function_of(space, "y", _random_ids(space, rng), rng.randint(1, 3), rng)
-    z = _function_of(space, "z", _random_ids(space, rng), rng.randint(1, 3), rng)
+    x = function_of(space, "x", _random_ids(space, rng), rng.randint(1, 3), rng)
+    y = function_of(space, "y", _random_ids(space, rng), rng.randint(1, 3), rng)
+    z = function_of(space, "z", _random_ids(space, rng), rng.randint(1, 3), rng)
     if rng.random() < 0.5:
         p = sample_product(space, 300 + trial)
     else:
@@ -337,6 +338,59 @@ def test_prepared_ci_matches_per_rank_oracle():
             seen["multi-block"] += len(set(z.table)) > 1
     assert all(seen[k] >= 20 for k in ("holds", "violated", "tolerance", "strict", "multi-block"))
     assert seen["degenerate"], "skewed distributions should produce zero-mass blocks"
+
+
+def _oracle_conditional(space, p, x, c):
+    mass = oracle_event_prob(space, p, c.ranks)
+    return [
+        oracle_event_prob(space, p, [r for r in c.ranks if x.table[r] == a]) / mass
+        for a in range(len(x.codomain))
+    ]
+
+
+def test_perturbation_reports_name_the_moved_conditionals(monkeypatch):
+    # With the history and structural preconditions skipped, conditionals
+    # do move; each report must name exactly what the Fraction oracle says
+    # moved, blocks in codomain order and values x-major.
+    def no_history(space, x, z=None):
+        empty = IndexSet.empty(space.factor_count)
+        return ConditionalHistory(x.name, "", {label: empty for label in blocks_of(space, z)})
+
+    monkeypatch.setattr(distributions, "conditional_history", no_history)
+    monkeypatch.setattr(
+        distributions,
+        "structurally_independent",
+        lambda *args: IndependenceVerdict(independent=True, overlaps={}),
+    )
+    rng = random.Random("perturbation-reports")
+    seen = Counter()
+    for trial in range(200):
+        space = make_space(*(rng.randint(1, 3) for _ in range(rng.randint(2, 4))))
+        i = rng.randrange(space.factor_count)
+        # x and y read the perturbed factor, so that both can move.
+        x, y, z = (
+            function_of(space, name, _random_ids(space, rng) + extra, rng.randint(1, 3), rng)
+            for name, extra in (("x", [i]), ("y", [i]), ("z", []))
+        )
+        vec = sample_vector(rng, space.factors[i].size)
+        pair = perturb_factor(sample_product(space, trial), i, vec)
+        moved = []
+        first = None
+        for label, c in blocks_of(space, z).items():
+            px, qx = (_oracle_conditional(space, p, x, c) for p in (pair.base, pair.perturbed))
+            py, qy = (_oracle_conditional(space, p, y, c) for p in (pair.base, pair.perturbed))
+            for a in range(len(x.codomain)):
+                if px[a] != qx[a]:
+                    moved.append((label, x.codomain[a], px[a], qx[a]))
+                for b in range(len(y.codomain)):
+                    if first is None and px[a] != qx[a] and py[b] != qy[b]:
+                        first = (label, x.codomain[a], y.codomain[b], px[a] - qx[a], py[b] - qy[b])
+        assert irrelevance_invariance(space, pair, x, z).violations == tuple(moved), trial
+        identity = product_difference_identity(space, pair, x, y, z)
+        assert identity == IdentityReport(holds=first is None, first_violation=first), trial
+        seen["moved" if moved else "still"] += 1
+        seen["identity fails" if first else "identity holds"] += 1
+    assert all(seen[k] >= 20 for k in ("moved", "still", "identity fails", "identity holds")), seen
 
 
 def test_first_violation_is_row_major():
@@ -435,6 +489,11 @@ def test_integer_samples_normalize_to_sample_product():
         assert [len(vec) for vec in nums] == [f.size for f in space.factors]
         assert all(1 <= n <= SAMPLE_GRID_MAX for vec in nums for n in vec)
         assert _normalized_product(nums) == sample_product(space, seed)
+        # sample_vector is one normalized draw and consumes the same stream.
+        size = rng.randint(1, 5)
+        a, b = random.Random(seed), random.Random(seed)
+        assert sample_vector(a, size) == _normalized(_draw_ints(b, size))
+        assert a.getstate() == b.getstate()
 
 
 @st.composite
@@ -468,7 +527,7 @@ def _fold_instance(sizes, x_ids, y_ids, z_ids):
     rng = random.Random(f"fold:{sizes}")
     space = make_space(*sizes)
     x, y, z = (
-        _function_of(space, name, ids, 3, rng)
+        function_of(space, name, ids, 3, rng)
         for name, ids in (("x", x_ids), ("y", y_ids), ("z", z_ids))
     )
     nums = [[rng.randint(1, 9) for _ in range(s)] for s in sizes]
@@ -531,7 +590,7 @@ def _pinned_space_doc():
     space = make_space(2, 3, 2, 3, 2)
     variables = {}
     for name, ids, k in (("X", (0, 1), 3), ("Y", (2, 3), 3), ("Z", (4,), 2), ("W", (1, 2), 2)):
-        table = _function_of(space, name, ids, k, rng).table
+        table = function_of(space, name, ids, k, rng).table
         codomain = tuple(f"{name.lower()}{v}" for v in range(k))
         variables[name] = RandomVariable(name, codomain, table)
     return space_to_doc(space, variables)

@@ -2,12 +2,17 @@
 
 Law checkers are exercised on the parity instance (where every expected
 verdict is known by hand) and on generated batches; the separator
-characterization is compared against the full event-enumeration oracle.
+characterization is compared against the full event-enumeration oracle,
+the integer duality law against its Fraction form, and the chain-rule
+joint factorization against a per-rank pass.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
+import random
+from collections import Counter
 
 import pytest
 
@@ -25,11 +30,18 @@ from facthist import (
     run_suite,
     trivial_var,
 )
-from facthist import factor_var, sample_product
+from facthist import IndexSet, distributions, factor_var, sample_product
+from facthist.cli import main
+from facthist.distributions import SAMPLE_GRID_MAX
 from facthist.verification import _joint_factorizes, _separated_classes, _stream
 
-from helpers import make_space, make_var, xor_bundle
-from oracles import all_subsets, oracle_separation_global
+from helpers import function_of, make_space, make_var, xor_bundle
+from oracles import (
+    all_subsets,
+    oracle_duality,
+    oracle_joint_factorizes,
+    oracle_separation_global,
+)
 
 
 def test_generators_are_deterministic_and_bounded():
@@ -100,6 +112,85 @@ def test_duality_on_parity_instance():
     assert out2.maximality_inconclusive == 0
 
 
+@pytest.mark.parametrize("grid", [SAMPLE_GRID_MAX, 2])
+def test_integer_duality_matches_fraction_oracle(monkeypatch, grid):
+    # On a grid of 2 a perturbation is often proportional to the base, so
+    # one draw often fails to move a conditional: with a budget of 1 the
+    # tallies then depend on exactly which numerators each stream draws.
+    monkeypatch.setattr(distributions, "SAMPLE_GRID_MAX", grid)
+    seen = Counter()
+    for seed in (3, 8, 40):
+        for max_domain in (2, 3):
+            for budget in (0, 1, 16):
+                cfg = SuiteConfig(
+                    seed=seed, max_domain=max_domain, perturbation_budget=budget
+                )
+                for index in range(12):
+                    space = gen_random_space(cfg, index)
+                    x = gen_random_variable(space, cfg, 2 * index, name="x")
+                    z = gen_random_variable(space, cfg, 2 * index + 1, name="z")
+                    got = check_duality(space, x, z, cfg, index)
+                    assert got == oracle_duality(space, x, z, cfg, index), (cfg, index)
+                    seen["instances"] += 1
+                    seen["multi-block"] += len(set(z.table)) > 1
+                    seen["witnessed"] += got.maximality_witnessed
+                    if budget:
+                        seen["missed"] += got.maximality_inconclusive
+    assert seen["instances"] >= 200
+    assert seen["multi-block"] >= 50 and seen["witnessed"] >= 200, seen
+    if grid == 2:
+        assert seen["missed"] >= 20, seen
+
+
+def test_integer_duality_counts_violations_like_the_oracle(monkeypatch):
+    # With every history reported empty, every factor is checked for
+    # irrelevance on every block, so violations are counted.  On a grid of 2
+    # a draw is often proportional to the base, so how many depends on
+    # exactly which numerators each stream draws.
+    monkeypatch.setattr(distributions, "SAMPLE_GRID_MAX", 2)
+
+    def blind(space, c, x):
+        return IndexSet.empty(space.factor_count)
+
+    # The package re-exports the function history under the module's name.
+    monkeypatch.setattr(importlib.import_module("facthist.history"), "history", blind)
+    monkeypatch.setattr(importlib.import_module("facthist.verification"), "history", blind)
+    violations = 0
+    for index in range(60):
+        cfg = SuiteConfig(seed=index % 3, max_domain=2 + index % 2)
+        space = gen_random_space(cfg, index)
+        x = gen_random_variable(space, cfg, 2 * index, name="x")
+        z = gen_random_variable(space, cfg, 2 * index + 1, name="z")
+        got = check_duality(space, x, z, cfg, index)
+        assert got == oracle_duality(space, x, z, cfg, index), (cfg, index)
+        violations += got.irrelevance_violations
+    assert violations >= 100
+
+
+def test_joint_factorization_matches_per_rank_oracle():
+    rng = random.Random("joint-factorization")
+    seen = Counter()
+    for trial in range(240):
+        space = make_space(*(rng.randint(1, 3) for _ in range(rng.randint(2, 4))))
+        n = space.factor_count
+
+        def var(name):
+            ids = [i for i in range(n) if rng.random() < 0.4]
+            return function_of(space, name, ids, rng.randint(1, 3), rng)
+
+        xs = [var(f"x{j}") for j in range(rng.randint(2, 3))]
+        z = var("z")
+        p = sample_product(space, trial)
+        want = oracle_joint_factorizes(space, p, xs, z)
+        assert _joint_factorizes(space, p, xs, z) == want, trial
+        seen["factorizes" if want else "dependent"] += 1
+        seen["multi-block"] += len(set(z.table)) > 1
+        seen["codomain-1"] += any(len(v.codomain) == 1 for v in xs)
+    assert all(
+        seen[k] >= 20 for k in ("factorizes", "dependent", "multi-block", "codomain-1")
+    ), seen
+
+
 def test_separator_condition_matches_global_oracle():
     cfg = SuiteConfig(seed=2, max_factors=3, max_domain=2)
     for index in range(6):
@@ -162,6 +253,46 @@ def test_small_suite_runs_clean():
     assert sem.passed == 8 and sem.failed == 0
     sep = report.exploratory["separation_characterization"]
     assert sep["disagree"] == 0 and sep["agree"] > 0
+
+
+# stdout of `axioms --seed 0 --iters 4`, recorded before the duality law
+# ran on integer draws.
+PINNED_SUITE = (
+    '{"config":{"iterations":4,"max_domain":3,"max_factors":4,'
+    '"perturbation_budget":16,"sample_count":50,"seed":0,"witness_budget":64},'
+    '"counterexamples":[],'
+    '"exploratory":{"separation_characterization":{"agree":96,"disagree":0,'
+    '"records":[]}},"failed":false,"laws":{"completeness_witness":{"failed":0,'
+    '"inconclusive":0,"passed":2},"duality_irrelevance":{"failed":0,'
+    '"inconclusive":0,"passed":4},"duality_maximality":{"failed":0,'
+    '"inconclusive":0,"passed":15},"history_atom_law":{"failed":0,'
+    '"inconclusive":0,"passed":4},"history_atoms_fast_path":{"failed":0,'
+    '"inconclusive":0,"passed":4},"history_atoms_rectangle":{"failed":0,'
+    '"inconclusive":0,"passed":4},"history_compositionality":{"failed":0,'
+    '"inconclusive":0,"passed":4},"history_emptiness":{"failed":0,'
+    '"inconclusive":0,"passed":4},'
+    '"history_generating_intersection":{"failed":0,"inconclusive":0,'
+    '"passed":4},"history_minimality":{"failed":0,"inconclusive":0,"passed":4},'
+    '"history_monotonicity":{"failed":0,"inconclusive":0,"passed":4},'
+    '"history_null":{"failed":0,"inconclusive":0,"passed":4},'
+    '"history_rectangle_field":{"failed":0,"inconclusive":0,"passed":4},'
+    '"history_rectangle_symmetry":{"failed":0,"inconclusive":0,"passed":4},'
+    '"history_removal":{"failed":0,"inconclusive":0,"passed":4},'
+    '"history_self_emptiness":{"failed":0,"inconclusive":0,"passed":4},'
+    '"identity_product_difference":{"failed":0,"inconclusive":0,"passed":2},'
+    '"semigraphoid_composition":{"failed":0,"inconclusive":0,"passed":4},'
+    '"semigraphoid_contraction":{"failed":0,"inconclusive":0,"passed":4},'
+    '"semigraphoid_decomposition":{"failed":0,"inconclusive":0,"passed":4},'
+    '"semigraphoid_symmetry":{"failed":0,"inconclusive":0,"passed":4},'
+    '"semigraphoid_weak_union":{"failed":0,"inconclusive":0,"passed":4},'
+    '"soundness_ci":{"failed":0,"inconclusive":0,"passed":2},'
+    '"vector_factorization":{"failed":0,"inconclusive":0,"passed":1}}}\n'
+)
+
+
+def test_suite_output_is_pinned(capsys):
+    assert main(["axioms", "--seed", "0", "--iters", "4"]) == 0
+    assert capsys.readouterr().out == PINNED_SUITE
 
 
 def test_suite_reports_are_reproducible():

@@ -211,8 +211,23 @@ def _normalized(nums: Sequence[int]) -> tuple[Fraction, ...]:
 
 
 def _draw_ints(rng: random.Random, size: int) -> list[int]:
-    """size numerators drawn uniformly from 1..SAMPLE_GRID_MAX, in order."""
-    return [rng.randint(1, SAMPLE_GRID_MAX) for _ in range(size)]
+    """size numerators drawn uniformly from 1..SAMPLE_GRID_MAX, in order.
+
+    These are the numbers of rng.randint(1, SAMPLE_GRID_MAX) from the same
+    state, without its Python layers: randint draws k =
+    SAMPLE_GRID_MAX.bit_length() random bits and redraws while they are
+    >= SAMPLE_GRID_MAX.
+    """
+    top = SAMPLE_GRID_MAX
+    bits = top.bit_length()
+    draw = rng.getrandbits
+    out = []
+    for _ in range(size):
+        r = draw(bits)
+        while r >= top:
+            r = draw(bits)
+        out.append(1 + r)
+    return out
 
 
 def sample_vector(rng: random.Random, size: int) -> tuple[Fraction, ...]:

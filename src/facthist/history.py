@@ -18,8 +18,8 @@ J-projections, and rank - key is the key on the complement.  The rectangle
 test (_rectangle) compares |keys| * |ranks - keys| with |C|; determination
 (_determined) compares the number of key classes with the number of (key,
 value) classes.  is_rectangle, determines and generates build the key list
-once and apply one test or both; the atom scan below and the law suites'
-mask loops read the same kernel.
+once and apply one test or both; the atom factorization below and the law
+suites' mask loops read the same kernel.
 
 The rectangle sets of C form a field of factor sets.  Its *atoms* (minimal
 non-empty members, once the factors constant on C are set aside as the
@@ -30,15 +30,38 @@ closed under intersection, so there is a unique subset-minimal one, the
 hence a union of atoms, and an atom A lies inside it exactly when the
 factors outside A fail to determine x: that complement is itself a
 rectangle set, so if it determines x it generates x and contains the
-history.  history() therefore makes one pass over C per atom: the factors
-outside A determine x exactly when they split C into as many classes as
-the pairs (outside-A key, x-value) do.
+history.
+
+history() reads that test off a tensor, with no hashing.  Order the atoms
+A_1..A_m by lowest factor.  C is the product of their projections times the
+one point of the trivial part: from any outcome of C, swapping in any
+A_1-projection of C keeps it in C (A_1 is a rectangle set), then any
+A_2-projection, and so on, so every combination is attained.  List each
+proj_{A_i}(C) in increasing key order; C becomes a tensor whose axis i has
+size s_i = |proj_{A_i}(C)| and the product of the later sizes as stride,
+and x's values in that order are a tensor t.  Two outcomes of C agree
+outside A_i exactly when their tensor positions differ only on axis i, so
+the A_i-classes are the lines along axis i, and the factors outside A_i
+determine x exactly when t is constant along axis i (_varies).  With
+period P = s_i * stride, that is t[b+stride : b+P] == t[b : b+P-stride] for
+every period b, or row[j::s_i] == row[::s_i] for every offset row
+t[o::stride] and 0 < j < s_i; the scan takes whichever needs fewer slices,
+and each is a C-level comparison of small ints.  When every atom is a run
+of consecutive free factors, rank order is already tensor order (ranks
+compare lexicographically, factor by factor), so t is the values as read;
+otherwise the factorization memoizes one itemgetter that lists C's ranks
+by tensor position.
 
 The atoms are built one factor at a time.  A factor constant on C joins the
 trivial part.  Otherwise factor k joins the factors seen so far, S, whose
 atoms are already known; projections are compared through integer keys,
 sums of scaled digits.
 
+* Product exit: if |proj_S(C)| times the widths |proj_j(C)| of k and every
+  later free factor j equals |C|, C is proj_S(C) times those projections,
+  so each of them is an atom on its own and the loop ends with no further
+  key pass.  Full blocks of any product space, unconditional queries among
+  them, end here at the first free factor.
 * Product shortcut: if |proj_{S+k}(C)| = |proj_S(C)| * |proj_k(C)|, the
   projection is a product with a factor k, so {k} is a new atom and the
   atoms of S are unchanged.
@@ -55,16 +78,18 @@ rectangles, which is what the count test detects.
 
 Each non-constant factor costs O(|C|) for its keys and counts plus O(|C|)
 per atom when the shortcut fails, so factorizing a block of n factors costs
-O(n^2 * |C|) time and O(n * |C|) transient memory, and a history O(n * |C|)
-on top.  The result (trivial mask, atom masks and their projection counts;
-no key lists) is memoized on the FactoredSpace keyed by the block's ranks,
-because independence checks, verification and the law suites ask for
-several histories per block and blocks_of builds fresh Block objects on
-every call.  The same entry memoizes each history, keyed by the variable's
-values on the block: a history depends on nothing else, so variables with
-equal tables share it whatever their names, and a repeated question (verify
-asks structurally_independent once itself and once more through
-verify_soundness or find_witness) costs one O(|C|) read of those values.
+O(n^2 * |C|) time and O(n * |C|) transient memory; a history costs at most
+one comparison of |C| values per atom on top, and stops at the first
+difference along an axis.  The result (trivial mask, one axis (mask, size,
+stride) per atom in tensor order, and the tensor-order itemgetter when one
+is needed; no key lists) is memoized on the FactoredSpace keyed by the
+block's ranks, because independence checks, verification and the law
+suites ask for several histories per block.  The same entry memoizes each
+history, keyed by the variable's values on the block: a history depends on
+nothing else, so variables with equal tables share it whatever their
+names, and a repeated question (verify asks structurally_independent once
+itself and once more through verify_soundness or find_witness) costs one
+O(|C|) read of those values.
 A variable constant on the block has the empty history and is neither
 factorized nor memoized.
 
@@ -205,10 +230,12 @@ def generates(space: FactoredSpace, c: Block, j: IndexSet, x: RandomVariable) ->
     return _rectangle(c.ranks, keys) and _determined(space, keys, pick(x.table))
 
 
-Atom = tuple[int, int]  # (factor mask, |proj_A(C)|)
-# (trivial mask, atoms in increasing mask order, history masks memoized by
+# One axis of the atom tensor: (atom mask, |proj_A(C)|, stride).
+Axis = tuple[int, int, int]
+# (trivial mask, axes in tensor order, picker that puts a block's values in
+# tensor order or None if rank order already is, history masks memoized by
 # the variable's values on the block)
-Factorization = tuple[int, tuple[Atom, ...], dict[Sequence[int], int]]
+Factorization = tuple[int, tuple[Axis, ...], Picker | None, dict[Sequence[int], int]]
 
 
 def _factorize(space: FactoredSpace, ranks: tuple[int, ...]) -> Factorization:
@@ -221,10 +248,17 @@ def _factorize(space: FactoredSpace, ranks: tuple[int, ...]) -> Factorization:
     widths = [len(set(col)) for col in cols]
     free = [k for k, w in enumerate(widths) if w > 1]
     trivial = sum(1 << k for k, w in enumerate(widths) if w == 1)
+    rest = [1] * (len(free) + 1)  # rest[i]: product of the widths of free[i:]
+    for i in range(len(free) - 1, -1, -1):
+        rest[i] = rest[i + 1] * widths[free[i]]
     seen: Sequence[int] = ()  # keys of proj_S, S = the free factors so far
     seen_count = 1
     atoms: list[tuple[int, Sequence[int], int]] = []  # (mask, keys of proj_A, |proj_A|)
-    for k in free:
+    for i, k in enumerate(free):
+        if seen_count * rest[i] == len(ranks):
+            # Product exit: C = proj_S(C) x the projections of free[i:].
+            atoms += [(1 << j, cols[j], widths[j]) for j in free[i:]]
+            break
         if not atoms:
             grown, count = cols[k], widths[k]
         elif k == free[-1]:
@@ -247,28 +281,53 @@ def _factorize(space: FactoredSpace, ranks: tuple[int, ...]) -> Factorization:
             kept.append((mask, keys, len(set(keys))))
             atoms = kept
         seen, seen_count = grown, count
-    result = (trivial, tuple(sorted((m, c) for m, _, c in atoms)), {})
+    atoms.sort(key=lambda atom: atom[0] & -atom[0])  # by lowest factor
+    axes: list[Axis] = []
+    stride = 1
+    for mask, _, count in reversed(atoms):
+        axes.append((mask, count, stride))
+        stride *= count
+    axes.reverse()
+    reorder = None
+    if [k for mask, _, _ in atoms for k in free if mask >> k & 1] != free:
+        # An atom is not a run of consecutive free factors: place each rank by
+        # the order of its A-key among the A-keys of C, for every atom A.
+        pos = [0] * len(ranks)
+        for (_, keys, _), (_, _, stride) in zip(atoms, axes):
+            index = {key: v * stride for v, key in enumerate(sorted(set(keys)))}
+            pos = list(map(add, pos, map(index.__getitem__, keys)))
+        reorder = _picker(sorted(range(len(ranks)), key=pos.__getitem__))
+    result = (trivial, tuple(axes), reorder, {})
     space._atoms[ranks] = result
     return result
 
 
-def _scan_atoms(
-    space: FactoredSpace,
-    ranks: tuple[int, ...],
-    pick: Picker,
-    values: Sequence[int],
-    atoms: tuple[Atom, ...],
-) -> int:
-    """Mask of the atoms whose outside factors fail to determine the values."""
-    # Keys stay below outcome_count, so r + value * outcome_count - key_A
-    # encodes the pair (key of the factors outside A, value) injectively.
-    tagged = list(map(add, ranks, map(space.outcome_count.__mul__, values)))
+def _varies(t: Sequence[int], size: int, stride: int) -> bool:
+    """Does the tensor t change along the axis with this size and stride?"""
+    period = size * stride
+    if 2 * len(t) // period <= stride * (size + 1):
+        # Per period, t must equal itself shifted one step along the axis.
+        for b in range(0, len(t), period):
+            if t[b + stride : b + period] != t[b : b + period - stride]:
+                return True
+        return False
+    # Per offset below the axis, every position must repeat position 0.
+    for o in range(stride):
+        row = t[o::stride]
+        first = row[::size]
+        for j in range(1, size):
+            if row[j::size] != first:
+                return True
+    return False
+
+
+def _scan_atoms(entry: Factorization, values: Sequence[int]) -> int:
+    """Mask of the atoms along whose axis the block's values vary."""
+    _, axes, reorder, _ = entry
+    t = values if reorder is None else reorder(values)
     mask = 0
-    for atom, count in atoms:
-        keys = _keys(space, pick, [i for i in range(space.factor_count) if atom >> i & 1])
-        # Since A is a rectangle, |proj_{outside A}| = |C| / |proj_A|; the
-        # factors outside A determine x iff no key class holds two values.
-        if len(set(map(sub, tagged, keys))) * count != len(ranks):
+    for atom, size, stride in axes:
+        if _varies(t, size, stride):
             mask |= atom
     return mask
 
@@ -278,14 +337,14 @@ def history(space: FactoredSpace, c: Block, x: RandomVariable) -> IndexSet:
     ensure_block(space, c)
     ensure_on_space(space, x)
     ranks = c.ranks
-    pick = _picker(ranks)
-    values = pick(x.table)
+    values = _picker(ranks)(x.table)
     mask = 0
-    if len(set(values)) > 1:
-        _, atoms, known = _factorize(space, ranks)
+    if values.count(values[0]) != len(values):
+        entry = _factorize(space, ranks)
+        known = entry[3]
         mask = known.get(values)
         if mask is None:
-            mask = known[values] = _scan_atoms(space, ranks, pick, values, atoms)
+            mask = known[values] = _scan_atoms(entry, values)
     return IndexSet(mask, space.factor_count)
 
 
@@ -325,8 +384,8 @@ def disintegration_atoms(space: FactoredSpace, c: Block) -> DisintegrationAtoms:
     """
     ensure_block(space, c)
     n = space.factor_count
-    trivial_mask, atoms, _ = _factorize(space, c.ranks)
-    atom_masks = [m for m, _ in atoms]
+    trivial_mask, axes, _, _ = _factorize(space, c.ranks)
+    atom_masks = sorted(m for m, _, _ in axes)
     covered = 0
     for m in atom_masks:
         if covered & m:

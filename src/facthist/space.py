@@ -13,10 +13,10 @@ stored as dense tables of codomain indices.  Blocks are the level sets
 outcome set.
 
 Everything here is immutable after construction and safe to share between
-threads.  Internal per-factor coordinate tables, and the per-block atom
-factorizations and histories computed by the history module, are memoized
-lazily; each memo is idempotent, so a racing double computation is
-harmless.
+threads.  Internal per-factor coordinate tables, the blocks of each
+conditioner, and the per-block atom factorizations and histories computed by
+the history module are memoized lazily; each memo is idempotent, so a
+racing double computation is harmless.
 """
 
 from __future__ import annotations
@@ -209,7 +209,14 @@ class FactoredSpace:
     """
 
     __slots__ = (
-        "factors", "outcome_count", "_strides", "_ids", "_digits", "_scaled", "_atoms"
+        "factors",
+        "outcome_count",
+        "_strides",
+        "_ids",
+        "_digits",
+        "_scaled",
+        "_blocks",
+        "_atoms",
     )
 
     def __init__(
@@ -241,7 +248,10 @@ class FactoredSpace:
         object.__setattr__(self, "_ids", {f.name: i for i, f in enumerate(fs)})
         object.__setattr__(self, "_digits", {})
         object.__setattr__(self, "_scaled", {})
-        # Block ranks -> (trivial mask, atoms as (mask, projection count),
+        # (codomain, table) of a conditioner, or None for no conditioner ->
+        # its blocks by label, filled and read by blocks_of.
+        object.__setattr__(self, "_blocks", {})
+        # Block ranks -> (trivial mask, atom axes, tensor-order picker,
         # history masks by the variable's values on the block), filled and
         # read by history.py.
         object.__setattr__(self, "_atoms", {})
@@ -418,18 +428,29 @@ def blocks_of(
 ) -> dict[str, Block]:
     """Level sets of z, keyed by the attained value labels in codomain order.
 
-    Without z there is one block, the whole outcome set.
+    Without z there is one block, the whole outcome set.  The blocks are
+    memoized on the space by z's codomain and table, so a conditioner is
+    partitioned once per space; each call returns a new dict of them.
     """
     if z is None:
-        return {TRIVIAL_LABEL: full_block(space)}
-    ensure_on_space(space, z)
-    groups: dict[int, list[int]] = {}
-    for r, v in enumerate(z.table):
-        groups.setdefault(v, []).append(r)
-    return {
-        z.codomain[v]: Block(label=z.codomain[v], ranks=tuple(groups[v]))
-        for v in sorted(groups)
-    }
+        key = None
+    else:
+        ensure_on_space(space, z)
+        key = (z.codomain, z.table)
+    blocks = space._blocks.get(key)
+    if blocks is None:
+        if z is None:
+            blocks = {TRIVIAL_LABEL: full_block(space)}
+        else:
+            groups: dict[int, list[int]] = {}
+            for r, v in enumerate(z.table):
+                groups.setdefault(v, []).append(r)
+            blocks = {
+                z.codomain[v]: Block(label=z.codomain[v], ranks=tuple(groups[v]))
+                for v in sorted(groups)
+            }
+        space._blocks[key] = blocks
+    return dict(blocks)
 
 
 def full_block(space: FactoredSpace) -> Block:

@@ -66,7 +66,6 @@ from .space import (
     IndexSet,
     RandomVariable,
     blocks_of,
-    factor_var,
     fold_pair,
     pair_var,
     space_to_doc,
@@ -231,8 +230,14 @@ def check_history_laws(
     n = space.factor_count
     results = {law: True for law in HISTORY_LAWS}
 
+    # The bundle U_J as its J-projection key (the picker `tuple` reads every
+    # outcome): an injective relabelling of the joint of the factors in J,
+    # so it has the same history.
+    key_labels = tuple(map(str, range(space.outcome_count)))
+
     def uj(mask: int) -> RandomVariable:
-        return fold_pair(space, [factor_var(space, i) for i in range(n) if mask >> i & 1])
+        keys = _keys(space, tuple, IndexSet(mask, n).members())
+        return RandomVariable(name="U_J", codomain=key_labels, table=tuple(keys))
 
     xy = pair_var(space, x, y)
     f_size = rng.randint(1, len(y.codomain))

@@ -496,6 +496,17 @@ def test_integer_samples_normalize_to_sample_product():
         assert a.getstate() == b.getstate()
 
 
+@pytest.mark.parametrize("top", [101, 2])
+def test_draws_equal_randint(monkeypatch, top):
+    # Half of the bit patterns are rejected at 2, so redraws are frequent.
+    monkeypatch.setattr(distributions, "SAMPLE_GRID_MAX", top)
+    for seed in range(50):
+        for size in (0, 1, 2, 5, 17):
+            a, b = random.Random(seed), random.Random(seed)
+            assert _draw_ints(a, size) == [b.randint(1, top) for _ in range(size)]
+            assert a.getstate() == b.getstate()
+
+
 @st.composite
 def _ci_instances(draw):
     """Two to five factors of 1-3 values; x, y, z read random factor subsets.

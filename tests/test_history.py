@@ -12,6 +12,8 @@ import random
 import time
 from collections import Counter
 from itertools import combinations
+from math import prod
+from operator import xor
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,7 +38,7 @@ from facthist import (
 )
 from facthist.errors import SpaceMismatchError
 
-from helpers import make_space, make_var, xor_bundle
+from helpers import function_of, make_space, make_var, xor_bundle
 from oracles import all_subsets, oracle_determines, oracle_history, oracle_rectangle
 
 # The package re-exports the function history() under the module's name.
@@ -312,9 +314,11 @@ def test_history_memo_scans_each_block_and_table_once(monkeypatch):
     scans = Counter()
     scan = history_module._scan_atoms
 
-    def counting_scan(space, ranks, pick, values, atoms):
+    def counting_scan(entry, values):
+        # The memo entry of a block is stored under the block's ranks.
+        ranks = next(r for r, e in space._atoms.items() if e is entry)
         scans[ranks, values] += 1
-        return scan(space, ranks, pick, values, atoms)
+        return scan(entry, values)
 
     monkeypatch.setattr(history_module, "_scan_atoms", counting_scan)
     rng = random.Random("history-memo")
@@ -348,7 +352,7 @@ def test_history_memo_scans_each_block_and_table_once(monkeypatch):
                 if len(set(v.table[r] for r in c.ranks)) > 1:
                     assert scans[c.ranks, tuple(v.table[r] for r in c.ranks)] == 1
         # Every memoized mask is the history the oracle gives for those values.
-        for ranks, (_, _, known) in space._atoms.items():
+        for ranks, (*_, known) in space._atoms.items():
             block = Block(label="b", ranks=ranks)
             for values, mask in known.items():
                 table = [0] * n
@@ -359,3 +363,82 @@ def test_history_memo_scans_each_block_and_table_once(monkeypatch):
                     sorted(oracle_history(space, block, var))
                 )
     assert total >= 60
+
+
+def test_interleaved_atoms_are_read_in_tensor_order():
+    # z reads two factors with a free one between them, so on a block where
+    # z entangles them their atom is not a run of consecutive free factors,
+    # and the block's values are reordered before the axis scan.
+    rng = random.Random("interleaved-atoms")
+    interleaved = 0
+    for _ in range(30):
+        sizes = [rng.randint(2, 3) for _ in range(rng.randint(3, 4))]
+        space = make_space(*sizes)
+        i = rng.randrange(space.factor_count - 2)
+        j = rng.randrange(i + 2, space.factor_count)
+        z = function_of(space, "z", [i, j], 2, rng)
+        for c in blocks_of(space, z).values():
+            _, axes, reorder, _ = history_module._factorize(space, c.ranks)
+            if reorder is None:
+                continue
+            interleaved += 1
+            assert any(m >> i & 1 and m >> j & 1 for m, _, _ in axes)
+            for k in range(8):
+                ids = [f for f in range(space.factor_count) if rng.random() < 0.5]
+                x = function_of(space, f"x{k}", ids, 3, rng)
+                assert history(space, c, x).members() == tuple(
+                    sorted(oracle_history(space, c, x))
+                )
+    assert interleaved >= 20
+
+
+def _varies_by_cells(shape, t, axis):
+    """Does t change along this axis?  One comparison per tensor cell."""
+    n = len(t)
+    stride = n // prod(shape[: axis + 1])
+    return any(
+        t[r] != t[r - (r // stride % shape[axis]) * stride] for r in range(n)
+    )
+
+
+@pytest.mark.parametrize("shape", [(2,) * 6, (3, 2, 4), (5,), (2, 7), (4, 1, 3, 2)])
+def test_axis_scan_matches_cell_comparisons(shape):
+    # The first axis of (2,)*6 compares one period and the last one offset
+    # row, so both slice comparisons of _varies run; planting one changed
+    # cell checks that no period or row is skipped.
+    rng = random.Random(f"axis-scan:{shape}")
+    n = prod(shape)
+    for axis, size in enumerate(shape):
+        stride = n // prod(shape[: axis + 1])
+        for trial in range(30):
+            t = [rng.randrange(3) for _ in range(n)]
+            if trial % 3:
+                # Constant along the axis: copy position 0 of every line.
+                t = [t[r - (r // stride % size) * stride] for r in range(n)]
+            if trial % 3 == 2:
+                t[rng.randrange(n)] = 3
+            t = tuple(t)
+            assert history_module._varies(t, size, stride) == _varies_by_cells(
+                shape, t, axis
+            )
+
+
+def test_full_product_block_takes_the_product_exit(monkeypatch):
+    # 2^18 outcomes: every factor is an atom of its own, found before any
+    # pass that adds or subtracts projection keys; the bound leaves ample
+    # room for a loaded machine.
+    def no_key_pass(a, b):
+        raise AssertionError("the factorization combined projection keys")
+
+    monkeypatch.setattr(history_module, "add", no_key_pass)
+    monkeypatch.setattr(history_module, "sub", no_key_pass)
+    n = 18
+    space = make_space(*[2] * n)
+    x = make_var(space, "x", 2, map(xor, space.digits(3), space.digits(11)))
+    start = time.perf_counter()
+    got = history(space, full_block(space), x)
+    assert time.perf_counter() - start < 3.0
+    assert got == _ids(space, 3, 11)
+    parts = disintegration_atoms(space, full_block(space))
+    assert parts.atoms == tuple(_ids(space, i) for i in range(n))
+    assert history(space, full_block(space), factor_var(space, n - 1)) == _ids(space, n - 1)

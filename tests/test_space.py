@@ -9,6 +9,8 @@ override), validation messages, and lossless document round-trips.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -89,6 +91,29 @@ def test_trivial_var_has_one_block_covering_everything():
     assert blocks["*"].ranks == tuple(range(6))
     assert blocks["*"] == full_block(space)
     assert blocks_of(space) == blocks
+
+
+def test_blocks_are_memoized_per_space_and_returned_fresh():
+    rng = random.Random("blocks-memo")
+    for _ in range(20):
+        sizes = [rng.randint(1, 3) for _ in range(rng.randint(1, 4))]
+        space = make_space(*sizes)
+        n = space.outcome_count
+        z = make_var(space, "z", 3, [rng.randrange(3) for _ in range(n)])
+        for cond in (z, None):
+            first = blocks_of(space, cond)
+            # Equal to the blocks of a space with nothing memoized.
+            assert first == blocks_of(make_space(*sizes), cond)
+            first.pop(next(iter(first)))
+            first["extra"] = full_block(space)
+            again = blocks_of(space, cond)
+            assert again == blocks_of(make_space(*sizes), cond)
+            assert again is not blocks_of(space, cond)
+        # An equal table under other labels names its own blocks.
+        relabelled = RandomVariable(name="w", codomain=("a", "b", "c"), table=z.table)
+        assert [c.label for c in blocks_of(space, relabelled).values()] == [
+            "abc"[int(label)] for label in blocks_of(space, z)
+        ]
 
 
 def test_pair_var_attained_codomain():

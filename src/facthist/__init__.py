@@ -100,6 +100,7 @@ from .dag import (
 from .verification import (
     HISTORY_LAWS,
     SEMIGRAPHOID_AXIOMS,
+    SUITE_MAX_FACTORS,
     DualityOutcome,
     LawTally,
     SeparationOutcome,

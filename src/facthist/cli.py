@@ -3,7 +3,9 @@
 Every command prints a single JSON document on stdout and keeps diagnostics
 on stderr.  Exit codes: 0 for an affirmative verdict or passing run, 1 for a
 negative verdict (dependent, d-connected, witness not found, suite failed),
-2 for usage, parse, and name errors, 3 when a size cap is exceeded.
+2 for usage, parse, and name errors, 3 when a size cap is exceeded.  If the
+reader closes stdout before the document is written out (``| head -c0``),
+the command exits 0, whatever the verdict, and prints no traceback.
 
 Conditioning variables are given as a comma-separated name list; the list
 is folded into a joint variable, and an empty list means conditioning on
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -47,6 +50,9 @@ from .space import (
     space_to_doc,
 )
 from .verification import SuiteConfig, run_suite
+
+# The exit code when the reader closes stdout before the document is out.
+EXIT_CLOSED_STDOUT = 0
 
 
 def _load_json(path: str) -> object:
@@ -379,7 +385,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # Write the document out here, so a closed stdout fails inside the
+        # handler below and not at interpreter shutdown.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull so that the final flush at shutdown has
+        # somewhere to write the rest of the buffer.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_STDOUT
     except SpaceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -50,7 +50,11 @@ and each is a C-level comparison of small ints.  When every atom is a run
 of consecutive free factors, rank order is already tensor order (ranks
 compare lexicographically, factor by factor), so t is the values as read;
 otherwise the factorization memoizes one itemgetter that lists C's ranks
-by tensor position.
+by tensor position.  On the full outcome set every factor of more than one
+value is an atom of its own and rank order is tensor order, so _varies
+over a variable's whole table, with a factor's size and stride, says
+whether that factor is in the variable's unconditional history; the CI
+queries of the distributions module read their factors that way.
 
 The atoms are built one factor at a time.  A factor constant on C joins the
 trivial part.  Otherwise factor k joins the factors seen so far, S, whose
@@ -170,8 +174,11 @@ def _picker(ranks: Sequence[int]) -> Picker:
     """An itemgetter that reads a table at these positions, in order.
 
     itemgetter returns a bare item for one key, so one position becomes a
-    one-item slice: the result is always a sequence of the table's type.
+    one-item slice, and none an empty slice: the result is always a
+    sequence of the table's type.
     """
+    if not ranks:
+        return itemgetter(slice(0, 0))
     if len(ranks) == 1:
         return itemgetter(slice(ranks[0], ranks[0] + 1))
     return itemgetter(*ranks)

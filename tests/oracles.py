@@ -141,7 +141,7 @@ def oracle_int_weights(space: FactoredSpace, p: ProductDistribution) -> list[int
 
 def oracle_ci_report(
     space: FactoredSpace,
-    p: ProductDistribution,
+    p: ProductDistribution | list[list[int]],
     x: RandomVariable,
     y: RandomVariable,
     z: RandomVariable,
@@ -149,10 +149,18 @@ def oracle_ci_report(
 ) -> CiReport:
     """The full CI report by a per-rank pass over each block of z.
 
-    Blocks are taken in codomain order and value pairs (a, b) in row-major
-    order, so the first violation is the one the package must report.
+    p is a product distribution or one integer vector per factor; integer
+    vectors may be all zero, which no distribution can be.  Blocks are
+    taken in codomain order and value pairs (a, b) in row-major order, so
+    the first violation is the one the package must report.
     """
-    weights = oracle_int_weights(space, p)
+    if isinstance(p, ProductDistribution):
+        weights = oracle_int_weights(space, p)
+    else:
+        weights = [
+            math.prod(vec[v] for vec, v in zip(p, outcome_unrank(space, r)))
+            for r in range(space.outcome_count)
+        ]
     kx, ky = len(x.codomain), len(y.codomain)
     for zv, zlabel in enumerate(z.codomain):
         ranks = [r for r in range(space.outcome_count) if z.table[r] == zv]

@@ -257,6 +257,15 @@ def test_axioms_failure_exit(capsys):
     assert json.loads(out)["failed"] is True
 
 
+@pytest.mark.parametrize("factors", ["9", "20"])
+def test_axioms_factor_bound_is_checked_before_any_work(capsys, factors):
+    # Three iterations at 10 factors already take about 26 s.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "axioms", "--max-factors", factors, "--iters", "3")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (2, "", "error: max_factors must lie in 2..8\n")
+
+
 def test_pretty_output(capsys, space_file):
     code, out, _ = run_cli(capsys, "history", space_file, "--var", "u0", "--pretty")
     assert code == 0
@@ -421,6 +430,53 @@ def test_console_entry_point(space_file):
     proc = run_module("indep", space_file, "u0", "u1")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["independent"] is True
+
+
+def _run_with_closed_stdout(*argv, unbuffered):
+    """Run ``python -m facthist.cli`` with a reader that closes stdout unread."""
+    src = str(Path(facthist.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "facthist.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    # The child is still starting up, so nothing it writes is ever read.
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    return proc.wait(), err.decode()
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_exits_zero_without_a_traceback(tmp_path, unbuffered):
+    from test_corpora import _load_workloads
+
+    (op, *_) = _load_workloads().ci_verify(0, tmp_path)
+    space = op.calls[0][1]
+    # Buffered, a short document fails when main() flushes it and one of
+    # about 12 kB (an embedding of 256 outcomes) while it is printed;
+    # unbuffered, every document fails while it is printed.
+    dag = Dag([(n, 2) for n in "ABCD"], [("A", "C"), ("B", "C"), ("C", "D")])
+    dag_path = tmp_path / "dag.json"
+    dag_path.write_text(json.dumps(dag_to_doc(dag)))
+    # A positive verdict, a negative one and a large document end alike.
+    for argv in (
+        ("indep", space, "X", "Y", "--given", "Z"),
+        ("indep", space, "X", "W", "--given", "Z"),
+        ("embed", str(dag_path), "--pretty"),
+    ):
+        assert _run_with_closed_stdout(*argv, unbuffered=unbuffered) == (0, ""), argv
+    # Errors still go to stderr with their own codes.
+    code, err = _run_with_closed_stdout(
+        "indep", str(tmp_path / "missing.json"), "X", "Y", unbuffered=unbuffered
+    )
+    assert code == 2 and err.startswith("error: cannot read")
 
 
 STDLIB_CHILD = r"""

@@ -8,6 +8,7 @@ integer-weight internals never get to grade their own homework.
 from __future__ import annotations
 
 import json
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -509,24 +510,43 @@ def test_draws_equal_randint(monkeypatch, top):
 
 @st.composite
 def _ci_instances(draw):
-    """Two to five factors of 1-3 values; x, y, z read random factor subsets.
+    """Two to six factors of 1-3 values; x, y, z read random factor subsets.
 
-    Entries of the integer vectors come from {0, 1, 2, 7, 50}, so some
-    vectors have zeros and some blocks carry no mass.
+    In about half the draws there are four to six factors of 2-3 values, x
+    and y are two-valued functions of every factor and z has at most two
+    values, so the quotient keeps every factor and the few cells let the
+    query fold trailing factors.  Elsewhere random subsets leave factors
+    unread or read by one variable only.  Entries of the integer vectors
+    come from {0, 1, 2, 7, 50}, so some vectors have zeros and some blocks
+    carry no mass.
     """
-    sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=5))
+    entangled = draw(st.booleans())
+    if entangled:
+        sizes = draw(st.lists(st.integers(2, 3), min_size=4, max_size=6))
+    else:
+        sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=5))
     space = make_space(*sizes)
     outcomes = list(product(*(range(s) for s in sizes)))
 
-    def variable(name):
-        ids = [i for i in range(len(sizes)) if draw(st.booleans())]
-        k = draw(st.integers(1, 4))
-        keys = list(product(*(range(sizes[i]) for i in ids)))
-        values = draw(st.lists(st.integers(0, k - 1), min_size=len(keys), max_size=len(keys)))
+    def variable(name, every=False, most=4):
+        if every:
+            # Up to 729 values: one seed draws them, so the example stays small.
+            ids, k = range(len(sizes)), 2
+            keys = list(product(*(range(s) for s in sizes)))
+            rng = random.Random(draw(st.integers(0, 2**32)))
+            values = [rng.randrange(k) for _ in keys]
+        else:
+            ids = [i for i in range(len(sizes)) if draw(st.booleans())]
+            k = draw(st.integers(1, most))
+            keys = list(product(*(range(sizes[i]) for i in ids)))
+            values = draw(
+                st.lists(st.integers(0, k - 1), min_size=len(keys), max_size=len(keys))
+            )
         value_of = dict(zip(keys, values))
         return make_var(space, name, k, [value_of[tuple(o[i] for i in ids)] for o in outcomes])
 
-    x, y, z = variable("x"), variable("y"), variable("z")
+    x, y = variable("x", entangled), variable("y", entangled)
+    z = variable("z", most=2 if entangled else 4)
     entries = st.sampled_from((0, 1, 2, 7, 50))
     nums = [
         draw(st.lists(entries, min_size=s, max_size=s).filter(any)) for s in sizes
@@ -534,41 +554,67 @@ def _ci_instances(draw):
     return space, x, y, z, nums
 
 
-def _fold_instance(sizes, x_ids, y_ids, z_ids):
+def _fold_instance(sizes, x_ids, y_ids, z_ids, k=3):
     rng = random.Random(f"fold:{sizes}")
     space = make_space(*sizes)
     x, y, z = (
-        function_of(space, name, ids, 3, rng)
+        function_of(space, name, ids, k, rng)
         for name, ids in (("x", x_ids), ("y", y_ids), ("z", z_ids))
     )
     nums = [[rng.randint(1, 9) for _ in range(s)] for s in sizes]
     return space, x, y, z, nums
 
 
-# Instances whose queries fold 0, 1 and 3 trailing factors into the tail.
-# x and y share a factor, and the last one shares a tail factor, so their
-# violations depend on the tail weights.
+# Instances whose queries fold 0, 1 and 3 trailing factors into the tail of
+# the quotient.  x and y share a factor, and the last one shares a tail
+# factor, so their violations depend on the tail weights.  In the folding
+# ones x and y are two-valued and entangled: each reads every factor but
+# the other's first, so no factor is dropped or lumped and four cells are
+# few enough to fold.
 FOLD_INSTANCES = {
     0: _fold_instance((2, 2, 2), (0, 2), (1, 2), ()),
-    1: _fold_instance((2, 2, 2, 2, 2), (0, 4), (1, 4), (2,)),
-    3: _fold_instance((2, 3, 2, 2, 2, 1, 2, 2), (0, 7), (1, 7), (4, 6)),
+    1: _fold_instance((2,) * 5, (0, 2, 3, 4), (1, 2, 3, 4), (), k=2),
+    3: _fold_instance((2,) * 8, (0, *range(2, 8)), range(1, 8), (), k=2),
 }
+# Instances that folded 1 and 3 factors over the whole space.  On the
+# quotient, u3 is unread in the first; in the second u2, u3 and u5 are
+# unread and z's private u4 and u6 are lumped into two classes.
+REDUCED_INSTANCES = (
+    _fold_instance((2, 2, 2, 2, 2), (0, 4), (1, 4), (2,)),
+    _fold_instance((2, 3, 2, 2, 2, 1, 2, 2), (0, 7), (1, 7), (4, 6)),
+)
 
 
 def _folds(query):
-    return query.space.factor_count - query.head
+    # Folds are counted on the quotient's factors.
+    return len(query.sizes) - query.head
+
+
+def _regime(query):
+    """What the quotient did: drop an unread factor, lump, both, or nothing."""
+    unread = any(query.space.factors[i].size > 1 for i in query.unread)
+    if unread and query.lumps:
+        return "both"
+    if unread:
+        return "unread"
+    return "lumped" if query.lumps else "none"
 
 
 def test_fold_instances_fold_what_they_name():
     for folds, (space, x, y, z, nums) in FOLD_INSTANCES.items():
         query = _CiQuery(space, x, y, z)
         assert _folds(query) == folds
+        assert _regime(query) == "none"
         assert not query.check_ints(nums).holds
+    regimes = [_regime(_CiQuery(*instance[:4])) for instance in REDUCED_INSTANCES]
+    assert regimes == ["unread", "both"]
 
 
 @example(instance=FOLD_INSTANCES[0], tolerance=None)
 @example(instance=FOLD_INSTANCES[1], tolerance=0.01)
 @example(instance=FOLD_INSTANCES[3], tolerance=None)
+@example(instance=REDUCED_INSTANCES[0], tolerance=None)
+@example(instance=REDUCED_INSTANCES[1], tolerance=0.1)
 @settings(max_examples=300, deadline=None)
 @given(instance=_ci_instances(), tolerance=st.sampled_from((None, None, 0.0, 0.01, 0.1)))
 def test_prepared_query_matches_oracle(instance, tolerance):
@@ -582,17 +628,79 @@ def test_prepared_query_matches_oracle(instance, tolerance):
 
 def test_generated_queries_fold_zero_one_and_more_factors():
     # The property above draws from this strategy; its instances must reach
-    # every fold regime, not only the pinned examples.
-    seen = Counter()
+    # every fold regime, and every way of building the quotient, not only
+    # the pinned examples.
+    folds, regimes = Counter(), Counter()
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(_ci_instances())
     def count(instance):
         space, x, y, z, _ = instance
-        seen[min(_folds(_CiQuery(space, x, y, z)), 2)] += 1
+        query = _CiQuery(space, x, y, z)
+        folds[min(_folds(query), 2)] += 1
+        regime = _regime(query)
+        regimes[regime] += 1
+        if regime == "both":
+            regimes["unread"] += 1
+            regimes["lumped"] += 1
 
     count()
-    assert all(seen[k] >= 10 for k in (0, 1, 2)), seen
+    assert all(folds[k] >= 10 for k in (0, 1, 2)), folds
+    assert all(regimes[k] >= 10 for k in ("none", "unread", "lumped")), regimes
+
+
+def _ci_verify_space():
+    """The shape of the benchmark's ci-verify spaces: 8 factors, 1296 outcomes.
+
+    X, Y and Z are onto three values and read u0-u2, u3-u5 and u6-u7; W reads
+    u2 and u3.
+    """
+    rng = random.Random("ci-verify-shape")
+    space = make_space(2, 3, 2, 3, 2, 3, 2, 3)
+    variables = {}
+    for name, ids, k in (
+        ("X", (0, 1, 2), 3), ("Y", (3, 4, 5), 3), ("Z", (6, 7), 3), ("W", (2, 3), 2)
+    ):
+        var = function_of(space, name, ids, k, rng)
+        while len(set(var.table)) < k:
+            var = function_of(space, name, ids, k, rng)
+        variables[name] = var
+    return space, variables
+
+
+def test_ci_verify_queries_reduce_to_small_quotients():
+    space, v = _ci_verify_space()
+    query = _CiQuery(space, v["X"], v["Y"], v["Z"])
+    # No factor is shared, so each variable's factors lump into its values:
+    # 1296 outcomes become 27.
+    assert query.factors == ((0, 1, 2), (3, 4, 5), (6, 7))
+    assert query.sizes == [3, 3, 3]
+    assert query.unread == ()
+    # u2 is shared by X and W; u4 and u5 are unread.
+    mixed = _CiQuery(space, v["X"], v["W"], v["Z"])
+    assert mixed.unread == (4, 5)
+    assert set(mixed.factors) == {(0, 1), (2,), (3,), (6, 7)}
+    assert 60 <= math.prod(mixed.sizes) <= 108
+    for i in range(20):
+        nums = _sample_ints(space, i)
+        p = _normalized_product(nums)
+        assert query.check_ints(nums) == oracle_ci_report(space, p, v["X"], v["Y"], v["Z"])
+        assert mixed.check_ints(nums) == oracle_ci_report(space, p, v["X"], v["W"], v["Z"])
+
+
+def test_zero_vector_on_an_unread_factor_is_degenerate_like_the_oracle():
+    # u3 is read by no variable, so the quotient drops it; its zero vector
+    # still zeroes every block, and the first block is the one reported.
+    space, x, y, z, nums = REDUCED_INSTANCES[0]
+    query = _CiQuery(space, x, y, z)
+    assert query.unread == (3,)
+    nums = [list(vec) for vec in nums]
+    nums[3] = [0, 0]
+    with pytest.raises(DegenerateBlockError) as got:
+        query.check_ints(nums)
+    with pytest.raises(DegenerateBlockError) as want:
+        oracle_ci_report(space, nums, x, y, z)
+    assert str(got.value) == str(want.value)
 
 
 def _pinned_space_doc():

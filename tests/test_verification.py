@@ -19,6 +19,7 @@ import pytest
 from facthist import (
     HISTORY_LAWS,
     SEMIGRAPHOID_AXIOMS,
+    SUITE_MAX_FACTORS,
     SuiteConfig,
     blocks_of,
     check_duality,
@@ -73,6 +74,9 @@ def test_config_validation():
         SuiteConfig(max_factors=1)
     with pytest.raises(ValueError):
         SuiteConfig(max_factors=21)
+    assert SuiteConfig(max_factors=SUITE_MAX_FACTORS).max_factors == 8
+    with pytest.raises(ValueError, match=r"max_factors must lie in 2\.\.8"):
+        SuiteConfig(max_factors=SUITE_MAX_FACTORS + 1)
     with pytest.raises(ValueError):
         SuiteConfig(max_domain=1)
     with pytest.raises(ValueError):

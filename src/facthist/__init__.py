@@ -45,6 +45,7 @@ from .space import (
     pair_var,
     space_from_doc,
     space_to_doc,
+    support,
     trivial_var,
 )
 from .history import (
@@ -101,6 +102,7 @@ from .verification import (
     HISTORY_LAWS,
     SEMIGRAPHOID_AXIOMS,
     SUITE_MAX_FACTORS,
+    SUITE_MAX_OUTCOMES,
     DualityOutcome,
     LawTally,
     SeparationOutcome,

@@ -74,7 +74,6 @@ from .errors import (
 )
 from .history import (
     _picker,
-    _varies,
     conditional_history,
     structurally_independent,
 )
@@ -83,8 +82,9 @@ from .space import (
     Block,
     FactoredSpace,
     RandomVariable,
+    _grid_sum,
     blocks_of,
-    ensure_on_space,
+    support,
 )
 
 __all__ = [
@@ -315,14 +315,6 @@ def _expand(vecs: Sequence[Sequence[int]], scale: int = 1) -> list[int]:
     return w
 
 
-def _grid_sum(offsets: Sequence[Sequence[int]]) -> list[int]:
-    """Every sum of one entry per list, the last list varying fastest."""
-    out = [0]
-    for offs in offsets:
-        out = [a + b for a in out for b in offs]
-    return out
-
-
 def _runs(groups: Sequence[Sequence[int]]) -> list[slice]:
     """The slice of each group in the concatenation of the groups."""
     out = []
@@ -400,14 +392,17 @@ class _CiQuery:
 
     The check runs on a quotient of the space.  The readers of a factor are
     those of x, y and z whose tables vary along it, so each variable's
-    factors are its unconditional history.  A factor with no reader is
-    dropped, and the product K of the sums of the dropped factors' vectors
-    scales every weight.  The factors read by one variable v alone, its
-    private group, become one virtual factor if that shrinks them: its
-    values are the classes of the group's assignments that give v the same
-    column over v's other factors, and a class weighs the sum of its
-    assignments' weights.  The quotient factors are these lumps, by lowest
-    factor, then the kept factors in order.  x, y and z are read off one
+    factors are its support, its unconditional history.  Supports are
+    memoized on the space (space.support): blocks_of and the histories on
+    lifted blocks read the same entries, so after structurally_independent
+    all three are known.  A factor with no reader is dropped, and the
+    product K of the sums of the dropped factors' vectors scales every
+    weight.  The factors read by one variable v alone, its private group,
+    become one virtual factor if that shrinks them: its values are the
+    classes of the group's assignments that give v the same column over v's
+    other factors, and a class weighs the sum of its assignments' weights.
+    The quotient factors are these lumps, by lowest factor, then the kept
+    factors in order.  x, y and z are read off one
     representative outcome per quotient outcome, and every cell sum on the
     quotient equals the sum over the whole space.  When no factor of more
     than one value is dropped and no group shrinks, the quotient is the
@@ -437,16 +432,15 @@ class _CiQuery:
     ) -> None:
         self.space, self.x, self.y = space, x, y
         variables = [x, y] if z is None else [x, y, z]
-        for v in variables:
-            ensure_on_space(space, v)
         tables = [v.table for v in variables]
         sizes = [f.size for f in space.factors]
         strides = space._strides
-        readers = [0] * len(sizes)  # bit v set when tables[v] varies along the factor
-        for v, t in enumerate(tables):
-            for i, (size, stride) in enumerate(zip(sizes, strides)):
-                if size > 1 and _varies(t, size, stride):
-                    readers[i] |= 1 << v
+        supports = [support(space, v) for v in variables]
+        # Bit v set when variables[v] reads the factor.
+        readers = [
+            sum(1 << v for v, s in enumerate(supports) if s >> i & 1)
+            for i in range(len(sizes))
+        ]
         # The rank offset of each value of each factor.
         steps = [range(0, n * stride, stride) for n, stride in zip(sizes, strides)]
         private: dict[int, list[int]] = {}  # reader bit -> the factors only it reads

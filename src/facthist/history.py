@@ -46,15 +46,33 @@ determine x exactly when t is constant along axis i (_varies).  With
 period P = s_i * stride, that is t[b+stride : b+P] == t[b : b+P-stride] for
 every period b, or row[j::s_i] == row[::s_i] for every offset row
 t[o::stride] and 0 < j < s_i; the scan takes whichever needs fewer slices,
-and each is a C-level comparison of small ints.  When every atom is a run
-of consecutive free factors, rank order is already tensor order (ranks
-compare lexicographically, factor by factor), so t is the values as read;
-otherwise the factorization memoizes one itemgetter that lists C's ranks
-by tensor position.  On the full outcome set every factor of more than one
-value is an atom of its own and rank order is tensor order, so _varies
-over a variable's whole table, with a factor's size and stride, says
-whether that factor is in the variable's unconditional history; the CI
-queries of the distributions module read their factors that way.
+and each is a C-level comparison of small ints.  The factorization
+memoizes one itemgetter that reads C's values off a table in tensor order.
+When every atom is a run of consecutive free factors, rank order is already
+tensor order (ranks compare lexicographically, factor by factor), so it
+reads C's ranks as they are.  On the full outcome set every factor of more
+than one value is an atom of its own and rank order is tensor order, so
+_varies over a variable's whole table, with a factor's size and stride,
+says whether that factor is in the variable's unconditional history, its
+support (space.support); the CI queries of the distributions module read
+their factors that way.
+
+A level-set block of z is its grid block times the unread factors.  z reads
+only the factors of its support S, so every block C of z is G x Omega_R,
+where G is the block of z on the grid Omega_S (space.Grid) and R holds the
+factors of more than one value outside S.  A set of factors is a rectangle
+of C exactly when its part in S is a rectangle of G, so the atoms of C are
+those of G, lifted to the full factor ids, plus one singleton atom per
+factor of R; the trivial part is G's plus the factors of one value.
+blocks_of records each grid block, and the factorization of C is then the
+ordinary one of G on the grid space (_lift): a pass over |G| ranks of |S|
+factors instead of |C| ranks of all of them, with no full-length coordinate
+table.  Its tensor lists G in G's tensor order and, under each point of G,
+the assignments of R in rank order, so one itemgetter of full ranks reads
+it.  A history there skips each atom x's table does not vary along at all,
+found from x's support: two outcomes that differ only in such an atom agree
+on x.  When z reads every factor of more than one value, or there is no z,
+the block is factorized directly, as is any block not made by blocks_of.
 
 The atoms are built one factor at a time.  A factor constant on C joins the
 trivial part.  Otherwise factor k joins the factors seen so far, S, whose
@@ -85,17 +103,17 @@ per atom when the shortcut fails, so factorizing a block of n factors costs
 O(n^2 * |C|) time and O(n * |C|) transient memory; a history costs at most
 one comparison of |C| values per atom on top, and stops at the first
 difference along an axis.  The result (trivial mask, one axis (mask, size,
-stride) per atom in tensor order, and the tensor-order itemgetter when one
-is needed; no key lists) is memoized on the FactoredSpace keyed by the
-block's ranks, because independence checks, verification and the law
-suites ask for several histories per block.  The same entry memoizes each
-history, keyed by the variable's values on the block: a history depends on
-nothing else, so variables with equal tables share it whatever their
-names, and a repeated question (verify asks structurally_independent once
-itself and once more through verify_soundness or find_witness) costs one
-O(|C|) read of those values.
-A variable constant on the block has the empty history and is neither
-factorized nor memoized.
+stride) per atom in tensor order, the tensor-order itemgetter, and whether
+it was lifted from a grid; no key lists) is memoized on the FactoredSpace
+keyed by the block's ranks, because independence checks, verification and
+the law suites ask for several histories per block.  The same entry
+memoizes each history, keyed by the variable's values on the block in
+tensor order: a history depends on nothing else, so variables with equal
+tables share it whatever their names, and a repeated question (verify asks
+structurally_independent once itself and once more through
+verify_soundness or find_witness) costs one O(|C|) read of those values.
+A variable constant on the block has the empty history and is never
+memoized, and the block is not factorized for it.
 
 The *conditional history* maps every attained value of a conditioning
 variable z to the history on that block.  Two variables are *structurally
@@ -116,11 +134,15 @@ from .space import (
     TRIVIAL_NAME,
     Block,
     FactoredSpace,
+    Grid,
     IndexSet,
     RandomVariable,
+    _grid_sum,
+    _varies,
     blocks_of,
     ensure_block,
     ensure_on_space,
+    support,
 )
 
 __all__ = [
@@ -239,10 +261,10 @@ def generates(space: FactoredSpace, c: Block, j: IndexSet, x: RandomVariable) ->
 
 # One axis of the atom tensor: (atom mask, |proj_A(C)|, stride).
 Axis = tuple[int, int, int]
-# (trivial mask, axes in tensor order, picker that puts a block's values in
-# tensor order or None if rank order already is, history masks memoized by
-# the variable's values on the block)
-Factorization = tuple[int, tuple[Axis, ...], Picker | None, dict[Sequence[int], int]]
+# (trivial mask, axes in tensor order, picker that reads a table's values on
+# the block in tensor order, history masks memoized by those values, whether
+# the axes are lifted from a grid and may be skipped outside a support)
+Factorization = tuple[int, tuple[Axis, ...], Picker, dict[Sequence[int], int], bool]
 
 
 def _factorize(space: FactoredSpace, ranks: tuple[int, ...]) -> Factorization:
@@ -250,6 +272,14 @@ def _factorize(space: FactoredSpace, ranks: tuple[int, ...]) -> Factorization:
     cached = space._atoms.get(ranks)
     if cached is not None:
         return cached
+    grid = space._grids.get(ranks)
+    result = _factorize_block(space, ranks) if grid is None else _lift(space, *grid)
+    space._atoms[ranks] = result
+    return result
+
+
+def _factorize_block(space: FactoredSpace, ranks: tuple[int, ...]) -> Factorization:
+    """Factorize the block with these ranks one factor at a time."""
     pick = _picker(ranks)
     cols = [pick(space.scaled_digits(k)) for k in range(space.factor_count)]
     widths = [len(set(col)) for col in cols]
@@ -295,7 +325,6 @@ def _factorize(space: FactoredSpace, ranks: tuple[int, ...]) -> Factorization:
         axes.append((mask, count, stride))
         stride *= count
     axes.reverse()
-    reorder = None
     if [k for mask, _, _ in atoms for k in free if mask >> k & 1] != free:
         # An atom is not a run of consecutive free factors: place each rank by
         # the order of its A-key among the A-keys of C, for every atom A.
@@ -303,38 +332,41 @@ def _factorize(space: FactoredSpace, ranks: tuple[int, ...]) -> Factorization:
         for (_, keys, _), (_, _, stride) in zip(atoms, axes):
             index = {key: v * stride for v, key in enumerate(sorted(set(keys)))}
             pos = list(map(add, pos, map(index.__getitem__, keys)))
-        reorder = _picker(sorted(range(len(ranks)), key=pos.__getitem__))
-    result = (trivial, tuple(axes), reorder, {})
-    space._atoms[ranks] = result
-    return result
+        order = sorted(range(len(ranks)), key=pos.__getitem__)
+        pick = _picker([ranks[i] for i in order])
+    return (trivial, tuple(axes), pick, {}, False)
 
 
-def _varies(t: Sequence[int], size: int, stride: int) -> bool:
-    """Does the tensor t change along the axis with this size and stride?"""
-    period = size * stride
-    if 2 * len(t) // period <= stride * (size + 1):
-        # Per period, t must equal itself shifted one step along the axis.
-        for b in range(0, len(t), period):
-            if t[b + stride : b + period] != t[b : b + period - stride]:
-                return True
-        return False
-    # Per offset below the axis, every position must repeat position 0.
-    for o in range(stride):
-        row = t[o::stride]
-        first = row[::size]
-        for j in range(1, size):
-            if row[j::size] != first:
-                return True
-    return False
+def _lift(space: FactoredSpace, grid: Grid, granks: tuple[int, ...]) -> Factorization:
+    """The factorization of a grid block times the factors the grid leaves out.
+
+    Its atoms are those of the grid block, mapped to full factor ids, then
+    each other factor of more than one value on its own.  The tensor lists
+    the grid block in its own tensor order, and under each grid point the
+    other factors' assignments in rank order.
+    """
+    gtrivial, gaxes, gread, _, _ = _factorize(grid.space, granks)
+
+    def to_full(gmask: int) -> int:
+        return sum(1 << i for k, i in enumerate(grid.ids) if gmask >> k & 1)
+
+    inner = len(grid.rest)
+    axes = [(to_full(m), size, stride * inner) for m, size, stride in gaxes]
+    for i in grid.rest_ids:
+        inner //= space.factors[i].size
+        axes.append((1 << i, space.factors[i].size, inner))
+    trivial = to_full(gtrivial) | sum(
+        1 << i for i, f in enumerate(space.factors) if f.size == 1
+    )
+    read = _picker(_grid_sum([gread(grid.offsets), grid.rest]))
+    return (trivial, tuple(axes), read, {}, True)
 
 
-def _scan_atoms(entry: Factorization, values: Sequence[int]) -> int:
-    """Mask of the atoms along whose axis the block's values vary."""
-    _, axes, reorder, _ = entry
-    t = values if reorder is None else reorder(values)
+def _scan_atoms(entry: Factorization, values: Sequence[int], reads: int) -> int:
+    """Mask of the atoms that meet reads and along whose axis the values vary."""
     mask = 0
-    for atom, size, stride in axes:
-        if _varies(t, size, stride):
+    for atom, size, stride in entry[1]:
+        if atom & reads and _varies(values, size, stride):
             mask |= atom
     return mask
 
@@ -344,14 +376,22 @@ def history(space: FactoredSpace, c: Block, x: RandomVariable) -> IndexSet:
     ensure_block(space, c)
     ensure_on_space(space, x)
     ranks = c.ranks
-    values = _picker(ranks)(x.table)
-    mask = 0
-    if values.count(values[0]) != len(values):
+    entry = space._atoms.get(ranks)
+    if entry is None:
+        values = _picker(ranks)(x.table)
+        if values.count(values[0]) == len(values):
+            return IndexSet(0, space.factor_count)
         entry = _factorize(space, ranks)
-        known = entry[3]
-        mask = known.get(values)
-        if mask is None:
-            mask = known[values] = _scan_atoms(entry, values)
+    _, _, read, known, lifted = entry
+    values = read(x.table)
+    mask = known.get(values)
+    if mask is None:
+        if values.count(values[0]) == len(values):
+            return IndexSet(0, space.factor_count)
+        # On a lifted block, skip the atoms x's table does not vary along
+        # anywhere: outcomes that differ only there agree on x.
+        reads = support(space, x) if lifted else -1
+        mask = known[values] = _scan_atoms(entry, values, reads)
     return IndexSet(mask, space.factor_count)
 
 
@@ -391,7 +431,7 @@ def disintegration_atoms(space: FactoredSpace, c: Block) -> DisintegrationAtoms:
     """
     ensure_block(space, c)
     n = space.factor_count
-    trivial_mask, axes, _, _ = _factorize(space, c.ranks)
+    trivial_mask, axes, _, _, _ = _factorize(space, c.ranks)
     atom_masks = sorted(m for m, _, _ in axes)
     covered = 0
     for m in atom_masks:

@@ -12,11 +12,17 @@ stored as dense tables of codomain indices.  Blocks are the level sets
 {z = value} of a conditioning variable; together they partition the
 outcome set.
 
+The *support* of a variable is the set of factors its table varies along:
+changing that factor's coordinate alone changes the value somewhere.  A
+variable reads nothing outside its support, so a block of z is the block of
+z on the grid of supp(z) times every factor z does not read; blocks_of
+partitions only that grid.
+
 Everything here is immutable after construction and safe to share between
-threads.  Internal per-factor coordinate tables, the blocks of each
-conditioner, and the per-block atom factorizations and histories computed by
-the history module are memoized lazily; each memo is idempotent, so a
-racing double computation is harmless.
+threads.  Internal per-factor coordinate tables, supports, the blocks of
+each conditioner, and the per-block atom factorizations and histories
+computed by the history module are memoized lazily; each memo is
+idempotent, so a racing double computation is harmless.
 """
 
 from __future__ import annotations
@@ -25,8 +31,8 @@ import math
 import os
 from dataclasses import dataclass
 from itertools import chain, repeat
-from operator import lt
-from typing import Iterable, Iterator, Mapping, Sequence
+from operator import itemgetter, lt
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
     FormatError,
@@ -160,13 +166,19 @@ class IndexSet:
 
 @dataclass(frozen=True)
 class RandomVariable:
-    """A dense total function from outcome ranks to codomain indices."""
+    """A dense total function from outcome ranks to codomain indices.
+
+    A table given as another sequence is stored as a tuple, so the memos of
+    a space can key on it.
+    """
 
     name: str
     codomain: tuple[str, ...]
     table: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.table, tuple):
+            object.__setattr__(self, "table", tuple(self.table))
         if not self.name:
             raise ValueError("variable name must be a non-empty string")
         if not self.codomain:
@@ -215,7 +227,9 @@ class FactoredSpace:
         "_ids",
         "_digits",
         "_scaled",
+        "_supports",
         "_blocks",
+        "_grids",
         "_atoms",
     )
 
@@ -248,12 +262,19 @@ class FactoredSpace:
         object.__setattr__(self, "_ids", {f.name: i for i, f in enumerate(fs)})
         object.__setattr__(self, "_digits", {})
         object.__setattr__(self, "_scaled", {})
+        # A variable's table -> its support mask, filled and read by support.
+        object.__setattr__(self, "_supports", {})
         # (codomain, table) of a conditioner, or None for no conditioner ->
         # its blocks by label, filled and read by blocks_of.
         object.__setattr__(self, "_blocks", {})
-        # Block ranks -> (trivial mask, atom axes, tensor-order picker,
-        # history masks by the variable's values on the block), filled and
-        # read by history.py.
+        # Ranks of a block partitioned on its conditioner's grid -> (Grid,
+        # the block's ranks on the grid), filled by blocks_of and read by
+        # history.py.
+        object.__setattr__(self, "_grids", {})
+        # Block ranks -> (trivial mask, atom axes, picker that reads a table
+        # in tensor order, history masks by the variable's values in that
+        # order, whether the axes are lifted from a grid), filled and read
+        # by history.py.
         object.__setattr__(self, "_atoms", {})
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -423,14 +444,112 @@ def fold_pair(space: FactoredSpace, xs: Sequence[RandomVariable]) -> RandomVaria
     )
 
 
+def _varies(t: Sequence[int], size: int, stride: int) -> bool:
+    """Does the tensor t change along the axis with this size and stride?"""
+    period = size * stride
+    if 2 * len(t) // period <= stride * (size + 1):
+        # Per period, t must equal itself shifted one step along the axis.
+        for b in range(0, len(t), period):
+            if t[b + stride : b + period] != t[b : b + period - stride]:
+                return True
+        return False
+    # Per offset below the axis, every position must repeat position 0.
+    for o in range(stride):
+        row = t[o::stride]
+        first = row[::size]
+        for j in range(1, size):
+            if row[j::size] != first:
+                return True
+    return False
+
+
+def support(space: FactoredSpace, x: RandomVariable) -> int:
+    """Mask of the factors along which x's table varies, memoized by table.
+
+    A table in rank order is a tensor with one axis per factor, so each
+    factor of more than one value costs one _varies pass.
+    """
+    ensure_on_space(space, x)
+    table = x.table
+    mask = space._supports.get(table)
+    if mask is None:
+        mask = 0
+        for i, (f, stride) in enumerate(zip(space.factors, space._strides)):
+            if f.size > 1 and _varies(table, f.size, stride):
+                mask |= 1 << i
+        space._supports[table] = mask
+    return mask
+
+
+def _grid_sum(offsets: Sequence[Sequence[int]]) -> list[int]:
+    """Every sum of one entry per list, the last list varying fastest."""
+    out = [0]
+    for offs in offsets:
+        out = [a + b for a in out for b in offs]
+    return out
+
+
+class Grid(NamedTuple):
+    """The factors a conditioner reads, as a space of their own.
+
+    ``ids`` are the grid's factors in the full space and ``offsets`` the
+    full rank of each grid rank with every other coordinate 0.  ``rest_ids``
+    are the other factors of more than one value, and ``rest`` the full rank
+    of each of their assignments, in rank order, with the grid's coordinates
+    0.  A grid rank g and a rest assignment r make the outcome of rank
+    offsets[g] + rest[r].
+    """
+
+    space: FactoredSpace
+    ids: tuple[int, ...]
+    offsets: list[int]
+    rest_ids: tuple[int, ...]
+    rest: list[int]
+
+
+def _grid_blocks(
+    space: FactoredSpace, z: RandomVariable, read: int
+) -> dict[int, tuple[int, ...]]:
+    """The ranks of each level set of z, read on the grid of the factors in read.
+
+    Each level set on the grid, times every factor z does not read, is a
+    block; its grid ranks are recorded on the space for history.py.
+    """
+    steps = [range(0, f.size * s, s) for f, s in zip(space.factors, space._strides)]
+    ids = tuple(i for i in range(space.factor_count) if read >> i & 1)
+    rest_ids = tuple(
+        i for i, f in enumerate(space.factors) if f.size > 1 and not read >> i & 1
+    )
+    gspace = FactoredSpace(
+        [space.factors[i] for i in ids],
+        max_outcomes=space.outcome_count,
+        max_factors=len(ids),
+    )
+    offsets = _grid_sum([steps[i] for i in ids])
+    grid = Grid(gspace, ids, offsets, rest_ids, _grid_sum([steps[i] for i in rest_ids]))
+    groups: dict[int, list[int]] = {}
+    for g, v in enumerate(itemgetter(*offsets)(z.table)):
+        groups.setdefault(v, []).append(g)
+    blocks = {}
+    for v, granks in groups.items():
+        ranks = tuple(sorted(_grid_sum([[offsets[g] for g in granks], grid.rest])))
+        space._grids[ranks] = (grid, tuple(granks))
+        blocks[v] = ranks
+    return blocks
+
+
 def blocks_of(
     space: FactoredSpace, z: RandomVariable | None = None
 ) -> dict[str, Block]:
     """Level sets of z, keyed by the attained value labels in codomain order.
 
-    Without z there is one block, the whole outcome set.  The blocks are
-    memoized on the space by z's codomain and table, so a conditioner is
-    partitioned once per space; each call returns a new dict of them.
+    Without z there is one block, the whole outcome set.  When z reads some,
+    but not all, of the factors of more than one value, only the grid of its
+    support is partitioned, and each grid block is expanded to its full
+    ranks as sums of rank offsets (see Grid); otherwise one pass over z's
+    table groups the ranks.  The blocks are memoized on the space
+    by z's codomain and table, so a conditioner is partitioned once per
+    space; each call returns a new dict of them.
     """
     if z is None:
         key = None
@@ -442,9 +561,14 @@ def blocks_of(
         if z is None:
             blocks = {TRIVIAL_LABEL: full_block(space)}
         else:
-            groups: dict[int, list[int]] = {}
-            for r, v in enumerate(z.table):
-                groups.setdefault(v, []).append(r)
+            read = support(space, z)
+            free = sum(1 << i for i, f in enumerate(space.factors) if f.size > 1)
+            if read in (0, free):
+                groups: dict[int, list[int]] = {}
+                for r, v in enumerate(z.table):
+                    groups.setdefault(v, []).append(r)
+            else:
+                groups = _grid_blocks(space, z, read)
             blocks = {
                 z.codomain[v]: Block(label=z.codomain[v], ranks=tuple(groups[v]))
                 for v in sorted(groups)

@@ -74,6 +74,7 @@ __all__ = [
     "SEMIGRAPHOID_AXIOMS",
     "HISTORY_LAWS",
     "SUITE_MAX_FACTORS",
+    "SUITE_MAX_OUTCOMES",
     "SuiteConfig",
     "LawTally",
     "SuiteReport",
@@ -93,9 +94,19 @@ IRRELEVANCE_TRIALS = 3
 # The most factors an instance space may have.  The history laws and the
 # separation check loop over all 2**n factor masks, so an instance's cost
 # grows about tenfold per factor: with domains of up to 3 values, three
-# iterations take at most about 0.9 s at 8 factors, 2.8 s at 9 and 26 s at
-# 10 (2 cores, Python 3.11).
+# iterations take about 0.9 s at 8 factors, 2.8 s at 9 and 26 s at 10 with
+# seed 0 (2 cores, Python 3.11); the slowest of 25 seeds at 8 factors,
+# seed 18, takes 3.8 s.
 SUITE_MAX_FACTORS = 8
+
+# The largest instance space the bounds may allow: max_domain ** max_factors
+# is at most the outcome count of 8 factors of 3 values.  Few factors cost
+# far less per outcome: three iterations took at most 0.14 s at 2 factors
+# and domains up to 81, and 0.2 s at 4 and 9 (the slowest of 25 seeds
+# each, same machine).  Without it, 4 factors and domains up to 30 ran
+# 19.8 s for two iterations, and larger domains hit the space cap (exit 3)
+# only after the instances before them had run.
+SUITE_MAX_OUTCOMES = 3**SUITE_MAX_FACTORS
 
 SEMIGRAPHOID_AXIOMS = (
     "symmetry",
@@ -141,6 +152,10 @@ class SuiteConfig:
             raise ValueError(f"max_factors must lie in 2..{SUITE_MAX_FACTORS}")
         if self.max_domain < 2:
             raise ValueError("max_domain must be at least 2")
+        if self.max_domain**self.max_factors > SUITE_MAX_OUTCOMES:
+            raise ValueError(
+                f"max_domain ** max_factors must be at most {SUITE_MAX_OUTCOMES}"
+            )
         if min(self.sample_count, self.witness_budget, self.perturbation_budget) < 0:
             raise ValueError("budgets must be non-negative")
 

@@ -33,6 +33,7 @@ from facthist import (
     conditional_history,
     irrelevance_invariance,
     outcome_prob,
+    outcome_rank,
     outcome_unrank,
     perturb_factor,
     sample_product,
@@ -82,6 +83,19 @@ def oracle_generating_sets(space: FactoredSpace, c: Block, x: RandomVariable):
         for ids in all_subsets(range(space.factor_count))
         if oracle_determines(space, c, ids, x) and oracle_rectangle(space, c, ids)
     ]
+
+
+def oracle_support(space: FactoredSpace, x: RandomVariable) -> frozenset[int]:
+    """Factors whose coordinate, changed alone at some outcome, changes x."""
+    found = set()
+    for r in range(space.outcome_count):
+        o = outcome_unrank(space, r)
+        for i, f in enumerate(space.factors):
+            for v in range(f.size):
+                moved = outcome_rank(space, o[:i] + (v,) + o[i + 1 :])
+                if x.table[moved] != x.table[r]:
+                    found.add(i)
+    return frozenset(found)
 
 
 def oracle_history(space: FactoredSpace, c: Block, x: RandomVariable) -> frozenset[int]:

@@ -266,6 +266,20 @@ def test_axioms_factor_bound_is_checked_before_any_work(capsys, factors):
     assert (code, out, err) == (2, "", "error: max_factors must lie in 2..8\n")
 
 
+@pytest.mark.parametrize(
+    ("factors", "domain"), [("4", "10"), ("4", "30"), ("2", "82"), ("8", "4"), ("4", "1000")]
+)
+def test_axioms_domain_bound_is_checked_before_any_work(capsys, factors, domain):
+    # Four factors with domains up to 30 ran 19.8 s; at 1000 the space cap
+    # (exit 3) was hit only after earlier instances had run.
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "axioms", "--max-factors", factors, "--max-domain", domain, "--iters", "3"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (2, "", "error: max_domain ** max_factors must be at most 6561\n")
+
+
 def test_pretty_output(capsys, space_file):
     code, out, _ = run_cli(capsys, "history", space_file, "--var", "u0", "--pretty")
     assert code == 0

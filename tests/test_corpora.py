@@ -63,3 +63,30 @@ def test_corpus_outputs_are_pinned(tmp_path):
         calls = list(dict.fromkeys(call for op in build(0, root) for call in op.calls))
         got[name] = (len(calls), _digest(root, calls))
     assert got == PINNED
+
+
+# The same digest over history --given and atoms --given on the dag-bridge
+# embeddings at seed 0: for every indep call with a conditioner, the history
+# of each side and the atoms of every block.  The conditioner reads the
+# response factors of the given nodes' ancestors, which interleave with
+# factors it does not read, so these pin the conditioned block layout.
+PINNED_DAG_CONDITIONED = (
+    216, "d0dab14f341383e50c3db46b2e563ba65e770f1156e09c4a5ee8d8aa1d4a5d1e"
+)
+
+
+def test_dag_bridge_conditioned_outputs_are_pinned(tmp_path):
+    workloads = _load_workloads()
+    calls = []
+    for op in workloads.dag_bridge(0, tmp_path):
+        for call in op.calls:
+            if call[0] == "embed":
+                assert main(list(call)) == 0
+            elif call[0] == "indep" and "--given" in call:
+                path, x, y, _, given = call[1:]
+                calls += [
+                    ("history", path, "--var", x, "--given", given),
+                    ("history", path, "--var", y, "--given", given),
+                    ("atoms", path, "--given", given),
+                ]
+    assert (len(calls), _digest(tmp_path, calls)) == PINNED_DAG_CONDITIONED

@@ -314,11 +314,11 @@ def test_history_memo_scans_each_block_and_table_once(monkeypatch):
     scans = Counter()
     scan = history_module._scan_atoms
 
-    def counting_scan(entry, values):
+    def counting_scan(entry, values, reads):
         # The memo entry of a block is stored under the block's ranks.
         ranks = next(r for r, e in space._atoms.items() if e is entry)
         scans[ranks, values] += 1
-        return scan(entry, values)
+        return scan(entry, values, reads)
 
     monkeypatch.setattr(history_module, "_scan_atoms", counting_scan)
     rng = random.Random("history-memo")
@@ -350,13 +350,15 @@ def test_history_memo_scans_each_block_and_table_once(monkeypatch):
         for c in blocks.values():
             for v in (x, y):
                 if len(set(v.table[r] for r in c.ranks)) > 1:
-                    assert scans[c.ranks, tuple(v.table[r] for r in c.ranks)] == 1
+                    # The memo keys a block's values in its tensor order.
+                    read = space._atoms[c.ranks][2]
+                    assert scans[c.ranks, read(v.table)] == 1
         # Every memoized mask is the history the oracle gives for those values.
-        for ranks, (*_, known) in space._atoms.items():
+        for ranks, (_, _, read, known, _) in space._atoms.items():
             block = Block(label="b", ranks=ranks)
             for values, mask in known.items():
                 table = [0] * n
-                for r, v in zip(ranks, values):
+                for r, v in zip(read(range(n)), values):
                     table[r] = v
                 var = make_var(space, "v", 3, table)
                 assert IndexSet(mask, space.factor_count).members() == tuple(
@@ -366,9 +368,9 @@ def test_history_memo_scans_each_block_and_table_once(monkeypatch):
 
 
 def test_interleaved_atoms_are_read_in_tensor_order():
-    # z reads two factors with a free one between them, so on a block where
-    # z entangles them their atom is not a run of consecutive free factors,
-    # and the block's values are reordered before the axis scan.
+    # z reads two factors with a free one between them, so a block of more
+    # than one point of z's grid lists the grid first and the free factor
+    # after it: its values are read out of rank order for the axis scan.
     rng = random.Random("interleaved-atoms")
     interleaved = 0
     for _ in range(30):
@@ -378,11 +380,10 @@ def test_interleaved_atoms_are_read_in_tensor_order():
         j = rng.randrange(i + 2, space.factor_count)
         z = function_of(space, "z", [i, j], 2, rng)
         for c in blocks_of(space, z).values():
-            _, axes, reorder, _ = history_module._factorize(space, c.ranks)
-            if reorder is None:
+            _, axes, read, _, _ = history_module._factorize(space, c.ranks)
+            if tuple(read(range(space.outcome_count))) == c.ranks:
                 continue
             interleaved += 1
-            assert any(m >> i & 1 and m >> j & 1 for m, _, _ in axes)
             for k in range(8):
                 ids = [f for f in range(space.factor_count) if rng.random() < 0.5]
                 x = function_of(space, f"x{k}", ids, 3, rng)
@@ -442,3 +443,136 @@ def test_full_product_block_takes_the_product_exit(monkeypatch):
     parts = disintegration_atoms(space, full_block(space))
     assert parts.atoms == tuple(_ids(space, i) for i in range(n))
     assert history(space, full_block(space), factor_var(space, n - 1)) == _ids(space, n - 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_grid_block_entries_match_the_general_factorization(data):
+    # Domains of size 1 put constant factors among those z reads and those
+    # it leaves out.  "some" leaves out a factor of more than one value, so
+    # z's blocks are lifted from its grid whenever z reads anything, and
+    # its factors often have a left-out one between them.  "entangled"
+    # reads a < b < c, and where z is 0 (a or c at 0, any b) a and c form
+    # one atom with b free between them, so that grid block's tensor order
+    # (a, c, b) is not its rank order.
+    sizes = data.draw(st.lists(st.integers(1, 3), min_size=2, max_size=5))
+    space = make_space(*sizes)
+    n = space.factor_count
+    free = [i for i, size in enumerate(sizes) if size > 1]
+    rng = random.Random(data.draw(st.integers()))
+    kinds = ["one", "all", "constant", "no z"]
+    if free:
+        kinds += ["some"] * 3
+    if n >= 3:
+        kinds += ["entangled"] * 2
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "no z":
+        z = None
+    elif kind == "entangled":
+        a, b, c = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=3, max_size=3)))
+        outcomes = [outcome_unrank(space, r) for r in range(space.outcome_count)]
+        table = [0 if o[a] == 0 or o[c] == 0 else 1 + o[b] for o in outcomes]
+        z = make_var(space, "z", 1 + sizes[b], table)
+    else:
+        if kind == "some":
+            left_out = data.draw(st.sampled_from(free))
+            others = [i for i in range(n) if i != left_out]
+            ids = sorted(data.draw(st.sets(st.sampled_from(others), min_size=1)))
+        elif kind == "one":
+            ids = [data.draw(st.integers(0, n - 1))]
+        else:
+            ids = list(range(n)) if kind == "all" else []
+        z = function_of(space, "z", ids, data.draw(st.integers(1, 3)), rng)
+    xs = [
+        function_of(space, f"x{k}", sorted(data.draw(st.sets(st.integers(0, n - 1)))), 3, rng)
+        for k in range(2)
+    ]
+    xs.append(make_var(space, "r", 3, [rng.randrange(3) for _ in range(space.outcome_count)]))
+    if z is not None:
+        # A function of z and one factor reads z's factors, yet on a block
+        # it varies along that factor alone: a scan in the wrong order
+        # finds more.
+        i = data.draw(st.integers(0, n - 1))
+        h: dict[tuple[int, int], int] = {}
+        table = [
+            h.setdefault((v, outcome_unrank(space, r)[i]), rng.randrange(3))
+            for r, v in enumerate(z.table)
+        ]
+        xs.append(make_var(space, "zx", 3, table))
+    copy = make_space(*sizes)
+    for c in blocks_of(space, z).values():
+        trivial, axes, _, _, _ = history_module._factorize(space, c.ranks)
+        general, general_axes, _, _, lifted = history_module._factorize(copy, c.ranks)
+        assert not lifted
+        assert trivial == general
+        assert sorted(m for m, _, _ in axes) == sorted(m for m, _, _ in general_axes)
+        for x in xs:
+            want = tuple(sorted(oracle_history(space, c, x)))
+            assert history(space, c, x).members() == want
+            assert history(copy, c, x).members() == want
+
+
+def test_a_grid_block_out_of_rank_order_is_read_in_its_tensor_order():
+    # Where z is 0 (u0 or u2 at 0, any u1), u0 and u2 form one atom with u1
+    # free between them, so that grid block lists (u0, u2, u1), not rank
+    # order; z leaves u3 out, so the block is lifted from its grid.
+    space = make_space(3, 2, 3, 2)
+    outcomes = [outcome_unrank(space, r) for r in range(space.outcome_count)]
+    z = make_var(space, "z", 3, [0 if o[0] == 0 or o[2] == 0 else 1 + o[1] for o in outcomes])
+    block = blocks_of(space, z)["0"]
+    grid, granks = space._grids[block.ranks]
+    read = history_module._factorize(grid.space, granks)[2]
+    assert tuple(read(range(grid.space.outcome_count))) != granks
+    # x reads u0, u1 and u2, but where z is 0 it is u1.
+    x = make_var(space, "x", 3, [o[1] if v == 0 else 2 for o, v in zip(outcomes, z.table)])
+    assert history(space, block, x) == _ids(space, 1)
+    rng = random.Random("grid-tensor-order")
+    for i in range(space.factor_count):
+        h: dict[tuple[int, int], int] = {}
+        table = [h.setdefault((v, o[i]), rng.randrange(3)) for o, v in zip(outcomes, z.table)]
+        y = make_var(space, "y", 3, table)
+        for c in blocks_of(space, z).values():
+            assert history(space, c, y).members() == tuple(sorted(oracle_history(space, c, y)))
+
+
+def test_a_conditioner_reading_every_factor_builds_no_grid(monkeypatch):
+    # A parity over every factor of more than one value, next to a factor
+    # of one value: no grid space, no lifted entry, no support but z's.
+    def no_grid(*args):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(importlib.import_module("facthist.space"), "_grid_blocks", no_grid)
+    space = make_space(2, 1, 3, 2)
+    n = space.outcome_count
+    z = make_var(space, "z", 2, [sum(outcome_unrank(space, r)) % 2 for r in range(n)])
+    x = factor_var(space, 2)
+    ch = conditional_history(space, x, z)
+    assert structurally_independent(space, x, factor_var(space, 0), z).overlaps
+    assert space._grids == {}
+    assert list(space._supports) == [z.table]
+    assert [lifted for *_, lifted in space._atoms.values()] == [False, False]
+    for label, c in blocks_of(space, z).items():
+        assert ch.per_block[label].members() == tuple(sorted(oracle_history(space, c, x)))
+
+
+def test_conditioned_queries_build_no_full_length_tables():
+    # 2**18 outcomes: z reads u3 and u11, x, y and w a few factors more.
+    # Coordinate tables of every factor would hold 18 * 2**18 entries.
+    space = make_space(*[2] * 18)
+    n = space.outcome_count
+    bit = {i: [r >> (17 - i) & 1 for r in range(n)] for i in (0, 3, 7, 11, 15, 16)}
+    z = make_var(space, "z", 2, map(xor, bit[3], bit[11]))
+    x = make_var(space, "x", 2, map(xor, map(xor, bit[0], bit[3]), bit[7]))
+    y = make_var(space, "y", 2, map(min, bit[11], bit[15]))
+    w = make_var(space, "w", 2, map(xor, bit[15], bit[16]))
+    start = time.perf_counter()
+    ch = conditional_history(space, x, z)
+    dependent = structurally_independent(space, x, y, z)
+    independent = structurally_independent(space, x, w, z)
+    elapsed = time.perf_counter() - start
+    assert space._digits == {} and space._scaled == {}
+    # On each block u3 and u11 are equal, so they form one atom.
+    assert ch.per_block == {label: _ids(space, 0, 3, 7, 11) for label in "01"}
+    assert dependent.overlaps == {label: _ids(space, 3, 11) for label in "01"}
+    assert independent.independent
+    assert elapsed < 20.0

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from facthist import (
     Block,
@@ -30,16 +30,19 @@ from facthist import (
     factor_var,
     fold_pair,
     full_block,
+    history,
     outcome_rank,
     outcome_unrank,
     pair_var,
     space_from_doc,
     space_to_doc,
+    support,
     trivial_var,
 )
 from facthist.space import OUTCOME_CAP_ENV
 
-from helpers import make_space, make_var, xor_bundle
+from helpers import function_of, make_space, make_var, xor_bundle
+from oracles import oracle_support
 
 
 def test_rank_is_mixed_radix_with_last_factor_fastest():
@@ -209,6 +212,60 @@ def test_digit_tables_match_the_mixed_radix_definition():
             want = tuple((r // stride) % size for r in range(space.outcome_count))
             assert space.digits(i) == want
             assert space.scaled_digits(i) == tuple(d * stride for d in want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_support_matches_cell_comparisons(data):
+    sizes = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
+    space = make_space(*sizes)
+    n = space.outcome_count
+    k = data.draw(st.integers(1, 3))
+    if data.draw(st.booleans()):
+        table = data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+        x = make_var(space, "x", k, table)
+    else:
+        ids = data.draw(st.sets(st.integers(0, space.factor_count - 1)))
+        x = function_of(space, "x", sorted(ids), k, random.Random(data.draw(st.integers())))
+    want = sum(1 << i for i in oracle_support(space, x))
+    assert support(space, x) == want
+    # Memoized by table: an equal table under another name reads the memo.
+    assert space._supports == {x.table: want}
+    assert support(space, make_var(space, "twin", k, list(x.table))) == want
+    assert len(space._supports) == 1
+
+
+def test_tables_are_stored_as_tuples():
+    # The memos of a space key on tables, so a list table must not reach them.
+    space = make_space(2, 2, 2)
+    z = RandomVariable(name="z", codomain=("0", "1"), table=[0, 1] * 4)
+    x = RandomVariable(name="x", codomain=("0", "1"), table=[0] * 4 + [1] * 4)
+    assert type(z.table) is tuple and z == make_var(space, "z", 2, z.table)
+    assert support(space, z) == 0b100  # bit i is factor i; z reads u2
+    assert [history(space, c, x) for c in blocks_of(space, z).values()] == [
+        IndexSet(0b001, 3)
+    ] * 2
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_blocks_on_the_support_grid_are_the_level_sets(data):
+    sizes = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
+    space = make_space(*sizes)
+    ids = data.draw(st.sets(st.integers(0, space.factor_count - 1)))
+    z = function_of(space, "z", sorted(ids), 3, random.Random(data.draw(st.integers())))
+    want: dict[int, list[int]] = {}
+    for r, v in enumerate(z.table):
+        want.setdefault(v, []).append(r)
+    blocks = blocks_of(space, z)
+    assert {label: c.ranks for label, c in blocks.items()} == {
+        z.codomain[v]: tuple(want[v]) for v in sorted(want)
+    }
+    # The grid path runs exactly when z reads some but not all of the
+    # factors of more than one value.
+    free = sum(1 << i for i, s in enumerate(sizes) if s > 1)
+    read = support(space, z)
+    assert bool(space._grids) == (read not in (0, free))
 
 
 def test_blocks_partition_and_keys_are_attained():

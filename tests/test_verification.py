@@ -20,6 +20,7 @@ from facthist import (
     HISTORY_LAWS,
     SEMIGRAPHOID_AXIOMS,
     SUITE_MAX_FACTORS,
+    SUITE_MAX_OUTCOMES,
     SuiteConfig,
     blocks_of,
     check_duality,
@@ -75,6 +76,12 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SuiteConfig(max_factors=21)
     assert SuiteConfig(max_factors=SUITE_MAX_FACTORS).max_factors == 8
+    # The joint bound admits 8 factors of 3 values, 4 of 9 and 2 of 81.
+    assert SUITE_MAX_OUTCOMES == 3**8
+    for factors, domain in ((8, 3), (4, 9), (2, 81)):
+        assert SuiteConfig(max_factors=factors, max_domain=domain).max_domain == domain
+        with pytest.raises(ValueError, match=r"max_domain \*\* max_factors"):
+            SuiteConfig(max_factors=factors, max_domain=domain + 1)
     with pytest.raises(ValueError, match=r"max_factors must lie in 2\.\.8"):
         SuiteConfig(max_factors=SUITE_MAX_FACTORS + 1)
     with pytest.raises(ValueError):

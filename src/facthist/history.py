@@ -18,8 +18,9 @@ J-projections, and rank - key is the key on the complement.  The rectangle
 test (_rectangle) compares |keys| * |ranks - keys| with |C|; determination
 (_determined) compares the number of key classes with the number of (key,
 value) classes.  is_rectangle, determines and generates build the key list
-once and apply one test or both; the atom factorization below and the law
-suites' mask loops read the same kernel.
+once and apply one test or both; the law suites' mask loops read the same
+kernel.  The atom factorization below counts the same projections on
+bitsets instead.
 
 The rectangle sets of C form a field of factor sets.  Its *atoms* (minimal
 non-empty members, once the factors constant on C are set aside as the
@@ -74,21 +75,34 @@ found from x's support: two outcomes that differ only in such an atom agree
 on x.  When z reads every factor of more than one value, or there is no z,
 the block is factorized directly, as is any block not made by blocks_of.
 
-The atoms are built one factor at a time.  A factor constant on C joins the
-trivial part.  Otherwise factor k joins the factors seen so far, S, whose
-atoms are already known; projections are compared through integer keys,
-sums of scaled digits.
+The atoms are built one factor at a time, and every projection is counted
+on bitsets.  A set of ranks is an int whose byte r is 1 for each member r
+(space.zero_bits).  Folding it along factor i, the OR over v < size(i) of
+X >> 8 * v * stride(i) kept to the ranks where i is 0, sets coordinate i of
+every rank to 0 (_fold; the OR doubles its run of shifts, so a fold is
+O(log size(i)) shifts).  Folding C along the free factors outside J leaves
+one rank per J-projection, so |proj_J(C)| is the result's bit count.  The
+width |proj_k(C)| of every factor comes from one pass down the factors
+(_widths): C folded along the factors before k lies below k's period, where
+the factors after k fold as one factor of stride 1.  The projections on
+the prefixes S = free[:i] are C folded along free[i:], built from the last
+free factor down the first time a step needs one and shared by the later
+steps.  A factor constant on C joins the trivial part.  Otherwise factor k
+joins the factors seen so far, S, whose atoms are already known:
 
 * Product exit: if |proj_S(C)| times the widths |proj_j(C)| of k and every
   later free factor j equals |C|, C is proj_S(C) times those projections,
   so each of them is an atom on its own and the loop ends with no further
-  key pass.  Full blocks of any product space, unconditional queries among
+  fold.  Full blocks of any product space, unconditional queries among
   them, end here at the first free factor.
 * Product shortcut: if |proj_{S+k}(C)| = |proj_S(C)| * |proj_k(C)|, the
   projection is a product with a factor k, so {k} is a new atom and the
   atoms of S are unchanged.
 * Merge rule: otherwise {k} absorbs exactly those atoms A of S for which
   |proj_A| * |proj_{S+k minus A}| != |proj_{S+k}|, and the other atoms stay.
+  The second count folds A's factors out of the prefix projection on S+k,
+  and the grown atom's count is |proj_{S+k}| over the kept atoms' counts,
+  since proj_{S+k}(C) is the product of its atoms' projections.
 
 Proof sketch: projecting away k maps a rectangle of proj_{S+k}(C) to a
 rectangle of proj_S(C), so every new atom is a union of old atoms plus
@@ -98,15 +112,20 @@ rectangle of proj_{S+k}(C) as well; minimality of D gives D = A.  Only the
 atom of k can grow, and it grows by the old atoms that are no longer
 rectangles, which is what the count test detects.
 
-Each non-constant factor costs O(|C|) for its keys and counts plus O(|C|)
-per atom when the shortcut fails, so factorizing a block of n factors costs
-O(n^2 * |C|) time and O(n * |C|) transient memory; a history costs at most
-one comparison of |C| values per atom on top, and stops at the first
-difference along an axis.  The result (trivial mask, one axis (mask, size,
-stride) per atom in tensor order, the tensor-order itemgetter, and whether
-it was lifted from a grid; no key lists) is memoized on the FactoredSpace
-keyed by the block's ranks, because independence checks, verification and
-the law suites ask for several histories per block.  The same entry
+Each non-constant factor costs at most one prefix fold plus, when the
+shortcut fails, one fold per factor of the atoms it tests, so factorizing a
+block of n factors costs O(n^2) folds of O(|Omega|) bytes, each a few
+C-level big-int shifts, ORs and ANDs, plus the widths pass, whose ints
+shrink as it goes; transient memory is O(n * |Omega|) bytes, and the space
+memoizes one O(|Omega|)-byte mask per factor.  Only when an atom is not a
+run of consecutive free factors are projection keys built (_keys), to sort
+C's ranks into tensor order.  A history costs at most one comparison of |C|
+values per atom on top, and stops at the first difference along an axis.
+The result (trivial mask, one axis (mask, size, stride) per atom in tensor
+order, the tensor-order itemgetter, and whether it was lifted from a grid;
+no key lists or bitsets) is memoized on the FactoredSpace keyed by the
+block's ranks, because independence checks, verification and the law
+suites ask for several histories per block.  The same entry
 memoizes each history, keyed by the variable's values on the block in
 tensor order: a history depends on nothing else, so variables with equal
 tables share it whatever their names, and a repeated question (verify asks
@@ -278,58 +297,120 @@ def _factorize(space: FactoredSpace, ranks: tuple[int, ...]) -> Factorization:
     return result
 
 
+def _fold(x: int, size: int, step: int, zero: int) -> int:
+    """The rank bitset x with one coordinate set to 0 in every rank.
+
+    The coordinate has size values, step is 8 times its stride and zero
+    holds the ranks where it is 0 (space.zero_bits for a factor), so
+    x >> v * step moves every rank v values down it; the fold is the OR over
+    v < size, kept to zero.  The OR doubles the run of shifts it covers.
+    """
+    span = 1
+    while 2 * span <= size:
+        x |= x >> span * step
+        span *= 2
+    if span < size:
+        x |= x >> (size - span) * step
+    return x & zero
+
+
+def _widths(space: FactoredSpace, block: int) -> list[int]:
+    """|proj_k| of a block's rank bitset for every factor k.
+
+    The block is folded along the factors in order, so at factor k its
+    ranks lie below k's period size(k) * stride(k).  Below it the factors
+    after k read as one factor of size stride(k) and stride 1: folded along
+    that one, rank v * stride(k) is set exactly when the block meets value
+    v of k, so every stride(k)-th byte counts the values.  Folding along k
+    itself then leaves ranks below stride(k), so each fold runs on a
+    shorter int than the one before.
+    """
+    widths = []
+    x = block
+    for f, stride in zip(space.factors, space._strides):
+        size = len(f.domain)
+        if size == 1:
+            widths.append(1)
+        else:
+            # Shifts of whole bytes keep every byte 0 or 1.
+            below = _fold(x, stride, 8, -1).to_bytes(size * stride, "little")
+            widths.append(below[::stride].count(1))
+            if stride > 1:  # otherwise every later factor has one value
+                x = _fold(x, size, 8 * stride, (1 << 8 * stride) - 1)
+    return widths
+
+
 def _factorize_block(space: FactoredSpace, ranks: tuple[int, ...]) -> Factorization:
     """Factorize the block with these ranks one factor at a time."""
-    pick = _picker(ranks)
-    cols = [pick(space.scaled_digits(k)) for k in range(space.factor_count)]
-    widths = [len(set(col)) for col in cols]
+    flags = bytearray(space.outcome_count)
+    for r in ranks:
+        flags[r] = 1
+    block = int.from_bytes(flags, "little")
+    widths = _widths(space, block)
     free = [k for k, w in enumerate(widths) if w > 1]
     trivial = sum(1 << k for k, w in enumerate(widths) if w == 1)
     rest = [1] * (len(free) + 1)  # rest[i]: product of the widths of free[i:]
     for i in range(len(free) - 1, -1, -1):
         rest[i] = rest[i + 1] * widths[free[i]]
-    seen: Sequence[int] = ()  # keys of proj_S, S = the free factors so far
-    seen_count = 1
-    atoms: list[tuple[int, Sequence[int], int]] = []  # (mask, keys of proj_A, |proj_A|)
+    # prefix[i]: the block folded along free[i:], whose bit count is
+    # |proj_{free[:i]}|; filled downward from the block itself when needed.
+    prefix = [0] * len(free) + [block]
+    low = len(free)
+    folds: dict[int, tuple[int, int, int]] = {}  # factor -> _fold's size, step, zero
+
+    def fold(x: int, k: int) -> int:
+        args = folds.get(k)
+        if args is None:
+            args = folds[k] = (space.factors[k].size, 8 * space._strides[k], space.zero_bits(k))
+        return _fold(x, *args)
+
+    seen_count = 1  # |proj_S|, S = the free factors so far
+    atoms: list[tuple[int, int, list[int]]] = []  # (mask, |proj_A|, factor ids)
     for i, k in enumerate(free):
         if seen_count * rest[i] == len(ranks):
             # Product exit: C = proj_S(C) x the projections of free[i:].
-            atoms += [(1 << j, cols[j], widths[j]) for j in free[i:]]
+            atoms += [(1 << j, widths[j], [j]) for j in free[i:]]
             break
         if not atoms:
-            grown, count = cols[k], widths[k]
-        elif k == free[-1]:
-            # All free factors are in, so the key is the rank up to a constant.
-            grown, count = ranks, len(ranks)
+            count = widths[k]
         else:
-            grown = list(map(add, seen, cols[k]))
-            count = len(set(grown))
+            while low > i + 1:
+                low -= 1
+                prefix[low] = fold(prefix[low + 1], free[low])
+            count = prefix[i + 1].bit_count()
         if count == seen_count * widths[k]:
-            atoms.append((1 << k, cols[k], widths[k]))
+            atoms.append((1 << k, widths[k], [k]))
         else:
-            mask, keys, kept = 1 << k, cols[k], []
+            mask, ids, kept, kept_count = 1 << k, [k], [], 1
             for atom in atoms:
-                a_mask, a_keys, a_count = atom
-                if a_count * len(set(map(sub, grown, a_keys))) == count:
+                a_mask, a_count, a_ids = atom
+                other = prefix[i + 1]
+                for j in a_ids:
+                    other = fold(other, j)
+                if a_count * other.bit_count() == count:
                     kept.append(atom)
+                    kept_count *= a_count
                 else:
                     mask |= a_mask
-                    keys = list(map(add, keys, a_keys))
-            kept.append((mask, keys, len(set(keys))))
+                    ids += a_ids
+            # proj_{S+k} is the product of its atoms' projections.
+            kept.append((mask, count // kept_count, ids))
             atoms = kept
-        seen, seen_count = grown, count
+        seen_count = count
     atoms.sort(key=lambda atom: atom[0] & -atom[0])  # by lowest factor
     axes: list[Axis] = []
     stride = 1
-    for mask, _, count in reversed(atoms):
+    for mask, count, _ in reversed(atoms):
         axes.append((mask, count, stride))
         stride *= count
     axes.reverse()
+    pick = _picker(ranks)
     if [k for mask, _, _ in atoms for k in free if mask >> k & 1] != free:
         # An atom is not a run of consecutive free factors: place each rank by
         # the order of its A-key among the A-keys of C, for every atom A.
         pos = [0] * len(ranks)
-        for (_, keys, _), (_, _, stride) in zip(atoms, axes):
+        for (_, _, ids), (_, _, stride) in zip(atoms, axes):
+            keys = _keys(space, pick, ids)
             index = {key: v * stride for v, key in enumerate(sorted(set(keys)))}
             pos = list(map(add, pos, map(index.__getitem__, keys)))
         order = sorted(range(len(ranks)), key=pos.__getitem__)

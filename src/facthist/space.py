@@ -19,9 +19,9 @@ z on the grid of supp(z) times every factor z does not read; blocks_of
 partitions only that grid.
 
 Everything here is immutable after construction and safe to share between
-threads.  Internal per-factor coordinate tables, supports, the blocks of
-each conditioner, and the per-block atom factorizations and histories
-computed by the history module are memoized lazily; each memo is
+threads.  Internal per-factor coordinate tables and rank bitsets, supports,
+the blocks of each conditioner, and the per-block atom factorizations and
+histories computed by the history module are memoized lazily; each memo is
 idempotent, so a racing double computation is harmless.
 """
 
@@ -227,6 +227,7 @@ class FactoredSpace:
         "_ids",
         "_digits",
         "_scaled",
+        "_bits",
         "_supports",
         "_blocks",
         "_grids",
@@ -262,6 +263,9 @@ class FactoredSpace:
         object.__setattr__(self, "_ids", {f.name: i for i, f in enumerate(fs)})
         object.__setattr__(self, "_digits", {})
         object.__setattr__(self, "_scaled", {})
+        # A factor id -> the bitset of the ranks where it is 0, filled and
+        # read by zero_bits.
+        object.__setattr__(self, "_bits", {})
         # A variable's table -> its support mask, filled and read by support.
         object.__setattr__(self, "_supports", {})
         # (codomain, table) of a conditioner, or None for no conditioner ->
@@ -325,6 +329,25 @@ class FactoredSpace:
         if cached is None:
             cached = self._column(i, self._strides[i])
             self._scaled[i] = cached
+        return cached
+
+    def zero_bits(self, i: int) -> int:
+        """The ranks where factor i is 0, as a bitset.
+
+        A rank bitset is an int whose byte r is 1 for each member rank r
+        and 0 otherwise, so x >> 8 * v * stride(i) moves every rank of x v
+        values down factor i, and an AND with this mask keeps the ranks
+        whose coordinate i is 0.  Like _column, the mask is one period of
+        bytes repeated.
+        """
+        cached = self._bits.get(i)
+        if cached is None:
+            self._check_factor(i)
+            stride, size = self._strides[i], self.factors[i].size
+            period = b"\1" * stride + bytes((size - 1) * stride)
+            reps = self.outcome_count // len(period)
+            cached = int.from_bytes(period * reps, "little")
+            self._bits[i] = cached
         return cached
 
     def _column(self, i: int, scale: int) -> tuple[int, ...]:

@@ -4,6 +4,7 @@ Everything in here recomputes results from first principles, by brute
 force, without reusing the package's algorithms: rectangles by literal
 cross-pair membership, determination by pairwise comparison, histories by
 enumerating all subsets and taking the subset-minimal generating ones,
+block factorizations by counting sets of integer projection keys,
 probabilities by summing exact outcome products, CI reports and joint
 factorization by a per-rank pass over each block, the duality law through
 the public Fraction API, d-separation both by walk enumeration and by
@@ -17,6 +18,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import chain, combinations, product
+from operator import add, sub
 
 from facthist import (
     Block,
@@ -39,6 +41,7 @@ from facthist import (
     sample_product,
     sample_vector,
 )
+from facthist.history import _picker
 from facthist.verification import IRRELEVANCE_TRIALS, _int_seed, _stream
 
 
@@ -104,6 +107,68 @@ def oracle_history(space: FactoredSpace, c: Block, x: RandomVariable) -> frozens
     minimal = {g for g in gens if not any(h < g for h in gens)}
     assert len(minimal) == 1, f"expected a unique minimal generating set, got {minimal}"
     return next(iter(minimal))
+
+
+def oracle_factorize(space: FactoredSpace, ranks: tuple[int, ...]):
+    """The atom factorization of a block by counting sets of projection keys.
+
+    The same incremental algorithm as the package (product exit, product
+    shortcut, merge rule), with every projection counted as the set of its
+    keys, sums of scaled digits, rather than by bitset folds.  Returns the
+    trivial mask, the axes (atom mask, |proj_A|, stride) in tensor order,
+    and a picker that reads a table on the block in tensor order.
+    """
+    pick = _picker(ranks)
+    cols = [pick(space.scaled_digits(k)) for k in range(space.factor_count)]
+    widths = [len(set(col)) for col in cols]
+    free = [k for k, w in enumerate(widths) if w > 1]
+    trivial = sum(1 << k for k, w in enumerate(widths) if w == 1)
+    rest = [1] * (len(free) + 1)  # rest[i]: product of the widths of free[i:]
+    for i in range(len(free) - 1, -1, -1):
+        rest[i] = rest[i + 1] * widths[free[i]]
+    seen = ()  # keys of proj_S, S = the free factors so far
+    seen_count = 1
+    atoms = []  # (mask, keys of proj_A, |proj_A|)
+    for i, k in enumerate(free):
+        if seen_count * rest[i] == len(ranks):
+            atoms += [(1 << j, cols[j], widths[j]) for j in free[i:]]
+            break
+        if not atoms:
+            grown, count = cols[k], widths[k]
+        elif k == free[-1]:
+            grown, count = ranks, len(ranks)
+        else:
+            grown = list(map(add, seen, cols[k]))
+            count = len(set(grown))
+        if count == seen_count * widths[k]:
+            atoms.append((1 << k, cols[k], widths[k]))
+        else:
+            mask, keys, kept = 1 << k, cols[k], []
+            for atom in atoms:
+                a_mask, a_keys, a_count = atom
+                if a_count * len(set(map(sub, grown, a_keys))) == count:
+                    kept.append(atom)
+                else:
+                    mask |= a_mask
+                    keys = list(map(add, keys, a_keys))
+            kept.append((mask, keys, len(set(keys))))
+            atoms = kept
+        seen, seen_count = grown, count
+    atoms.sort(key=lambda atom: atom[0] & -atom[0])
+    axes = []
+    stride = 1
+    for mask, _, count in reversed(atoms):
+        axes.append((mask, count, stride))
+        stride *= count
+    axes.reverse()
+    if [k for mask, _, _ in atoms for k in free if mask >> k & 1] != free:
+        pos = [0] * len(ranks)
+        for (_, keys, _), (_, _, stride) in zip(atoms, axes):
+            index = {key: v * stride for v, key in enumerate(sorted(set(keys)))}
+            pos = list(map(add, pos, map(index.__getitem__, keys)))
+        order = sorted(range(len(ranks)), key=pos.__getitem__)
+        pick = _picker([ranks[i] for i in order])
+    return trivial, tuple(axes), pick
 
 
 def oracle_event_prob(space: FactoredSpace, p: ProductDistribution, ranks) -> Fraction:

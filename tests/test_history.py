@@ -39,7 +39,13 @@ from facthist import (
 from facthist.errors import SpaceMismatchError
 
 from helpers import function_of, make_space, make_var, xor_bundle
-from oracles import all_subsets, oracle_determines, oracle_history, oracle_rectangle
+from oracles import (
+    all_subsets,
+    oracle_determines,
+    oracle_factorize,
+    oracle_history,
+    oracle_rectangle,
+)
 
 # The package re-exports the function history() under the module's name.
 history_module = importlib.import_module("facthist.history")
@@ -287,6 +293,27 @@ def test_parity_block_is_polynomial():
     assert time.perf_counter() - start < 2.0
     assert parts.atoms == (space.full_set(),)
     assert parts.trivial_part == space.empty_set()
+
+
+def test_parity_blocks_at_scale_build_no_digit_tables():
+    # 2^18 outcomes and z reads every factor, so each block is factorized
+    # on the full space: by bitset folds, with no scaled digit table (18
+    # of them would hold 18 * 2^18 entries).  The bound leaves ample room
+    # for a loaded machine.
+    n = 18
+    for query in ("history", "atoms"):
+        space = make_space(*[2] * n)  # a fresh space, so no memoized atoms
+        z = make_var(space, "Z", 2, (r.bit_count() & 1 for r in range(space.outcome_count)))
+        start = time.perf_counter()
+        if query == "history":
+            got = conditional_history(space, factor_var(space, 0), z).per_block
+            assert got == {"0": space.full_set(), "1": space.full_set()}
+        else:
+            parts = disintegration_atoms(space, blocks_of(space, z)["1"])
+            assert parts.atoms == (space.full_set(),)
+            assert parts.trivial_part == space.empty_set()
+        assert time.perf_counter() - start < 10.0
+        assert space._scaled == {}
 
 
 def test_structural_time_on_parity():
@@ -576,3 +603,60 @@ def test_conditioned_queries_build_no_full_length_tables():
     assert dependent.overlaps == {label: _ids(space, 3, 11) for label in "01"}
     assert independent.independent
     assert elapsed < 20.0
+
+
+def _factorizations(data):
+    """(space, ranks) of the blocks one drawn case factorizes.
+
+    Domains of size 1 give constant factors, and domains up to 4 folds
+    that shift by more than one value step.  "drawn" is a product of
+    arbitrary subsets over a random grouping of the factors, "entangled"
+    ties two factors with one between them (an atom that is not a run, so
+    its tensor order is sorted by keys), and "grid" gives the grid blocks
+    that _lift factorizes for a z that leaves a factor out.
+    """
+    kind = data.draw(st.sampled_from(["drawn", "single", "full", "entangled", "grid"]))
+    low = 3 if kind in ("entangled", "grid") else 1
+    sizes = data.draw(st.lists(st.integers(1, 4), min_size=low, max_size=4))
+    n = len(sizes)
+    if kind == "entangled":
+        a, b, c = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=3, max_size=3)))
+        sizes[a], sizes[c] = max(sizes[a], 2), max(sizes[c], 2)
+    elif kind == "grid":
+        ids = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1)))
+        left_out = data.draw(st.sampled_from([i for i in range(n) if i not in ids]))
+        sizes[left_out] = max(sizes[left_out], 2)
+    space = make_space(*sizes)
+    if kind == "drawn":
+        return [(space, _draw_block(data, space).ranks)]
+    if kind == "single":
+        return [(space, (data.draw(st.integers(0, space.outcome_count - 1)),))]
+    if kind == "full":
+        return [(space, full_block(space).ranks)]
+    outcomes = [outcome_unrank(space, r) for r in range(space.outcome_count)]
+    if kind == "entangled":
+        parity = data.draw(st.integers(0, 1))
+        return [(space, tuple(r for r, o in enumerate(outcomes) if (o[a] + o[c]) % 2 == parity))]
+    rng = random.Random(data.draw(st.integers()))
+    z = function_of(space, "z", ids, data.draw(st.integers(2, 4)), rng)
+    cases = []
+    for c in blocks_of(space, z).values():
+        if c.ranks in space._grids:
+            history_module._factorize(space, c.ranks)
+            grid, granks = space._grids[c.ranks]
+            cases.append((grid.space, granks))
+    return cases
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_bitset_factorization_matches_key_counts(data):
+    for space, ranks in _factorizations(data):
+        trivial, axes, read, _, lifted = history_module._factorize(space, ranks)
+        copy = make_space(*(f.size for f in space.factors))
+        want_trivial, want_axes, want_read = oracle_factorize(copy, ranks)
+        assert not lifted
+        assert trivial == want_trivial
+        assert axes == want_axes
+        every = range(space.outcome_count)
+        assert tuple(read(every)) == tuple(want_read(every))

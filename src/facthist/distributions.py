@@ -52,6 +52,25 @@ all |x| * |y| value pairs to report the first violation in x-major order.
 Every cell sum equals the sum over the whole space, so verdicts, reports
 and zero-mass blocks are those of the unreduced check.  verify_soundness
 and find_witness prepare the query once for all of their samples.
+
+verify_soundness checks its samples in chunks, each in one lane pass
+(_CiQuery.all_hold): every weight becomes a lane, a list with one integer
+per sample, and the unread scale, the lump expansions and class sums, the
+head and tail expansions, the part and cell sums, the marginals and the
+cross-multiplied test each run as C-level maps over lanes, so the
+Python-level cost of a check is paid once per chunk, not once per sample.
+The pass only says whether every sample holds on every block with none of
+zero mass; if not, each sample of the chunk is checked again by
+check_ints, the one code that builds a CiReport, so violation indices,
+first violations and DegenerateBlockError messages are those of checking
+sample by sample.  A chunk holds at most |Omega| // L samples, with L the
+longest list of weights the pass expands (the head, or a lump's grid), so
+its lanes hold no more weights than one unreduced check would; chunks are
+as even as that allows, and one of fewer than LANES_MIN samples is
+checked sample by sample, which is cheaper there.  find_witness still
+checks one try at a time: it stops at the first violating try, which on
+the benchmark's ci-verify and the law suites is almost always the first,
+so a chunk would mostly draw samples that are thrown away.
 """
 
 from __future__ import annotations
@@ -60,8 +79,9 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
-from operator import mul
+from functools import partial, reduce
+from itertools import chain, cycle, repeat
+from operator import add, mul
 from typing import Sequence
 
 from .errors import (
@@ -73,6 +93,7 @@ from .errors import (
     UnknownFactorError,
 )
 from .history import (
+    Picker,
     _picker,
     conditional_history,
     structurally_independent,
@@ -112,6 +133,9 @@ __all__ = [
 ]
 
 SAMPLE_GRID_MAX = 101
+# A lane pass costs about as much as checking three or four samples one at a
+# time, so verify_soundness checks shorter chunks one sample at a time.
+LANES_MIN = 4
 
 
 @dataclass(frozen=True)
@@ -315,6 +339,39 @@ def _expand(vecs: Sequence[Sequence[int]], scale: int = 1) -> list[int]:
     return w
 
 
+def _lane_expand(
+    vecs: Sequence[Sequence[Sequence[int]]], scale: Sequence[int] | None = None
+) -> list[Sequence[int]]:
+    """_expand on lanes: each entry is a list with one int per sample.
+
+    Without a scale lane the expansion starts from the first vector, so
+    vecs must not be empty.
+    """
+    if scale is None:
+        w, vecs = list(vecs[0]), vecs[1:]
+    else:
+        w = [scale]
+    for vec in vecs:
+        w = [list(map(mul, a, b)) for a in w for b in vec]
+    return w
+
+
+_add_lanes = partial(map, add)
+
+
+def _lane_sum(lanes: Sequence[Sequence[int]]) -> Sequence[int]:
+    """The sum of equal-length lanes, entry by entry.
+
+    Up to four lanes are added by chained maps, which build no tuples;
+    more are summed per entry over zip, which keeps the chain short.
+    """
+    if len(lanes) == 1:
+        return lanes[0]
+    if len(lanes) <= 4:
+        return list(reduce(_add_lanes, lanes))
+    return list(map(sum, zip(*lanes)))
+
+
 def _runs(groups: Sequence[Sequence[int]]) -> list[slice]:
     """The slice of each group in the concatenation of the groups."""
     out = []
@@ -387,6 +444,33 @@ def cond_table(
     return out
 
 
+def _margins(
+    refs: Sequence[tuple[int, int, int]],
+) -> tuple[Picker, list[Picker], list[Picker], Picker, Picker]:
+    """Getters that read a block's margins off the list of cell sums.
+
+    refs holds (x-value, y-value, cell index) per attained cell.  The first
+    getter picks those cells' sums in refs order; from that list each row
+    getter picks the cells of one attained x-value and each column getter
+    those of one y-value.  The last two pick each cell's row and column
+    from the lists of row and column sums.
+    """
+    rows: dict[int, list[int]] = {}
+    cols: dict[int, list[int]] = {}
+    for j, (a, b, _) in enumerate(refs):
+        rows.setdefault(a, []).append(j)
+        cols.setdefault(b, []).append(j)
+    row = {a: i for i, a in enumerate(rows)}
+    col = {b: i for i, b in enumerate(cols)}
+    return (
+        _picker([k for _, _, k in refs]),
+        list(map(_picker, rows.values())),
+        list(map(_picker, cols.values())),
+        _picker([row[a] for a, _, _ in refs]),
+        _picker([col[b] for _, b, _ in refs]),
+    )
+
+
 class _CiQuery:
     """The CI check of x and y given z, prepared once for many distributions.
 
@@ -420,7 +504,7 @@ class _CiQuery:
 
     __slots__ = (
         "space", "x", "y", "factors", "sizes", "unread", "lumps", "kept",
-        "head", "order", "parts", "tails", "cells", "blocks",
+        "head", "order", "parts", "tails", "cells", "blocks", "lanes", "margins",
     )
 
     def __init__(
@@ -522,20 +606,27 @@ class _CiQuery:
                 self.tails += parts
             self.cells.append(slice(start, len(heads)))
         # A getter that lists the head weights part after part, and each
-        # part's run in that list.
+        # part's run in that list; None when every part is one rank, so the
+        # listed weights are the part sums.
         self.order = _picker([h for part in heads for h in part])
-        self.parts = _runs(heads)
+        self.parts = None if all(len(part) == 1 for part in heads) else _runs(heads)
         labels = (TRIVIAL_LABEL,) if z is None else z.codomain
         self.blocks = [(labels[c], grouped[c]) for c in sorted(grouped)]
+        # The most samples one all_hold pass may carry: lanes times the
+        # longest list of weights it expands (the head, or a lump's grid)
+        # stay within |Omega|, the weights of one unreduced check.
+        longest = math.prod(self.sizes[:head])
+        for ids, _, _ in lumps:
+            longest = max(longest, math.prod(sizes[i] for i in ids))
+        self.lanes = max(1, space.outcome_count // longest)
+        self.margins: list | None = None  # per block, _margins; built by all_hold
 
     def check(self, p: ProductDistribution, tolerance: float | None = None) -> CiReport:
         _check_arity(self.space, p)
         return self.check_ints(_int_vectors(p), tolerance)
 
-    def check_ints(
-        self, vecs: Sequence[Sequence[int]], tolerance: float | None = None
-    ) -> CiReport:
-        """The check under the product of vecs, one integer vector per factor."""
+    def cell_sums(self, vecs: Sequence[Sequence[int]]) -> Sequence[int]:
+        """The weight of each cell under the product of vecs, one vector per factor."""
         scale = 1
         for i in self.unread:
             scale *= sum(vecs[i])
@@ -544,13 +635,21 @@ class _CiQuery:
             w = order(_expand(pick(vecs)))
             q.append(list(map(sum, map(w.__getitem__, runs))))
         q += self.kept(vecs)
-        w_head = self.order(_expand(q[: self.head], scale))
-        sums = list(map(sum, map(w_head.__getitem__, self.parts)))
+        sums = self.order(_expand(q[: self.head], scale))
+        if self.parts is not None:
+            sums = list(map(sum, map(sums.__getitem__, self.parts)))
         # With no tail each cell is one part, whose sum is the cell's.
         if self.head < len(q):
             w_tail = _expand(q[self.head :])
             parts = list(map(mul, sums, map(w_tail.__getitem__, self.tails)))
             sums = list(map(sum, map(parts.__getitem__, self.cells)))
+        return sums
+
+    def check_ints(
+        self, vecs: Sequence[Sequence[int]], tolerance: float | None = None
+    ) -> CiReport:
+        """The check under the product of vecs, one integer vector per factor."""
+        sums = self.cell_sums(vecs)
         x, y = self.x, self.y
         kx, ky = len(x.codomain), len(y.codomain)
         for zlabel, refs in self.blocks:
@@ -594,6 +693,63 @@ class _CiQuery:
                         )
         return CiReport(holds=True)
 
+    def lane_sums(
+        self, samples: Sequence[Sequence[Sequence[int]]]
+    ) -> Sequence[Sequence[int]]:
+        """cell_sums of every sample at once: per cell, one entry per sample.
+
+        Every weight is a lane, a list with one int per sample, and each
+        step of cell_sums is a C-level map over the lanes, so its
+        Python-level work is paid once for all samples.
+        """
+        # lanes[i][v]: entry v of factor i's vector, per sample.
+        lanes = [list(zip(*vecs)) for vecs in zip(*samples)]
+        scale = None
+        for i in self.unread:
+            s = _lane_sum(lanes[i])
+            scale = s if scale is None else list(map(mul, scale, s))
+        q = []
+        for pick, order, runs in self.lumps:
+            w = order(_lane_expand(pick(lanes)))
+            q.append(list(map(_lane_sum, map(w.__getitem__, runs))))
+        q += self.kept(lanes)
+        # Without an unread factor some factor is read, so the head is not
+        # empty: a read factor, or a lump, has two values or more.
+        sums = self.order(_lane_expand(q[: self.head], scale))
+        if self.parts is not None:
+            sums = list(map(_lane_sum, map(sums.__getitem__, self.parts)))
+        if self.head < len(q):
+            w_tail = _lane_expand(q[self.head :])
+            parts = [
+                list(map(mul, s, t))
+                for s, t in zip(sums, map(w_tail.__getitem__, self.tails))
+            ]
+            sums = list(map(_lane_sum, map(parts.__getitem__, self.cells)))
+        return sums
+
+    def all_hold(self, samples: Sequence[Sequence[Sequence[int]]]) -> bool:
+        """Whether check_ints(s) holds for every s in samples, on no zero block.
+
+        False means some sample fails or meets a block of zero mass; only
+        check_ints says which, and how.
+        """
+        if self.margins is None:
+            self.margins = [_margins(refs) for _, refs in self.blocks]
+        sums = self.lane_sums(samples)
+        for cells, rows, cols, row_of, col_of in self.margins:
+            joint = cells(sums)
+            wx = [_lane_sum(row(joint)) for row in rows]
+            total = _lane_sum(wx)
+            if 0 in total:
+                return False
+            wy = [_lane_sum(col(joint)) for col in cols]
+            # As in check_ints, equality on the attained cells suffices.
+            lhs = map(mul, chain.from_iterable(joint), cycle(total))
+            rhs = map(mul, chain.from_iterable(row_of(wx)), chain.from_iterable(col_of(wy)))
+            if list(lhs) != list(rhs):
+                return False
+        return True
+
 
 def is_cond_independent(
     space: FactoredSpace,
@@ -625,7 +781,17 @@ def verify_soundness(
     n: int,
     seed: int,
 ) -> SoundnessReport:
-    """Exact CI under n sampled positive distributions; requires a structural pair."""
+    """Exact CI under n sampled positive distributions; requires a structural pair.
+
+    Sample i is sample_product(space, spawn_seed(seed, i)), drawn in order.
+    The samples are checked in chunks of at most query.lanes, as even as
+    that allows, each by one lane pass (_CiQuery.all_hold) when it holds at
+    least LANES_MIN samples.  A chunk the pass does not clear, and any
+    shorter chunk, is checked sample by sample with check_ints, so the
+    report is exactly that of checking every sample on its own.  The cap
+    keeps a pass's lanes within the weights of one unreduced check; a space
+    whose quotient does not shrink gets chunks of one.
+    """
     if n < 0:
         raise ValueError(f"sample count must be non-negative, got {n}")
     if not structurally_independent(space, x, y, z).independent:
@@ -635,10 +801,16 @@ def verify_soundness(
         )
     query = _CiQuery(space, x, y, z)
     violations = []
-    for i in range(n):
-        report = query.check_ints(_sample_ints(space, spawn_seed(seed, i)))
-        if not report.holds:
-            violations.append((i, report))
+    chunks = -(-n // query.lanes)
+    for c in range(chunks):
+        chunk = range(n * c // chunks, n * (c + 1) // chunks)
+        samples = [_sample_ints(space, spawn_seed(seed, i)) for i in chunk]
+        if len(samples) >= LANES_MIN and query.all_hold(samples):
+            continue
+        for i, nums in zip(chunk, samples):
+            report = query.check_ints(nums)
+            if not report.holds:
+                violations.append((i, report))
     return SoundnessReport(samples=n, violations=tuple(violations))
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -27,6 +28,7 @@ from facthist import (
     PreconditionError,
     ProductDistribution,
     RandomVariable,
+    SoundnessReport,
     UnknownFactorError,
     block_conditional,
     blocks_of,
@@ -407,6 +409,31 @@ def test_first_violation_is_row_major():
     assert report == oracle_ci_report(space, p, x, y, trivial_var(space))
 
 
+def _per_sample_violations(space, x, y, z, n, seed):
+    """The violations of checking each sample on its own, in sample order."""
+    out = []
+    for i in range(n):
+        nums = distributions._sample_ints(space, spawn_seed(seed, i))
+        ci = is_cond_independent(space, _normalized_product(nums), x, y, z)
+        if not ci.holds:
+            out.append((i, ci))
+    return tuple(out)
+
+
+def _spy_on_lane_passes(monkeypatch):
+    """Record (chunk length, verdict) of every all_hold pass."""
+    passes = []
+    all_hold = _CiQuery.all_hold
+
+    def spy(query, samples):
+        verdict = all_hold(query, samples)
+        passes.append((len(samples), verdict))
+        return verdict
+
+    monkeypatch.setattr(_CiQuery, "all_hold", spy)
+    return passes
+
+
 def test_soundness_violations_equal_per_sample_reports(monkeypatch):
     space, u0, u1, xor = xor_bundle()
     # The structural pair holds on every sample.
@@ -425,6 +452,36 @@ def test_soundness_violations_equal_per_sample_reports(monkeypatch):
             if not ci.holds:
                 expected.append((i, ci))
         assert expected and report.violations == tuple(expected)
+    # On the ci-verify shape one lane pass carries up to query.lanes
+    # samples, so these n span chunk boundaries.  X and W share u2; samples
+    # 0 to chunk put all of u2's mass on one value, so they hold and whole
+    # chunks pass, while the chunks after them mix holding and violating
+    # samples or only violate, and fall back to one check per sample.
+    space, v = _ci_verify_space()
+    seed = 11
+    draw = distributions._sample_ints
+    passes = _spy_on_lane_passes(monkeypatch)
+    verdicts = set()
+    for w in ("Y", "W"):
+        x, y, z = v["X"], v[w], v["Z"]
+        chunk = _CiQuery(space, x, y, z).lanes
+        assert chunk > distributions.LANES_MIN
+
+        def fixed_u2(space, s, held=chunk + 1):
+            nums = draw(space, s)
+            if s - spawn_seed(seed, 0) < held:
+                nums[2] = [nums[2][0], 0]
+            return nums
+
+        monkeypatch.setattr(distributions, "_sample_ints", fixed_u2)
+        for n in (0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
+            report = verify_soundness(space, x, y, z, n=n, seed=seed)
+            assert report == SoundnessReport(n, _per_sample_violations(space, x, y, z, n, seed))
+            assert (w == "W" and n > chunk + 1) == bool(report.violations), (w, n)
+        assert all(distributions.LANES_MIN <= size <= chunk for size, _ in passes)
+        verdicts.update(verdict for _, verdict in passes)
+        passes.clear()
+    assert verdicts == {True, False}
 
 
 def test_find_witness_returns_the_first_violating_sample():
@@ -701,6 +758,161 @@ def test_zero_vector_on_an_unread_factor_is_degenerate_like_the_oracle():
     with pytest.raises(DegenerateBlockError) as want:
         oracle_ci_report(space, nums, x, y, z)
     assert str(got.value) == str(want.value)
+
+
+def _holds_on_every(query, samples):
+    """Whether checking each sample on its own finds no violation and no zero block."""
+    for nums in samples:
+        try:
+            if not query.check_ints(nums).holds:
+                return False
+        except DegenerateBlockError:
+            return False
+    return True
+
+
+def _entangled_instance(rng):
+    """Four to six factors of 2-3 values; two-valued x and y read every one.
+
+    Nothing is dropped or lumped, and z has at most two values, so the
+    cells are few enough for the query to fold trailing factors.
+    """
+    space = make_space(*(rng.randint(2, 3) for _ in range(rng.randint(4, 6))))
+    x, y = (function_of(space, name, range(space.factor_count), 2, rng) for name in "xy")
+    z = function_of(space, "z", _random_ids(space, rng), rng.randint(1, 2), rng)
+    return space, x, y, z
+
+
+def _transposed(lanes):
+    """Per-cell lanes as one list of cell sums per sample."""
+    return [list(sums) for sums in zip(*lanes)]
+
+
+def _skewed_ints(space, rng):
+    """One integer vector per factor, with zero entries and now and then all zero."""
+    return [[rng.choice((0, 0, 1, 2, 7, 50)) for _ in range(f.size)] for f in space.factors]
+
+
+def test_lane_pass_agrees_with_per_sample_checks():
+    # Every lane of every cell sum is that sample's own sum, and the verdict
+    # is that of checking each sample.  Structural and dependent pairs
+    # alike, one trial in four with a folded tail.  Half the chunks are
+    # sampled, now and then with one skewed sample that alone fails or
+    # meets a block of zero mass; in the others every sample is skewed.
+    rng = random.Random("lane-pass")
+    seen = Counter()
+    for trial in range(600):
+        if trial % 4:
+            space, x, y, z, _ = _random_instance(rng, trial)
+        else:
+            space, x, y, z = _entangled_instance(rng)
+        query = _CiQuery(space, x, y, z)
+        if rng.random() < 0.5:
+            samples = [_sample_ints(space, spawn_seed(trial, i)) for i in range(rng.randint(1, 7))]
+            if rng.random() < 0.5:
+                samples[rng.randrange(len(samples))] = _skewed_ints(space, rng)
+        else:
+            samples = [_skewed_ints(space, rng) for _ in range(rng.randint(1, 3))]
+        assert _transposed(query.lane_sums(samples)) == [list(query.cell_sums(s)) for s in samples]
+        want = _holds_on_every(query, samples)
+        assert query.all_hold(samples) == want, trial
+        seen["holds" if want else "fails"] += 1
+        if not want and any(_holds_on_every(query, [nums]) for nums in samples):
+            seen["some lanes fail"] += 1
+        seen["lumped"] += bool(query.lumps)
+        seen["unread"] += any(space.factors[i].size > 1 for i in query.unread)
+        seen["tail"] += query.head < len(query.sizes)
+    kinds = ("holds", "fails", "some lanes fail", "lumped", "unread", "tail")
+    assert all(seen[k] >= 20 for k in kinds), seen
+
+
+@example(instance=FOLD_INSTANCES[1], extra=4, seed=0)
+@example(instance=FOLD_INSTANCES[3], extra=5, seed=1)
+@example(instance=REDUCED_INSTANCES[1], extra=3, seed=2)
+@settings(max_examples=200, deadline=None)
+@given(instance=_ci_instances(), extra=st.integers(0, 6), seed=st.integers(0, 2**16))
+def test_lane_pass_matches_per_sample_checks_on_any_quotient(instance, extra, seed):
+    # The drawn vectors, which may hold zeros, sit among sampled ones.
+    space, x, y, z, nums = instance
+    query = _CiQuery(space, x, y, z)
+    samples = [_sample_ints(space, spawn_seed(seed, i)) for i in range(extra)]
+    samples.insert(seed % (extra + 1), nums)
+    assert _transposed(query.lane_sums(samples)) == [list(query.cell_sums(s)) for s in samples]
+    assert query.all_hold(samples) == _holds_on_every(query, samples)
+
+
+# Zero vectors, per case: factor id and vector, by sample index in the chunk.
+# u0 is read by X.  Given nothing, u6 is read by no variable, so the
+# quotient drops it and its zero vector scales every weight to 0.  Given u7,
+# the first zero leaves only block '1' without mass and the next only block
+# '0', so the message names the block of the first sample in order.
+ZERO_CASES = {
+    "read": ("Z", {3: (0, [0, 0])}),
+    "unread": (None, {5: (6, [0, 0])}),
+    "order": ("u7", {2: (7, [5, 0, 9]), 3: (7, [0, 4, 9])}),
+}
+
+
+@pytest.mark.parametrize("case", ZERO_CASES)
+def test_zero_vectors_in_a_chunk_raise_like_per_sample_checks(monkeypatch, case):
+    space, v = _ci_verify_space()
+    given, zeros = ZERO_CASES[case]
+    x, y = v["X"], v["Y"]
+    z = {"Z": v["Z"], "u7": factor_var(space, 7), None: None}[given]
+    query = _CiQuery(space, x, y, z)
+    assert all((i in query.unread) == (case == "unread") for i, _ in zeros.values())
+    seed, n = 5, 2 * distributions.LANES_MIN
+    draw = distributions._sample_ints
+
+    def with_zeros(space, s):
+        nums = draw(space, s)
+        i, vec = zeros.get(s - spawn_seed(seed, 0), (None, None))
+        if vec is not None:
+            nums[i] = list(vec)
+        return nums
+
+    samples = [with_zeros(space, spawn_seed(seed, i)) for i in range(n)]
+    with pytest.raises(DegenerateBlockError) as want:
+        for nums in samples:
+            query.check_ints(nums)
+    assert not query.all_hold(samples)
+    monkeypatch.setattr(distributions, "_sample_ints", with_zeros)
+    passes = _spy_on_lane_passes(monkeypatch)
+    with pytest.raises(DegenerateBlockError) as got:
+        verify_soundness(space, x, y, z, n=n, seed=seed)
+    assert str(got.value) == str(want.value)
+    assert passes == [(n, False)]
+
+
+def _traced_peak(f, *args):
+    """f(*args), and the peak of traced memory while it ran above what was held before."""
+    held = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    out = f(*args)
+    return out, tracemalloc.get_traced_memory()[1] - held
+
+
+def test_soundness_checks_hold_no_more_memory_than_one_check(monkeypatch):
+    # 2^14 outcomes: x is injective on u0-u6 and y on u7-u13, and there is
+    # no conditioner, so nothing is dropped or lumped and the quotient is
+    # the whole space.  The query is prepared once outside the measurement.
+    space = make_space(*(2,) * 14)
+    ranks = range(space.outcome_count)
+    x = make_var(space, "x", 128, [r >> 7 for r in ranks])
+    y = make_var(space, "y", 128, [r & 127 for r in ranks])
+    query = _CiQuery(space, x, y, None)
+    assert math.prod(query.sizes) == space.outcome_count
+    assert structurally_independent(space, x, y, None).independent
+    monkeypatch.setattr(distributions, "_CiQuery", lambda *args: query)
+    nums = _sample_ints(space, 0)
+    tracemalloc.start()
+    try:
+        _, one = _traced_peak(query.check_ints, nums)
+        report, every = _traced_peak(verify_soundness, space, x, y, None, 50, 0)
+    finally:
+        tracemalloc.stop()
+    assert report.all_hold
+    assert every <= 1.5 * one, (every, one)
 
 
 def _pinned_space_doc():

@@ -63,11 +63,12 @@ The pass only says whether every sample holds on every block with none of
 zero mass; if not, each sample of the chunk is checked again by
 check_ints, the one code that builds a CiReport, so violation indices,
 first violations and DegenerateBlockError messages are those of checking
-sample by sample.  A chunk holds at most |Omega| // L samples, with L the
-longest list of weights the pass expands (the head, or a lump's grid), so
-its lanes hold no more weights than one unreduced check would; chunks are
-as even as that allows, and one of fewer than LANES_MIN samples is
-checked sample by sample, which is cheaper there.  find_witness still
+sample by sample.  A chunk holds at most max(|Omega|, LANE_WEIGHTS) // L
+samples, with L the longest list of weights the pass expands (the head, or
+a lump's grid), so its lanes hold no more weights than one unreduced check
+would, or than LANE_WEIGHTS on a small space; chunks are as even as that
+allows, and one of fewer than LANES_MIN samples is checked sample by
+sample, which is cheaper there.  find_witness still
 checks one try at a time: it stops at the first violating try, which on
 the benchmark's ci-verify and the law suites is almost always the first,
 so a chunk would mostly draw samples that are thrown away.
@@ -79,8 +80,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial, reduce
-from itertools import chain, cycle, repeat
+from functools import lru_cache, partial, reduce
+from itertools import chain, cycle, islice, repeat
 from operator import add, mul
 from typing import Sequence
 
@@ -133,6 +134,11 @@ __all__ = [
 ]
 
 SAMPLE_GRID_MAX = 101
+# A lane pass may carry at least this many weights in all, however small the
+# space: one chunk of a law-suite query (at most 81 outcomes) then holds up
+# to 50 samples, while a space whose quotient does not shrink still gets
+# chunks of one once it has this many outcomes.
+LANE_WEIGHTS = 4096
 # A lane pass costs about as much as checking three or four samples one at a
 # time, so verify_soundness checks shorter chunks one sample at a time.
 LANES_MIN = 4
@@ -260,24 +266,39 @@ def _normalized(nums: Sequence[int]) -> tuple[Fraction, ...]:
     return tuple(Fraction(n, total) for n in nums)
 
 
+@lru_cache(maxsize=4)
+def _draw_tables(top: int) -> tuple[bytes, bytes]:
+    """translate() tables from a 32-bit word's top byte to randint(1, top).
+
+    randint(1, top) keeps the top k = top.bit_length() bits of one 32-bit
+    word, redraws while they are >= top, and adds 1.  The first table maps
+    each byte to that number, the second lists the bytes that are redrawn.
+    A top of at most 255 keeps every number in one byte.
+    """
+    shift = 8 - top.bit_length()
+    table = bytes(1 + (b >> shift) if b >> shift < top else 0 for b in range(256))
+    redrawn = bytes(b for b in range(256) if b >> shift >= top)
+    return table, redrawn
+
+
 def _draw_ints(rng: random.Random, size: int) -> list[int]:
     """size numerators drawn uniformly from 1..SAMPLE_GRID_MAX, in order.
 
     These are the numbers of rng.randint(1, SAMPLE_GRID_MAX) from the same
-    state, without its Python layers: randint draws k =
-    SAMPLE_GRID_MAX.bit_length() random bits and redraws while they are
-    >= SAMPLE_GRID_MAX.
+    state, without its Python layers: getrandbits(32 * m) holds the next m
+    words, least significant first, so its bytes 3, 7, ... are their top
+    bytes, and one translate() maps or drops them all.  Each round draws
+    exactly the missing count, so no word after the last kept one is drawn
+    and rng ends in randint's state.
     """
-    top = SAMPLE_GRID_MAX
-    bits = top.bit_length()
-    draw = rng.getrandbits
-    out = []
-    for _ in range(size):
-        r = draw(bits)
-        while r >= top:
-            r = draw(bits)
-        out.append(1 + r)
-    return out
+    table, redrawn = _draw_tables(SAMPLE_GRID_MAX)
+    out = b""
+    while len(out) < size:
+        m = size - len(out)
+        out += rng.getrandbits(32 * m).to_bytes(4 * m, "little")[3::4].translate(
+            table, redrawn
+        )
+    return list(out)
 
 
 def sample_vector(rng: random.Random, size: int) -> tuple[Fraction, ...]:
@@ -288,12 +309,13 @@ def sample_vector(rng: random.Random, size: int) -> tuple[Fraction, ...]:
 def _sample_ints(space: FactoredSpace, seed: int) -> list[list[int]]:
     """The numerators of sample_product(space, seed), one list per factor.
 
-    The draws are made in the same order, so normalizing each list gives
-    that distribution; the integers themselves are weights proportional to
-    it, which is all a CI check needs.
+    The draws are made in the same order, all in one _draw_ints call, so
+    normalizing each list gives that distribution; the integers themselves
+    are weights proportional to it, which is all a CI check needs.
     """
-    rng = random.Random(seed)
-    return [_draw_ints(rng, f.size) for f in space.factors]
+    sizes = [f.size for f in space.factors]
+    nums = iter(_draw_ints(random.Random(seed), sum(sizes)))
+    return [list(islice(nums, size)) for size in sizes]
 
 
 def sample_product(space: FactoredSpace, seed: int) -> ProductDistribution:
@@ -614,11 +636,12 @@ class _CiQuery:
         self.blocks = [(labels[c], grouped[c]) for c in sorted(grouped)]
         # The most samples one all_hold pass may carry: lanes times the
         # longest list of weights it expands (the head, or a lump's grid)
-        # stay within |Omega|, the weights of one unreduced check.
+        # stay within |Omega|, the weights of one unreduced check, or within
+        # LANE_WEIGHTS on a smaller space.
         longest = math.prod(self.sizes[:head])
         for ids, _, _ in lumps:
             longest = max(longest, math.prod(sizes[i] for i in ids))
-        self.lanes = max(1, space.outcome_count // longest)
+        self.lanes = max(1, max(space.outcome_count, LANE_WEIGHTS) // longest)
         self.margins: list | None = None  # per block, _margins; built by all_hold
 
     def check(self, p: ProductDistribution, tolerance: float | None = None) -> CiReport:
@@ -789,8 +812,9 @@ def verify_soundness(
     least LANES_MIN samples.  A chunk the pass does not clear, and any
     shorter chunk, is checked sample by sample with check_ints, so the
     report is exactly that of checking every sample on its own.  The cap
-    keeps a pass's lanes within the weights of one unreduced check; a space
-    whose quotient does not shrink gets chunks of one.
+    keeps a pass's lanes within the weights of one unreduced check, or
+    within LANE_WEIGHTS on a smaller space; a space of at least that many
+    outcomes whose quotient does not shrink gets chunks of one.
     """
     if n < 0:
         raise ValueError(f"sample count must be non-negative, got {n}")

@@ -31,7 +31,7 @@ import math
 import os
 from dataclasses import dataclass
 from itertools import chain, repeat
-from operator import itemgetter, lt
+from operator import add, countOf, itemgetter, lt, mul
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -187,7 +187,14 @@ class RandomVariable:
             raise ValueError(f"variable {self.name!r} has duplicate codomain labels")
         k = len(self.codomain)
         table = self.table
-        if table and not (0 <= min(table) and max(table) < k):
+        try:
+            # One C-level pass: bytes() takes ints in 0..255 only, and
+            # deleting 0..k-1 leaves exactly the entries outside the codomain.
+            # Any other entry makes bytes() raise, and min and max decide.
+            in_range = not bytes(table).translate(None, bytes(range(min(k, 256))))
+        except (TypeError, ValueError):
+            in_range = not table or (0 <= min(table) and max(table) < k)
+        if not in_range:
             bad = next(v for v in table if not 0 <= v < k)
             raise ValueError(
                 f"variable {self.name!r} table entry {bad} outside codomain of {k}"
@@ -446,6 +453,9 @@ def fold_pair(space: FactoredSpace, xs: Sequence[RandomVariable]) -> RandomVaria
     and parenthesis inside each component label, so labels are injective.
     Tables and codomain order equal those of a left fold of pair_var.  One
     variable is returned as it is; none gives the trivial variable.
+
+    Value tuples are keyed by their mixed-radix int over the codomain sizes,
+    the last variable varying fastest, so sorted keys are the sorted tuples.
     """
     if not xs:
         return trivial_var(space)
@@ -453,16 +463,23 @@ def fold_pair(space: FactoredSpace, xs: Sequence[RandomVariable]) -> RandomVaria
         ensure_on_space(space, x)
     if len(xs) == 1:
         return xs[0]
-    keys = list(zip(*(x.table for x in xs)))
+    keys = xs[0].table
+    for x in xs[1:]:
+        keys = list(map(add, map(mul, keys, repeat(len(x.codomain))), x.table))
     attained = sorted(set(keys))
     index = {key: k for k, key in enumerate(attained)}
     codomains = [[c.translate(_LABEL_ESCAPES) for c in x.codomain] for x in xs]
-    codomain = tuple(
-        "(" + ",".join(cod[v] for cod, v in zip(codomains, key)) + ")" for key in attained
-    )
+    labels = []
+    for key in attained:
+        parts = []
+        for cod in reversed(codomains[1:]):
+            key, v = divmod(key, len(cod))
+            parts.append(cod[v])
+        parts.append(codomains[0][key])
+        labels.append("(" + ",".join(reversed(parts)) + ")")
     return RandomVariable(
         name="(" + ",".join(x.name for x in xs) + ")",
-        codomain=codomain,
+        codomain=tuple(labels),
         table=tuple(map(index.__getitem__, keys)),
     )
 
@@ -670,9 +687,14 @@ def space_from_doc(doc: object) -> tuple[FactoredSpace, dict[str, RandomVariable
             raise FormatError(
                 f"variables[{name!r}].codomain must be a non-empty list of strings"
             )
-        # One C-level pass collects the entry types; few are distinct.
-        if not isinstance(table, list) or not all(
-            issubclass(t, int) and not issubclass(t, bool) for t in set(map(type, table))
+        # One C-level pass counts the plain ints; only a table with other
+        # entry types collects them, and int subclasses other than bool pass.
+        if not isinstance(table, list) or (
+            countOf(map(type, table), int) != len(table)
+            and not all(
+                issubclass(t, int) and not issubclass(t, bool)
+                for t in set(map(type, table))
+            )
         ):
             raise FormatError(f"variables[{name!r}].table must be a list of integers")
         if len(table) != space.outcome_count:

@@ -9,8 +9,9 @@ probabilities by summing exact outcome products, CI reports and joint
 factorization by a per-rank pass over each block, the duality law through
 the public Fraction API, d-separation both by walk enumeration and by
 moralization, DAG embeddings by evaluating every node at every outcome,
-and the separator condition by full event enumeration.  Slow on purpose;
-only run on small inputs.
+the separator condition by full event enumeration, and table checks and
+joint variables by the min/max scans and value tuples they replace.  Slow
+on purpose; only run on small inputs.
 """
 
 from __future__ import annotations
@@ -99,6 +100,41 @@ def oracle_support(space: FactoredSpace, x: RandomVariable) -> frozenset[int]:
                 if x.table[moved] != x.table[r]:
                     found.add(i)
     return frozenset(found)
+
+
+def oracle_range_error(name: str, k: int, table) -> str | None:
+    """The message of a table entry outside 0..k-1, found by min and max, or None."""
+    if table and not (0 <= min(table) and max(table) < k):
+        bad = next(v for v in table if not 0 <= v < k)
+        return f"variable {name!r} table entry {bad} outside codomain of {k}"
+    return None
+
+
+def oracle_table_is_ints(table) -> bool:
+    """A list whose entry types are int or its subclasses other than bool."""
+    return isinstance(table, list) and all(
+        issubclass(t, int) and not issubclass(t, bool) for t in set(map(type, table))
+    )
+
+
+def oracle_fold_pair(space: FactoredSpace, xs) -> RandomVariable:
+    """The joint variable of two or more variables, keyed by value tuples."""
+    keys = list(zip(*(x.table for x in xs)))
+    attained = sorted(set(keys))
+    index = {key: k for k, key in enumerate(attained)}
+
+    def escaped(label):
+        return "".join("\\" + ch if ch in "\\,()" else ch for ch in label)
+
+    codomain = tuple(
+        "(" + ",".join(escaped(x.codomain[v]) for x, v in zip(xs, key)) + ")"
+        for key in attained
+    )
+    return RandomVariable(
+        name="(" + ",".join(x.name for x in xs) + ")",
+        codomain=codomain,
+        table=tuple(index[key] for key in keys),
+    )
 
 
 def oracle_history(space: FactoredSpace, c: Block, x: RandomVariable) -> frozenset[int]:

@@ -67,7 +67,13 @@ from facthist.distributions import (
 from facthist.errors import FormatError
 
 from helpers import function_of, make_space, make_var, xor_bundle
-from oracles import oracle_ci, oracle_ci_report, oracle_event_prob, oracle_int_weights
+from oracles import (
+    oracle_ci,
+    oracle_ci_report,
+    oracle_event_prob,
+    oracle_int_weights,
+    oracle_support,
+)
 
 F = Fraction
 
@@ -452,36 +458,38 @@ def test_soundness_violations_equal_per_sample_reports(monkeypatch):
             if not ci.holds:
                 expected.append((i, ci))
         assert expected and report.violations == tuple(expected)
-    # On the ci-verify shape one lane pass carries up to query.lanes
-    # samples, so these n span chunk boundaries.  X and W share u2; samples
-    # 0 to chunk put all of u2's mass on one value, so they hold and whole
-    # chunks pass, while the chunks after them mix holding and violating
-    # samples or only violate, and fall back to one check per sample.
-    space, v = _ci_verify_space()
+    # On the ci-verify shape and on a law-suite-sized space one lane pass
+    # carries up to query.lanes samples, so these n span chunk boundaries.
+    # X and W share u2; samples 0 to chunk put all of u2's mass on one
+    # value, so they hold and whole chunks pass, while the chunks after them
+    # mix holding and violating samples or only violate, and fall back to
+    # one check per sample.
     seed = 11
     draw = distributions._sample_ints
     passes = _spy_on_lane_passes(monkeypatch)
-    verdicts = set()
-    for w in ("Y", "W"):
-        x, y, z = v["X"], v[w], v["Z"]
-        chunk = _CiQuery(space, x, y, z).lanes
-        assert chunk > distributions.LANES_MIN
+    for space, v in (_ci_verify_space(), _suite_sized_space()):
+        verdicts = set()
+        for w in ("Y", "W"):
+            x, y, z = v["X"], v[w], v["Z"]
+            chunk = _CiQuery(space, x, y, z).lanes
+            assert chunk > distributions.LANES_MIN
 
-        def fixed_u2(space, s, held=chunk + 1):
-            nums = draw(space, s)
-            if s - spawn_seed(seed, 0) < held:
-                nums[2] = [nums[2][0], 0]
-            return nums
+            def fixed_u2(space, s, held=chunk + 1):
+                nums = draw(space, s)
+                if s - spawn_seed(seed, 0) < held:
+                    nums[2] = [nums[2][0]] + [0] * (len(nums[2]) - 1)
+                return nums
 
-        monkeypatch.setattr(distributions, "_sample_ints", fixed_u2)
-        for n in (0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
-            report = verify_soundness(space, x, y, z, n=n, seed=seed)
-            assert report == SoundnessReport(n, _per_sample_violations(space, x, y, z, n, seed))
-            assert (w == "W" and n > chunk + 1) == bool(report.violations), (w, n)
-        assert all(distributions.LANES_MIN <= size <= chunk for size, _ in passes)
-        verdicts.update(verdict for _, verdict in passes)
-        passes.clear()
-    assert verdicts == {True, False}
+            monkeypatch.setattr(distributions, "_sample_ints", fixed_u2)
+            for n in (0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
+                report = verify_soundness(space, x, y, z, n=n, seed=seed)
+                want = _per_sample_violations(space, x, y, z, n, seed)
+                assert report == SoundnessReport(n, want)
+                assert (w == "W" and n > chunk + 1) == bool(report.violations), (w, n)
+            assert all(distributions.LANES_MIN <= size <= chunk for size, _ in passes)
+            verdicts.update(verdict for _, verdict in passes)
+            passes.clear()
+        assert verdicts == {True, False}
 
 
 def test_find_witness_returns_the_first_violating_sample():
@@ -563,6 +571,18 @@ def test_draws_equal_randint(monkeypatch, top):
             a, b = random.Random(seed), random.Random(seed)
             assert _draw_ints(a, size) == [b.randint(1, top) for _ in range(size)]
             assert a.getstate() == b.getstate()
+
+
+@pytest.mark.parametrize("top", [101, 2])
+def test_samples_equal_per_factor_randint_draws(monkeypatch, top):
+    monkeypatch.setattr(distributions, "SAMPLE_GRID_MAX", top)
+    rng = random.Random("sample-sizes")
+    for seed in range(100):
+        space = make_space(*(rng.randint(1, 6) for _ in range(rng.randint(1, 5))))
+        draw = random.Random(seed)
+        assert _sample_ints(space, seed) == [
+            [draw.randint(1, top) for _ in range(f.size)] for f in space.factors
+        ]
 
 
 @st.composite
@@ -720,6 +740,23 @@ def _ci_verify_space():
     ):
         var = function_of(space, name, ids, k, rng)
         while len(set(var.table)) < k:
+            var = function_of(space, name, ids, k, rng)
+        variables[name] = var
+    return space, variables
+
+
+def _suite_sized_space():
+    """81 outcomes, the most a law-suite space has at the default bounds.
+
+    X reads u0 and u2, Y reads u1, Z reads u3 and W reads u1 and u2, each
+    onto its values.
+    """
+    rng = random.Random("suite-sized")
+    space = make_space(3, 3, 3, 3)
+    variables = {}
+    for name, ids, k in (("X", (0, 2), 3), ("Y", (1,), 3), ("Z", (3,), 2), ("W", (1, 2), 3)):
+        var = function_of(space, name, ids, k, rng)
+        while len(set(var.table)) < k or oracle_support(space, var) != frozenset(ids):
             var = function_of(space, name, ids, k, rng)
         variables[name] = var
     return space, variables

@@ -4,12 +4,17 @@ Claims covered here: mixed-radix outcome ranking with the last factor
 fastest, rank/unrank inversion, per-factor digit tables, projection and
 pair variables with injective joint labels, level-set
 blocks partitioning the space, size caps (including the environment
-override), validation messages, and lossless document round-trips.
+override), validation messages and verdicts equal to the scans they
+replace, the memory of checking large tables, and lossless document
+round-trips.
 """
 
 from __future__ import annotations
 
+import math
 import random
+import tracemalloc
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -42,7 +47,12 @@ from facthist import (
 from facthist.space import OUTCOME_CAP_ENV
 
 from helpers import function_of, make_space, make_var, xor_bundle
-from oracles import oracle_support
+from oracles import (
+    oracle_fold_pair,
+    oracle_range_error,
+    oracle_support,
+    oracle_table_is_ints,
+)
 
 
 def test_rank_is_mixed_radix_with_last_factor_fastest():
@@ -397,3 +407,132 @@ def test_space_doc_roundtrip():
 def test_space_doc_rejects_malformed(doc):
     with pytest.raises(FormatError):
         space_from_doc(doc)
+
+
+@pytest.mark.parametrize(
+    "k, table",
+    [
+        (256, (0, 255)),
+        (256, (0, 256)),
+        (257, (256, 0)),
+        (300, (299, 255, 0)),
+        (300, (0, 300)),
+        (2, (True, False)),
+        (2, (1.0, 0.5)),
+        (2, (0, 2.5, -1)),
+        (1, ()),
+    ],
+)
+def test_range_check_at_byte_and_type_edges(k, table):
+    _assert_range_check(k, table)
+
+
+def _assert_range_check(k, table):
+    want = oracle_range_error("x", k, table)
+    codomain = tuple(map(str, range(k)))
+    if want is None:
+        assert RandomVariable("x", codomain, table).table == table
+    else:
+        with pytest.raises(ValueError) as err:
+            RandomVariable("x", codomain, table)
+        assert str(err.value) == want
+
+
+WILD_ENTRIES = st.integers(-3, 300) | st.booleans() | st.floats(-3, 300)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 300), st.data())
+def test_range_check_matches_the_min_max_scan(k, data):
+    # Entries in range, with up to two drawn from anywhere around them.
+    table = data.draw(st.lists(st.integers(0, k - 1), max_size=40))
+    for _ in range(data.draw(st.integers(0, 2))):
+        table.insert(data.draw(st.integers(0, len(table))), data.draw(WILD_ENTRIES))
+    _assert_range_check(k, tuple(table))
+
+
+class Level(IntEnum):
+    LOW = 0
+    HIGH = 1
+    WIDE = 5
+
+
+MIXED_ENTRIES = st.sampled_from(
+    [0, 1, 2, -1, True, False, 1.0, 0.5, "1", None, Level.LOW, Level.HIGH, Level.WIDE]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_space_doc_tables_match_the_type_and_range_scans(data):
+    sizes = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    n, k = math.prod(sizes), data.draw(st.integers(1, 3))
+    table = data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    for _ in range(data.draw(st.integers(0, 3))):
+        table[data.draw(st.integers(0, n - 1))] = data.draw(MIXED_ENTRIES)
+    doc = {
+        "factors": [
+            {"name": f"u{i}", "domain": [str(v) for v in range(size)]}
+            for i, size in enumerate(sizes)
+        ],
+        "variables": {"x": {"codomain": [str(v) for v in range(k)], "table": table}},
+    }
+    if not oracle_table_is_ints(table):
+        want = "variables['x'].table must be a list of integers"
+    else:
+        want = oracle_range_error("x", k, table)
+    if want is None:
+        assert space_from_doc(doc)[1]["x"].table == tuple(table)
+    else:
+        with pytest.raises(FormatError) as err:
+            space_from_doc(doc)
+        assert str(err.value) == want
+
+
+ESCAPED_LABELS = st.lists(
+    st.text(alphabet="a\\,()", max_size=3), min_size=1, max_size=4, unique=True
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_fold_pair_matches_value_tuple_keys(data):
+    sizes = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    space = make_space(*sizes)
+    n = space.outcome_count
+    xs = []
+    for i in range(data.draw(st.integers(1, 4))):
+        labels = data.draw(ESCAPED_LABELS)
+        table = data.draw(st.lists(st.integers(0, len(labels) - 1), min_size=n, max_size=n))
+        xs.append(RandomVariable(f"x{i}", tuple(labels), table))
+    got = fold_pair(space, xs)
+    if len(xs) == 1:
+        assert got is xs[0]
+    else:
+        assert got == oracle_fold_pair(space, xs)
+
+
+def _traced_peak(build):
+    """The peak of memory traced while build() ran, in bytes."""
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_checking_a_large_table_copies_it_once():
+    table = tuple(r % 3 for r in range(2**20))
+    assert _traced_peak(lambda: RandomVariable("x", ("a", "b", "c"), table)) < 3 * 2**20
+
+
+def test_checking_an_injective_table_costs_no_more_than_its_codomain():
+    # Entries past 255 fall back to min and max, which allocate nothing, so
+    # the peak (about 48 MiB) is the set that checks the 10**6 labels are
+    # distinct.
+    n = 10**6
+    codomain = tuple(map(str, range(n)))
+    table = tuple(range(n))
+    labels = _traced_peak(lambda: set(codomain))
+    assert _traced_peak(lambda: RandomVariable("x", codomain, table)) <= labels + 2**16

@@ -1,9 +1,11 @@
 """Command line interface.
 
-Every command prints a single JSON document on stdout and keeps diagnostics
-on stderr.  Exit codes: 0 for an affirmative verdict or passing run, 1 for a
-negative verdict (dependent, d-connected, witness not found, suite failed),
-2 for usage, parse, and name errors, 3 when a size cap is exceeded.  If the
+Every command is a function from its parsed arguments to one JSON document
+and an exit code; ``main`` alone prints that document on stdout, and
+diagnostics go to stderr.  Exit codes: 0 for an affirmative verdict or
+passing run, 1 for a negative verdict (dependent, d-connected, witness not
+found, suite failed), 2 for usage, parse, and name errors, 3 when a size
+cap is exceeded.  If the
 reader closes stdout before the document is written out (``| head -c0``),
 the command exits 0, whatever the verdict, and prints no traceback.
 
@@ -84,17 +86,27 @@ def _split_csv(raw: str | None) -> list[str]:
     return [part.strip() for part in raw.split(",") if part.strip()]
 
 
-def _conditioner(
-    space: FactoredSpace, variables: dict[str, RandomVariable], raw: str | None
-) -> tuple[RandomVariable | None, list[str]]:
-    names = _split_csv(raw)
-    if not names:
-        return None, []
-    return fold_pair(space, [_resolve(space, variables, n) for n in names]), names
+def _load(args: argparse.Namespace, *names: str):
+    """The space file, the variables named by the args attributes in names,
+    and the ``--given`` names folded into one conditioner (None if there are
+    none) with that name list.  Names resolve in order, ``--given`` last;
+    the first unknown one raises.
+    """
+    space, variables = space_from_doc(_load_json(args.space))
+    resolved = [_resolve(space, variables, getattr(args, n)) for n in names]
+    given = _split_csv(args.given)
+    zs = [_resolve(space, variables, n) for n in given]
+    return space, resolved, fold_pair(space, zs) if zs else None, given
 
 
-def _names(space: FactoredSpace, ids) -> list[str]:
-    return [space.factors[i].name for i in ids]
+def _named(space: FactoredSpace, groups) -> list[list[str]]:
+    """Each list of factor ids in groups as its factors' names."""
+    names = [f.name for f in space.factors]
+    return [[names[i] for i in ids] for ids in groups]
+
+
+def _per_block(space: FactoredSpace, per_block: dict) -> dict[str, list[str]]:
+    return dict(zip(per_block, _named(space, per_block.values())))
 
 
 def _check_budgets(args: argparse.Namespace, *names: str) -> None:
@@ -110,148 +122,91 @@ def _emit(doc: object, pretty: bool) -> None:
         print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
 
 
-def _cmd_history(args: argparse.Namespace) -> int:
-    space, variables = space_from_doc(_load_json(args.space))
-    x = _resolve(space, variables, args.var)
-    z, names = _conditioner(space, variables, args.given)
+def _cmd_history(args: argparse.Namespace) -> tuple[dict, int]:
+    space, (x,), z, given = _load(args, "var")
     ch = conditional_history(space, x, z)
-    _emit(
-        {
-            "variable": x.name,
-            "given": names,
-            "history": {
-                label: _names(space, ids) for label, ids in ch.per_block.items()
-            },
-        },
-        args.pretty,
-    )
-    return 0
+    history = _per_block(space, ch.per_block)
+    return {"variable": x.name, "given": given, "history": history}, 0
 
 
-def _cmd_indep(args: argparse.Namespace) -> int:
-    space, variables = space_from_doc(_load_json(args.space))
-    x = _resolve(space, variables, args.x)
-    y = _resolve(space, variables, args.y)
-    z, names = _conditioner(space, variables, args.given)
+def _cmd_indep(args: argparse.Namespace) -> tuple[dict, int]:
+    space, (x, y), z, given = _load(args, "x", "y")
     verdict = structurally_independent(space, x, y, z)
-    _emit(
-        {
-            "x": x.name,
-            "y": y.name,
-            "given": names,
-            "independent": verdict.independent,
-            "overlaps": {
-                label: _names(space, ids) for label, ids in verdict.overlaps.items()
-            },
-        },
-        args.pretty,
-    )
-    return 0 if verdict.independent else 1
+    doc = {
+        "x": x.name,
+        "y": y.name,
+        "given": given,
+        "independent": verdict.independent,
+        "overlaps": _per_block(space, verdict.overlaps),
+    }
+    return doc, 0 if verdict.independent else 1
 
 
-def _cmd_dsep(args: argparse.Namespace) -> int:
+def _cmd_dsep(args: argparse.Namespace) -> tuple[dict, int]:
     dag = dag_from_doc(_load_json(args.dag))
     zs = _split_csv(args.given)
     separated = d_separated(dag, [args.x], [args.y], zs)
-    _emit(
-        {"x": args.x, "y": args.y, "given": zs, "d_separated": separated},
-        args.pretty,
-    )
-    return 0 if separated else 1
+    doc = {"x": args.x, "y": args.y, "given": zs, "d_separated": separated}
+    return doc, 0 if separated else 1
 
 
-def _cmd_embed(args: argparse.Namespace) -> int:
+def _cmd_embed(args: argparse.Namespace) -> tuple[dict, int]:
     dag = dag_from_doc(_load_json(args.dag))
     emb = embed_dag(dag)
     doc = space_to_doc(emb.space, {v.name: v for v in emb.node_vars.values()})
-    if args.output:
-        # json.dump would stream through the pure-Python encoder.
-        text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.write("\n")
-        _emit(
-            {
-                "written": args.output,
-                "outcome_count": emb.space.outcome_count,
-                "factors": [
-                    {"name": f.name, "size": f.size} for f in emb.space.factors
-                ],
-            },
-            args.pretty,
-        )
-    else:
-        _emit(doc, args.pretty)
-    return 0
+    if not args.output:
+        return doc, 0
+    # json.dump would stream through the pure-Python encoder.
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    with open(args.output, "w", encoding="utf-8") as fh:
+        fh.write(text)
+        fh.write("\n")
+    summary = {
+        "written": args.output,
+        "outcome_count": emb.space.outcome_count,
+        "factors": [{"name": f.name, "size": f.size} for f in emb.space.factors],
+    }
+    return summary, 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _witness(args: argparse.Namespace, doc: dict, space, x, y, z):
+    """doc with the ``found`` and ``witness`` of a search for a product
+    distribution under which x and y are dependent given z."""
+    witness = find_witness(space, x, y, z, args.tries, args.seed)
+    doc["found"] = witness is not None
+    doc["witness"] = None if witness is None else distribution_to_doc(witness)
+    return doc, 0 if witness is not None else 1
+
+
+def _cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
     _check_budgets(args, "samples", "tries")
-    space, variables = space_from_doc(_load_json(args.space))
-    x = _resolve(space, variables, args.x)
-    y = _resolve(space, variables, args.y)
-    z, names = _conditioner(space, variables, args.given)
+    space, (x, y), z, given = _load(args, "x", "y")
     verdict = structurally_independent(space, x, y, z)
-    if verdict.independent:
-        report = verify_soundness(space, x, y, z, args.samples, args.seed)
-        _emit(
-            {
-                "mode": "soundness",
-                "x": x.name,
-                "y": y.name,
-                "given": names,
-                "independent": True,
-                "samples": report.samples,
-                "all_hold": report.all_hold,
-                "violations": [
-                    {"sample": i, "violation": [str(v) for v in ci.first_violation]}
-                    for i, ci in report.violations
-                ],
-            },
-            args.pretty,
-        )
-        return 0 if report.all_hold else 1
-    witness = find_witness(space, x, y, z, args.tries, args.seed)
-    _emit(
-        {
-            "mode": "witness",
-            "x": x.name,
-            "y": y.name,
-            "given": names,
-            "independent": False,
-            "overlaps": {
-                label: _names(space, ids) for label, ids in verdict.overlaps.items()
-            },
-            "found": witness is not None,
-            "witness": distribution_to_doc(witness) if witness is not None else None,
-        },
-        args.pretty,
-    )
-    return 0 if witness is not None else 1
+    doc = {"x": x.name, "y": y.name, "given": given}
+    doc["independent"] = verdict.independent
+    if not verdict.independent:
+        doc["mode"] = "witness"
+        doc["overlaps"] = _per_block(space, verdict.overlaps)
+        return _witness(args, doc, space, x, y, z)
+    report = verify_soundness(space, x, y, z, args.samples, args.seed)
+    doc["mode"] = "soundness"
+    doc["samples"] = report.samples
+    doc["all_hold"] = report.all_hold
+    doc["violations"] = [
+        {"sample": i, "violation": [str(v) for v in ci.first_violation]}
+        for i, ci in report.violations
+    ]
+    return doc, 0 if report.all_hold else 1
 
 
-def _cmd_witness(args: argparse.Namespace) -> int:
+def _cmd_witness(args: argparse.Namespace) -> tuple[dict, int]:
     _check_budgets(args, "tries")
-    space, variables = space_from_doc(_load_json(args.space))
-    x = _resolve(space, variables, args.x)
-    y = _resolve(space, variables, args.y)
-    z, names = _conditioner(space, variables, args.given)
-    witness = find_witness(space, x, y, z, args.tries, args.seed)
-    _emit(
-        {
-            "x": x.name,
-            "y": y.name,
-            "given": names,
-            "found": witness is not None,
-            "witness": distribution_to_doc(witness) if witness is not None else None,
-            "tries": args.tries,
-        },
-        args.pretty,
-    )
-    return 0 if witness is not None else 1
+    space, (x, y), z, given = _load(args, "x", "y")
+    doc = {"x": x.name, "y": y.name, "given": given, "tries": args.tries}
+    return _witness(args, doc, space, x, y, z)
 
 
-def _cmd_axioms(args: argparse.Namespace) -> int:
+def _cmd_axioms(args: argparse.Namespace) -> tuple[dict, int]:
     cfg = SuiteConfig(
         seed=args.seed,
         iterations=args.iters,
@@ -262,22 +217,17 @@ def _cmd_axioms(args: argparse.Namespace) -> int:
         perturbation_budget=args.perturbation_budget,
     )
     report = run_suite(cfg)
-    print(report.to_json(pretty=args.pretty))
-    return 1 if report.any_asserted_failure else 0
+    return report.to_doc(), 1 if report.any_asserted_failure else 0
 
 
-def _cmd_atoms(args: argparse.Namespace) -> int:
-    space, variables = space_from_doc(_load_json(args.space))
-    z, names = _conditioner(space, variables, args.given)
+def _cmd_atoms(args: argparse.Namespace) -> tuple[dict, int]:
+    space, _, z, given = _load(args)
     blocks = {}
     for label, block in blocks_of(space, z).items():
         parts = disintegration_atoms(space, block)
-        blocks[label] = {
-            "atoms": [_names(space, atom) for atom in parts.atoms],
-            "trivial_part": _names(space, parts.trivial_part),
-        }
-    _emit({"given": names, "blocks": blocks}, args.pretty)
-    return 0
+        trivial, *atoms = _named(space, [parts.trivial_part, *parts.atoms])
+        blocks[label] = {"atoms": atoms, "trivial_part": trivial}
+    return {"given": given, "blocks": blocks}, 0
 
 
 @functools.cache
@@ -306,13 +256,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--given", help="comma-separated conditioning names")
     p.set_defaults(func=_cmd_history)
 
+    # The arguments indep, verify and witness share.
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("space")
+    pair.add_argument("x")
+    pair.add_argument("y")
+    pair.add_argument("--given")
+    search = argparse.ArgumentParser(add_help=False)
+    search.add_argument("--tries", type=int, default=64)
+    search.add_argument("--seed", type=int, default=0)
+
     p = sub.add_parser(
-        "indep", parents=[common], help="structural independence verdict"
+        "indep", parents=[common, pair], help="structural independence verdict"
     )
-    p.add_argument("space")
-    p.add_argument("x")
-    p.add_argument("y")
-    p.add_argument("--given")
     p.set_defaults(func=_cmd_indep)
 
     p = sub.add_parser("dsep", parents=[common], help="d-separation verdict")
@@ -331,30 +287,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "verify",
-        parents=[common],
+        parents=[common, pair, search],
         help="soundness samples or witness search, depending on the verdict",
     )
-    p.add_argument("space")
-    p.add_argument("x")
-    p.add_argument("y")
-    p.add_argument("--given")
     p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--tries", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser(
+    sub.add_parser(
         "witness",
-        parents=[common],
+        parents=[common, pair, search],
         help="search for a product distribution violating CI",
-    )
-    p.add_argument("space")
-    p.add_argument("x")
-    p.add_argument("y")
-    p.add_argument("--given")
-    p.add_argument("--tries", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_witness)
+    ).set_defaults(func=_cmd_witness)
 
     p = sub.add_parser(
         "axioms", parents=[common], help="run the randomized law suites"
@@ -385,7 +328,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        code = args.func(args)
+        doc, code = args.func(args)
+        _emit(doc, args.pretty)
         # Write the document out here, so a closed stdout fails inside the
         # handler below and not at interpreter shutdown.
         sys.stdout.flush()

@@ -3,8 +3,7 @@
 A product distribution assigns an independent probability vector to each
 factor; the probability of an outcome is the product of its coordinate
 probabilities.  All verdicts below are exact equalities over rationals,
-never tolerance comparisons, except for the optional float mode of
-is_cond_independent meant for spaces too large to enumerate exactly.
+never tolerance comparisons.
 
 Internally the checks run on integer weights: scaling each factor's vector
 to a common denominator leaves every conditional-probability identity
@@ -44,11 +43,11 @@ weights.  Each distribution then costs the expansion of each lump's
 factors with one C-level sum per class, an O(|Q| / T) expansion of the
 head weights times K, one C-level sum per part over O(|Q|) weights in
 all, and one product by a tail weight per part.  Block totals and the x
-and y marginals come from the cell sums.  In exact mode a block holds when
-every attained cell satisfies P(x=a, y=b, C) * P(C) = P(x=a, C) *
-P(y=b, C), which costs O(cells) (the unattained pairs then follow, see
-_CiQuery.check_ints); only a failing block, or tolerance mode, compares
-all |x| * |y| value pairs to report the first violation in x-major order.
+and y marginals come from the cell sums.  A block holds when every
+attained cell satisfies P(x=a, y=b, C) * P(C) = P(x=a, C) * P(y=b, C),
+which costs O(cells) (the unattained pairs then follow, see
+_CiQuery.check_ints); only a failing block compares all |x| * |y| value
+pairs to report the first violation in x-major order.
 Every cell sum equals the sum over the whole space, so verdicts, reports
 and zero-mass blocks are those of the unreduced check.  verify_soundness
 and find_witness prepare the query once for all of their samples.
@@ -644,9 +643,9 @@ class _CiQuery:
         self.lanes = max(1, max(space.outcome_count, LANE_WEIGHTS) // longest)
         self.margins: list | None = None  # per block, _margins; built by all_hold
 
-    def check(self, p: ProductDistribution, tolerance: float | None = None) -> CiReport:
+    def check(self, p: ProductDistribution) -> CiReport:
         _check_arity(self.space, p)
-        return self.check_ints(_int_vectors(p), tolerance)
+        return self.check_ints(_int_vectors(p))
 
     def cell_sums(self, vecs: Sequence[Sequence[int]]) -> Sequence[int]:
         """The weight of each cell under the product of vecs, one vector per factor."""
@@ -668,9 +667,7 @@ class _CiQuery:
             sums = list(map(sum, map(parts.__getitem__, self.cells)))
         return sums
 
-    def check_ints(
-        self, vecs: Sequence[Sequence[int]], tolerance: float | None = None
-    ) -> CiReport:
+    def check_ints(self, vecs: Sequence[Sequence[int]]) -> CiReport:
         """The check under the product of vecs, one integer vector per factor."""
         sums = self.cell_sums(vecs)
         x, y = self.x, self.y
@@ -690,20 +687,12 @@ class _CiQuery:
             # negative, so exact equality on the attained cells leaves every
             # other pair with wx[a] * wy[b] = 0: the block holds.  Otherwise
             # the scan below finds the first violation in x-major order.
-            if tolerance is None and all(
-                sums[k] * total == wx[a] * wy[b] for a, b, k in refs
-            ):
+            if all(sums[k] * total == wx[a] * wy[b] for a, b, k in refs):
                 continue
             joint = {(a, b): sums[k] for a, b, k in refs}
             for a in range(kx):
                 for b in range(ky):
-                    lhs_num = joint.get((a, b), 0) * total
-                    rhs_num = wx[a] * wy[b]
-                    if tolerance is None:
-                        ok = lhs_num == rhs_num
-                    else:
-                        ok = abs(lhs_num - rhs_num) <= tolerance * total * total
-                    if not ok:
+                    if joint.get((a, b), 0) * total != wx[a] * wy[b]:
                         return CiReport(
                             holds=False,
                             first_violation=(
@@ -780,15 +769,9 @@ def is_cond_independent(
     x: RandomVariable,
     y: RandomVariable,
     z: RandomVariable | None = None,
-    *,
-    tolerance: float | None = None,
 ) -> CiReport:
-    """Exact check of P(x,y|z) = P(x|z) * P(y|z) on every block of z.
-
-    With ``tolerance`` set, comparisons switch to floats with that absolute
-    tolerance; the default mode admits no error at all.
-    """
-    return _CiQuery(space, x, y, z).check(p, tolerance)
+    """Exact check of P(x,y|z) = P(x|z) * P(y|z) on every block of z."""
+    return _CiQuery(space, x, y, z).check(p)
 
 
 def spawn_seed(seed: int, index: int) -> int:

@@ -19,8 +19,8 @@ test (_rectangle) compares |keys| * |ranks - keys| with |C|; determination
 (_determined) compares the number of key classes with the number of (key,
 value) classes.  is_rectangle, determines and generates build the key list
 once and apply one test or both; the law suites' mask loops read the same
-kernel.  The atom factorization below counts the same projections on
-bitsets instead.
+kernel.  Keys are built only there: the atom factorization below counts the
+same projections on bitsets, and reads its tensor order off them too.
 
 The rectangle sets of C form a field of factor sets.  Its *atoms* (minimal
 non-empty members, once the factors constant on C are set aside as the
@@ -117,10 +117,12 @@ shortcut fails, one fold per factor of the atoms it tests, so factorizing a
 block of n factors costs O(n^2) folds of O(|Omega|) bytes, each a few
 C-level big-int shifts, ORs and ANDs, plus the widths pass, whose ints
 shrink as it goes; transient memory is O(n * |Omega|) bytes, and the space
-memoizes one O(|Omega|)-byte mask per factor.  Only when an atom is not a
-run of consecutive free factors are projection keys built (_keys), to sort
-C's ranks into tensor order.  A history costs at most one comparison of |C|
-values per atom on top, and stops at the first difference along an axis.
+memoizes one O(|Omega|)-byte mask per factor.  When an atom A is not a
+run of consecutive free factors, C folded along the free factors outside A
+lists proj_A(C) in increasing key order, and C's ranks in tensor order are
+the grid sums of those lists (at most n more folds per atom).  A history
+costs at most one comparison of |C| values per atom on top, and stops at
+the first difference along an axis.
 The result (trivial mask, one axis (mask, size, stride) per atom in tensor
 order, the tensor-order itemgetter, and whether it was lifted from a grid;
 no key lists or bitsets) is memoized on the FactoredSpace keyed by the
@@ -145,6 +147,7 @@ verification suites and the acceptance tests).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from operator import add, itemgetter, sub
 from typing import Callable, Mapping, Sequence
 
@@ -404,18 +407,23 @@ def _factorize_block(space: FactoredSpace, ranks: tuple[int, ...]) -> Factorizat
         axes.append((mask, count, stride))
         stride *= count
     axes.reverse()
-    pick = _picker(ranks)
-    if [k for mask, _, _ in atoms for k in free if mask >> k & 1] != free:
-        # An atom is not a run of consecutive free factors: place each rank by
-        # the order of its A-key among the A-keys of C, for every atom A.
-        pos = [0] * len(ranks)
-        for (_, _, ids), (_, _, stride) in zip(atoms, axes):
-            keys = _keys(space, pick, ids)
-            index = {key: v * stride for v, key in enumerate(sorted(set(keys)))}
-            pos = list(map(add, pos, map(index.__getitem__, keys)))
-        order = sorted(range(len(ranks)), key=pos.__getitem__)
-        pick = _picker([ranks[i] for i in order])
-    return (trivial, tuple(axes), pick, {}, False)
+    if [k for mask, _, _ in atoms for k in free if mask >> k & 1] == free:
+        return (trivial, tuple(axes), _picker(ranks), {}, False)
+    # An atom is not a run of consecutive free factors.  The block folded
+    # along the free factors outside atom A holds one rank per A-projection,
+    # in increasing key order, but each keeps C's constant coordinates; the
+    # last list takes the surplus out, so every sum of one entry per list
+    # is a rank of C, in tensor order.
+    n = space.outcome_count
+    lists = []
+    for mask, _, _ in atoms:
+        x = block
+        for j in free:
+            if not mask >> j & 1:
+                x = fold(x, j)
+        lists.append(list(compress(range(n), x.to_bytes(n, "little"))))
+    lists.append([ranks[0] - sum(keys[0] for keys in lists)])
+    return (trivial, tuple(axes), _picker(_grid_sum(lists)), {}, False)
 
 
 def _lift(space: FactoredSpace, grid: Grid, granks: tuple[int, ...]) -> Factorization:

@@ -260,7 +260,6 @@ def oracle_ci_report(
     x: RandomVariable,
     y: RandomVariable,
     z: RandomVariable,
-    tolerance: float | None = None,
 ) -> CiReport:
     """The full CI report by a per-rank pass over each block of z.
 
@@ -296,13 +295,7 @@ def oracle_ci_report(
             raise DegenerateBlockError(f"block {zlabel!r} has zero probability mass")
         for a in range(kx):
             for b in range(ky):
-                lhs_num = joint.get((a, b), 0) * total
-                rhs_num = wx[a] * wy[b]
-                if tolerance is None:
-                    ok = lhs_num == rhs_num
-                else:
-                    ok = abs(lhs_num - rhs_num) <= tolerance * total * total
-                if not ok:
+                if joint.get((a, b), 0) * total != wx[a] * wy[b]:
                     return CiReport(
                         holds=False,
                         first_violation=(

@@ -188,18 +188,6 @@ def test_parity_dependence_is_exactly_one_third_vs_one_quarter():
     assert rhs2 == F(1, 9)
 
 
-def test_tolerance_mode_can_forgive_small_gaps():
-    space, u0, u1, xor = xor_bundle()
-    skew = ProductDistribution(((F(1, 2), F(1, 2)), (F(1, 3), F(2, 3))))
-    strict = is_cond_independent(space, skew, u0, u1, xor)
-    assert not strict.holds
-    # The largest gap is exactly 1/3 - 1/9 = 2/9.
-    loose = is_cond_independent(space, skew, u0, u1, xor, tolerance=0.25)
-    assert loose.holds
-    still = is_cond_independent(space, skew, u0, u1, xor, tolerance=0.2)
-    assert not still.holds
-
-
 def test_soundness_requires_structural_pairs():
     space, u0, u1, xor = xor_bundle()
     report = verify_soundness(space, u0, u1, None, n=25, seed=9)
@@ -323,9 +311,9 @@ def _random_instance(rng, trial):
     return space, x, y, z, p
 
 
-def _report_or_degenerate(check, *args, **kwargs):
+def _report_or_degenerate(check, *args):
     try:
-        return check(*args, **kwargs)
+        return check(*args)
     except DegenerateBlockError:
         return "degenerate"
 
@@ -335,17 +323,15 @@ def test_prepared_ci_matches_per_rank_oracle():
     seen = Counter()
     for trial in range(400):
         space, x, y, z, p = _random_instance(rng, trial)
-        tolerance = rng.choice((None, None, 0.0, 0.01, 0.1))
-        got = _report_or_degenerate(is_cond_independent, space, p, x, y, z, tolerance=tolerance)
-        want = _report_or_degenerate(oracle_ci_report, space, p, x, y, z, tolerance)
-        assert got == want, (trial, space, tolerance)
+        got = _report_or_degenerate(is_cond_independent, space, p, x, y, z)
+        want = _report_or_degenerate(oracle_ci_report, space, p, x, y, z)
+        assert got == want, (trial, space)
         if want == "degenerate":
             seen["degenerate"] += 1
         else:
             seen["holds" if want.holds else "violated"] += 1
-            seen["tolerance" if tolerance is not None else "strict"] += 1
             seen["multi-block"] += len(set(z.table)) > 1
-    assert all(seen[k] >= 20 for k in ("holds", "violated", "tolerance", "strict", "multi-block"))
+    assert all(seen[k] >= 20 for k in ("holds", "violated", "multi-block"))
     assert seen["degenerate"], "skewed distributions should produce zero-mass blocks"
 
 
@@ -687,20 +673,20 @@ def test_fold_instances_fold_what_they_name():
     assert regimes == ["unread", "both"]
 
 
-@example(instance=FOLD_INSTANCES[0], tolerance=None)
-@example(instance=FOLD_INSTANCES[1], tolerance=0.01)
-@example(instance=FOLD_INSTANCES[3], tolerance=None)
-@example(instance=REDUCED_INSTANCES[0], tolerance=None)
-@example(instance=REDUCED_INSTANCES[1], tolerance=0.1)
+@example(instance=FOLD_INSTANCES[0])
+@example(instance=FOLD_INSTANCES[1])
+@example(instance=FOLD_INSTANCES[3])
+@example(instance=REDUCED_INSTANCES[0])
+@example(instance=REDUCED_INSTANCES[1])
 @settings(max_examples=300, deadline=None)
-@given(instance=_ci_instances(), tolerance=st.sampled_from((None, None, 0.0, 0.01, 0.1)))
-def test_prepared_query_matches_oracle(instance, tolerance):
+@given(instance=_ci_instances())
+def test_prepared_query_matches_oracle(instance):
     space, x, y, z, nums = instance
     p = _normalized_product(nums)
-    want = _report_or_degenerate(oracle_ci_report, space, p, x, y, z, tolerance)
+    want = _report_or_degenerate(oracle_ci_report, space, p, x, y, z)
     query = _CiQuery(space, x, y, z)
-    assert _report_or_degenerate(query.check_ints, nums, tolerance) == want
-    assert _report_or_degenerate(query.check, p, tolerance) == want
+    assert _report_or_degenerate(query.check_ints, nums) == want
+    assert _report_or_degenerate(query.check, p) == want
 
 
 def test_generated_queries_fold_zero_one_and_more_factors():

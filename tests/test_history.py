@@ -316,6 +316,35 @@ def test_parity_blocks_at_scale_build_no_digit_tables():
         assert space._scaled == {}
 
 
+def test_interleaved_atoms_at_scale_build_no_digit_tables():
+    # 2^18 outcomes and Z = (u0 xor u2, parity of the other factors) reads
+    # every factor, so its blocks are factorized on the full space, into the
+    # atoms {u0, u2} and the other factors: neither is a run, so the block
+    # is read out of rank order.  That order comes off bitset folds, with no
+    # scaled digit table (18 of them would hold 18 * 2^18 entries).  The
+    # bound leaves ample room for a loaded machine.
+    n = 18
+    space = make_space(*[2] * n)
+    pair = 1 << n - 1 | 1 << n - 3  # the bits of u0 and u2 in a rank
+    z = make_var(
+        space, "Z", 4,
+        (2 * ((r & pair).bit_count() & 1) + ((r & ~pair).bit_count() & 1)
+         for r in range(space.outcome_count)),
+    )
+    c = blocks_of(space, z)["1"]
+    start = time.perf_counter()
+    parts = disintegration_atoms(space, c)
+    assert time.perf_counter() - start < 10.0
+    assert space._scaled == {}
+    assert parts.atoms == (_ids(space, 0, 2), _ids(space, 1, *range(3, n)))
+    assert parts.trivial_part == space.empty_set()
+    # Tensor order: the u0, u2 projection first, the rest in rank order.
+    _, _, read, _, _ = history_module._factorize(space, c.ranks)
+    assert list(read(range(space.outcome_count))) == sorted(
+        c.ranks, key=lambda r: (r & pair, r)
+    )
+
+
 def test_structural_time_on_parity():
     space, u0, u1, xor = xor_bundle()
     assert structural_time_leq(space, u0, xor)
@@ -605,6 +634,25 @@ def test_conditioned_queries_build_no_full_length_tables():
     assert elapsed < 20.0
 
 
+def _interleaved_block(data):
+    """(space, ranks) of a block with atoms {a, a'}, {b, b'} and {c}, the
+    factors placed in any order among a one-value factor and one pinned to
+    a drawn value, so the atoms' projections keep a non-zero constant."""
+    roles = data.draw(st.permutations(["a", "a", "b", "b", "c", "one", "pin"]))
+    sizes = [1 if role == "one" else data.draw(st.integers(2, 3)) for role in roles]
+    space = make_space(*sizes)
+    a1, a2 = [i for i, role in enumerate(roles) if role == "a"]
+    b1, b2 = [i for i, role in enumerate(roles) if role == "b"]
+    pin = roles.index("pin")
+    pa, pb, v = data.draw(st.tuples(*[st.integers(0, 1)] * 3))
+    return space, tuple(
+        r
+        for r in range(space.outcome_count)
+        for o in [outcome_unrank(space, r)]
+        if (o[a1] + o[a2]) % 2 == pa and (o[b1] + o[b2]) % 2 == pb and o[pin] == v
+    )
+
+
 def _factorizations(data):
     """(space, ranks) of the blocks one drawn case factorizes.
 
@@ -612,10 +660,15 @@ def _factorizations(data):
     that shift by more than one value step.  "drawn" is a product of
     arbitrary subsets over a random grouping of the factors, "entangled"
     ties two factors with one between them (an atom that is not a run, so
-    its tensor order is sorted by keys), and "grid" gives the grid blocks
-    that _lift factorizes for a z that leaves a factor out.
+    its tensor order is not rank order), "interleaved" has three atoms in
+    any order around a one-value factor and a pinned one, and "grid" gives
+    the grid blocks that _lift factorizes for a z that leaves a factor out.
     """
-    kind = data.draw(st.sampled_from(["drawn", "single", "full", "entangled", "grid"]))
+    kind = data.draw(
+        st.sampled_from(["drawn", "single", "full", "entangled", "interleaved", "grid"])
+    )
+    if kind == "interleaved":
+        return [_interleaved_block(data)]
     low = 3 if kind in ("entangled", "grid") else 1
     sizes = data.draw(st.lists(st.integers(1, 4), min_size=low, max_size=4))
     n = len(sizes)

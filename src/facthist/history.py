@@ -12,15 +12,14 @@ outcomes of C have distinct (proj_J, proj_Jbar) pairs, and those pairs always
 lie inside the projection product, so equality of counts says every cross
 pair is attained.
 
-Both conditions are counts over one list of projection keys.  The key of a
-rank on J (_keys) is the sum of its scaled digits over J: it is injective on
-J-projections, and rank - key is the key on the complement.  The rectangle
-test (_rectangle) compares |keys| * |ranks - keys| with |C|; determination
-(_determined) compares the number of key classes with the number of (key,
-value) classes.  is_rectangle, determines and generates build the key list
-once and apply one test or both; the law suites' mask loops read the same
-kernel.  Keys are built only there: the atom factorization below counts the
-same projections on bitsets, and reads its tensor order off them too.
+Both conditions are bit counts of rank bitsets (see the atoms below): C
+folded along the factors outside J holds one rank per J-projection.  The
+rectangle test compares the counts of C folded along Jbar and along J
+with |C|.  Determination asks that the level sets X_a & C, folded along
+Jbar, stay disjoint: their folds cover C's, and two overlap exactly when
+outcomes with equal J-coordinates differ in x, so their counts sum to
+C's count iff J determines x.  is_rectangle, determines and generates
+build C's bitset once; the law suites' mask loops fold the same bitsets.
 
 The rectangle sets of C form a field of factor sets.  Its *atoms* (minimal
 non-empty members, once the factors constant on C are set aside as the
@@ -148,7 +147,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from operator import add, itemgetter, sub
+from operator import itemgetter
 from typing import Callable, Mapping, Sequence
 
 from .errors import InvariantViolationError
@@ -228,57 +227,77 @@ def _picker(ranks: Sequence[int]) -> Picker:
     return itemgetter(*ranks)
 
 
-def _keys(space: FactoredSpace, pick: Picker, ids: Sequence[int]) -> Sequence[int]:
-    """The projection key of each picked rank: its scaled digits summed over ids."""
-    if not ids:
-        return [0] * len(pick(space.scaled_digits(0)))
-    keys = pick(space.scaled_digits(ids[0]))
-    for i in ids[1:]:
-        keys = list(map(add, keys, pick(space.scaled_digits(i))))
-    return keys
+def _bitset(space: FactoredSpace, ranks: Sequence[int]) -> int:
+    """The rank bitset of these ranks: byte r is 1 for each of them."""
+    flags = bytearray(space.outcome_count)
+    for r in ranks:
+        flags[r] = 1
+    return int.from_bytes(flags, "little")
 
 
-def _rectangle(ranks: Sequence[int], keys: Sequence[int]) -> bool:
-    """Is |proj_J| * |proj_Jbar| = |C|, given the J-keys of C's ranks?"""
-    return len(set(keys)) * len(set(map(sub, ranks, keys))) == len(ranks)
+def _level_bits(
+    space: FactoredSpace, ranks: Sequence[int], table: Sequence[int]
+) -> list[int]:
+    """The rank bitset of each level set of table on these ranks."""
+    levels: dict[int, list[int]] = {}
+    for r in ranks:
+        levels.setdefault(table[r], []).append(r)
+    return [_bitset(space, level) for level in levels.values()]
 
 
-def _determined(space: FactoredSpace, keys: Sequence[int], values: Sequence[int]) -> bool:
-    """Do the key classes split no further by value?"""
-    # Keys stay below outcome_count, so key + value * outcome_count encodes
-    # the pair (key, value) injectively.
-    tagged = map(add, keys, map(space.outcome_count.__mul__, values))
-    return len(set(keys)) == len(set(tagged))
+def _fold_out(space: FactoredSpace, x: int, ids: Sequence[int]) -> int:
+    """The rank bitset x folded along every factor in ids (see _fold)."""
+    for k in ids:
+        size = space.factors[k].size
+        if size > 1:
+            x = _fold(x, size, 8 * space._strides[k], space.zero_bits(k))
+    return x
 
 
-def _checked_keys(
+def _checked_bitset(
     space: FactoredSpace, c: Block, j: IndexSet, x: RandomVariable | None = None
-) -> tuple[Picker, Sequence[int]]:
+) -> int:
     ensure_block(space, c)
     if x is not None:
         ensure_on_space(space, x)
     if j.size != space.factor_count:
         raise ValueError("index set universe does not match the space")
-    pick = _picker(c.ranks)
-    return pick, _keys(space, pick, j.members())
+    return _bitset(space, c.ranks)
+
+
+def _rectangle(space: FactoredSpace, block: int, j: IndexSet, count: int) -> bool:
+    """Is |proj_J| * |proj_Jbar| = count, for the block with this bitset?"""
+    on_j = _fold_out(space, block, j.complement().members())
+    return on_j.bit_count() * _fold_out(space, block, j.members()).bit_count() == count
+
+
+def _determined(
+    space: FactoredSpace, block: int, j: IndexSet, c: Block, x: RandomVariable
+) -> bool:
+    """Do x's level sets on C stay apart when folded along Jbar?
+
+    block is C's bitset; the folded level sets cover the folded block.
+    """
+    outside = j.complement().members()
+    levels = _level_bits(space, c.ranks, x.table)
+    folded = sum(_fold_out(space, level, outside).bit_count() for level in levels)
+    return folded == _fold_out(space, block, outside).bit_count()
 
 
 def is_rectangle(space: FactoredSpace, c: Block, j: IndexSet) -> bool:
     """Does C recombine as proj_J(C) x proj_Jbar(C)?"""
-    _, keys = _checked_keys(space, c, j)
-    return _rectangle(c.ranks, keys)
+    return _rectangle(space, _checked_bitset(space, c, j), j, len(c))
 
 
 def determines(space: FactoredSpace, c: Block, j: IndexSet, x: RandomVariable) -> bool:
     """Do equal J-coordinates force equal x-values on C?"""
-    pick, keys = _checked_keys(space, c, j, x)
-    return _determined(space, keys, pick(x.table))
+    return _determined(space, _checked_bitset(space, c, j, x), j, c, x)
 
 
 def generates(space: FactoredSpace, c: Block, j: IndexSet, x: RandomVariable) -> bool:
-    """determines and is_rectangle, from one key list."""
-    pick, keys = _checked_keys(space, c, j, x)
-    return _rectangle(c.ranks, keys) and _determined(space, keys, pick(x.table))
+    """is_rectangle and determines, on one bitset of C."""
+    block = _checked_bitset(space, c, j, x)
+    return _rectangle(space, block, j, len(c)) and _determined(space, block, j, c, x)
 
 
 # One axis of the atom tensor: (atom mask, |proj_A(C)|, stride).
@@ -345,10 +364,7 @@ def _widths(space: FactoredSpace, block: int) -> list[int]:
 
 def _factorize_block(space: FactoredSpace, ranks: tuple[int, ...]) -> Factorization:
     """Factorize the block with these ranks one factor at a time."""
-    flags = bytearray(space.outcome_count)
-    for r in ranks:
-        flags[r] = 1
-    block = int.from_bytes(flags, "little")
+    block = _bitset(space, ranks)
     widths = _widths(space, block)
     free = [k for k, w in enumerate(widths) if w > 1]
     trivial = sum(1 << k for k, w in enumerate(widths) if w == 1)
@@ -359,14 +375,6 @@ def _factorize_block(space: FactoredSpace, ranks: tuple[int, ...]) -> Factorizat
     # |proj_{free[:i]}|; filled downward from the block itself when needed.
     prefix = [0] * len(free) + [block]
     low = len(free)
-    folds: dict[int, tuple[int, int, int]] = {}  # factor -> _fold's size, step, zero
-
-    def fold(x: int, k: int) -> int:
-        args = folds.get(k)
-        if args is None:
-            args = folds[k] = (space.factors[k].size, 8 * space._strides[k], space.zero_bits(k))
-        return _fold(x, *args)
-
     seen_count = 1  # |proj_S|, S = the free factors so far
     atoms: list[tuple[int, int, list[int]]] = []  # (mask, |proj_A|, factor ids)
     for i, k in enumerate(free):
@@ -379,7 +387,7 @@ def _factorize_block(space: FactoredSpace, ranks: tuple[int, ...]) -> Factorizat
         else:
             while low > i + 1:
                 low -= 1
-                prefix[low] = fold(prefix[low + 1], free[low])
+                prefix[low] = _fold_out(space, prefix[low + 1], (free[low],))
             count = prefix[i + 1].bit_count()
         if count == seen_count * widths[k]:
             atoms.append((1 << k, widths[k], [k]))
@@ -387,9 +395,7 @@ def _factorize_block(space: FactoredSpace, ranks: tuple[int, ...]) -> Factorizat
             mask, ids, kept, kept_count = 1 << k, [k], [], 1
             for atom in atoms:
                 a_mask, a_count, a_ids = atom
-                other = prefix[i + 1]
-                for j in a_ids:
-                    other = fold(other, j)
+                other = _fold_out(space, prefix[i + 1], a_ids)
                 if a_count * other.bit_count() == count:
                     kept.append(atom)
                     kept_count *= a_count
@@ -417,10 +423,7 @@ def _factorize_block(space: FactoredSpace, ranks: tuple[int, ...]) -> Factorizat
     n = space.outcome_count
     lists = []
     for mask, _, _ in atoms:
-        x = block
-        for j in free:
-            if not mask >> j & 1:
-                x = fold(x, j)
+        x = _fold_out(space, block, [j for j in free if not mask >> j & 1])
         lists.append(list(compress(range(n), x.to_bytes(n, "little"))))
     lists.append([ranks[0] - sum(keys[0] for keys in lists)])
     return (trivial, tuple(axes), _picker(_grid_sum(lists)), {}, False)

@@ -233,7 +233,6 @@ class FactoredSpace:
         "_strides",
         "_ids",
         "_digits",
-        "_scaled",
         "_bits",
         "_supports",
         "_blocks",
@@ -269,7 +268,6 @@ class FactoredSpace:
         object.__setattr__(self, "_strides", tuple(strides))
         object.__setattr__(self, "_ids", {f.name: i for i, f in enumerate(fs)})
         object.__setattr__(self, "_digits", {})
-        object.__setattr__(self, "_scaled", {})
         # A factor id -> the bitset of the ranks where it is 0, filled and
         # read by zero_bits.
         object.__setattr__(self, "_bits", {})
@@ -320,22 +318,17 @@ class FactoredSpace:
         self._check_factor(i)
         cached = self._digits.get(i)
         if cached is None:
-            cached = self._column(i, 1)
+            # Factor i holds each value for `stride` consecutive ranks, and
+            # the period of size * stride ranks repeats.  Both steps run in
+            # C: range and repeat build the period, tuple repetition the
+            # column.
+            stride, size = self._strides[i], self.factors[i].size
+            values = range(size)
+            if stride > 1:
+                values = chain.from_iterable(map(repeat, values, repeat(stride, size)))
+            period = tuple(values)
+            cached = period * (self.outcome_count // len(period))
             self._digits[i] = cached
-        return cached
-
-    def scaled_digits(self, i: int) -> tuple[int, ...]:
-        """digits(i) premultiplied by the factor's stride.
-
-        Summing scaled digits over any index set J yields a key that is
-        injective on J-projections (it reassembles the rank with non-J
-        coordinates zeroed), and the complementary key is rank - key.
-        """
-        self._check_factor(i)
-        cached = self._scaled.get(i)
-        if cached is None:
-            cached = self._column(i, self._strides[i])
-            self._scaled[i] = cached
         return cached
 
     def zero_bits(self, i: int) -> int:
@@ -344,8 +337,8 @@ class FactoredSpace:
         A rank bitset is an int whose byte r is 1 for each member rank r
         and 0 otherwise, so x >> 8 * v * stride(i) moves every rank of x v
         values down factor i, and an AND with this mask keeps the ranks
-        whose coordinate i is 0.  Like _column, the mask is one period of
-        bytes repeated.
+        whose coordinate i is 0.  Like a digits column, the mask is one
+        period of bytes repeated.
         """
         cached = self._bits.get(i)
         if cached is None:
@@ -356,17 +349,6 @@ class FactoredSpace:
             cached = int.from_bytes(period * reps, "little")
             self._bits[i] = cached
         return cached
-
-    def _column(self, i: int, scale: int) -> tuple[int, ...]:
-        # Factor i holds each value for `stride` consecutive ranks, and the
-        # period of size * stride ranks repeats.  Both steps run in C: range
-        # and repeat build the period, tuple repetition the column.
-        stride, size = self._strides[i], self.factors[i].size
-        values = range(0, size * scale, scale)
-        if stride > 1:
-            values = chain.from_iterable(map(repeat, values, repeat(stride, size)))
-        period = tuple(values)
-        return period * (self.outcome_count // len(period))
 
     def index_set(self, ids: Iterable[int]) -> IndexSet:
         return IndexSet.of(ids, len(self.factors))

@@ -16,8 +16,10 @@ characterization is exploratory only; agreements and disagreements are
 recorded without affecting the verdict.
 
 The exhaustive mask loops (check_history_laws and the separation check)
-build one projection-key list per block and factor mask, and read the
-rectangle test, generation and the projection classes from that list.
+fold each block's rank bitset once per factor mask (_mask_folds), and each
+level set of x likewise.  Rectangle and generation tests are bit counts of
+those folds; the separator check asks that the product of the two folded
+sides, their recombination set, lie inside the block (_separated).
 
 The duality law runs on integer draws, the numerators sample_product and
 sample_vector normalize, with one blocks/histories pass per call and the
@@ -31,7 +33,7 @@ import hashlib
 import json
 import random
 from dataclasses import asdict, dataclass, field
-from operator import sub
+from operator import add
 from typing import Mapping, Sequence
 
 from .distributions import (
@@ -50,10 +52,9 @@ from .distributions import (
     verify_soundness,
 )
 from .history import (
-    _determined,
-    _keys,
-    _picker,
-    _rectangle,
+    _bitset,
+    _fold_out,
+    _level_bits,
     disintegration_atoms,
     history,
     structurally_independent,
@@ -252,13 +253,16 @@ def check_history_laws(
     n = space.factor_count
     results = {law: True for law in HISTORY_LAWS}
 
-    # The bundle U_J as its J-projection key (the picker `tuple` reads every
-    # outcome): an injective relabelling of the joint of the factors in J,
-    # so it has the same history.
+    # The bundle U_J as the joint of the factors in J, each outcome keyed by
+    # the mixed-radix value of its J-coordinates (below outcome_count): an
+    # injective relabelling of the joint, so it has the same history.
     key_labels = tuple(map(str, range(space.outcome_count)))
 
     def uj(mask: int) -> RandomVariable:
-        keys = _keys(space, tuple, IndexSet(mask, n).members())
+        keys = [0] * space.outcome_count
+        for i in IndexSet(mask, n):
+            size = space.factors[i].size
+            keys = list(map(add, map(size.__mul__, keys), space.digits(i)))
         return RandomVariable(name="U_J", codomain=key_labels, table=tuple(keys))
 
     xy = pair_var(space, x, y)
@@ -294,17 +298,18 @@ def check_history_laws(
         trivial_mask = parts.trivial_part.mask
         rect_masks = set()
         gen_masks = []
-        pick = _picker(c.ranks)
-        values = pick(x.table)
+        # on[m]: C folded along the factors in m; levels: x's level sets so.
+        on = _mask_folds(space, _bitset(space, c.ranks))
+        levels = [_mask_folds(space, b) for b in _level_bits(space, c.ranks, x.table)]
         for mask in range(1 << n):
-            keys = _keys(space, pick, IndexSet(mask, n).members())
-            if not _rectangle(c.ranks, keys):
+            count = on[full ^ mask].bit_count()  # |proj_J(C)|
+            if count * on[mask].bit_count() != len(c):
                 continue
             rect_masks.add(mask)
             if history(space, c, uj(mask)).mask != mask & ~trivial_mask:
                 results["atom_law"] = False
             # Generation is the rectangle condition plus determination.
-            if _determined(space, keys, values):
+            if sum(level[full ^ mask].bit_count() for level in levels) == count:
                 gen_masks.append(mask)
         gen_set = set(gen_masks)
         inter_all = full
@@ -412,18 +417,24 @@ class SeparationOutcome:
     disagreements: tuple[tuple[tuple[int, ...], str, bool, bool], ...]
 
 
-def _classes(ranks: Sequence[int], keys: Sequence[int]) -> list[set[int]]:
-    groups: dict[int, set[int]] = {}
-    for r, a in zip(ranks, keys):
-        groups.setdefault(a, set()).add(r)
-    return list(groups.values())
+def _mask_folds(space: FactoredSpace, bits: int) -> list[int]:
+    """The rank bitset folded along the factors of each mask, by mask."""
+    folds = [bits]
+    for mask in range(1, 1 << space.factor_count):
+        low = mask & -mask  # mask is mask ^ low folded along this factor
+        folds.append(_fold_out(space, folds[mask ^ low], (low.bit_length() - 1,)))
+    return folds
 
 
-def _separated_classes(
-    space: FactoredSpace, c: Block, ids: Sequence[int]
-) -> list[set[int]]:
-    """The ranks of C grouped by their projection onto the factors ids."""
-    return _classes(c.ranks, _keys(space, _picker(c.ranks), ids))
+def _separated(block: int, left: int, right: int) -> bool:
+    """Does every J-class of the block meet every Jbar-class?
+
+    left and right are the block folded along Jbar and along J.  Their
+    product is the recombination set: byte r counts the members p of left
+    and q of right with p + q = r, and since p is 0 on Jbar and q on J,
+    they are r's two parts and the count is at most 1.
+    """
+    return (left * right) & ~block == 0
 
 
 def check_separation_characterization(
@@ -435,25 +446,25 @@ def check_separation_characterization(
     always admit a conditioner-measurable separator; with separators being
     unions of blocks, that reduces to every pair of projection classes
     inside one block having a common outcome.  Disagreements are recorded,
-    never asserted.  The J-keys of a block give the rectangle test and the
-    J-classes, and rank - key the complementary classes.
+    never asserted.  The block folded along each factor mask gives both
+    tests: the rectangle test counts the two folded sides, the separator
+    test recombines them (_separated).
     """
     n = space.factor_count
+    full = (1 << n) - 1
     agreements = 0
     disagreements = []
     for label, c in blocks_of(space, z).items():
-        pick = _picker(c.ranks)
+        block = _bitset(space, c.ranks)
+        on = _mask_folds(space, block)
         for mask in range(1 << n):
-            j = IndexSet(mask, n)
-            keys = _keys(space, pick, j.members())
-            rect = _rectangle(c.ranks, keys)
-            left = _classes(c.ranks, keys)
-            right = _classes(c.ranks, list(map(sub, c.ranks, keys)))
-            sep = all(a & b for a in left for b in right)
+            left, right = on[full ^ mask], on[mask]
+            rect = left.bit_count() * right.bit_count() == len(c)
+            sep = _separated(block, left, right)
             if rect == sep:
                 agreements += 1
             else:
-                disagreements.append((j.members(), label, rect, sep))
+                disagreements.append((IndexSet(mask, n).members(), label, rect, sep))
     return SeparationOutcome(
         agreements=agreements, disagreements=tuple(disagreements)
     )

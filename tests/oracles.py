@@ -5,7 +5,8 @@ force, without reusing the package's algorithms: rectangles by literal
 cross-pair membership, determination by pairwise comparison, histories by
 enumerating all subsets and taking the subset-minimal generating ones,
 block factorizations by counting sets of integer projection keys,
-probabilities by summing exact outcome products, CI reports and joint
+probabilities by summing exact outcome products, CI under every product
+distribution by comparing monomial coefficients, CI reports and joint
 factorization by a per-rank pass over each block, the duality law through
 the public Fraction API, d-separation both by walk enumeration and by
 moralization, DAG embeddings by evaluating every node at every outcome,
@@ -17,6 +18,7 @@ on purpose; only run on small inputs.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import chain, combinations, product
 from operator import add, sub
@@ -150,12 +152,16 @@ def oracle_factorize(space: FactoredSpace, ranks: tuple[int, ...]):
 
     The same incremental algorithm as the package (product exit, product
     shortcut, merge rule), with every projection counted as the set of its
-    keys, sums of scaled digits, rather than by bitset folds.  Returns the
-    trivial mask, the axes (atom mask, |proj_A|, stride) in tensor order,
-    and a picker that reads a table on the block in tensor order.
+    keys, sums of digits times strides, rather than by bitset folds.
+    Returns the trivial mask, the axes (atom mask, |proj_A|, stride) in
+    tensor order, and a picker that reads a table on the block in tensor
+    order.
     """
     pick = _picker(ranks)
-    cols = [pick(space.scaled_digits(k)) for k in range(space.factor_count)]
+    cols = [
+        [d * space.stride(k) for d in pick(space.digits(k))]
+        for k in range(space.factor_count)
+    ]
     widths = [len(set(col)) for col in cols]
     free = [k for k, w in enumerate(widths) if w > 1]
     trivial = sum(1 << k for k, w in enumerate(widths) if w == 1)
@@ -235,6 +241,41 @@ def oracle_ci(
                 px = oracle_event_prob(space, p, [r for r in z_ranks if x.table[r] == xv])
                 py = oracle_event_prob(space, p, [r for r in z_ranks if y.table[r] == yv])
                 if joint / pz != (px / pz) * (py / pz):
+                    return False
+    return True
+
+
+def oracle_ci_all_products(
+    space: FactoredSpace, x: RandomVariable, y: RandomVariable, z: RandomVariable
+) -> bool:
+    """Does x _||_ y | z hold under every positive product distribution?
+
+    On a block C and values (a, b), P(x=a, y=b, C) P(C) - P(x=a, C) P(y=b, C)
+    is a polynomial in the factor vectors, homogeneous of degree 2 in each,
+    so it vanishes on every product of positive simplices iff all its
+    monomial coefficients are 0.  The monomial of an outcome pair (r, s) is
+    fixed by the unordered coordinate pairs {r_i, s_i}, so the coefficients
+    are the counts of the pairs in cell(a, b) x C and in
+    (X_a & C) x (Y_b & C) by that signature.  Unattained values give empty
+    sides, so only the attained ones are compared.
+    """
+    outcomes = [outcome_unrank(space, r) for r in range(space.outcome_count)]
+
+    def signatures(left, right) -> Counter:
+        return Counter(
+            tuple(tuple(sorted(pair)) for pair in zip(outcomes[r], outcomes[s]))
+            for r in left
+            for s in right
+        )
+
+    for zv in set(z.table):
+        c = [r for r in range(space.outcome_count) if z.table[r] == zv]
+        for a in {x.table[r] for r in c}:
+            x_a = [r for r in c if x.table[r] == a]
+            for b in {y.table[r] for r in c}:
+                y_b = [r for r in c if y.table[r] == b]
+                cell = [r for r in x_a if y.table[r] == b]
+                if signatures(cell, c) != signatures(x_a, y_b):
                     return False
     return True
 

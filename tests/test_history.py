@@ -10,6 +10,7 @@ from __future__ import annotations
 import importlib
 import random
 import time
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 from math import prod
@@ -41,6 +42,7 @@ from facthist.errors import SpaceMismatchError
 from helpers import function_of, make_space, make_var, xor_bundle
 from oracles import (
     all_subsets,
+    oracle_ci_all_products,
     oracle_determines,
     oracle_factorize,
     oracle_history,
@@ -297,9 +299,9 @@ def test_parity_block_is_polynomial():
 
 def test_parity_blocks_at_scale_build_no_digit_tables():
     # 2^18 outcomes and z reads every factor, so each block is factorized
-    # on the full space: by bitset folds, with no scaled digit table (18
-    # of them would hold 18 * 2^18 entries).  The bound leaves ample room
-    # for a loaded machine.
+    # on the full space: by bitset folds, with no full-length table for
+    # each factor (18 of them would hold 18 * 2^18 entries).  The bound
+    # leaves ample room for a loaded machine.
     n = 18
     for query in ("history", "atoms"):
         space = make_space(*[2] * n)  # a fresh space, so no memoized atoms
@@ -313,7 +315,30 @@ def test_parity_blocks_at_scale_build_no_digit_tables():
             assert parts.atoms == (space.full_set(),)
             assert parts.trivial_part == space.empty_set()
         assert time.perf_counter() - start < 10.0
-        assert space._scaled == {}
+
+
+def test_predicates_at_scale_count_folded_bitsets():
+    # A parity block of 2^18 outcomes is a J-rectangle for no proper,
+    # non-empty J, and x, the parity of the first 9 factors, is determined
+    # by them but not generated.  The predicates fold the block's bitset
+    # (2^18 bytes) along J and its complement, with one memoized zero mask
+    # per factor; key lists over 9 full-length digit tables would peak near
+    # 30 MB.
+    n = 18
+    space = make_space(*[2] * n)  # a fresh space, so no memoized masks
+    count = space.outcome_count
+    block = Block(label="1", ranks=tuple(r for r in range(count) if r.bit_count() & 1))
+    x = make_var(space, "x", 2, ((r >> 9).bit_count() & 1 for r in range(count)))
+    j = IndexSet.of(range(9), n)
+    tracemalloc.start()
+    try:
+        assert not is_rectangle(space, block, j)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 10**6
+    assert determines(space, block, j, x)
+    assert not generates(space, block, j, x)
 
 
 def test_interleaved_atoms_at_scale_build_no_digit_tables():
@@ -321,8 +346,8 @@ def test_interleaved_atoms_at_scale_build_no_digit_tables():
     # every factor, so its blocks are factorized on the full space, into the
     # atoms {u0, u2} and the other factors: neither is a run, so the block
     # is read out of rank order.  That order comes off bitset folds, with no
-    # scaled digit table (18 of them would hold 18 * 2^18 entries).  The
-    # bound leaves ample room for a loaded machine.
+    # digit table (18 of them would hold 18 * 2^18 entries).  The bound
+    # leaves ample room for a loaded machine.
     n = 18
     space = make_space(*[2] * n)
     pair = 1 << n - 1 | 1 << n - 3  # the bits of u0 and u2 in a rank
@@ -335,7 +360,7 @@ def test_interleaved_atoms_at_scale_build_no_digit_tables():
     start = time.perf_counter()
     parts = disintegration_atoms(space, c)
     assert time.perf_counter() - start < 10.0
-    assert space._scaled == {}
+    assert space._digits == {}
     assert parts.atoms == (_ids(space, 0, 2), _ids(space, 1, *range(3, n)))
     assert parts.trivial_part == space.empty_set()
     # Tensor order: the u0, u2 projection first, the rest in rank order.
@@ -481,14 +506,13 @@ def test_axis_scan_matches_cell_comparisons(shape):
 
 
 def test_full_product_block_takes_the_product_exit(monkeypatch):
-    # 2^18 outcomes: every factor is an atom of its own, found before any
-    # pass that adds or subtracts projection keys; the bound leaves ample
+    # 2^18 outcomes: every factor is an atom of its own, found from the
+    # widths before any fold of a prefix projection; the bound leaves ample
     # room for a loaded machine.
-    def no_key_pass(a, b):
-        raise AssertionError("the factorization combined projection keys")
+    def no_prefix_fold(space, x, ids):
+        raise AssertionError("the factorization folded a prefix projection")
 
-    monkeypatch.setattr(history_module, "add", no_key_pass)
-    monkeypatch.setattr(history_module, "sub", no_key_pass)
+    monkeypatch.setattr(history_module, "_fold_out", no_prefix_fold)
     n = 18
     space = make_space(*[2] * n)
     x = make_var(space, "x", 2, map(xor, space.digits(3), space.digits(11)))
@@ -626,7 +650,7 @@ def test_conditioned_queries_build_no_full_length_tables():
     dependent = structurally_independent(space, x, y, z)
     independent = structurally_independent(space, x, w, z)
     elapsed = time.perf_counter() - start
-    assert space._digits == {} and space._scaled == {}
+    assert space._digits == {}
     # On each block u3 and u11 are equal, so they form one atom.
     assert ch.per_block == {label: _ids(space, 0, 3, 7, 11) for label in "01"}
     assert dependent.overlaps == {label: _ids(space, 3, 11) for label in "01"}
@@ -713,3 +737,21 @@ def test_bitset_factorization_matches_key_counts(data):
         assert axes == want_axes
         every = range(space.outcome_count)
         assert tuple(read(every)) == tuple(want_read(every))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_structural_independence_decides_ci_under_every_product(data):
+    # Both directions of the main theorem, with no sampling: x, y and z
+    # each read a drawn subset of the factors, so every block shape occurs.
+    sizes = data.draw(st.lists(st.integers(1, 3), min_size=2, max_size=5))
+    space = make_space(*sizes)
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+
+    def var(name):
+        ids = data.draw(st.sets(st.integers(0, len(sizes) - 1)))
+        return function_of(space, name, sorted(ids), data.draw(st.integers(1, 3)), rng)
+
+    x, y, z = var("x"), var("y"), var("z")
+    verdict = structurally_independent(space, x, y, z).independent
+    assert verdict == oracle_ci_all_products(space, x, y, z)

@@ -221,7 +221,6 @@ def test_digit_tables_match_the_mixed_radix_definition():
             stride = space.stride(i)
             want = tuple((r // stride) % size for r in range(space.outcome_count))
             assert space.digits(i) == want
-            assert space.scaled_digits(i) == tuple(d * stride for d in want)
 
 
 @settings(max_examples=80, deadline=None)

@@ -9,6 +9,7 @@ joint factorization against a per-rank pass.
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import json
 import random
@@ -35,7 +36,8 @@ from facthist import (
 from facthist import IndexSet, distributions, factor_var, sample_product
 from facthist.cli import main
 from facthist.distributions import SAMPLE_GRID_MAX
-from facthist.verification import _joint_factorizes, _separated_classes, _stream
+from facthist.history import _bitset, _fold_out
+from facthist.verification import _joint_factorizes, _separated, _stream
 
 from helpers import function_of, make_space, make_var, xor_bundle
 from oracles import (
@@ -212,14 +214,12 @@ def test_separator_condition_matches_global_oracle():
         # The per-block class-intersection reading, folded over blocks, must
         # agree with the literal global separator condition.
         for ids in all_subsets(range(space.factor_count)):
-            per_block = all(
-                all(a & b for a in _separated_classes(space, c, ids)
-                    for b in _separated_classes(
-                        space, c,
-                        [i for i in range(space.factor_count) if i not in ids],
-                    ))
-                for c in blocks_of(space, z).values()
-            )
+            rest = [i for i in range(space.factor_count) if i not in ids]
+            per_block = True
+            for c in blocks_of(space, z).values():
+                bits = _bitset(space, c.ranks)
+                left = _fold_out(space, bits, rest)
+                per_block &= _separated(bits, left, _fold_out(space, bits, ids))
             assert per_block == oracle_separation_global(space, z, ids)
 
 
@@ -230,9 +230,11 @@ def test_separator_condition_on_parity_blocks():
     # on a parity block the singleton subsets are not rectangles.
     assert out.agreements == 8 and not out.disagreements
     for c in blocks_of(space, xor).values():
-        left = _separated_classes(space, c, [0])
-        right = _separated_classes(space, c, [1])
-        assert not all(a & b for a in left for b in right)
+        bits = _bitset(space, c.ranks)
+        left = _fold_out(space, bits, [1])  # the u0-projections
+        right = _fold_out(space, bits, [0])
+        assert not _separated(bits, left, right)
+        assert _separated(bits, bits, _fold_out(space, bits, [0, 1]))
 
 
 def test_joint_factorization_for_pairwise_structural_triple():
@@ -304,6 +306,23 @@ PINNED_SUITE = (
 def test_suite_output_is_pinned(capsys):
     assert main(["axioms", "--seed", "0", "--iters", "4"]) == 0
     assert capsys.readouterr().out == PINNED_SUITE
+
+
+# sha256 of run_suite(...).to_json() at 8 factors of up to 3 values, where
+# the mask loops run over 256 factor masks, recorded before those loops
+# folded rank bitsets.
+PINNED_WIDE_SUITES = {
+    0: "69840319ce18649c1bf2584ccc6aa2811e7fc06db537b7a05f7f378cae967138",
+    3: "69c5ac0da30a3bcd9337d0cc557c5101e557c44307626a2e863abff31af09f27",
+    11: "6b096c1df283be2c0c1fd471d8ed176c1a9e8e2424391a3e4b402f885c2dfed7",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_WIDE_SUITES))
+def test_wide_suite_output_is_pinned(seed):
+    cfg = SuiteConfig(seed=seed, iterations=3, max_factors=8, max_domain=3)
+    text = run_suite(cfg).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_WIDE_SUITES[seed]
 
 
 def test_suite_reports_are_reproducible():

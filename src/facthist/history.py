@@ -15,11 +15,11 @@ pair is attained.
 Both conditions are bit counts of rank bitsets (see the atoms below): C
 folded along the factors outside J holds one rank per J-projection.  The
 rectangle test compares the counts of C folded along Jbar and along J
-with |C|.  Determination asks that the level sets X_a & C, folded along
-Jbar, stay disjoint: their folds cover C's, and two overlap exactly when
-outcomes with equal J-coordinates differ in x, so their counts sum to
-C's count iff J determines x.  is_rectangle, determines and generates
-build C's bitset once; the law suites' mask loops fold the same bitsets.
+with |C|.  Determination goes bit by bit through x's values: J determines
+x iff, for each bit, the ranks of C where it is 0 and those where it is 1,
+folded along Jbar, share no rank.  Two folds per bit, with one pair of
+bitsets held at a time, keep it O(|Omega|) bytes however many values x
+takes.  The law suites' mask loops fold the same bitsets along every mask.
 
 The rectangle sets of C form a field of factor sets.  Its *atoms* (minimal
 non-empty members, once the factors constant on C are set aside as the
@@ -148,7 +148,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import InvariantViolationError
 from .space import (
@@ -227,22 +227,12 @@ def _picker(ranks: Sequence[int]) -> Picker:
     return itemgetter(*ranks)
 
 
-def _bitset(space: FactoredSpace, ranks: Sequence[int]) -> int:
+def _bitset(space: FactoredSpace, ranks: Iterable[int]) -> int:
     """The rank bitset of these ranks: byte r is 1 for each of them."""
     flags = bytearray(space.outcome_count)
     for r in ranks:
         flags[r] = 1
     return int.from_bytes(flags, "little")
-
-
-def _level_bits(
-    space: FactoredSpace, ranks: Sequence[int], table: Sequence[int]
-) -> list[int]:
-    """The rank bitset of each level set of table on these ranks."""
-    levels: dict[int, list[int]] = {}
-    for r in ranks:
-        levels.setdefault(table[r], []).append(r)
-    return [_bitset(space, level) for level in levels.values()]
 
 
 def _fold_out(space: FactoredSpace, x: int, ids: Sequence[int]) -> int:
@@ -252,6 +242,26 @@ def _fold_out(space: FactoredSpace, x: int, ids: Sequence[int]) -> int:
         if size > 1:
             x = _fold(x, size, 8 * space._strides[k], space.zero_bits(k))
     return x
+
+
+def _mask_folds(space: FactoredSpace, bits: int) -> list[int]:
+    """The rank bitset folded along the factors of each mask, by mask."""
+    folds = [bits]
+    for mask in range(1, 1 << space.factor_count):
+        low = mask & -mask  # mask is mask ^ low folded along this factor
+        folds.append(_fold_out(space, folds[mask ^ low], (low.bit_length() - 1,)))
+    return folds
+
+
+def _value_planes(
+    space: FactoredSpace, block: int, ranks: Sequence[int], table: Sequence[int]
+) -> Iterator[tuple[int, int]]:
+    """The block's ranks where each bit of the table's values is 0 and 1."""
+    values = [table[r] for r in ranks]
+    for b in range(max(values).bit_length()):
+        ones = _bitset(space, compress(ranks, map((1 << b).__and__, values)))
+        if ones and ones != block:
+            yield block ^ ones, ones
 
 
 def _checked_bitset(
@@ -274,14 +284,12 @@ def _rectangle(space: FactoredSpace, block: int, j: IndexSet, count: int) -> boo
 def _determined(
     space: FactoredSpace, block: int, j: IndexSet, c: Block, x: RandomVariable
 ) -> bool:
-    """Do x's level sets on C stay apart when folded along Jbar?
-
-    block is C's bitset; the folded level sets cover the folded block.
-    """
+    """Do x's bit planes on C stay apart when folded along Jbar?"""
     outside = j.complement().members()
-    levels = _level_bits(space, c.ranks, x.table)
-    folded = sum(_fold_out(space, level, outside).bit_count() for level in levels)
-    return folded == _fold_out(space, block, outside).bit_count()
+    return not any(
+        _fold_out(space, zeros, outside) & _fold_out(space, ones, outside)
+        for zeros, ones in _value_planes(space, block, c.ranks, x.table)
+    )
 
 
 def is_rectangle(space: FactoredSpace, c: Block, j: IndexSet) -> bool:
@@ -298,6 +306,39 @@ def generates(space: FactoredSpace, c: Block, j: IndexSet, x: RandomVariable) ->
     """is_rectangle and determines, on one bitset of C."""
     block = _checked_bitset(space, c, j, x)
     return _rectangle(space, block, j, len(c)) and _determined(space, block, j, c, x)
+
+
+def _rectangles(c: Block, on: Sequence[int]) -> list[bool]:
+    """Is C a J-rectangle, by mask J, from C folded along every mask?"""
+    return [a.bit_count() * b.bit_count() == len(c) for a, b in zip(reversed(on), on)]
+
+
+def _rectangle_masks(space: FactoredSpace, c: Block) -> list[bool]:
+    """Is C a J-rectangle, for every factor mask J?"""
+    return _rectangles(c, _mask_folds(space, _bitset(space, c.ranks)))
+
+
+def _determining_masks(space: FactoredSpace, c: Block, x: RandomVariable) -> list[bool]:
+    """Does J determine x on C, for every factor mask J?"""
+    clash = [False] * (1 << space.factor_count)  # by the mask folded along
+    for zeros, ones in _value_planes(space, _bitset(space, c.ranks), c.ranks, x.table):
+        folds = zip(_mask_folds(space, zeros), _mask_folds(space, ones))
+        clash = [m or a & b != 0 for m, (a, b) in zip(clash, folds)]
+    return [not m for m in reversed(clash)]  # J is the complement of that mask
+
+
+def _separation_masks(space: FactoredSpace, c: Block) -> list[tuple[bool, bool]]:
+    """(Is C a J-rectangle, does every J-class of C meet every Jbar-class?)
+    for every factor mask J.
+
+    Byte r of C folded along Jbar times C folded along J counts the members
+    p of one and q of the other with p + q = r: at most one pair, since p is
+    0 on Jbar and q on J.  The product is the recombination set.
+    """
+    block = _bitset(space, c.ranks)
+    on = _mask_folds(space, block)
+    separated = [(a * b) & ~block == 0 for a, b in zip(reversed(on), on)]
+    return list(zip(_rectangles(c, on), separated))
 
 
 # One axis of the atom tensor: (atom mask, |proj_A(C)|, stride).

@@ -16,10 +16,8 @@ characterization is exploratory only; agreements and disagreements are
 recorded without affecting the verdict.
 
 The exhaustive mask loops (check_history_laws and the separation check)
-fold each block's rank bitset once per factor mask (_mask_folds), and each
-level set of x likewise.  Rectangle and generation tests are bit counts of
-those folds; the separator check asks that the product of the two folded
-sides, their recombination set, lie inside the block (_separated).
+read the rectangle, determination and separator tests of every factor mask
+at once from the history module, which folds each block once per mask.
 
 The duality law runs on integer draws, the numerators sample_product and
 sample_vector normalize, with one blocks/histories pass per call and the
@@ -52,9 +50,9 @@ from .distributions import (
     verify_soundness,
 )
 from .history import (
-    _bitset,
-    _fold_out,
-    _level_bits,
+    _determining_masks,
+    _rectangle_masks,
+    _separation_masks,
     disintegration_atoms,
     history,
     structurally_independent,
@@ -296,21 +294,13 @@ def check_history_laws(
 
         parts = disintegration_atoms(space, c)
         trivial_mask = parts.trivial_part.mask
-        rect_masks = set()
-        gen_masks = []
-        # on[m]: C folded along the factors in m; levels: x's level sets so.
-        on = _mask_folds(space, _bitset(space, c.ranks))
-        levels = [_mask_folds(space, b) for b in _level_bits(space, c.ranks, x.table)]
-        for mask in range(1 << n):
-            count = on[full ^ mask].bit_count()  # |proj_J(C)|
-            if count * on[mask].bit_count() != len(c):
-                continue
-            rect_masks.add(mask)
+        rect_masks = {m for m, rect in enumerate(_rectangle_masks(space, c)) if rect}
+        for mask in rect_masks:
             if history(space, c, uj(mask)).mask != mask & ~trivial_mask:
                 results["atom_law"] = False
-            # Generation is the rectangle condition plus determination.
-            if sum(level[full ^ mask].bit_count() for level in levels) == count:
-                gen_masks.append(mask)
+        # Generation is the rectangle condition plus determination.
+        determined = _determining_masks(space, c, x)
+        gen_masks = [m for m in sorted(rect_masks) if determined[m]]
         gen_set = set(gen_masks)
         inter_all = full
         for a in gen_masks:
@@ -330,9 +320,7 @@ def check_history_laws(
                 if a & b not in rect_masks or a | b not in rect_masks:
                     results["rectangle_field"] = False
         for mask in range(1 << n):
-            union_of_atoms = all(
-                mask & atom.mask in (0, atom.mask) for atom in parts.atoms
-            )
+            union_of_atoms = all(mask & a.mask in (0, a.mask) for a in parts.atoms)
             if (mask in rect_masks) != union_of_atoms:
                 results["atoms_rectangle"] = False
         if inter_all not in gen_set or inter_all != hx.mask:
@@ -417,26 +405,6 @@ class SeparationOutcome:
     disagreements: tuple[tuple[tuple[int, ...], str, bool, bool], ...]
 
 
-def _mask_folds(space: FactoredSpace, bits: int) -> list[int]:
-    """The rank bitset folded along the factors of each mask, by mask."""
-    folds = [bits]
-    for mask in range(1, 1 << space.factor_count):
-        low = mask & -mask  # mask is mask ^ low folded along this factor
-        folds.append(_fold_out(space, folds[mask ^ low], (low.bit_length() - 1,)))
-    return folds
-
-
-def _separated(block: int, left: int, right: int) -> bool:
-    """Does every J-class of the block meet every Jbar-class?
-
-    left and right are the block folded along Jbar and along J.  Their
-    product is the recombination set: byte r counts the members p of left
-    and q of right with p + q = r, and since p is 0 on Jbar and q on J,
-    they are r's two parts and the count is at most 1.
-    """
-    return (left * right) & ~block == 0
-
-
 def check_separation_characterization(
     space: FactoredSpace, z: RandomVariable, cfg: SuiteConfig | None = None
 ) -> SeparationOutcome:
@@ -446,21 +414,14 @@ def check_separation_characterization(
     always admit a conditioner-measurable separator; with separators being
     unions of blocks, that reduces to every pair of projection classes
     inside one block having a common outcome.  Disagreements are recorded,
-    never asserted.  The block folded along each factor mask gives both
-    tests: the rectangle test counts the two folded sides, the separator
-    test recombines them (_separated).
+    never asserted.  Both tests of every factor mask come from one set of
+    folds of the block (history._separation_masks).
     """
     n = space.factor_count
-    full = (1 << n) - 1
     agreements = 0
     disagreements = []
     for label, c in blocks_of(space, z).items():
-        block = _bitset(space, c.ranks)
-        on = _mask_folds(space, block)
-        for mask in range(1 << n):
-            left, right = on[full ^ mask], on[mask]
-            rect = left.bit_count() * right.bit_count() == len(c)
-            sep = _separated(block, left, right)
+        for mask, (rect, sep) in enumerate(_separation_masks(space, c)):
             if rect == sep:
                 agreements += 1
             else:

@@ -306,15 +306,18 @@ def test_parity_blocks_at_scale_build_no_digit_tables():
     for query in ("history", "atoms"):
         space = make_space(*[2] * n)  # a fresh space, so no memoized atoms
         z = make_var(space, "Z", 2, (r.bit_count() & 1 for r in range(space.outcome_count)))
+        x = factor_var(space, 0)  # reads u0's own digit table
+        tables = list(space._digits)
         start = time.perf_counter()
         if query == "history":
-            got = conditional_history(space, factor_var(space, 0), z).per_block
+            got = conditional_history(space, x, z).per_block
             assert got == {"0": space.full_set(), "1": space.full_set()}
         else:
             parts = disintegration_atoms(space, blocks_of(space, z)["1"])
             assert parts.atoms == (space.full_set(),)
             assert parts.trivial_part == space.empty_set()
         assert time.perf_counter() - start < 10.0
+        assert list(space._digits) == tables
 
 
 def test_predicates_at_scale_count_folded_bitsets():
@@ -339,6 +342,27 @@ def test_predicates_at_scale_count_folded_bitsets():
     assert peak < 12 * 10**6
     assert determines(space, block, j, x)
     assert not generates(space, block, j, x)
+
+
+def test_determination_of_many_values_holds_one_bit_plane_at_a_time():
+    # x is the identity on 2^16 outcomes, 2^16 values.  determines folds
+    # the block's ranks where each bit of x is 0 and where it is 1 along
+    # Jbar, one pair of 64 KiB bitsets at a time; a bitset per value would
+    # hold 2^16 * 2^16 bytes (4 GiB).
+    n = 16
+    space = make_space(*[2] * n)  # a fresh space, so no memoized masks
+    count = space.outcome_count
+    block = Block(label="all", ranks=tuple(range(count)))
+    x = make_var(space, "x", count, range(count))
+    half = IndexSet.of(range(n // 2), n)
+    tracemalloc.start()
+    try:
+        assert not determines(space, block, half, x)
+        assert generates(space, block, space.full_set(), x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 10**6
 
 
 def test_interleaved_atoms_at_scale_build_no_digit_tables():

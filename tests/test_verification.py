@@ -36,8 +36,8 @@ from facthist import (
 from facthist import IndexSet, distributions, factor_var, sample_product
 from facthist.cli import main
 from facthist.distributions import SAMPLE_GRID_MAX
-from facthist.history import _bitset, _fold_out
-from facthist.verification import _joint_factorizes, _separated, _stream
+from facthist.history import _separation_masks
+from facthist.verification import _joint_factorizes, _stream
 
 from helpers import function_of, make_space, make_var, xor_bundle
 from oracles import (
@@ -213,13 +213,10 @@ def test_separator_condition_matches_global_oracle():
         assert not out.disagreements, out.disagreements
         # The per-block class-intersection reading, folded over blocks, must
         # agree with the literal global separator condition.
+        blocks = blocks_of(space, z).values()
         for ids in all_subsets(range(space.factor_count)):
-            rest = [i for i in range(space.factor_count) if i not in ids]
-            per_block = True
-            for c in blocks_of(space, z).values():
-                bits = _bitset(space, c.ranks)
-                left = _fold_out(space, bits, rest)
-                per_block &= _separated(bits, left, _fold_out(space, bits, ids))
+            mask = sum(1 << i for i in ids)
+            per_block = all(_separation_masks(space, c)[mask][1] for c in blocks)
             assert per_block == oracle_separation_global(space, z, ids)
 
 
@@ -230,11 +227,9 @@ def test_separator_condition_on_parity_blocks():
     # on a parity block the singleton subsets are not rectangles.
     assert out.agreements == 8 and not out.disagreements
     for c in blocks_of(space, xor).values():
-        bits = _bitset(space, c.ranks)
-        left = _fold_out(space, bits, [1])  # the u0-projections
-        right = _fold_out(space, bits, [0])
-        assert not _separated(bits, left, right)
-        assert _separated(bits, bits, _fold_out(space, bits, [0, 1]))
+        # (rectangle, separated) by mask: only the empty and full sets pass.
+        assert _separation_masks(space, c) == [(True, True), (False, False),
+                                               (False, False), (True, True)]
 
 
 def test_joint_factorization_for_pairwise_structural_triple():

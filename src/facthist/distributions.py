@@ -22,17 +22,17 @@ over _block_marginal rows, which also raise on a zero-mass block.
 
 A CI check of x and y given z is a prepared query, run on a quotient of
 the space (see _CiQuery).  Setting it up costs O(n * |Omega|) once for n
-factors: C-level slice comparisons over each whole table find the factors
-each of x, y and z varies along.  Factors none of them reads are summed
-out first, exact variable elimination: they only scale every weight by
-the product K of their vector sums.  Factors read by one variable alone
-are lumped into one virtual factor with a value per class of assignments
-that give that variable the same column over its other factors; only the
-grid of that variable's factors is enumerated to find the classes.  The
-quotient Q is the grid of the lumps and the kept factors, and its ranks
-are grouped into (z-value, x-value, y-value) cells at O(|Q|).  On the
-benchmark's ci-verify spaces X, Y given Z goes from 1296 outcomes to 27,
-and X, W given Z to 60-108.
+factors: one image test per factor over each whole table (space.support)
+finds the factors each of x, y and z varies along.  Factors none of them
+reads are summed out first, exact variable elimination: they only scale
+every weight by the product K of their vector sums.  Factors read by one
+variable alone are lumped into one virtual factor with a value per class
+of assignments that give that variable the same column over its other
+factors; only the grid of that variable's factors is enumerated to find
+the classes.  The quotient Q is the grid of the lumps and the kept
+factors, and its ranks are grouped into (z-value, x-value, y-value) cells
+at O(|Q|).  On the benchmark's ci-verify spaces X, Y given Z goes from
+1296 outcomes to 27, and X, W given Z to 60-108.
 
 Then the trailing quotient factors form a tail of T outcomes: rank r is
 head rank r // T and tail rank r % T, and its weight is the product of a
@@ -498,9 +498,10 @@ class _CiQuery:
     The check runs on a quotient of the space.  The readers of a factor are
     those of x, y and z whose tables vary along it, so each variable's
     factors are its support, its unconditional history.  Supports are
-    memoized on the space (space.support): blocks_of and the histories on
-    lifted blocks read the same entries, so after structurally_independent
-    all three are known.  A factor with no reader is dropped, and the
+    memoized on the space by the identity of each table (space.support):
+    blocks_of and the histories on lifted blocks read the same entries, so
+    after structurally_independent all three are known and each costs one
+    id() lookup.  A factor with no reader is dropped, and the
     product K of the sums of the dropped factors' vectors scales every
     weight.  The factors read by one variable v alone, its private group,
     become one virtual factor if that shrinks them: its values are the

@@ -42,20 +42,25 @@ size s_i = |proj_{A_i}(C)| and the product of the later sizes as stride,
 and x's values in that order are a tensor t.  Two outcomes of C agree
 outside A_i exactly when their tensor positions differ only on axis i, so
 the A_i-classes are the lines along axis i, and the factors outside A_i
-determine x exactly when t is constant along axis i (_varies).  With
-period P = s_i * stride, that is t[b+stride : b+P] == t[b : b+P-stride] for
-every period b, or row[j::s_i] == row[::s_i] for every offset row
-t[o::stride] and 0 < j < s_i; the scan takes whichever needs fewer slices,
-and each is a C-level comparison of small ints.  The factorization
-memoizes one itemgetter that reads C's values off a table in tensor order.
-When every atom is a run of consecutive free factors, rank order is already
-tensor order (ranks compare lexicographically, factor by factor), so it
-reads C's ranks as they are.  On the full outcome set every factor of more
-than one value is an atom of its own and rank order is tensor order, so
-_varies over a variable's whole table, with a factor's size and stride,
-says whether that factor is in the variable's unconditional history, its
-support (space.support); the CI queries of the distributions module read
-their factors that way.
+determine x exactly when t is constant along axis i.  That is one test on
+t's image (space._image), an int with one lane per entry, one byte wide
+when every value is below 256 and eight bytes otherwise: t is constant
+along the axis exactly when every entry whose axis coordinate is below
+s_i - 1 equals the entry one stride further, i.e. when
+(img ^ img >> 8 * width * stride) & below_top is zero, where below_top
+sets every lane of such an entry (space._varies).  The image is built
+once per scan, and the below-top mask of each axis and lane width once per
+block; each test is three C-level big-int operations, whatever the axis.
+The factorization memoizes one itemgetter that reads C's values off a
+table in tensor order.  When every atom is a run of consecutive free
+factors, rank order is already tensor order (ranks compare
+lexicographically, factor by factor), so it reads C's ranks as they are.
+On the full outcome set every factor of more than one value is an atom of
+its own and rank order is tensor order, so the same test over a
+variable's whole table, with a factor's size and stride, says whether
+that factor is in the variable's unconditional history, its support
+(space.support); the CI queries of the distributions module read their
+factors that way.
 
 A level-set block of z is its grid block times the unread factors.  z reads
 only the factors of its support S, so every block C of z is G x Omega_R,
@@ -120,20 +125,23 @@ memoizes one O(|Omega|)-byte mask per factor.  When an atom A is not a
 run of consecutive free factors, C folded along the free factors outside A
 lists proj_A(C) in increasing key order, and C's ranks in tensor order are
 the grid sums of those lists (at most n more folds per atom).  A history
-costs at most one comparison of |C| values per atom on top, and stops at
-the first difference along an axis.
-The result (trivial mask, one axis (mask, size, stride) per atom in tensor
-order, the tensor-order itemgetter, and whether it was lifted from a grid;
-no key lists or bitsets) is memoized on the FactoredSpace keyed by the
-block's ranks, because independence checks, verification and the law
-suites ask for several histories per block.  The same entry
-memoizes each history, keyed by the variable's values on the block in
-tensor order: a history depends on nothing else, so variables with equal
-tables share it whatever their names, and a repeated question (verify asks
+costs one image of |C| values and one axis test per atom on top, and the
+first history on a block builds one below-top mask of |C| lanes per atom.
+The result (a Factorization: trivial mask, one axis (mask, size, stride)
+per atom in tensor order, the tensor-order itemgetter, and whether it was
+lifted from a grid; no key lists or bitsets) is memoized on the
+FactoredSpace under the record of the block's ranks (space.intern: one
+hash the first time a ranks object is seen, an id() lookup after that),
+because independence checks, verification and the law suites ask for
+several histories per block.  The same entry memoizes each history (an
+immutable IndexSet, returned as it is), keyed by the record of the
+variable's table, and the below-top mask of each axis per lane width.
+Tables are interned by value, so variables with equal tables share a
+history whatever their names, and a repeated question (verify asks
 structurally_independent once itself and once more through
-verify_soundness or find_witness) costs one O(|C|) read of those values.
-A variable constant on the block has the empty history and is never
-memoized, and the block is not factorized for it.
+verify_soundness or find_witness) costs two id() lookups and no read of
+the block's values.  A variable constant on the block has the
+empty history; the block is not factorized for it unless it already was.
 
 The *conditional history* maps every attained value of a conditioning
 variable z to the history on that block.  Two variables are *structurally
@@ -148,7 +156,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import InvariantViolationError
 from .space import (
@@ -158,7 +166,10 @@ from .space import (
     Grid,
     IndexSet,
     RandomVariable,
+    Record,
+    _below_top,
     _grid_sum,
+    _image,
     _varies,
     blocks_of,
     ensure_block,
@@ -343,21 +354,28 @@ def _separation_masks(space: FactoredSpace, c: Block) -> list[tuple[bool, bool]]
 
 # One axis of the atom tensor: (atom mask, |proj_A(C)|, stride).
 Axis = tuple[int, int, int]
-# (trivial mask, axes in tensor order, picker that reads a table's values on
-# the block in tensor order, history masks memoized by those values, whether
-# the axes are lifted from a grid and may be skipped outside a support)
-Factorization = tuple[int, tuple[Axis, ...], Picker, dict[Sequence[int], int], bool]
+
+
+class Factorization(NamedTuple):
+    """What the space memoizes per block: its atoms as tensor axes."""
+
+    trivial: int  # the mask of the factors constant on the block
+    axes: tuple[Axis, ...]  # by lowest factor, which is tensor order
+    read: Picker  # reads a table's values on the block in tensor order
+    known: dict[Record, IndexSet]  # histories by the record of the table
+    tops: dict[int, list[int]]  # each axis's below-top mask, by lane width
+    lifted: bool  # from a grid: an axis outside x's support is skipped
 
 
 def _factorize(space: FactoredSpace, ranks: tuple[int, ...]) -> Factorization:
     """The memoized factorization of the block with these ranks."""
-    cached = space._atoms.get(ranks)
-    if cached is not None:
-        return cached
-    grid = space._grids.get(ranks)
-    result = _factorize_block(space, ranks) if grid is None else _lift(space, *grid)
-    space._atoms[ranks] = result
-    return result
+    key = space.intern(ranks)
+    cached = space._atoms.get(key)
+    if cached is None:
+        grid = space._grids.get(key)
+        cached = _factorize_block(space, ranks) if grid is None else _lift(space, *grid)
+        space._atoms[key] = cached
+    return cached
 
 
 def _fold(x: int, size: int, step: int, zero: int) -> int:
@@ -455,7 +473,7 @@ def _factorize_block(space: FactoredSpace, ranks: tuple[int, ...]) -> Factorizat
         stride *= count
     axes.reverse()
     if [k for mask, _, _ in atoms for k in free if mask >> k & 1] == free:
-        return (trivial, tuple(axes), _picker(ranks), {}, False)
+        return Factorization(trivial, tuple(axes), _picker(ranks), {}, {}, False)
     # An atom is not a run of consecutive free factors.  The block folded
     # along the free factors outside atom A holds one rank per A-projection,
     # in increasing key order, but each keeps C's constant coordinates; the
@@ -467,7 +485,7 @@ def _factorize_block(space: FactoredSpace, ranks: tuple[int, ...]) -> Factorizat
         x = _fold_out(space, block, [j for j in free if not mask >> j & 1])
         lists.append(list(compress(range(n), x.to_bytes(n, "little"))))
     lists.append([ranks[0] - sum(keys[0] for keys in lists)])
-    return (trivial, tuple(axes), _picker(_grid_sum(lists)), {}, False)
+    return Factorization(trivial, tuple(axes), _picker(_grid_sum(lists)), {}, {}, False)
 
 
 def _lift(space: FactoredSpace, grid: Grid, granks: tuple[int, ...]) -> Factorization:
@@ -478,28 +496,34 @@ def _lift(space: FactoredSpace, grid: Grid, granks: tuple[int, ...]) -> Factoriz
     the grid block in its own tensor order, and under each grid point the
     other factors' assignments in rank order.
     """
-    gtrivial, gaxes, gread, _, _ = _factorize(grid.space, granks)
+    gentry = _factorize(grid.space, granks)
 
     def to_full(gmask: int) -> int:
         return sum(1 << i for k, i in enumerate(grid.ids) if gmask >> k & 1)
 
     inner = len(grid.rest)
-    axes = [(to_full(m), size, stride * inner) for m, size, stride in gaxes]
+    axes = [(to_full(m), size, stride * inner) for m, size, stride in gentry.axes]
     for i in grid.rest_ids:
         inner //= space.factors[i].size
         axes.append((1 << i, space.factors[i].size, inner))
-    trivial = to_full(gtrivial) | sum(
+    trivial = to_full(gentry.trivial) | sum(
         1 << i for i, f in enumerate(space.factors) if f.size == 1
     )
-    read = _picker(_grid_sum([gread(grid.offsets), grid.rest]))
-    return (trivial, tuple(axes), read, {}, True)
+    read = _picker(_grid_sum([gentry.read(grid.offsets), grid.rest]))
+    return Factorization(trivial, tuple(axes), read, {}, {}, True)
 
 
 def _scan_atoms(entry: Factorization, values: Sequence[int], reads: int) -> int:
     """Mask of the atoms that meet reads and along whose axis the values vary."""
+    img, width = _image(values)
+    tops = entry.tops.get(width)
+    if tops is None:
+        tops = entry.tops[width] = [
+            _below_top(len(values), size, stride, width) for _, size, stride in entry.axes
+        ]
     mask = 0
-    for atom, size, stride in entry[1]:
-        if atom & reads and _varies(values, size, stride):
+    for (atom, _, stride), top in zip(entry.axes, tops):
+        if atom & reads and _varies(img, width, stride, top):
             mask |= atom
     return mask
 
@@ -509,23 +533,25 @@ def history(space: FactoredSpace, c: Block, x: RandomVariable) -> IndexSet:
     ensure_block(space, c)
     ensure_on_space(space, x)
     ranks = c.ranks
-    entry = space._atoms.get(ranks)
+    entry = space._atoms.get(space.intern(ranks))
     if entry is None:
         values = _picker(ranks)(x.table)
         if values.count(values[0]) == len(values):
             return IndexSet(0, space.factor_count)
         entry = _factorize(space, ranks)
-    _, _, read, known, lifted = entry
-    values = read(x.table)
-    mask = known.get(values)
-    if mask is None:
+    key = space.intern(x.table)
+    found = entry.known.get(key)
+    if found is None:
+        values = entry.read(x.table)
         if values.count(values[0]) == len(values):
-            return IndexSet(0, space.factor_count)
-        # On a lifted block, skip the atoms x's table does not vary along
-        # anywhere: outcomes that differ only there agree on x.
-        reads = support(space, x) if lifted else -1
-        mask = known[values] = _scan_atoms(entry, values, reads)
-    return IndexSet(mask, space.factor_count)
+            mask = 0
+        else:
+            # On a lifted block, skip the atoms x's table does not vary
+            # along anywhere: outcomes that differ only there agree on x.
+            reads = support(space, x) if entry.lifted else -1
+            mask = _scan_atoms(entry, values, reads)
+        found = entry.known[key] = IndexSet(mask, space.factor_count)
+    return found
 
 
 def conditional_history(
@@ -564,8 +590,9 @@ def disintegration_atoms(space: FactoredSpace, c: Block) -> DisintegrationAtoms:
     """
     ensure_block(space, c)
     n = space.factor_count
-    trivial_mask, axes, _, _, _ = _factorize(space, c.ranks)
-    atom_masks = sorted(m for m, _, _ in axes)
+    entry = _factorize(space, c.ranks)
+    trivial_mask = entry.trivial
+    atom_masks = sorted(m for m, _, _ in entry.axes)
     covered = 0
     for m in atom_masks:
         if covered & m:

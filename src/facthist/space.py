@@ -18,17 +18,31 @@ variable reads nothing outside its support, so a block of z is the block of
 z on the grid of supp(z) times every factor z does not read; blocks_of
 partitions only that grid.
 
+A support is read off the table's *image*: its values as one int with one
+lane per entry (one byte when every value is below 256, else eight).  The
+tensor varies along a factor of stride s exactly when some lane whose
+coordinate is below the factor's top value differs from the lane s entries
+on, that is when (img ^ img >> 8 * width * s) & below_tops(width)[i] is
+not zero; the masks of those lanes are memoized per factor.
+
 Everything here is immutable after construction and safe to share between
-threads.  Internal per-factor coordinate tables and rank bitsets, supports,
-the blocks of each conditioner, and the per-block atom factorizations and
-histories computed by the history module are memoized lazily; each memo is
-idempotent, so a racing double computation is harmless.
+threads.  Internal per-factor coordinate tables, rank bitsets and lane
+masks, supports, the blocks of each conditioner, and the per-block atom
+factorizations and histories computed by the history module are memoized
+lazily; each memo is idempotent, so a racing double computation is
+harmless.  The memos are keyed by identity, not by value: the first time a
+space meets a table or a block's ranks it interns the tuple (one hash, so
+equal tuples share a record) and files the object's id under that record,
+which holds the object so the id is never reused.  Every later lookup is a
+dict hit on id(), with no pass over the tuple.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
+from array import array
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import add, countOf, itemgetter, lt, mul
@@ -168,8 +182,10 @@ class IndexSet:
 class RandomVariable:
     """A dense total function from outcome ranks to codomain indices.
 
-    A table given as another sequence is stored as a tuple, so the memos of
-    a space can key on it.
+    A table given as another sequence is stored as a tuple, and a tuple
+    (a subclass too) is kept as it is, so a space can intern it: a space
+    hashes a table once, the first time it meets that object, and keys its
+    memos by the object's identity after that (FactoredSpace.intern).
     """
 
     name: str
@@ -218,6 +234,15 @@ class Block:
         return len(self.ranks)
 
 
+class Record:
+    """The memo key of one interned tuple: the objects equal to it, held."""
+
+    __slots__ = ("objects",)
+
+    def __init__(self) -> None:
+        self.objects: list[tuple] = []
+
+
 class FactoredSpace:
     """An ordered tuple of finite factors; outcomes are the full product.
 
@@ -234,6 +259,9 @@ class FactoredSpace:
         "_ids",
         "_digits",
         "_bits",
+        "_tops",
+        "_records",
+        "_by_id",
         "_supports",
         "_blocks",
         "_grids",
@@ -271,19 +299,28 @@ class FactoredSpace:
         # A factor id -> the bitset of the ranks where it is 0, filled and
         # read by zero_bits.
         object.__setattr__(self, "_bits", {})
+        # A lane width -> per factor, the lanes of a table image whose
+        # coordinate is below the factor's top value, filled and read by
+        # below_tops.
+        object.__setattr__(self, "_tops", {})
+        # Each interned tuple, by value -> its Record; and the id of every
+        # object interned -> the Record holding it.  Filled by intern.
+        object.__setattr__(self, "_records", {})
+        object.__setattr__(self, "_by_id", {})
+        # The memos below are keyed by the Record of a table or of a block's
+        # ranks, found by intern.
         # A variable's table -> its support mask, filled and read by support.
         object.__setattr__(self, "_supports", {})
-        # (codomain, table) of a conditioner, or None for no conditioner ->
+        # (table, codomain) of a conditioner, or None for no conditioner ->
         # its blocks by label, filled and read by blocks_of.
         object.__setattr__(self, "_blocks", {})
         # Ranks of a block partitioned on its conditioner's grid -> (Grid,
         # the block's ranks on the grid), filled by blocks_of and read by
         # history.py.
         object.__setattr__(self, "_grids", {})
-        # Block ranks -> (trivial mask, atom axes, picker that reads a table
-        # in tensor order, history masks by the variable's values in that
-        # order, whether the axes are lifted from a grid), filled and read
-        # by history.py.
+        # Block ranks -> its history.Factorization (atom axes, tensor-order
+        # picker, history masks by the table's Record, lane masks per
+        # axis), filled and read by history.py.
         object.__setattr__(self, "_atoms", {})
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -349,6 +386,40 @@ class FactoredSpace:
             cached = int.from_bytes(period * reps, "little")
             self._bits[i] = cached
         return cached
+
+    def below_tops(self, width: int) -> tuple[int, ...]:
+        """Per factor, the lanes of a table image whose coordinate is below
+        the factor's top value.
+
+        With lanes of width bytes (see _image), each such lane has all its
+        bits set, so _varies along factor i with mask i tests every entry
+        against the entry one step further along the factor.  A factor of
+        one value has no such lane: its mask is 0.
+        """
+        cached = self._tops.get(width)
+        if cached is None:
+            n = self.outcome_count
+            cached = tuple(
+                _below_top(n, f.size, stride, width)
+                for f, stride in zip(self.factors, self._strides)
+            )
+            self._tops[width] = cached
+        return cached
+
+    def intern(self, t: tuple) -> Record:
+        """The record this space files t's memos under.
+
+        The first call for an object hashes it once, so equal tuples share
+        one record, and files the object's id; every later call is a lookup
+        by id().  The record holds the object, so that id is never reused
+        while the space lives.
+        """
+        record = self._by_id.get(id(t))
+        if record is None:
+            record = self._records.setdefault(t, Record())
+            record.objects.append(t)
+            self._by_id[id(t)] = record
+        return record
 
     def index_set(self, ids: Iterable[int]) -> IndexSet:
         return IndexSet.of(ids, len(self.factors))
@@ -466,40 +537,57 @@ def fold_pair(space: FactoredSpace, xs: Sequence[RandomVariable]) -> RandomVaria
     )
 
 
-def _varies(t: Sequence[int], size: int, stride: int) -> bool:
-    """Does the tensor t change along the axis with this size and stride?"""
-    period = size * stride
-    if 2 * len(t) // period <= stride * (size + 1):
-        # Per period, t must equal itself shifted one step along the axis.
-        for b in range(0, len(t), period):
-            if t[b + stride : b + period] != t[b : b + period - stride]:
-                return True
-        return False
-    # Per offset below the axis, every position must repeat position 0.
-    for o in range(stride):
-        row = t[o::stride]
-        first = row[::size]
-        for j in range(1, size):
-            if row[j::size] != first:
-                return True
-    return False
+def _image(t: Sequence[int]) -> tuple[int, int]:
+    """The values of t as one int with a lane per entry, and the lane width.
+
+    Entry r is byte r when bytearray() takes every entry (0..255; from a
+    tuple it is about twice as fast as bytes()), otherwise bytes 8r to
+    8r+7, so each lane holds its value exactly.
+    """
+    try:
+        return int.from_bytes(bytearray(t), "little"), 1
+    except ValueError:
+        return int.from_bytes(array("Q", t).tobytes(), sys.byteorder), 8
+
+
+def _below_top(count: int, size: int, stride: int, width: int) -> int:
+    """The lanes of count entries whose coordinate on an axis is below size - 1.
+
+    The axis has this size and stride, and each lane is width bytes, all
+    set; the pattern is one period of the axis repeated.
+    """
+    run = width * stride
+    period = b"\xff" * (run * (size - 1)) + bytes(run)
+    return int.from_bytes(period * (count // (size * stride)), "little")
+
+
+def _varies(img: int, width: int, stride: int, top: int) -> bool:
+    """Does the tensor with this image change along the axis with this stride?
+
+    top is the axis's below-top mask (_below_top), so the XOR compares each
+    entry with the one a step further along the axis, and no lane carries
+    into another.
+    """
+    return (img ^ img >> 8 * width * stride) & top != 0
 
 
 def support(space: FactoredSpace, x: RandomVariable) -> int:
     """Mask of the factors along which x's table varies, memoized by table.
 
     A table in rank order is a tensor with one axis per factor, so each
-    factor of more than one value costs one _varies pass.
+    factor costs one _varies test on the table's image, which is built
+    once; a factor of one value has an empty mask and never varies.
     """
     ensure_on_space(space, x)
-    table = x.table
-    mask = space._supports.get(table)
+    key = space.intern(x.table)
+    mask = space._supports.get(key)
     if mask is None:
+        img, width = _image(x.table)
         mask = 0
-        for i, (f, stride) in enumerate(zip(space.factors, space._strides)):
-            if f.size > 1 and _varies(table, f.size, stride):
+        for i, (stride, top) in enumerate(zip(space._strides, space.below_tops(width))):
+            if _varies(img, width, stride, top):
                 mask |= 1 << i
-        space._supports[table] = mask
+        space._supports[key] = mask
     return mask
 
 
@@ -555,7 +643,7 @@ def _grid_blocks(
     blocks = {}
     for v, granks in groups.items():
         ranks = tuple(sorted(_grid_sum([[offsets[g] for g in granks], grid.rest])))
-        space._grids[ranks] = (grid, tuple(granks))
+        space._grids[space.intern(ranks)] = (grid, tuple(granks))
         blocks[v] = ranks
     return blocks
 
@@ -570,14 +658,14 @@ def blocks_of(
     support is partitioned, and each grid block is expanded to its full
     ranks as sums of rank offsets (see Grid); otherwise one pass over z's
     table groups the ranks.  The blocks are memoized on the space
-    by z's codomain and table, so a conditioner is partitioned once per
-    space; each call returns a new dict of them.
+    by z's table (interned) and codomain, so a conditioner is partitioned
+    once per space; each call returns a new dict of them.
     """
     if z is None:
         key = None
     else:
         ensure_on_space(space, z)
-        key = (z.codomain, z.table)
+        key = (space.intern(z.table), z.codomain)
     blocks = space._blocks.get(key)
     if blocks is None:
         if z is None:

@@ -5,11 +5,14 @@ so the variables of a space are covered, up to relabelling, by one per set
 partition of its outcomes, written as a restricted-growth string (outcome
 r gets a value at most one above every value before it).  Every (x, y, z)
 triple is checked against the exact CI oracle, and every history on every
-block of z against subset enumeration.
+block of z against subset enumeration.  A z that reads one factor of a
+space with two free factors has its blocks lifted from its grid
+(history._lift), so that path is covered too.
 """
 
 from __future__ import annotations
 
+import importlib
 from collections import Counter
 
 import pytest
@@ -18,6 +21,9 @@ from facthist import blocks_of, history, structurally_independent
 
 from helpers import make_space, make_var
 from oracles import oracle_ci_all_products, oracle_history
+
+# The package re-exports the function history() under the module's name.
+history_module = importlib.import_module("facthist.history")
 
 
 def restricted_growth_strings(n):
@@ -28,8 +34,16 @@ def restricted_growth_strings(n):
 
 
 @pytest.mark.parametrize("sizes", [(2, 2), (2, 1, 2)])
-def test_every_partition_triple_of_four_outcomes(sizes):
+def test_every_partition_triple_of_four_outcomes(sizes, monkeypatch):
     # (2, 1, 2) adds a factor of one value, which is in no history.
+    lifted = Counter()  # by the factors of the grid
+    lift = history_module._lift
+
+    def counting_lift(space, grid, granks):
+        lifted[grid.ids] += 1
+        return lift(space, grid, granks)
+
+    monkeypatch.setattr(history_module, "_lift", counting_lift)
     space = make_space(*sizes)
     variables = [
         make_var(space, f"v{k}", max(s) + 1, s)
@@ -50,3 +64,7 @@ def test_every_partition_triple_of_four_outcomes(sizes):
                 )
                 verdicts[got] += 1
     assert verdicts == {True: 756, False: 1044}
+    # Each free factor read alone by some z: both blocks of that z, and no
+    # grid of two factors, since a z reading both reads every free factor.
+    free = [i for i, size in enumerate(sizes) if size > 1]
+    assert lifted == {(i,): 2 for i in free}

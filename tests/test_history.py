@@ -12,7 +12,7 @@ import random
 import time
 import tracemalloc
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 from math import prod
 from operator import xor
 
@@ -22,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 from facthist import (
     Block,
     IndexSet,
+    RandomVariable,
     conditional_history,
     determines,
     disintegration_atoms,
@@ -35,8 +36,10 @@ from facthist import (
     pair_var,
     structural_time_leq,
     structurally_independent,
+    support,
     trivial_var,
 )
+from facthist.distributions import _CiQuery
 from facthist.errors import SpaceMismatchError
 
 from helpers import function_of, make_space, make_var, xor_bundle
@@ -51,6 +54,7 @@ from oracles import (
 
 # The package re-exports the function history() under the module's name.
 history_module = importlib.import_module("facthist.history")
+space_module = importlib.import_module("facthist.space")
 
 
 def _ids(space, *members):
@@ -388,7 +392,7 @@ def test_interleaved_atoms_at_scale_build_no_digit_tables():
     assert parts.atoms == (_ids(space, 0, 2), _ids(space, 1, *range(3, n)))
     assert parts.trivial_part == space.empty_set()
     # Tensor order: the u0, u2 projection first, the rest in rank order.
-    _, _, read, _, _ = history_module._factorize(space, c.ranks)
+    read = history_module._factorize(space, c.ranks).read
     assert list(read(range(space.outcome_count))) == sorted(
         c.ranks, key=lambda r: (r & pair, r)
     )
@@ -416,13 +420,11 @@ def test_history_rejects_foreign_variables():
 
 
 def test_history_memo_scans_each_block_and_table_once(monkeypatch):
-    scans = Counter()
+    scans = Counter()  # by the id of the block's memo entry
     scan = history_module._scan_atoms
 
     def counting_scan(entry, values, reads):
-        # The memo entry of a block is stored under the block's ranks.
-        ranks = next(r for r, e in space._atoms.items() if e is entry)
-        scans[ranks, values] += 1
+        scans[id(entry)] += 1
         return scan(entry, values, reads)
 
     monkeypatch.setattr(history_module, "_scan_atoms", counting_scan)
@@ -437,7 +439,7 @@ def test_history_memo_scans_each_block_and_table_once(monkeypatch):
         scans.clear()
         first = structurally_independent(space, x, y, z)
         after_first = Counter(scans)
-        total += len(after_first)
+        total += sum(after_first.values())
         blocks = blocks_of(space, z)
         assert first.overlaps == {
             label: IndexSet.of(
@@ -448,28 +450,77 @@ def test_history_memo_scans_each_block_and_table_once(monkeypatch):
         }
         assert structurally_independent(space, x, y, z) == first
         # A variable with an equal table under another name shares the entry.
-        twin = make_var(space, "twin", 3, x.table)
+        twin = make_var(space, "twin", 3, list(x.table))
+        assert twin.table is not x.table
         assert structurally_independent(space, twin, y, z) == first
         assert scans == after_first
-        assert set(scans.values()) <= {1}
+        assert space.intern(twin.table) is space.intern(x.table)
+        # Each block is scanned once per distinct table not constant on it.
         for c in blocks.values():
-            for v in (x, y):
-                if len(set(v.table[r] for r in c.ranks)) > 1:
-                    # The memo keys a block's values in its tensor order.
-                    read = space._atoms[c.ranks][2]
-                    assert scans[c.ranks, read(v.table)] == 1
-        # Every memoized mask is the history the oracle gives for those values.
-        for ranks, (_, _, read, known, _) in space._atoms.items():
-            block = Block(label="b", ranks=ranks)
-            for values, mask in known.items():
-                table = [0] * n
-                for r, v in zip(read(range(n)), values):
-                    table[r] = v
-                var = make_var(space, "v", 3, table)
-                assert IndexSet(mask, space.factor_count).members() == tuple(
-                    sorted(oracle_history(space, block, var))
-                )
+            tables = {v.table for v in (x, y) if len(set(v.table[r] for r in c.ranks)) > 1}
+            entry = space._atoms.get(space.intern(c.ranks))
+            assert scans[id(entry)] == len(tables)
+        # Every memoized history is the one the oracle gives for its table.
+        for key, entry in space._atoms.items():
+            block = Block(label="b", ranks=key.objects[0])
+            for record, found in entry.known.items():
+                var = make_var(space, "v", 3, record.objects[0])
+                assert found.members() == tuple(sorted(oracle_history(space, block, var)))
     assert total >= 60
+
+
+def test_memo_lookups_hash_each_table_and_block_once():
+    # Tables and block ranks of a tuple subclass that counts its hashes and
+    # equality tests.  After the first time a space meets an object, every
+    # memo finds it by identity, so no call hashes it again.
+    hashes, equalities = Counter(), Counter()
+
+    class Counted(tuple):
+        def __hash__(self):
+            hashes[id(self)] += 1
+            return tuple.__hash__(self)
+
+        def __eq__(self, other):
+            equalities[id(self)] += 1
+            return tuple.__eq__(self, other)
+
+    space = make_space(3, 2, 3, 2)
+    rng = random.Random("hash-count")
+
+    def counted(name, ids):
+        v = function_of(space, name, ids, 3, rng)
+        return RandomVariable(v.name, v.codomain, Counted(v.table))
+
+    x, y = counted("x", [0, 1, 3]), counted("y", [1, 2])
+    twin = RandomVariable("twin", x.codomain, Counted(x.table))
+    # z reads two factors, so its blocks are lifted from its grid; w reads
+    # every factor.
+    z, w = counted("z", [0, 2]), counted("w", [0, 1, 2, 3])
+    assert type(x.table) is Counted and twin.table is not x.table
+    blocks = [
+        Block(c.label, Counted(c.ranks))
+        for conditioner in (z, w, None)
+        for c in blocks_of(space, conditioner).values()
+    ]
+    for _ in range(3):
+        for v in (x, y, twin, z, w):
+            support(space, v)
+        for c in blocks:
+            for v in (x, y, twin):
+                history(space, c, v)
+        for conditioner in (z, w, None):
+            blocks_of(space, conditioner)
+            structurally_independent(space, x, y, conditioner)
+            structurally_independent(space, twin, y, conditioner)
+            _CiQuery(space, x, y, conditioner)
+    assert len(hashes) == 5 + len(blocks)
+    assert set(hashes.values()) == {1}
+    # Interning an object finds the equal one interned before it, if any,
+    # with one equality test: the twin finds x's table, and a block's ranks
+    # the equal ranks blocks_of built.
+    assert equalities[id(x.table)] == 1
+    assert set(equalities.values()) == {1}
+    assert space.intern(twin.table) is space.intern(x.table)
 
 
 def test_interleaved_atoms_are_read_in_tensor_order():
@@ -485,7 +536,7 @@ def test_interleaved_atoms_are_read_in_tensor_order():
         j = rng.randrange(i + 2, space.factor_count)
         z = function_of(space, "z", [i, j], 2, rng)
         for c in blocks_of(space, z).values():
-            _, axes, read, _, _ = history_module._factorize(space, c.ranks)
+            read = history_module._factorize(space, c.ranks).read
             if tuple(read(range(space.outcome_count))) == c.ranks:
                 continue
             interleaved += 1
@@ -507,24 +558,29 @@ def _varies_by_cells(shape, t, axis):
     )
 
 
-@pytest.mark.parametrize("shape", [(2,) * 6, (3, 2, 4), (5,), (2, 7), (4, 1, 3, 2)])
+@pytest.mark.parametrize(
+    "shape", [(2,) * 6, (3, 2, 4), (5,), (2, 7), (4, 1, 3, 2), (1,), (1, 1, 1), (3, 1)]
+)
 def test_axis_scan_matches_cell_comparisons(shape):
-    # The first axis of (2,)*6 compares one period and the last one offset
-    # row, so both slice comparisons of _varies run; planting one changed
-    # cell checks that no period or row is skipped.
+    # Values from low to low + 3: from 254 on they straddle 256, so the
+    # image takes eight-byte lanes, and from 2**16 - 1 they need more than
+    # two bytes.  Planting one changed cell checks that no lane is skipped.
     rng = random.Random(f"axis-scan:{shape}")
     n = prod(shape)
     for axis, size in enumerate(shape):
         stride = n // prod(shape[: axis + 1])
-        for trial in range(30):
-            t = [rng.randrange(3) for _ in range(n)]
+        for low, trial in product((0, 254, 2**16 - 1), range(30)):
+            t = [low + rng.randrange(3) for _ in range(n)]
             if trial % 3:
                 # Constant along the axis: copy position 0 of every line.
                 t = [t[r - (r // stride % size) * stride] for r in range(n)]
             if trial % 3 == 2:
-                t[rng.randrange(n)] = 3
+                t[rng.randrange(n)] = low + 3
             t = tuple(t)
-            assert history_module._varies(t, size, stride) == _varies_by_cells(
+            img, width = space_module._image(t)
+            assert width == (1 if max(t) < 256 else 8)
+            top = space_module._below_top(n, size, stride, width)
+            assert space_module._varies(img, width, stride, top) == _varies_by_cells(
                 shape, t, axis
             )
 
@@ -605,11 +661,11 @@ def test_grid_block_entries_match_the_general_factorization(data):
         xs.append(make_var(space, "zx", 3, table))
     copy = make_space(*sizes)
     for c in blocks_of(space, z).values():
-        trivial, axes, _, _, _ = history_module._factorize(space, c.ranks)
-        general, general_axes, _, _, lifted = history_module._factorize(copy, c.ranks)
-        assert not lifted
-        assert trivial == general
-        assert sorted(m for m, _, _ in axes) == sorted(m for m, _, _ in general_axes)
+        entry = history_module._factorize(space, c.ranks)
+        general = history_module._factorize(copy, c.ranks)
+        assert not general.lifted
+        assert entry.trivial == general.trivial
+        assert sorted(m for m, _, _ in entry.axes) == sorted(m for m, _, _ in general.axes)
         for x in xs:
             want = tuple(sorted(oracle_history(space, c, x)))
             assert history(space, c, x).members() == want
@@ -624,8 +680,8 @@ def test_a_grid_block_out_of_rank_order_is_read_in_its_tensor_order():
     outcomes = [outcome_unrank(space, r) for r in range(space.outcome_count)]
     z = make_var(space, "z", 3, [0 if o[0] == 0 or o[2] == 0 else 1 + o[1] for o in outcomes])
     block = blocks_of(space, z)["0"]
-    grid, granks = space._grids[block.ranks]
-    read = history_module._factorize(grid.space, granks)[2]
+    grid, granks = space._grids[space.intern(block.ranks)]
+    read = history_module._factorize(grid.space, granks).read
     assert tuple(read(range(grid.space.outcome_count))) != granks
     # x reads u0, u1 and u2, but where z is 0 it is u1.
     x = make_var(space, "x", 3, [o[1] if v == 0 else 2 for o, v in zip(outcomes, z.table)])
@@ -645,7 +701,7 @@ def test_a_conditioner_reading_every_factor_builds_no_grid(monkeypatch):
     def no_grid(*args):
         raise AssertionError("a grid was built")
 
-    monkeypatch.setattr(importlib.import_module("facthist.space"), "_grid_blocks", no_grid)
+    monkeypatch.setattr(space_module, "_grid_blocks", no_grid)
     space = make_space(2, 1, 3, 2)
     n = space.outcome_count
     z = make_var(space, "z", 2, [sum(outcome_unrank(space, r)) % 2 for r in range(n)])
@@ -653,8 +709,8 @@ def test_a_conditioner_reading_every_factor_builds_no_grid(monkeypatch):
     ch = conditional_history(space, x, z)
     assert structurally_independent(space, x, factor_var(space, 0), z).overlaps
     assert space._grids == {}
-    assert list(space._supports) == [z.table]
-    assert [lifted for *_, lifted in space._atoms.values()] == [False, False]
+    assert list(space._supports) == [space.intern(z.table)]
+    assert [entry.lifted for entry in space._atoms.values()] == [False, False]
     for label, c in blocks_of(space, z).items():
         assert ch.per_block[label].members() == tuple(sorted(oracle_history(space, c, x)))
 
@@ -742,9 +798,10 @@ def _factorizations(data):
     z = function_of(space, "z", ids, data.draw(st.integers(2, 4)), rng)
     cases = []
     for c in blocks_of(space, z).values():
-        if c.ranks in space._grids:
+        grid = space._grids.get(space.intern(c.ranks))
+        if grid is not None:
             history_module._factorize(space, c.ranks)
-            grid, granks = space._grids[c.ranks]
+            grid, granks = grid
             cases.append((grid.space, granks))
     return cases
 
@@ -753,14 +810,14 @@ def _factorizations(data):
 @given(st.data())
 def test_bitset_factorization_matches_key_counts(data):
     for space, ranks in _factorizations(data):
-        trivial, axes, read, _, lifted = history_module._factorize(space, ranks)
+        entry = history_module._factorize(space, ranks)
         copy = make_space(*(f.size for f in space.factors))
         want_trivial, want_axes, want_read = oracle_factorize(copy, ranks)
-        assert not lifted
-        assert trivial == want_trivial
-        assert axes == want_axes
+        assert not entry.lifted
+        assert entry.trivial == want_trivial
+        assert entry.axes == want_axes
         every = range(space.outcome_count)
-        assert tuple(read(every)) == tuple(want_read(every))
+        assert tuple(entry.read(every)) == tuple(want_read(every))
 
 
 @settings(max_examples=60, deadline=None)

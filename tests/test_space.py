@@ -223,29 +223,58 @@ def test_digit_tables_match_the_mixed_radix_definition():
             assert space.digits(i) == want
 
 
+# Codomain labels for values up to 2**16 + 1.
+_LABELS = tuple(map(str, range(2**16 + 2)))
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_support_matches_cell_comparisons(data):
+    # Sizes of 1 give one-value axes, and a one-outcome space a tensor of
+    # length 1.  A shift moves the values to 255..257 or 65535..65537, past
+    # one byte, so the image takes eight-byte lanes whenever a value is 256
+    # or more.
     sizes = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
     space = make_space(*sizes)
     n = space.outcome_count
     k = data.draw(st.integers(1, 3))
     if data.draw(st.booleans()):
         table = data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
-        x = make_var(space, "x", k, table)
     else:
         ids = data.draw(st.sets(st.integers(0, space.factor_count - 1)))
-        x = function_of(space, "x", sorted(ids), k, random.Random(data.draw(st.integers())))
+        rng = random.Random(data.draw(st.integers()))
+        table = function_of(space, "x", sorted(ids), k, rng).table
+    shift = data.draw(st.sampled_from([0, 255, 2**16 - 1]))
+    x = RandomVariable("x", _LABELS[: shift + k], tuple(v + shift for v in table))
     want = sum(1 << i for i in oracle_support(space, x))
     assert support(space, x) == want
-    # Memoized by table: an equal table under another name reads the memo.
-    assert space._supports == {x.table: want}
-    assert support(space, make_var(space, "twin", k, list(x.table))) == want
+    # On the full block, a product, the history is the support, read by the
+    # atom scan on the same image.
+    assert history(space, full_block(space), x).mask == want
+    # Memoized by table: an equal table under another name shares the
+    # record, so it reads the one entry.
+    assert space._supports == {space.intern(x.table): want}
+    twin = RandomVariable("twin", x.codomain, tuple(list(x.table)))
+    assert twin.table is not x.table
+    assert support(space, twin) == want
     assert len(space._supports) == 1
+    assert space.intern(twin.table) is space.intern(x.table)
+
+
+def test_intern_files_equal_tuples_under_one_record():
+    space = make_space(2, 2)
+    a, b, c = (0, 1, 1, 0), tuple([0, 1, 1, 0]), (1, 1, 0, 0)
+    record = space.intern(a)
+    assert space.intern(b) is record and space.intern(a) is record
+    assert space.intern(c) is not record
+    # The record holds every object filed under it, so no id is reused
+    # while the space lives.
+    assert record.objects == [a, b] and record.objects[1] is b
 
 
 def test_tables_are_stored_as_tuples():
-    # The memos of a space key on tables, so a list table must not reach them.
+    # A space interns tables by hashing them once, so a list table must not
+    # reach it.
     space = make_space(2, 2, 2)
     z = RandomVariable(name="z", codomain=("0", "1"), table=[0, 1] * 4)
     x = RandomVariable(name="x", codomain=("0", "1"), table=[0] * 4 + [1] * 4)

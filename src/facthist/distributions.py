@@ -53,11 +53,12 @@ and zero-mass blocks are those of the unreduced check.  verify_soundness
 and find_witness prepare the query once for all of their samples.
 
 verify_soundness checks its samples in chunks, each in one lane pass
-(_CiQuery.all_hold): every weight becomes a lane, a list with one integer
-per sample, and the unread scale, the lump expansions and class sums, the
-head and tail expansions, the part and cell sums, the marginals and the
-cross-multiplied test each run as C-level maps over lanes, so the
-Python-level cost of a check is paid once per chunk, not once per sample.
+(_CiQuery.all_hold).  Its cell sums come from the body of a single check,
+_CiQuery._sums, with lane arithmetic: every weight is a lane, a list with
+one integer per sample, the unit weight is a lane of ones, and each
+product and sum is a C-level map over lanes.  The marginals and the
+cross-multiplied test are maps over lanes too, so the Python-level cost of
+a check is paid once per chunk, not once per sample.
 The pass only says whether every sample holds on every block with none of
 zero mass; if not, each sample of the chunk is checked again by
 check_ints, the one code that builds a CiReport, so violation indices,
@@ -82,7 +83,7 @@ from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from itertools import chain, cycle, islice, repeat
 from operator import add, mul
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import (
     DegenerateBlockError,
@@ -352,29 +353,20 @@ def _int_vectors(p: ProductDistribution) -> list[list[int]]:
     return out
 
 
-def _expand(vecs: Sequence[Sequence[int]], scale: int = 1) -> list[int]:
-    """scale times the outer product of vecs, the last varying fastest."""
+def _expand(vecs: Sequence[Sequence], scale: object = 1, times: Callable = mul) -> list:
+    """scale times the outer product of vecs, the last varying fastest.
+
+    times multiplies two weights: mul on ints, _lane_product on lanes.
+    """
     w = [scale]
     for vec in vecs:
-        w = [a * b for a in w for b in vec]
+        w = [times(a, b) for a in w for b in vec]
     return w
 
 
-def _lane_expand(
-    vecs: Sequence[Sequence[Sequence[int]]], scale: Sequence[int] | None = None
-) -> list[Sequence[int]]:
-    """_expand on lanes: each entry is a list with one int per sample.
-
-    Without a scale lane the expansion starts from the first vector, so
-    vecs must not be empty.
-    """
-    if scale is None:
-        w, vecs = list(vecs[0]), vecs[1:]
-    else:
-        w = [scale]
-    for vec in vecs:
-        w = [list(map(mul, a, b)) for a in w for b in vec]
-    return w
+def _lane_product(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The product of two lanes, entry by entry."""
+    return list(map(mul, a, b))
 
 
 _add_lanes = partial(map, add)
@@ -648,25 +640,35 @@ class _CiQuery:
         _check_arity(self.space, p)
         return self.check_ints(_int_vectors(p))
 
-    def cell_sums(self, vecs: Sequence[Sequence[int]]) -> Sequence[int]:
-        """The weight of each cell under the product of vecs, one vector per factor."""
-        scale = 1
+    def _sums(
+        self, vecs: Sequence[Sequence], one: object, times: Callable, total: Callable
+    ) -> list:
+        """Each cell's weight under the product of vecs, one vector per factor.
+
+        one is the unit weight, times multiplies two weights and total sums
+        a list of them: 1, mul and sum for cell_sums, lanes for lane_sums.
+        """
+        scale = one
         for i in self.unread:
-            scale *= sum(vecs[i])
+            scale = times(scale, total(vecs[i]))
         q = []
         for pick, order, runs in self.lumps:
-            w = order(_expand(pick(vecs)))
-            q.append(list(map(sum, map(w.__getitem__, runs))))
+            w = order(_expand(pick(vecs), one, times))
+            q.append(list(map(total, map(w.__getitem__, runs))))
         q += self.kept(vecs)
-        sums = self.order(_expand(q[: self.head], scale))
+        sums = self.order(_expand(q[: self.head], scale, times))
         if self.parts is not None:
-            sums = list(map(sum, map(sums.__getitem__, self.parts)))
+            sums = list(map(total, map(sums.__getitem__, self.parts)))
         # With no tail each cell is one part, whose sum is the cell's.
         if self.head < len(q):
-            w_tail = _expand(q[self.head :])
-            parts = list(map(mul, sums, map(w_tail.__getitem__, self.tails)))
-            sums = list(map(sum, map(parts.__getitem__, self.cells)))
+            w_tail = _expand(q[self.head :], one, times)
+            parts = list(map(times, sums, map(w_tail.__getitem__, self.tails)))
+            sums = list(map(total, map(parts.__getitem__, self.cells)))
         return sums
+
+    def cell_sums(self, vecs: Sequence[Sequence[int]]) -> Sequence[int]:
+        """The weight of each cell under the product of vecs, one vector per factor."""
+        return self._sums(vecs, 1, mul, sum)
 
     def check_ints(self, vecs: Sequence[Sequence[int]]) -> CiReport:
         """The check under the product of vecs, one integer vector per factor."""
@@ -711,34 +713,13 @@ class _CiQuery:
     ) -> Sequence[Sequence[int]]:
         """cell_sums of every sample at once: per cell, one entry per sample.
 
-        Every weight is a lane, a list with one int per sample, and each
-        step of cell_sums is a C-level map over the lanes, so its
-        Python-level work is paid once for all samples.
+        Every weight is a lane, a list with one int per sample, and _sums
+        runs each step as a C-level map over the lanes, so its Python-level
+        work is paid once for all samples.
         """
         # lanes[i][v]: entry v of factor i's vector, per sample.
         lanes = [list(zip(*vecs)) for vecs in zip(*samples)]
-        scale = None
-        for i in self.unread:
-            s = _lane_sum(lanes[i])
-            scale = s if scale is None else list(map(mul, scale, s))
-        q = []
-        for pick, order, runs in self.lumps:
-            w = order(_lane_expand(pick(lanes)))
-            q.append(list(map(_lane_sum, map(w.__getitem__, runs))))
-        q += self.kept(lanes)
-        # Without an unread factor some factor is read, so the head is not
-        # empty: a read factor, or a lump, has two values or more.
-        sums = self.order(_lane_expand(q[: self.head], scale))
-        if self.parts is not None:
-            sums = list(map(_lane_sum, map(sums.__getitem__, self.parts)))
-        if self.head < len(q):
-            w_tail = _lane_expand(q[self.head :])
-            parts = [
-                list(map(mul, s, t))
-                for s, t in zip(sums, map(w_tail.__getitem__, self.tails))
-            ]
-            sums = list(map(_lane_sum, map(parts.__getitem__, self.cells)))
-        return sums
+        return self._sums(lanes, [1] * len(samples), _lane_product, _lane_sum)
 
     def all_hold(self, samples: Sequence[Sequence[Sequence[int]]]) -> bool:
         """Whether check_ints(s) holds for every s in samples, on no zero block.

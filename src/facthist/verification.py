@@ -32,7 +32,7 @@ import json
 import random
 from dataclasses import asdict, dataclass, field
 from operator import add
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .distributions import (
     ProductDistribution,
@@ -501,13 +501,18 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
         z = gen_random_variable(space, cfg, 4 * i + 2, name="z")
         w = gen_random_variable(space, cfg, 4 * i + 3, name="w")
 
-        def record(law: str, detail: dict) -> None:
+        def law(name: str, ok: bool, detail: Callable[[], dict] = dict) -> None:
+            """Tally the law; on a failure record a counterexample with detail()."""
+            if ok:
+                report.tally(name).passed += 1
+                return
+            report.tally(name).failed += 1
             report.counterexamples.append(
                 {
                     "instance": i,
-                    "law": law,
+                    "law": name,
                     "space": space_to_doc(space, {"x": x, "y": y, "z": z, "w": w}),
-                    "detail": detail,
+                    "detail": detail(),
                 }
             )
 
@@ -516,15 +521,14 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
             sound = verify_soundness(
                 space, x, y, z, cfg.sample_count, _int_seed(cfg.seed, "ft", i)
             )
-            if sound.all_hold:
-                report.tally("soundness_ci").passed += 1
-            else:
-                report.tally("soundness_ci").failed += 1
-                idx, ci = sound.violations[0]
-                record(
-                    "soundness_ci",
-                    {"sample": idx, "violation": [str(v) for v in ci.first_violation]},
-                )
+            law(
+                "soundness_ci",
+                sound.all_hold,
+                lambda: {
+                    "sample": sound.violations[0][0],
+                    "violation": [str(v) for v in sound.violations[0][1].first_violation],
+                },
+            )
         else:
             witness = find_witness(
                 space, x, y, z, cfg.witness_budget, _int_seed(cfg.seed, "wit", i)
@@ -534,39 +538,26 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
                     space, x, y, z, cfg.witness_budget,
                     _int_seed(cfg.seed, "wit-retry", i),
                 )
-            if witness is not None:
-                report.tally("completeness_witness").passed += 1
-            else:
-                # A miss that survives a fresh stream is treated as a defect.
-                report.tally("completeness_witness").failed += 1
-                record("completeness_witness", {"budget": cfg.witness_budget})
+            # A miss that survives a fresh stream is treated as a defect.
+            law(
+                "completeness_witness",
+                witness is not None,
+                lambda: {"budget": cfg.witness_budget},
+            )
 
         for axiom, ok in check_semigraphoid(space, x, y, z, w).items():
-            law = f"semigraphoid_{axiom}"
-            if ok:
-                report.tally(law).passed += 1
-            else:
-                report.tally(law).failed += 1
-                record(law, {})
+            law(f"semigraphoid_{axiom}", ok)
 
         laws = check_history_laws(space, x, y, z, rng=_stream(cfg.seed, "laws", i))
-        for law, ok in laws.items():
-            name = f"history_{law}"
-            if ok:
-                report.tally(name).passed += 1
-            else:
-                report.tally(name).failed += 1
-                record(name, {})
+        for name, ok in laws.items():
+            law(f"history_{name}", ok)
 
         duality = check_duality(space, x, z, cfg, index=i)
-        if duality.irrelevance_violations == 0:
-            report.tally("duality_irrelevance").passed += 1
-        else:
-            report.tally("duality_irrelevance").failed += 1
-            record(
-                "duality_irrelevance",
-                {"violations": duality.irrelevance_violations},
-            )
+        law(
+            "duality_irrelevance",
+            duality.irrelevance_violations == 0,
+            lambda: {"violations": duality.irrelevance_violations},
+        )
         report.tally("duality_maximality").passed += duality.maximality_witnessed
         report.tally("duality_maximality").inconclusive += (
             duality.maximality_inconclusive
@@ -579,17 +570,14 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
             base = sample_product(space, _int_seed(cfg.seed, "id-base", i))
             pair = perturb_factor(base, factor, vec)
             ident = product_difference_identity(space, pair, x, y, z)
-            if ident.holds:
-                report.tally("identity_product_difference").passed += 1
-            else:
-                report.tally("identity_product_difference").failed += 1
-                record(
-                    "identity_product_difference",
-                    {
-                        "factor": factor,
-                        "violation": [str(v) for v in ident.first_violation],
-                    },
-                )
+            law(
+                "identity_product_difference",
+                ident.holds,
+                lambda: {
+                    "factor": factor,
+                    "violation": [str(v) for v in ident.first_violation],
+                },
+            )
 
         pairwise = (
             verdict.independent
@@ -598,11 +586,7 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
         )
         if pairwise:
             p = sample_product(space, _int_seed(cfg.seed, "vec", i))
-            if _joint_factorizes(space, p, (x, y, w), z):
-                report.tally("vector_factorization").passed += 1
-            else:
-                report.tally("vector_factorization").failed += 1
-                record("vector_factorization", {})
+            law("vector_factorization", _joint_factorizes(space, p, (x, y, w), z))
 
         sep = check_separation_characterization(space, z, cfg)
         sep_agree += sep.agreements

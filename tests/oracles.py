@@ -5,7 +5,8 @@ force, without reusing the package's algorithms: rectangles by literal
 cross-pair membership, determination by pairwise comparison, histories by
 enumerating all subsets and taking the subset-minimal generating ones,
 block factorizations by counting sets of integer projection keys,
-probabilities by summing exact outcome products, CI under every product
+probabilities by summing exact outcome products, the cell sums of a
+prepared CI query by a per-rank pass, CI under every product
 distribution by comparing monomial coefficients, CI reports and joint
 factorization by a per-rank pass over each block, the duality law through
 the public Fraction API, d-separation both by walk enumeration and by
@@ -293,6 +294,35 @@ def oracle_int_weights(space: FactoredSpace, p: ProductDistribution) -> list[int
         assert w.denominator == 1
         out.append(w.numerator)
     return out
+
+
+def oracle_cell_sums(
+    space: FactoredSpace,
+    vecs: list[list[int]],
+    x: RandomVariable,
+    y: RandomVariable,
+    z: RandomVariable | None,
+    blocks: list,
+) -> list[int]:
+    """Each cell's weight under the product of vecs, by a per-rank pass.
+
+    blocks lists (block label, [(x-value, y-value, cell index), ...]) per
+    block of z, as a prepared CI query holds them.  The weight of rank r is
+    the product of its coordinates' entries in vecs, and it is added to the
+    cell of z's, x's and y's values at r; every attained triple must be a
+    cell, and every cell is listed once.
+    """
+    cell = {}
+    for label, refs in blocks:
+        c = 0 if z is None else z.codomain.index(label)
+        for a, b, k in refs:
+            cell[(c, a, b)] = k
+    assert sorted(cell.values()) == list(range(len(cell)))
+    sums = [0] * len(cell)
+    for r in range(space.outcome_count):
+        w = math.prod(vec[v] for vec, v in zip(vecs, outcome_unrank(space, r)))
+        sums[cell[(0 if z is None else z.table[r], x.table[r], y.table[r])]] += w
+    return sums
 
 
 def oracle_ci_report(

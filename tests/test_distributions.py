@@ -68,6 +68,7 @@ from facthist.errors import FormatError
 
 from helpers import function_of, make_space, make_var, xor_bundle
 from oracles import (
+    oracle_cell_sums,
     oracle_ci,
     oracle_ci_report,
     oracle_event_prob,
@@ -811,6 +812,19 @@ def _transposed(lanes):
     return [list(sums) for sums in zip(*lanes)]
 
 
+def _assert_sums_match_oracle(query, z, samples):
+    """Every lane of lane_sums is that sample's cell_sums, and both are the oracle's.
+
+    Both entry points run one body, so the per-rank oracle is what tells
+    either arithmetic apart from the sums over the whole space.
+    """
+    per_sample = [list(query.cell_sums(s)) for s in samples]
+    assert _transposed(query.lane_sums(samples)) == per_sample
+    assert per_sample == [
+        oracle_cell_sums(query.space, s, query.x, query.y, z, query.blocks) for s in samples
+    ]
+
+
 def _skewed_ints(space, rng):
     """One integer vector per factor, with zero entries and now and then all zero."""
     return [[rng.choice((0, 0, 1, 2, 7, 50)) for _ in range(f.size)] for f in space.factors]
@@ -836,7 +850,7 @@ def test_lane_pass_agrees_with_per_sample_checks():
                 samples[rng.randrange(len(samples))] = _skewed_ints(space, rng)
         else:
             samples = [_skewed_ints(space, rng) for _ in range(rng.randint(1, 3))]
-        assert _transposed(query.lane_sums(samples)) == [list(query.cell_sums(s)) for s in samples]
+        _assert_sums_match_oracle(query, z, samples)
         want = _holds_on_every(query, samples)
         assert query.all_hold(samples) == want, trial
         seen["holds" if want else "fails"] += 1
@@ -860,7 +874,7 @@ def test_lane_pass_matches_per_sample_checks_on_any_quotient(instance, extra, se
     query = _CiQuery(space, x, y, z)
     samples = [_sample_ints(space, spawn_seed(seed, i)) for i in range(extra)]
     samples.insert(seed % (extra + 1), nums)
-    assert _transposed(query.lane_sums(samples)) == [list(query.cell_sums(s)) for s in samples]
+    _assert_sums_match_oracle(query, z, samples)
     assert query.all_hold(samples) == _holds_on_every(query, samples)
 
 

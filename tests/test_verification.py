@@ -9,11 +9,13 @@ joint factorization against a per-rank pass.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import importlib
 import json
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -35,7 +37,12 @@ from facthist import (
 )
 from facthist import IndexSet, distributions, factor_var, sample_product
 from facthist.cli import main
-from facthist.distributions import SAMPLE_GRID_MAX
+from facthist.distributions import (
+    SAMPLE_GRID_MAX,
+    CiReport,
+    IdentityReport,
+    SoundnessReport,
+)
 from facthist.history import _separation_masks
 from facthist.verification import _joint_factorizes, _stream
 
@@ -341,3 +348,40 @@ def test_exhausted_witness_budget_is_an_asserted_failure():
     assert report.any_asserted_failure
     assert any(c["law"] == "completeness_witness" for c in report.counterexamples)
     assert json.loads(report.to_json())["failed"] is True
+
+
+# sha256 of run_suite(SuiteConfig(seed=3, iterations=6)).to_json() with every
+# asserted law made to fail, recorded before the laws shared one recorder.
+PINNED_FAILING_SUITE = "18befd90a9bc5cf8581bd633e6beec61348e12ede68dde7494d8654ca53ba50e"
+
+
+def test_failing_laws_record_counterexamples_in_suite_order(monkeypatch):
+    verification = importlib.import_module("facthist.verification")
+    violation = ("z0", "a", "b", Fraction(1, 2), Fraction(1, 4))
+    real_duality = verification.check_duality
+
+    def failing(*args, **kwargs):
+        return dataclasses.replace(real_duality(*args, **kwargs), irrelevance_violations=5)
+
+    stubs = {
+        "check_semigraphoid": lambda *a: dict.fromkeys(SEMIGRAPHOID_AXIOMS, False),
+        "check_history_laws": lambda *a, **k: dict.fromkeys(HISTORY_LAWS, False),
+        "check_duality": failing,
+        "product_difference_identity": lambda *a: IdentityReport(False, violation),
+        "_joint_factorizes": lambda *a: False,
+        "find_witness": lambda *a: None,
+        "verify_soundness": lambda *a: SoundnessReport(a[4], ((3, CiReport(False, violation)),)),
+    }
+    for name, stub in stubs.items():
+        monkeypatch.setattr(verification, name, stub)
+    report = run_suite(SuiteConfig(seed=3, iterations=6))
+    # Each law that runs fails and records one counterexample, in the order
+    # the suite runs the laws; duality_maximality is never asserted.
+    asserted = {name: t for name, t in report.tallies.items() if name != "duality_maximality"}
+    assert not any(t.passed for t in asserted.values())
+    assert sum(t.failed for t in asserted.values()) == len(report.counterexamples)
+    laws = [c["law"] for c in report.counterexamples if c["instance"] == 0]
+    semigraphoid = [f"semigraphoid_{a}" for a in SEMIGRAPHOID_AXIOMS]
+    assert laws[1 : 1 + len(semigraphoid)] == semigraphoid
+    text = report.to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_FAILING_SUITE

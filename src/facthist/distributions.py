@@ -13,12 +13,17 @@ every outcome comes from expanding the outer product of the per-factor
 integer vectors, in rank order (last factor fastest).
 
 Sampled distributions stay integers until one is reported.  _draw_ints
-draws a vector's numerators on 1..101; sample_vector normalizes one draw,
-and _sample_ints returns one per factor, the numerators of sample_product,
-which verify_soundness, find_witness and the duality suite use directly.
-find_witness builds Fractions only for the sample it returns.  _shifts is
-the one test of whether a conditional moved between two distributions,
-over _block_marginal rows, which also raise on a zero-mass block.
+draws a vector's numerators on 1..101 and leaves its generator where
+randint would; sample_vector normalizes one draw.  The numerators of
+sample_product(space, seed) come from _draw_round, a fresh generator per
+seed that draws all of a sample's words in one getrandbits round with spare
+words: they are a prefix of the same word stream, and the generator is
+discarded.  _sample_ints splits one round per factor for find_witness,
+sample_product and the duality suite; verify_soundness draws each chunk of
+samples into one bytes buffer (_draw_chunk).  find_witness builds
+Fractions only for the sample it returns.  _shifts is the one test of
+whether a conditional moved between two distributions, over
+_block_marginal rows, which also raise on a zero-mass block.
 
 A CI check of x and y given z is a prepared query, run on a quotient of
 the space (see _CiQuery).  Setting it up costs O(n * |Omega|) once for n
@@ -54,24 +59,27 @@ and find_witness prepare the query once for all of their samples.
 
 verify_soundness checks its samples in chunks, each in one lane pass
 (_CiQuery.all_hold).  Its cell sums come from the body of a single check,
-_CiQuery._sums, with lane arithmetic: every weight is a lane, a list with
-one integer per sample, the unit weight is a lane of ones, and each
-product and sum is a C-level map over lanes.  The marginals and the
-cross-multiplied test are maps over lanes too, so the Python-level cost of
-a check is paid once per chunk, not once per sample.
+_CiQuery._sums, with lane arithmetic: every weight is a lane, a sequence
+with one integer per sample, the unit weight is a lane of ones, and each
+product and sum is a C-level map over lanes.  The chunk's buffer holds m
+numerators per sample, so numerator j of every sample is the strided slice
+buf[j::m], and those slices are the pass's input lanes.  The marginals and
+the cross-multiplied test are maps over lanes too, so the Python-level cost
+of a check is paid once per chunk, not once per sample.
 The pass only says whether every sample holds on every block with none of
-zero mass; if not, each sample of the chunk is checked again by
-check_ints, the one code that builds a CiReport, so violation indices,
-first violations and DegenerateBlockError messages are those of checking
-sample by sample.  A chunk holds at most max(|Omega|, LANE_WEIGHTS) // L
-samples, with L the longest list of weights the pass expands (the head, or
-a lump's grid), so its lanes hold no more weights than one unreduced check
-would, or than LANE_WEIGHTS on a small space; chunks are as even as that
-allows, and one of fewer than LANES_MIN samples is checked sample by
-sample, which is cheaper there.  find_witness still
-checks one try at a time: it stops at the first violating try, which on
-the benchmark's ci-verify and the law suites is almost always the first,
-so a chunk would mostly draw samples that are thrown away.
+zero mass; if not, the buffer is split into per-sample vectors and each
+is checked again by check_ints, the one code that builds a CiReport, so
+violation indices, first violations and DegenerateBlockError messages are
+those of checking sample by sample.  A chunk holds at most
+max(|Omega|, LANE_WEIGHTS) // L samples, with L the longest list of
+weights the pass expands (the head, or a lump's grid), so its lanes hold
+no more weights than one unreduced check would, or than LANE_WEIGHTS on a
+small space; chunks are as even as that allows, and one of fewer than
+LANES_MIN samples is checked sample by sample, which is cheaper there.
+find_witness still checks one try at a time: it stops at the first
+violating try, which on the benchmark's ci-verify and the law suites is
+almost always the first, so a chunk would mostly draw samples that are
+thrown away.
 """
 
 from __future__ import annotations
@@ -281,23 +289,30 @@ def _draw_tables(top: int) -> tuple[bytes, bytes]:
     return table, redrawn
 
 
+def _kept(rng: random.Random, words: int) -> bytes:
+    """The numbers randint(1, SAMPLE_GRID_MAX) keeps from rng's next words.
+
+    getrandbits(32 * words) holds the next words, least significant first,
+    so its bytes 3, 7, ... are their top bytes, and one translate() maps
+    them to randint's numbers and drops the redrawn ones.
+    """
+    table, redrawn = _draw_tables(SAMPLE_GRID_MAX)
+    return rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4].translate(
+        table, redrawn
+    )
+
+
 def _draw_ints(rng: random.Random, size: int) -> list[int]:
     """size numerators drawn uniformly from 1..SAMPLE_GRID_MAX, in order.
 
     These are the numbers of rng.randint(1, SAMPLE_GRID_MAX) from the same
-    state, without its Python layers: getrandbits(32 * m) holds the next m
-    words, least significant first, so its bytes 3, 7, ... are their top
-    bytes, and one translate() maps or drops them all.  Each round draws
-    exactly the missing count, so no word after the last kept one is drawn
-    and rng ends in randint's state.
+    state, without its Python layers.  Each round draws exactly the missing
+    count of words, so no word after the last kept one is drawn and rng
+    ends in randint's state.
     """
-    table, redrawn = _draw_tables(SAMPLE_GRID_MAX)
     out = b""
     while len(out) < size:
-        m = size - len(out)
-        out += rng.getrandbits(32 * m).to_bytes(4 * m, "little")[3::4].translate(
-            table, redrawn
-        )
+        out += _kept(rng, size - len(out))
     return list(out)
 
 
@@ -306,16 +321,48 @@ def sample_vector(rng: random.Random, size: int) -> tuple[Fraction, ...]:
     return _normalized(_draw_ints(rng, size))
 
 
+def _draw_round(seed: int, size: int) -> bytes:
+    """_draw_ints(random.Random(seed), size), as bytes, drawn with spare words.
+
+    The numerators are those randint keeps from the generator's stream of
+    words in order, so a round that draws more words than it needs keeps a
+    prefix of the same numbers; only the generator's end state differs, and
+    the generator is discarded.  At the default top about 79% of words are
+    kept, so one round of 1.5 * size + 8 words almost never falls short; a
+    short round goes on with _draw_ints.
+    """
+    rng = random.Random(seed)
+    out = _kept(rng, size + size // 2 + 8)
+    if len(out) < size:
+        out += bytes(_draw_ints(rng, size - len(out)))
+    return out[:size]
+
+
+def _draw_chunk(space: FactoredSpace, seeds: Sequence[int]) -> bytes:
+    """The numerators of _sample_ints(space, s) for each s in seeds, in one buffer.
+
+    Sample after sample, each sample's factor vectors in factor order.
+    """
+    size = sum(f.size for f in space.factors)
+    return b"".join([_draw_round(s, size) for s in seeds])
+
+
+def _per_sample(space: FactoredSpace, buf: Sequence[int]) -> list[list[list[int]]]:
+    """A buffer in _draw_chunk's layout as one vector per factor, per sample."""
+    sizes = [f.size for f in space.factors]
+    nums = iter(buf)
+    count = len(buf) // sum(sizes)
+    return [[list(islice(nums, size)) for size in sizes] for _ in range(count)]
+
+
 def _sample_ints(space: FactoredSpace, seed: int) -> list[list[int]]:
     """The numerators of sample_product(space, seed), one list per factor.
 
-    The draws are made in the same order, all in one _draw_ints call, so
+    The draws are made in the same order, in one _draw_round, so
     normalizing each list gives that distribution; the integers themselves
     are weights proportional to it, which is all a CI check needs.
     """
-    sizes = [f.size for f in space.factors]
-    nums = iter(_draw_ints(random.Random(seed), sum(sizes)))
-    return [list(islice(nums, size)) for size in sizes]
+    return _per_sample(space, _draw_chunk(space, [seed]))[0]
 
 
 def sample_product(space: FactoredSpace, seed: int) -> ProductDistribution:
@@ -708,28 +755,30 @@ class _CiQuery:
                         )
         return CiReport(holds=True)
 
-    def lane_sums(
-        self, samples: Sequence[Sequence[Sequence[int]]]
-    ) -> Sequence[Sequence[int]]:
-        """cell_sums of every sample at once: per cell, one entry per sample.
+    def lane_sums(self, buf: Sequence[int]) -> Sequence[Sequence[int]]:
+        """cell_sums of every sample in buf at once: per cell, one entry per sample.
 
-        Every weight is a lane, a list with one int per sample, and _sums
-        runs each step as a C-level map over the lanes, so its Python-level
-        work is paid once for all samples.
+        buf lists the samples' numerators as _draw_chunk does, m per sample,
+        so numerator j of every sample is the strided slice buf[j::m], a
+        lane, and the m lanes split per factor like one sample's numerators.
+        Every weight is a lane, and _sums runs each step as a C-level map
+        over the lanes, so its Python-level work is paid once for all
+        samples.
         """
-        # lanes[i][v]: entry v of factor i's vector, per sample.
-        lanes = [list(zip(*vecs)) for vecs in zip(*samples)]
-        return self._sums(lanes, [1] * len(samples), _lane_product, _lane_sum)
+        m = sum(f.size for f in self.space.factors)
+        vecs = _per_sample(self.space, [buf[j::m] for j in range(m)])[0]
+        return self._sums(vecs, [1] * (len(buf) // m), _lane_product, _lane_sum)
 
-    def all_hold(self, samples: Sequence[Sequence[Sequence[int]]]) -> bool:
-        """Whether check_ints(s) holds for every s in samples, on no zero block.
+    def all_hold(self, buf: Sequence[int]) -> bool:
+        """Whether check_ints holds for every sample in buf, on no zero block.
 
-        False means some sample fails or meets a block of zero mass; only
-        check_ints says which, and how.
+        buf lists the samples' numerators as _draw_chunk does.  False means
+        some sample fails or meets a block of zero mass; only check_ints
+        says which, and how.
         """
         if self.margins is None:
             self.margins = [_margins(refs) for _, refs in self.blocks]
-        sums = self.lane_sums(samples)
+        sums = self.lane_sums(buf)
         for cells, rows, cols, row_of, col_of in self.margins:
             joint = cells(sums)
             wx = [_lane_sum(row(joint)) for row in rows]
@@ -773,8 +822,9 @@ def verify_soundness(
 
     Sample i is sample_product(space, spawn_seed(seed, i)), drawn in order.
     The samples are checked in chunks of at most query.lanes, as even as
-    that allows, each by one lane pass (_CiQuery.all_hold) when it holds at
-    least LANES_MIN samples.  A chunk the pass does not clear, and any
+    that allows, each drawn into one buffer (_draw_chunk) and checked by
+    one lane pass (_CiQuery.all_hold) when it holds at least LANES_MIN
+    samples.  A chunk the pass does not clear, and any
     shorter chunk, is checked sample by sample with check_ints, so the
     report is exactly that of checking every sample on its own.  The cap
     keeps a pass's lanes within the weights of one unreduced check, or
@@ -793,10 +843,10 @@ def verify_soundness(
     chunks = -(-n // query.lanes)
     for c in range(chunks):
         chunk = range(n * c // chunks, n * (c + 1) // chunks)
-        samples = [_sample_ints(space, spawn_seed(seed, i)) for i in chunk]
-        if len(samples) >= LANES_MIN and query.all_hold(samples):
+        buf = _draw_chunk(space, [spawn_seed(seed, i) for i in chunk])
+        if len(chunk) >= LANES_MIN and query.all_hold(buf):
             continue
-        for i, nums in zip(chunk, samples):
+        for i, nums in zip(chunk, _per_sample(space, buf)):
             report = query.check_ints(nums)
             if not report.holds:
                 violations.append((i, report))

@@ -76,8 +76,14 @@ table.  Its tensor lists G in G's tensor order and, under each point of G,
 the assignments of R in rank order, so one itemgetter of full ranks reads
 it.  A history there skips each atom x's table does not vary along at all,
 found from x's support: two outcomes that differ only in such an atom agree
-on x.  When z reads every factor of more than one value, or there is no z,
-the block is factorized directly, as is any block not made by blocks_of.
+on x.  When x's support holds none of the grid's factors, its history on C
+is its support, and history() returns it before any factorization lookup,
+read of C's values or below-top mask.  Proof: x varies along no atom of G,
+and along a factor k of R it varies on C exactly when it does on Omega,
+since C holds every assignment of R under each point of G and x reads no
+coordinate of that point.  When z reads every factor of more than one
+value, or there is no z, the block is factorized directly, as is any block
+not made by blocks_of.
 
 The atoms are built one factor at a time, and every projection is counted
 on bitsets.  A set of ranks is an int whose byte r is 1 for each member r
@@ -533,7 +539,14 @@ def history(space: FactoredSpace, c: Block, x: RandomVariable) -> IndexSet:
     ensure_block(space, c)
     ensure_on_space(space, x)
     ranks = c.ranks
-    entry = space._atoms.get(space.intern(ranks))
+    block = space.intern(ranks)
+    lifted = space._grids.get(block)
+    if lifted is not None:
+        reads = support(space, x)
+        if not reads & lifted[0].mask:
+            # x reads none of z's factors, so its history is its support.
+            return IndexSet(reads, space.factor_count)
+    entry = space._atoms.get(block)
     if entry is None:
         values = _picker(ranks)(x.table)
         if values.count(values[0]) == len(values):
@@ -548,8 +561,7 @@ def history(space: FactoredSpace, c: Block, x: RandomVariable) -> IndexSet:
         else:
             # On a lifted block, skip the atoms x's table does not vary
             # along anywhere: outcomes that differ only there agree on x.
-            reads = support(space, x) if entry.lifted else -1
-            mask = _scan_atoms(entry, values, reads)
+            mask = _scan_atoms(entry, values, -1 if lifted is None else reads)
         found = entry.known[key] = IndexSet(mask, space.factor_count)
     return found
 

@@ -603,16 +603,18 @@ def _grid_sum(offsets: Sequence[Sequence[int]]) -> list[int]:
 class Grid(NamedTuple):
     """The factors a conditioner reads, as a space of their own.
 
-    ``ids`` are the grid's factors in the full space and ``offsets`` the
-    full rank of each grid rank with every other coordinate 0.  ``rest_ids``
-    are the other factors of more than one value, and ``rest`` the full rank
-    of each of their assignments, in rank order, with the grid's coordinates
-    0.  A grid rank g and a rest assignment r make the outcome of rank
+    ``ids`` are the grid's factors in the full space, ``mask`` their mask
+    (the conditioner's support), and ``offsets`` the full rank of each grid
+    rank with every other coordinate 0.  ``rest_ids`` are the other factors
+    of more than one value, and ``rest`` the full rank of each of their
+    assignments, in rank order, with the grid's coordinates 0.  A grid
+    rank g and a rest assignment r make the outcome of rank
     offsets[g] + rest[r].
     """
 
     space: FactoredSpace
     ids: tuple[int, ...]
+    mask: int
     offsets: list[int]
     rest_ids: tuple[int, ...]
     rest: list[int]
@@ -637,7 +639,8 @@ def _grid_blocks(
         max_factors=len(ids),
     )
     offsets = _grid_sum([steps[i] for i in ids])
-    grid = Grid(gspace, ids, offsets, rest_ids, _grid_sum([steps[i] for i in rest_ids]))
+    rest = _grid_sum([steps[i] for i in rest_ids])
+    grid = Grid(gspace, ids, read, offsets, rest_ids, rest)
     groups: dict[int, list[int]] = {}
     for g, v in enumerate(itemgetter(*offsets)(z.table)):
         groups.setdefault(v, []).append(g)

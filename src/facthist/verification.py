@@ -30,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from operator import add
 from typing import Callable, Mapping, Sequence
 
@@ -472,11 +472,11 @@ class SuiteReport:
         return any(t.failed for t in self.tallies.values())
 
     def to_doc(self) -> dict:
+        # Every field is an int, so a copy of each instance dict is what
+        # dataclasses.asdict would build, without its deep copy.
         return {
-            "config": asdict(self.config),
-            "laws": {
-                name: asdict(t) for name, t in sorted(self.tallies.items())
-            },
+            "config": dict(vars(self.config)),
+            "laws": {name: dict(vars(t)) for name, t in sorted(self.tallies.items())},
             "counterexamples": self.counterexamples,
             "exploratory": self.exploratory,
             "failed": self.any_asserted_failure,

@@ -13,7 +13,8 @@ import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import chain, islice, product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -59,8 +60,11 @@ from facthist.cli import main
 from facthist.distributions import (
     SAMPLE_GRID_MAX,
     _CiQuery,
+    _draw_chunk,
     _draw_ints,
+    _draw_round,
     _normalized,
+    _per_sample,
     _sample_ints,
     _weights,
 )
@@ -402,11 +406,31 @@ def test_first_violation_is_row_major():
     assert report == oracle_ci_report(space, p, x, y, trivial_var(space))
 
 
+def _flat(samples):
+    """Per-sample integer vectors as one buffer, in _draw_chunk's order."""
+    return list(chain.from_iterable(chain.from_iterable(samples)))
+
+
+def _draw_chunk_with(edit):
+    """A _draw_chunk that passes each sample's vectors through edit(seed, nums)."""
+
+    def draw(space, seeds):
+        samples = _per_sample(space, _draw_chunk(space, seeds))
+        return bytes(_flat(edit(s, nums) for s, nums in zip(seeds, samples)))
+
+    return draw
+
+
 def _per_sample_violations(space, x, y, z, n, seed):
-    """The violations of checking each sample on its own, in sample order."""
+    """The violations of checking each sample on its own, in sample order.
+
+    Each sample is drawn alone through distributions._draw_chunk, so a
+    hook on it edits these samples as it does verify_soundness's.
+    """
     out = []
     for i in range(n):
-        nums = distributions._sample_ints(space, spawn_seed(seed, i))
+        buf = distributions._draw_chunk(space, [spawn_seed(seed, i)])
+        nums = _per_sample(space, buf)[0]
         ci = is_cond_independent(space, _normalized_product(nums), x, y, z)
         if not ci.holds:
             out.append((i, ci))
@@ -418,9 +442,9 @@ def _spy_on_lane_passes(monkeypatch):
     passes = []
     all_hold = _CiQuery.all_hold
 
-    def spy(query, samples):
-        verdict = all_hold(query, samples)
-        passes.append((len(samples), verdict))
+    def spy(query, buf):
+        verdict = all_hold(query, buf)
+        passes.append((len(buf) // sum(f.size for f in query.space.factors), verdict))
         return verdict
 
     monkeypatch.setattr(_CiQuery, "all_hold", spy)
@@ -452,7 +476,6 @@ def test_soundness_violations_equal_per_sample_reports(monkeypatch):
     # mix holding and violating samples or only violate, and fall back to
     # one check per sample.
     seed = 11
-    draw = distributions._sample_ints
     passes = _spy_on_lane_passes(monkeypatch)
     for space, v in (_ci_verify_space(), _suite_sized_space()):
         verdicts = set()
@@ -461,13 +484,12 @@ def test_soundness_violations_equal_per_sample_reports(monkeypatch):
             chunk = _CiQuery(space, x, y, z).lanes
             assert chunk > distributions.LANES_MIN
 
-            def fixed_u2(space, s, held=chunk + 1):
-                nums = draw(space, s)
+            def fixed_u2(s, nums, held=chunk + 1):
                 if s - spawn_seed(seed, 0) < held:
                     nums[2] = [nums[2][0]] + [0] * (len(nums[2]) - 1)
                 return nums
 
-            monkeypatch.setattr(distributions, "_sample_ints", fixed_u2)
+            monkeypatch.setattr(distributions, "_draw_chunk", _draw_chunk_with(fixed_u2))
             for n in (0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
                 report = verify_soundness(space, x, y, z, n=n, seed=seed)
                 want = _per_sample_violations(space, x, y, z, n, seed)
@@ -549,15 +571,58 @@ def test_integer_samples_normalize_to_sample_product():
         assert a.getstate() == b.getstate()
 
 
-@pytest.mark.parametrize("top", [101, 2])
+DRAW_TOPS = [1, 2, 65, 101, 129, 255]
+
+
+@pytest.mark.parametrize("top", DRAW_TOPS)
 def test_draws_equal_randint(monkeypatch, top):
-    # Half of the bit patterns are rejected at 2, so redraws are frequent.
+    # Half of the bit patterns are rejected at 1, 2, 65 and 129, so redraws
+    # are frequent.  sample_vector leaves its generator where randint would.
     monkeypatch.setattr(distributions, "SAMPLE_GRID_MAX", top)
     for seed in range(50):
         for size in (0, 1, 2, 5, 17):
-            a, b = random.Random(seed), random.Random(seed)
+            a, b, c = random.Random(seed), random.Random(seed), random.Random(seed)
             assert _draw_ints(a, size) == [b.randint(1, top) for _ in range(size)]
             assert a.getstate() == b.getstate()
+            sample_vector(c, size)
+            assert c.getstate() == b.getstate()
+
+
+@pytest.mark.parametrize("top", DRAW_TOPS)
+def test_buffer_draws_equal_per_sample_draws(monkeypatch, top):
+    # A round draws spare words, so each sample's numerators are a prefix
+    # of a longer draw from its generator; they must be those of
+    # _draw_ints(random.Random(s), m).  Where about half the words are
+    # redrawn the spare ones often fall short and the round draws again.
+    monkeypatch.setattr(distributions, "SAMPLE_GRID_MAX", top)
+    rounds = []
+
+    class Counting(random.Random):
+        def getrandbits(self, k):
+            rounds.append(k)
+            return super().getrandbits(k)
+
+    monkeypatch.setattr(distributions, "random", SimpleNamespace(Random=Counting))
+    rng = random.Random(f"buffer-draws:{top}")
+    short = 0
+    for _ in range(100):
+        sizes = [rng.randint(1, 6) for _ in range(rng.randint(1, 5))]
+        space = make_space(*sizes)
+        seeds = [rng.randrange(2**32) for _ in range(rng.randint(0, 4))]
+        want = []
+        for s in seeds:
+            nums = iter(_draw_ints(random.Random(s), sum(sizes)))
+            want.append([list(islice(nums, size)) for size in sizes])
+        rounds.clear()
+        buf = _draw_chunk(space, seeds)
+        short += len(rounds) > len(seeds)
+        assert isinstance(buf, bytes) and list(buf) == _flat(want)
+        assert _per_sample(space, buf) == want
+        assert [_sample_ints(space, s) for s in seeds] == want
+        assert [list(_draw_round(s, sum(sizes))) for s in seeds] == [
+            list(chain.from_iterable(w)) for w in want
+        ]
+    assert (short > 0) == (top in (1, 2, 65, 129)), short
 
 
 @pytest.mark.parametrize("top", [101, 2])
@@ -819,7 +884,7 @@ def _assert_sums_match_oracle(query, z, samples):
     either arithmetic apart from the sums over the whole space.
     """
     per_sample = [list(query.cell_sums(s)) for s in samples]
-    assert _transposed(query.lane_sums(samples)) == per_sample
+    assert _transposed(query.lane_sums(_flat(samples))) == per_sample
     assert per_sample == [
         oracle_cell_sums(query.space, s, query.x, query.y, z, query.blocks) for s in samples
     ]
@@ -852,7 +917,7 @@ def test_lane_pass_agrees_with_per_sample_checks():
             samples = [_skewed_ints(space, rng) for _ in range(rng.randint(1, 3))]
         _assert_sums_match_oracle(query, z, samples)
         want = _holds_on_every(query, samples)
-        assert query.all_hold(samples) == want, trial
+        assert query.all_hold(_flat(samples)) == want, trial
         seen["holds" if want else "fails"] += 1
         if not want and any(_holds_on_every(query, [nums]) for nums in samples):
             seen["some lanes fail"] += 1
@@ -875,7 +940,7 @@ def test_lane_pass_matches_per_sample_checks_on_any_quotient(instance, extra, se
     samples = [_sample_ints(space, spawn_seed(seed, i)) for i in range(extra)]
     samples.insert(seed % (extra + 1), nums)
     _assert_sums_match_oracle(query, z, samples)
-    assert query.all_hold(samples) == _holds_on_every(query, samples)
+    assert query.all_hold(_flat(samples)) == _holds_on_every(query, samples)
 
 
 # Zero vectors, per case: factor id and vector, by sample index in the chunk.
@@ -899,21 +964,20 @@ def test_zero_vectors_in_a_chunk_raise_like_per_sample_checks(monkeypatch, case)
     query = _CiQuery(space, x, y, z)
     assert all((i in query.unread) == (case == "unread") for i, _ in zeros.values())
     seed, n = 5, 2 * distributions.LANES_MIN
-    draw = distributions._sample_ints
 
-    def with_zeros(space, s):
-        nums = draw(space, s)
+    def with_zeros(s, nums):
         i, vec = zeros.get(s - spawn_seed(seed, 0), (None, None))
         if vec is not None:
             nums[i] = list(vec)
         return nums
 
-    samples = [with_zeros(space, spawn_seed(seed, i)) for i in range(n)]
+    seeds = [spawn_seed(seed, i) for i in range(n)]
+    samples = [with_zeros(s, _sample_ints(space, s)) for s in seeds]
     with pytest.raises(DegenerateBlockError) as want:
         for nums in samples:
             query.check_ints(nums)
-    assert not query.all_hold(samples)
-    monkeypatch.setattr(distributions, "_sample_ints", with_zeros)
+    assert not query.all_hold(bytes(_flat(samples)))
+    monkeypatch.setattr(distributions, "_draw_chunk", _draw_chunk_with(with_zeros))
     passes = _spy_on_lane_passes(monkeypatch)
     with pytest.raises(DegenerateBlockError) as got:
         verify_soundness(space, x, y, z, n=n, seed=seed)

@@ -17,7 +17,7 @@ from math import prod
 from operator import xor
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from facthist import (
     Block,
@@ -713,6 +713,75 @@ def test_a_conditioner_reading_every_factor_builds_no_grid(monkeypatch):
     assert [entry.lifted for entry in space._atoms.values()] == [False, False]
     for label, c in blocks_of(space, z).items():
         assert ch.per_block[label].members() == tuple(sorted(oracle_history(space, c, x)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_histories_on_lifted_blocks_match_subset_enumeration(data):
+    # z reads some but not all of the factors of more than one value, so
+    # its blocks are lifted from its grid; x reads none, some or all of
+    # z's factors.  Reading none, its history is its support on every
+    # block, with no block factorized.
+    sizes = data.draw(st.lists(st.integers(1, 3), min_size=2, max_size=5))
+    for i in data.draw(st.sets(st.integers(0, len(sizes) - 1), min_size=2, max_size=2)):
+        sizes[i] = max(sizes[i], 2)
+    space = make_space(*sizes)
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    free = [i for i, size in enumerate(sizes) if size > 1]
+    z_ids = sorted(data.draw(st.sets(st.sampled_from(free), min_size=1, max_size=len(free) - 1)))
+    z = function_of(space, "z", z_ids, data.draw(st.integers(2, 3)), rng)
+    read = support(space, z)
+    assume(read not in (0, sum(1 << i for i in free)))
+    z_read = [i for i in z_ids if read >> i & 1]
+    others = data.draw(st.sets(st.sampled_from([i for i in range(len(sizes)) if i not in z_read])))
+    mode = data.draw(st.sampled_from(["none", "some", "all"]))
+    shared = {"none": [], "some": z_read[: rng.randint(1, len(z_read))], "all": z_read}[mode]
+    x = function_of(space, "x", sorted(others | set(shared)), data.draw(st.integers(1, 3)), rng)
+    blocks = blocks_of(space, z).values()
+    for c in blocks:
+        want = tuple(sorted(oracle_history(space, c, x)))
+        assert history(space, c, x).members() == want, (mode, x.table, z.table)
+    if not support(space, x) & read:
+        assert space._atoms == {}
+        assert all(history(space, c, x).mask == support(space, x) for c in blocks)
+
+
+def test_independence_of_variables_off_the_conditioner_factorizes_no_block():
+    # z reads u0 and u1; x reads u2 and y reads u3, so both histories are
+    # their supports on every block of z and no block is factorized.
+    space = make_space(2, 3, 2, 2, 1)
+    outcomes = [outcome_unrank(space, r) for r in range(space.outcome_count)]
+    z = make_var(space, "z", 3, [(o[0] + o[1]) % 3 for o in outcomes])
+    x, y = factor_var(space, 2), factor_var(space, 3)
+    verdict = structurally_independent(space, x, y, z)
+    assert verdict.independent and len(blocks_of(space, z)) > 1
+    assert space._atoms == {}
+    assert not structurally_independent(space, x, x, z).independent
+    assert space._atoms == {}
+
+
+def test_independence_off_the_conditioner_at_scale_holds_no_block_memory():
+    # 2^18 outcomes: z = u16 xor u17, x and y the parities of u0-u7 and
+    # u8-u15.  With the blocks and supports built, x and y read none of z's
+    # factors, so the check reads no block's values; factorizing and
+    # reading each 2^17-rank block would peak near 16 MB.
+    space = make_space(*[2] * 18)
+    ranks = range(space.outcome_count)
+    z = make_var(space, "z", 2, ((r ^ r >> 1) & 1 for r in ranks))
+    x = make_var(space, "x", 2, ((r >> 10).bit_count() & 1 for r in ranks))
+    y = make_var(space, "y", 2, ((r >> 2 & 255).bit_count() & 1 for r in ranks))
+    blocks_of(space, z)
+    assert support(space, x) == sum(1 << i for i in range(8))
+    assert support(space, y) == sum(1 << i for i in range(8, 16))
+    tracemalloc.start()
+    try:
+        verdict = structurally_independent(space, x, y, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.independent
+    assert space._atoms == {}
+    assert peak < 10**6
 
 
 def test_conditioned_queries_build_no_full_length_tables():

@@ -13,16 +13,13 @@ every outcome comes from expanding the outer product of the per-factor
 integer vectors, in rank order (last factor fastest).
 
 Sampled distributions stay integers until one is reported.  _draw_ints
-draws a vector's numerators on 1..101 and leaves its generator where
-randint would; sample_vector normalizes one draw.  The numerators of
-sample_product(space, seed) come from _draw_round, a fresh generator per
-seed that draws all of a sample's words in one getrandbits round with spare
-words: they are a prefix of the same word stream, and the generator is
-discarded.  _sample_ints splits one round per factor for find_witness,
-sample_product and the duality suite; verify_soundness draws each chunk of
-samples into one bytes buffer (_draw_chunk).  find_witness builds
-Fractions only for the sample it returns.  _shifts is the one test of
-whether a conditional moved between two distributions, over
+draws a vector's numerators on 1..101; sample_vector normalizes one draw,
+and _sample_ints returns one per factor, the numerators of sample_product,
+which find_witness and the duality suite use directly.  verify_soundness
+draws each chunk of samples, one fresh generator per sample as
+_sample_ints does, into one bytes buffer (_draw_chunk).  find_witness
+builds Fractions only for the sample it returns.  _shifts is the one
+test of whether a conditional moved between two distributions, over
 _block_marginal rows, which also raise on a zero-mass block.
 
 A CI check of x and y given z is a prepared query, run on a quotient of
@@ -289,30 +286,23 @@ def _draw_tables(top: int) -> tuple[bytes, bytes]:
     return table, redrawn
 
 
-def _kept(rng: random.Random, words: int) -> bytes:
-    """The numbers randint(1, SAMPLE_GRID_MAX) keeps from rng's next words.
-
-    getrandbits(32 * words) holds the next words, least significant first,
-    so its bytes 3, 7, ... are their top bytes, and one translate() maps
-    them to randint's numbers and drops the redrawn ones.
-    """
-    table, redrawn = _draw_tables(SAMPLE_GRID_MAX)
-    return rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4].translate(
-        table, redrawn
-    )
-
-
 def _draw_ints(rng: random.Random, size: int) -> list[int]:
     """size numerators drawn uniformly from 1..SAMPLE_GRID_MAX, in order.
 
     These are the numbers of rng.randint(1, SAMPLE_GRID_MAX) from the same
-    state, without its Python layers.  Each round draws exactly the missing
-    count of words, so no word after the last kept one is drawn and rng
-    ends in randint's state.
+    state, without its Python layers: getrandbits(32 * m) holds the next m
+    words, least significant first, so its bytes 3, 7, ... are their top
+    bytes, and one translate() maps or drops them all.  Each round draws
+    exactly the missing count, so no word after the last kept one is drawn
+    and rng ends in randint's state.
     """
+    table, redrawn = _draw_tables(SAMPLE_GRID_MAX)
     out = b""
     while len(out) < size:
-        out += _kept(rng, size - len(out))
+        m = size - len(out)
+        out += rng.getrandbits(32 * m).to_bytes(4 * m, "little")[3::4].translate(
+            table, redrawn
+        )
     return list(out)
 
 
@@ -321,30 +311,13 @@ def sample_vector(rng: random.Random, size: int) -> tuple[Fraction, ...]:
     return _normalized(_draw_ints(rng, size))
 
 
-def _draw_round(seed: int, size: int) -> bytes:
-    """_draw_ints(random.Random(seed), size), as bytes, drawn with spare words.
-
-    The numerators are those randint keeps from the generator's stream of
-    words in order, so a round that draws more words than it needs keeps a
-    prefix of the same numbers; only the generator's end state differs, and
-    the generator is discarded.  At the default top about 79% of words are
-    kept, so one round of 1.5 * size + 8 words almost never falls short; a
-    short round goes on with _draw_ints.
-    """
-    rng = random.Random(seed)
-    out = _kept(rng, size + size // 2 + 8)
-    if len(out) < size:
-        out += bytes(_draw_ints(rng, size - len(out)))
-    return out[:size]
-
-
 def _draw_chunk(space: FactoredSpace, seeds: Sequence[int]) -> bytes:
     """The numerators of _sample_ints(space, s) for each s in seeds, in one buffer.
 
     Sample after sample, each sample's factor vectors in factor order.
     """
     size = sum(f.size for f in space.factors)
-    return b"".join([_draw_round(s, size) for s in seeds])
+    return b"".join([bytes(_draw_ints(random.Random(s), size)) for s in seeds])
 
 
 def _per_sample(space: FactoredSpace, buf: Sequence[int]) -> list[list[list[int]]]:
@@ -358,11 +331,13 @@ def _per_sample(space: FactoredSpace, buf: Sequence[int]) -> list[list[list[int]
 def _sample_ints(space: FactoredSpace, seed: int) -> list[list[int]]:
     """The numerators of sample_product(space, seed), one list per factor.
 
-    The draws are made in the same order, in one _draw_round, so
+    The draws are made in the same order, all in one _draw_ints call, so
     normalizing each list gives that distribution; the integers themselves
     are weights proportional to it, which is all a CI check needs.
     """
-    return _per_sample(space, _draw_chunk(space, [seed]))[0]
+    sizes = [f.size for f in space.factors]
+    nums = iter(_draw_ints(random.Random(seed), sum(sizes)))
+    return [list(islice(nums, size)) for size in sizes]
 
 
 def sample_product(space: FactoredSpace, seed: int) -> ProductDistribution:

@@ -370,7 +370,6 @@ class Factorization(NamedTuple):
     read: Picker  # reads a table's values on the block in tensor order
     known: dict[Record, IndexSet]  # histories by the record of the table
     tops: dict[int, list[int]]  # each axis's below-top mask, by lane width
-    lifted: bool  # from a grid: an axis outside x's support is skipped
 
 
 def _factorize(space: FactoredSpace, ranks: tuple[int, ...]) -> Factorization:
@@ -479,7 +478,7 @@ def _factorize_block(space: FactoredSpace, ranks: tuple[int, ...]) -> Factorizat
         stride *= count
     axes.reverse()
     if [k for mask, _, _ in atoms for k in free if mask >> k & 1] == free:
-        return Factorization(trivial, tuple(axes), _picker(ranks), {}, {}, False)
+        return Factorization(trivial, tuple(axes), _picker(ranks), {}, {})
     # An atom is not a run of consecutive free factors.  The block folded
     # along the free factors outside atom A holds one rank per A-projection,
     # in increasing key order, but each keeps C's constant coordinates; the
@@ -491,7 +490,7 @@ def _factorize_block(space: FactoredSpace, ranks: tuple[int, ...]) -> Factorizat
         x = _fold_out(space, block, [j for j in free if not mask >> j & 1])
         lists.append(list(compress(range(n), x.to_bytes(n, "little"))))
     lists.append([ranks[0] - sum(keys[0] for keys in lists)])
-    return Factorization(trivial, tuple(axes), _picker(_grid_sum(lists)), {}, {}, False)
+    return Factorization(trivial, tuple(axes), _picker(_grid_sum(lists)), {}, {})
 
 
 def _lift(space: FactoredSpace, grid: Grid, granks: tuple[int, ...]) -> Factorization:
@@ -516,7 +515,7 @@ def _lift(space: FactoredSpace, grid: Grid, granks: tuple[int, ...]) -> Factoriz
         1 << i for i, f in enumerate(space.factors) if f.size == 1
     )
     read = _picker(_grid_sum([gentry.read(grid.offsets), grid.rest]))
-    return Factorization(trivial, tuple(axes), read, {}, {}, True)
+    return Factorization(trivial, tuple(axes), read, {}, {})
 
 
 def _scan_atoms(entry: Factorization, values: Sequence[int], reads: int) -> int:

@@ -14,7 +14,6 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import chain, islice, product
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -62,7 +61,6 @@ from facthist.distributions import (
     _CiQuery,
     _draw_chunk,
     _draw_ints,
-    _draw_round,
     _normalized,
     _per_sample,
     _sample_ints,
@@ -590,21 +588,8 @@ def test_draws_equal_randint(monkeypatch, top):
 
 @pytest.mark.parametrize("top", DRAW_TOPS)
 def test_buffer_draws_equal_per_sample_draws(monkeypatch, top):
-    # A round draws spare words, so each sample's numerators are a prefix
-    # of a longer draw from its generator; they must be those of
-    # _draw_ints(random.Random(s), m).  Where about half the words are
-    # redrawn the spare ones often fall short and the round draws again.
     monkeypatch.setattr(distributions, "SAMPLE_GRID_MAX", top)
-    rounds = []
-
-    class Counting(random.Random):
-        def getrandbits(self, k):
-            rounds.append(k)
-            return super().getrandbits(k)
-
-    monkeypatch.setattr(distributions, "random", SimpleNamespace(Random=Counting))
     rng = random.Random(f"buffer-draws:{top}")
-    short = 0
     for _ in range(100):
         sizes = [rng.randint(1, 6) for _ in range(rng.randint(1, 5))]
         space = make_space(*sizes)
@@ -613,16 +598,10 @@ def test_buffer_draws_equal_per_sample_draws(monkeypatch, top):
         for s in seeds:
             nums = iter(_draw_ints(random.Random(s), sum(sizes)))
             want.append([list(islice(nums, size)) for size in sizes])
-        rounds.clear()
         buf = _draw_chunk(space, seeds)
-        short += len(rounds) > len(seeds)
         assert isinstance(buf, bytes) and list(buf) == _flat(want)
         assert _per_sample(space, buf) == want
         assert [_sample_ints(space, s) for s in seeds] == want
-        assert [list(_draw_round(s, sum(sizes))) for s in seeds] == [
-            list(chain.from_iterable(w)) for w in want
-        ]
-    assert (short > 0) == (top in (1, 2, 65, 129)), short
 
 
 @pytest.mark.parametrize("top", [101, 2])

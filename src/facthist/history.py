@@ -48,19 +48,20 @@ when every value is below 256 and eight bytes otherwise: t is constant
 along the axis exactly when every entry whose axis coordinate is below
 s_i - 1 equals the entry one stride further, i.e. when
 (img ^ img >> 8 * width * stride) & below_top is zero, where below_top
-sets every lane of such an entry (space._varies).  The image is built
-once per scan, and the below-top mask of each axis and lane width once per
-block; each test is three C-level big-int operations, whatever the axis.
+sets every lane of such an entry (space._varies).  space._scan builds
+the image once per scan and tests every axis; the below-top mask of each
+axis and lane width is built once per block, and each test is three
+C-level big-int operations, whatever the axis.
 The factorization memoizes one itemgetter that reads C's values off a
 table in tensor order.  When every atom is a run of consecutive free
 factors, rank order is already tensor order (ranks compare
 lexicographically, factor by factor), so it reads C's ranks as they are.
 On the full outcome set every factor of more than one value is an atom of
-its own and rank order is tensor order, so the same test over a
-variable's whole table, with a factor's size and stride, says whether
-that factor is in the variable's unconditional history, its support
-(space.support); the CI queries of the distributions module read their
-factors that way.
+its own and rank order is tensor order, so the tensor is the variable's
+whole table on the space's own axes (space._axes), and its history is its
+support (space.support, one _scan of the table).  history() returns the
+support there without factorizing the block or interning its ranks; the
+CI queries of the distributions module read their factors the same way.
 
 A level-set block of z is its grid block times the unread factors.  z reads
 only the factors of its support S, so every block C of z is G x Omega_R,
@@ -82,8 +83,8 @@ read of C's values or below-top mask.  Proof: x varies along no atom of G,
 and along a factor k of R it varies on C exactly when it does on Omega,
 since C holds every assignment of R under each point of G and x reads no
 coordinate of that point.  When z reads every factor of more than one
-value, or there is no z, the block is factorized directly, as is any block
-not made by blocks_of.
+value, its blocks are factorized directly, as is any block not made by
+blocks_of other than the whole outcome set.
 
 The atoms are built one factor at a time, and every projection is counted
 on bitsets.  A set of ranks is an int whose byte r is 1 for each member r
@@ -103,8 +104,8 @@ joins the factors seen so far, S, whose atoms are already known:
 * Product exit: if |proj_S(C)| times the widths |proj_j(C)| of k and every
   later free factor j equals |C|, C is proj_S(C) times those projections,
   so each of them is an atom on its own and the loop ends with no further
-  fold.  Full blocks of any product space, unconditional queries among
-  them, end here at the first free factor.
+  fold.  The full block of any product space (unconditional atoms) ends
+  here at the first free factor.
 * Product shortcut: if |proj_{S+k}(C)| = |proj_S(C)| * |proj_k(C)|, the
   projection is a product with a factor k, so {k} is a new atom and the
   atoms of S are unchanged.
@@ -134,14 +135,14 @@ the grid sums of those lists (at most n more folds per atom).  A history
 costs one image of |C| values and one axis test per atom on top, and the
 first history on a block builds one below-top mask of |C| lanes per atom.
 The result (a Factorization: trivial mask, one axis (mask, size, stride)
-per atom in tensor order, the tensor-order itemgetter, and whether it was
-lifted from a grid; no key lists or bitsets) is memoized on the
-FactoredSpace under the record of the block's ranks (space.intern: one
-hash the first time a ranks object is seen, an id() lookup after that),
-because independence checks, verification and the law suites ask for
-several histories per block.  The same entry memoizes each history (an
-immutable IndexSet, returned as it is), keyed by the record of the
-variable's table, and the below-top mask of each axis per lane width.
+per atom in tensor order, and the tensor-order itemgetter; no key lists
+or bitsets) is memoized on the FactoredSpace under the record of the
+block's ranks (space.intern: one hash the first time a ranks object is
+seen, an id() lookup after that), because independence checks,
+verification and the law suites ask for several histories per block.
+The same entry memoizes each history (an immutable IndexSet, returned as
+it is), keyed by the record of the variable's table, and the below-top
+mask of each axis per lane width.
 Tables are interned by value, so variables with equal tables share a
 history whatever their names, and a repeated question (verify asks
 structurally_independent once itself and once more through
@@ -167,16 +168,15 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 from .errors import InvariantViolationError
 from .space import (
     TRIVIAL_NAME,
+    Axis,
     Block,
     FactoredSpace,
     Grid,
     IndexSet,
     RandomVariable,
     Record,
-    _below_top,
     _grid_sum,
-    _image,
-    _varies,
+    _scan,
     blocks_of,
     ensure_block,
     ensure_on_space,
@@ -358,15 +358,11 @@ def _separation_masks(space: FactoredSpace, c: Block) -> list[tuple[bool, bool]]
     return list(zip(_rectangles(c, on), separated))
 
 
-# One axis of the atom tensor: (atom mask, |proj_A(C)|, stride).
-Axis = tuple[int, int, int]
-
-
 class Factorization(NamedTuple):
     """What the space memoizes per block: its atoms as tensor axes."""
 
     trivial: int  # the mask of the factors constant on the block
-    axes: tuple[Axis, ...]  # by lowest factor, which is tensor order
+    axes: tuple[Axis, ...]  # one per atom, by lowest factor: tensor order
     read: Picker  # reads a table's values on the block in tensor order
     known: dict[Record, IndexSet]  # histories by the record of the table
     tops: dict[int, list[int]]  # each axis's below-top mask, by lane width
@@ -518,26 +514,14 @@ def _lift(space: FactoredSpace, grid: Grid, granks: tuple[int, ...]) -> Factoriz
     return Factorization(trivial, tuple(axes), read, {}, {})
 
 
-def _scan_atoms(entry: Factorization, values: Sequence[int], reads: int) -> int:
-    """Mask of the atoms that meet reads and along whose axis the values vary."""
-    img, width = _image(values)
-    tops = entry.tops.get(width)
-    if tops is None:
-        tops = entry.tops[width] = [
-            _below_top(len(values), size, stride, width) for _, size, stride in entry.axes
-        ]
-    mask = 0
-    for (atom, _, stride), top in zip(entry.axes, tops):
-        if atom & reads and _varies(img, width, stride, top):
-            mask |= atom
-    return mask
-
-
 def history(space: FactoredSpace, c: Block, x: RandomVariable) -> IndexSet:
     """The unique subset-minimal generating set of x on C."""
     ensure_block(space, c)
     ensure_on_space(space, x)
     ranks = c.ranks
+    if len(ranks) == space.outcome_count:
+        # The whole outcome set: the history is the support.
+        return IndexSet(support(space, x), space.factor_count)
     block = space.intern(ranks)
     lifted = space._grids.get(block)
     if lifted is not None:
@@ -560,7 +544,9 @@ def history(space: FactoredSpace, c: Block, x: RandomVariable) -> IndexSet:
         else:
             # On a lifted block, skip the atoms x's table does not vary
             # along anywhere: outcomes that differ only there agree on x.
-            mask = _scan_atoms(entry, values, -1 if lifted is None else reads)
+            mask = _scan(
+                entry.axes, entry.tops, values, -1 if lifted is None else reads
+            )
         found = entry.known[key] = IndexSet(mask, space.factor_count)
     return found
 

@@ -22,8 +22,10 @@ A support is read off the table's *image*: its values as one int with one
 lane per entry (one byte when every value is below 256, else eight).  The
 tensor varies along a factor of stride s exactly when some lane whose
 coordinate is below the factor's top value differs from the lane s entries
-on, that is when (img ^ img >> 8 * width * s) & below_tops(width)[i] is
-not zero; the masks of those lanes are memoized per factor.
+on, that is when (img ^ img >> 8 * width * s) & top is not zero.  The
+space's axes are its factors of more than one value (_axes), and _scan
+fills one such mask per axis and lane width (_tops); the history module
+scans a block's atom axes with the same function.
 
 Everything here is immutable after construction and safe to share between
 threads.  Internal per-factor coordinate tables, rank bitsets and lane
@@ -260,6 +262,7 @@ class FactoredSpace:
         "_ids",
         "_digits",
         "_bits",
+        "_axes",
         "_tops",
         "_records",
         "_by_id",
@@ -300,9 +303,10 @@ class FactoredSpace:
         # A factor id -> the bitset of the ranks where it is 0, filled and
         # read by zero_bits.
         object.__setattr__(self, "_bits", {})
-        # A lane width -> per factor, the lanes of a table image whose
-        # coordinate is below the factor's top value, filled and read by
-        # below_tops.
+        # One (mask, size, stride) axis per factor of more than one value,
+        # and per lane width each axis's below-top mask, filled by _scan.
+        axes = [(1 << i, f.size, s) for i, (f, s) in enumerate(zip(fs, strides))]
+        object.__setattr__(self, "_axes", tuple(a for a in axes if a[1] > 1))
         object.__setattr__(self, "_tops", {})
         # Each interned tuple, by value -> its Record; and the id of every
         # object interned -> the Record holding it.  Filled by intern.
@@ -386,25 +390,6 @@ class FactoredSpace:
             reps = self.outcome_count // len(period)
             cached = int.from_bytes(period * reps, "little")
             self._bits[i] = cached
-        return cached
-
-    def below_tops(self, width: int) -> tuple[int, ...]:
-        """Per factor, the lanes of a table image whose coordinate is below
-        the factor's top value.
-
-        With lanes of width bytes (see _image), each such lane has all its
-        bits set, so _varies along factor i with mask i tests every entry
-        against the entry one step further along the factor.  A factor of
-        one value has no such lane: its mask is 0.
-        """
-        cached = self._tops.get(width)
-        if cached is None:
-            n = self.outcome_count
-            cached = tuple(
-                _below_top(n, f.size, stride, width)
-                for f, stride in zip(self.factors, self._strides)
-            )
-            self._tops[width] = cached
         return cached
 
     def intern(self, t: tuple) -> Record:
@@ -572,23 +557,46 @@ def _varies(img: int, width: int, stride: int, top: int) -> bool:
     return (img ^ img >> 8 * width * stride) & top != 0
 
 
+# One axis of a tensor of values: (mask of its factors, size, stride).
+Axis = tuple[int, int, int]
+
+
+def _scan(
+    axes: Sequence[Axis],
+    tops: dict[int, list[int]],
+    values: Sequence[int],
+    reads: int = -1,
+) -> int:
+    """Mask of the axes that meet reads and along which the values vary.
+
+    The values are a tensor with these axes, and tops memoizes each axis's
+    below-top mask (_below_top) by lane width.  One image of the values is
+    built, and each axis costs one _varies test.
+    """
+    img, width = _image(values)
+    masks = tops.get(width)
+    if masks is None:
+        masks = tops[width] = [
+            _below_top(len(values), size, stride, width) for _, size, stride in axes
+        ]
+    mask = 0
+    for (axis, _, stride), top in zip(axes, masks):
+        if axis & reads and _varies(img, width, stride, top):
+            mask |= axis
+    return mask
+
+
 def support(space: FactoredSpace, x: RandomVariable) -> int:
     """Mask of the factors along which x's table varies, memoized by table.
 
-    A table in rank order is a tensor with one axis per factor, so each
-    factor costs one _varies test on the table's image, which is built
-    once; a factor of one value has an empty mask and never varies.
+    A table in rank order is a tensor with one axis per factor of more
+    than one value, so the support is one _scan of the table.
     """
     ensure_on_space(space, x)
     key = space.intern(x.table)
     mask = space._supports.get(key)
     if mask is None:
-        img, width = _image(x.table)
-        mask = 0
-        for i, (stride, top) in enumerate(zip(space._strides, space.below_tops(width))):
-            if _varies(img, width, stride, top):
-                mask |= 1 << i
-        space._supports[key] = mask
+        mask = space._supports[key] = _scan(space._axes, space._tops, x.table)
     return mask
 
 

@@ -398,6 +398,21 @@ def test_interleaved_atoms_at_scale_build_no_digit_tables():
     )
 
 
+def test_unconditional_queries_factorize_nothing():
+    # With no conditioner the one block is the whole outcome set, and its
+    # histories are the supports: no block is factorized, and its ranks
+    # are never interned.
+    space = make_space(3, 1, 2, 2)
+    outcomes = [outcome_unrank(space, r) for r in range(space.outcome_count)]
+    x = make_var(space, "x", 3, [(o[0] + o[2]) % 3 for o in outcomes])
+    y = make_var(space, "y", 2, [o[2] ^ o[3] for o in outcomes])
+    verdict = structurally_independent(space, x, y)
+    assert verdict.overlaps == {"*": _ids(space, 2)}
+    assert conditional_history(space, x).per_block == {"*": _ids(space, 0, 2)}
+    assert space._atoms == {}
+    assert tuple(range(space.outcome_count)) not in space._records
+
+
 def test_structural_time_on_parity():
     space, u0, u1, xor = xor_bundle()
     assert structural_time_leq(space, u0, xor)
@@ -420,14 +435,14 @@ def test_history_rejects_foreign_variables():
 
 
 def test_history_memo_scans_each_block_and_table_once(monkeypatch):
-    scans = Counter()  # by the id of the block's memo entry
-    scan = history_module._scan_atoms
+    scans = Counter()  # by the id of the block entry's below-top masks
+    scan = history_module._scan
 
-    def counting_scan(entry, values, reads):
-        scans[id(entry)] += 1
-        return scan(entry, values, reads)
+    def counting_scan(axes, tops, values, reads=-1):
+        scans[id(tops)] += 1
+        return scan(axes, tops, values, reads)
 
-    monkeypatch.setattr(history_module, "_scan_atoms", counting_scan)
+    monkeypatch.setattr(history_module, "_scan", counting_scan)
     rng = random.Random("history-memo")
     total = 0
     for trial in range(40):
@@ -459,7 +474,13 @@ def test_history_memo_scans_each_block_and_table_once(monkeypatch):
         for c in blocks.values():
             tables = {v.table for v in (x, y) if len(set(v.table[r] for r in c.ranks)) > 1}
             entry = space._atoms.get(space.intern(c.ranks))
-            assert scans[id(entry)] == len(tables)
+            if entry is None:
+                # Never factorized, so never scanned: the whole outcome set,
+                # whose histories are supports, or a block neither table
+                # varies on.
+                assert len(c) == space.outcome_count or not tables
+                continue
+            assert scans[id(entry.tops)] == len(tables)
         # Every memoized history is the one the oracle gives for its table.
         for key, entry in space._atoms.items():
             block = Block(label="b", ranks=key.objects[0])
@@ -513,7 +534,9 @@ def test_memo_lookups_hash_each_table_and_block_once():
             structurally_independent(space, x, y, conditioner)
             structurally_independent(space, twin, y, conditioner)
             _CiQuery(space, x, y, conditioner)
-    assert len(hashes) == 5 + len(blocks)
+    # The whole outcome set's ranks are never interned: its histories are
+    # supports.
+    assert len(hashes) == 4 + len(blocks)
     assert set(hashes.values()) == {1}
     # Interning an object finds the equal one interned before it, if any,
     # with one equality test: the twin finds x's table, and a block's ranks

@@ -32,6 +32,7 @@ from facthist import (
     SpaceMismatchError,
     UnknownFactorError,
     blocks_of,
+    conditional_history,
     factor_var,
     fold_pair,
     full_block,
@@ -49,6 +50,7 @@ from facthist.space import OUTCOME_CAP_ENV
 from helpers import function_of, make_space, make_var, xor_bundle
 from oracles import (
     oracle_fold_pair,
+    oracle_history,
     oracle_range_error,
     oracle_support,
     oracle_table_is_ints,
@@ -248,9 +250,12 @@ def test_support_matches_cell_comparisons(data):
     x = RandomVariable("x", _LABELS[: shift + k], tuple(v + shift for v in table))
     want = sum(1 << i for i in oracle_support(space, x))
     assert support(space, x) == want
-    # On the full block, a product, the history is the support, read by the
-    # atom scan on the same image.
-    assert history(space, full_block(space), x).mask == want
+    # On the full block, a product, the history is the support.
+    omega = full_block(space)
+    assert oracle_history(space, omega, x) == oracle_support(space, x)
+    got = IndexSet(want, space.factor_count)
+    assert history(space, omega, x) == got
+    assert conditional_history(space, x).per_block == {"*": got}
     # Memoized by table: an equal table under another name shares the
     # record, so it reads the one entry.
     assert space._supports == {space.intern(x.table): want}

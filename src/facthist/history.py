@@ -82,9 +82,13 @@ is its support, and history() returns it before any factorization lookup,
 read of C's values or below-top mask.  Proof: x varies along no atom of G,
 and along a factor k of R it varies on C exactly when it does on Omega,
 since C holds every assignment of R under each point of G and x reads no
-coordinate of that point.  When z reads every factor of more than one
-value, its blocks are factorized directly, as is any block not made by
-blocks_of other than the whole outcome set.
+coordinate of that point.  So when neither x nor y reads a factor of z,
+structurally_independent and conditional_history (_history_off) answer
+from the supports alone and never build z's blocks: the histories are the
+same on every block, and z's attained values label the blocks.  When z
+reads every factor of more than one value, its blocks are factorized
+directly, as is any block not made by blocks_of other than the whole
+outcome set.
 
 The atoms are built one factor at a time, and every projection is counted
 on bitsets.  A set of ranks is an int whose byte r is 1 for each member r
@@ -148,7 +152,7 @@ history whatever their names, and a repeated question (verify asks
 structurally_independent once itself and once more through
 verify_soundness or find_witness) costs two id() lookups and no read of
 the block's values.  A variable constant on the block has the
-empty history; the block is not factorized for it unless it already was.
+empty history, found by the same read with no scan.
 
 The *conditional history* maps every attained value of a conditioning
 variable z to the history on that block.  Two variables are *structurally
@@ -167,6 +171,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import InvariantViolationError
 from .space import (
+    TRIVIAL_LABEL,
     TRIVIAL_NAME,
     Axis,
     Block,
@@ -507,11 +512,33 @@ def _lift(space: FactoredSpace, grid: Grid, granks: tuple[int, ...]) -> Factoriz
     for i in grid.rest_ids:
         inner //= space.factors[i].size
         axes.append((1 << i, space.factors[i].size, inner))
-    trivial = to_full(gentry.trivial) | sum(
-        1 << i for i, f in enumerate(space.factors) if f.size == 1
-    )
+    trivial = to_full(gentry.trivial) | ~space._free & (1 << space.factor_count) - 1
     read = _picker(_grid_sum([gentry.read(grid.offsets), grid.rest]))
     return Factorization(trivial, tuple(axes), read, {}, {})
+
+
+def _history_off(space: FactoredSpace, x: RandomVariable, read: int) -> IndexSet | None:
+    """x's history on every block of a conditioner whose support is read,
+    when x reads none of those factors: its support.  None otherwise.
+
+    Each such block is a grid block times the factors outside read, and x
+    varies along it exactly where it does on the whole outcome set (see the
+    module docstring).  With no conditioner read is 0, and the one block
+    is the whole outcome set.  A conditioner that reads every factor of
+    more than one value gets None without a scan of x: its blocks are
+    partitioned directly, and only a constant x would read none of them.
+    """
+    if read == space._free:
+        return None
+    reads = support(space, x)
+    return None if reads & read else IndexSet(reads, space.factor_count)
+
+
+def _attained(z: RandomVariable | None) -> list[str]:
+    """The labels of z's blocks, in codomain order."""
+    if z is None:
+        return [TRIVIAL_LABEL]
+    return [z.codomain[v] for v in sorted(set(z.table))]
 
 
 def history(space: FactoredSpace, c: Block, x: RandomVariable) -> IndexSet:
@@ -525,15 +552,11 @@ def history(space: FactoredSpace, c: Block, x: RandomVariable) -> IndexSet:
     block = space.intern(ranks)
     lifted = space._grids.get(block)
     if lifted is not None:
-        reads = support(space, x)
-        if not reads & lifted[0].mask:
-            # x reads none of z's factors, so its history is its support.
-            return IndexSet(reads, space.factor_count)
+        found = _history_off(space, x, lifted[0].mask)
+        if found is not None:
+            return found
     entry = space._atoms.get(block)
     if entry is None:
-        values = _picker(ranks)(x.table)
-        if values.count(values[0]) == len(values):
-            return IndexSet(0, space.factor_count)
         entry = _factorize(space, ranks)
     key = space.intern(x.table)
     found = entry.known.get(key)
@@ -544,9 +567,8 @@ def history(space: FactoredSpace, c: Block, x: RandomVariable) -> IndexSet:
         else:
             # On a lifted block, skip the atoms x's table does not vary
             # along anywhere: outcomes that differ only there agree on x.
-            mask = _scan(
-                entry.axes, entry.tops, values, -1 if lifted is None else reads
-            )
+            reads = -1 if lifted is None else support(space, x)
+            mask = _scan(entry.axes, entry.tops, values, reads)
         found = entry.known[key] = IndexSet(mask, space.factor_count)
     return found
 
@@ -554,11 +576,22 @@ def history(space: FactoredSpace, c: Block, x: RandomVariable) -> IndexSet:
 def conditional_history(
     space: FactoredSpace, x: RandomVariable, z: RandomVariable | None = None
 ) -> ConditionalHistory:
-    """history(x | block) for every attained value of z (trivial z by default)."""
-    per_block = {
-        label: history(space, block, x) for label, block in blocks_of(space, z).items()
-    }
+    """history(x | block) for every attained value of z (trivial z by default).
+
+    When z leaves out some factor of more than one value and x reads none
+    of z's factors, x's history is its support on every block, so the
+    blocks are never built: the support is returned under each attained
+    label.  Only z's support is scanned when z reads every such factor.
+    """
     given = TRIVIAL_NAME if z is None else z.name
+    found = _history_off(space, x, 0 if z is None else support(space, z))
+    if found is not None:
+        per_block = dict.fromkeys(_attained(z), found)
+    else:
+        per_block = {
+            label: history(space, block, x)
+            for label, block in blocks_of(space, z).items()
+        }
     return ConditionalHistory(variable=x.name, given=given, per_block=per_block)
 
 
@@ -568,7 +601,21 @@ def structurally_independent(
     y: RandomVariable,
     z: RandomVariable | None = None,
 ) -> IndependenceVerdict:
-    """Are the histories of x and y disjoint on every block of z?"""
+    """Are the histories of x and y disjoint on every block of z?
+
+    When z leaves out some factor of more than one value and neither x nor
+    y reads one of z's factors, both histories are their supports on every
+    block, so the blocks are never built: the supports' overlap, if any,
+    is reported under each attained label.  Only z's support is scanned
+    when z reads every such factor.
+    """
+    read = 0 if z is None else support(space, z)
+    hx = _history_off(space, x, read)
+    hy = None if hx is None else _history_off(space, y, read)
+    if hy is not None:
+        inter = hx & hy
+        shared = dict.fromkeys(_attained(z), inter) if inter else {}
+        return IndependenceVerdict(independent=not shared, overlaps=shared)
     overlaps: dict[str, IndexSet] = {}
     for label, block in blocks_of(space, z).items():
         inter = history(space, block, x) & history(space, block, y)

@@ -263,6 +263,7 @@ class FactoredSpace:
         "_digits",
         "_bits",
         "_axes",
+        "_free",
         "_tops",
         "_records",
         "_by_id",
@@ -307,6 +308,8 @@ class FactoredSpace:
         # and per lane width each axis's below-top mask, filled by _scan.
         axes = [(1 << i, f.size, s) for i, (f, s) in enumerate(zip(fs, strides))]
         object.__setattr__(self, "_axes", tuple(a for a in axes if a[1] > 1))
+        # The mask of those factors.
+        object.__setattr__(self, "_free", sum(a[0] for a in self._axes))
         object.__setattr__(self, "_tops", {})
         # Each interned tuple, by value -> its Record; and the id of every
         # object interned -> the Record holding it.  Filled by intern.
@@ -684,8 +687,7 @@ def blocks_of(
             blocks = {TRIVIAL_LABEL: full_block(space)}
         else:
             read = support(space, z)
-            free = sum(1 << i for i, f in enumerate(space.factors) if f.size > 1)
-            if read in (0, free):
+            if read in (0, space._free):
                 groups: dict[int, list[int]] = {}
                 for r, v in enumerate(z.table):
                     groups.setdefault(v, []).append(r)

@@ -20,8 +20,10 @@ read the rectangle, determination and separator tests of every factor mask
 at once from the history module, which folds each block once per mask.
 
 The duality law runs on integer draws, the numerators sample_product and
-sample_vector normalize, with one blocks/histories pass per call and the
-shift comparison of irrelevance_invariance.  The joint-factorization law is
+sample_vector normalize, with one blocks/histories pass per call: each
+block's rows of x-marginals under the base and the perturbed weights
+(distributions._block_marginal) are compared by distributions._shifts.
+The joint-factorization law is
 the chain rule over is_cond_independent.
 """
 

@@ -476,8 +476,8 @@ def test_history_memo_scans_each_block_and_table_once(monkeypatch):
             entry = space._atoms.get(space.intern(c.ranks))
             if entry is None:
                 # Never factorized, so never scanned: the whole outcome set,
-                # whose histories are supports, or a block neither table
-                # varies on.
+                # whose histories are supports.  A block neither table
+                # varies on is factorized like any other and scanned 0 times.
                 assert len(c) == space.outcome_count or not tables
                 continue
             assert scans[id(entry.tops)] == len(tables)
@@ -805,6 +805,71 @@ def test_independence_off_the_conditioner_at_scale_holds_no_block_memory():
     assert verdict.independent
     assert space._atoms == {}
     assert peak < 10**6
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_queries_off_the_conditioner_match_subset_enumeration(data):
+    # z reads a proper subset of the factors (maybe none), x and y none of
+    # z's factors, and z has labels it never attains (its values doubled).
+    # Both queries are checked against the oracle on every block of z,
+    # built on a fresh space so that the queries' space builds none.
+    sizes = data.draw(st.lists(st.integers(1, 3), min_size=2, max_size=5))
+    space = make_space(*sizes)
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    factors = range(len(sizes))
+    z_ids = sorted(data.draw(st.sets(st.sampled_from(factors), max_size=len(sizes) - 1)))
+    k = data.draw(st.integers(1, 3))
+    z = function_of(space, "z", z_ids, k, rng)
+    z = make_var(space, "z", 2 * k, [2 * v for v in z.table])
+    read = support(space, z)
+    others = [i for i in factors if not read >> i & 1]
+    x, y = (
+        function_of(space, name, sorted(data.draw(st.sets(st.sampled_from(others)))), 3, rng)
+        for name in "xy"
+    )
+    verdict = structurally_independent(space, x, y, z)
+    ch = conditional_history(space, x, z)
+    if read != space._free:
+        assert space._blocks == {} and space._atoms == {}
+    fresh = make_space(*sizes)
+    blocks = blocks_of(fresh, z)
+    assert list(blocks) == [z.codomain[v] for v in sorted(set(z.table))]
+    want = {}
+    for label, c in blocks.items():
+        hx = oracle_history(fresh, c, x)
+        assert ch.per_block[label].members() == tuple(sorted(hx))
+        if hx & oracle_history(fresh, c, y):
+            want[label] = IndexSet.of(hx & oracle_history(fresh, c, y), len(sizes))
+    assert list(ch.per_block) == list(blocks)
+    assert verdict.overlaps == want and list(verdict.overlaps) == list(want)
+    assert verdict.independent == (not want)
+
+
+def test_ci_verify_queries_off_the_conditioner_build_no_blocks(monkeypatch):
+    # The ci-verify shape: X reads u0-u2, Y u3-u5, W u2 and u3, Z u6 and u7.
+    # X and Y, and X and W, read none of Z's factors, so neither query
+    # partitions Z, builds a grid or factorizes a block.
+    def no_grid(*args):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(space_module, "_grid_blocks", no_grid)
+    space = make_space(2, 3, 2, 3, 2, 3, 2, 3)
+    outcomes = [outcome_unrank(space, r) for r in range(space.outcome_count)]
+    x = make_var(space, "X", 3, [(o[0] + o[1] + o[2]) % 3 for o in outcomes])
+    y = make_var(space, "Y", 3, [(o[3] + o[4] + o[5]) % 3 for o in outcomes])
+    w = make_var(space, "W", 2, [(o[2] + o[3]) % 2 for o in outcomes])
+    z = make_var(space, "Z", 3, [(o[6] + o[7]) % 3 for o in outcomes])
+    assert structurally_independent(space, x, y, z).independent
+    assert structurally_independent(space, x, w, z).overlaps == {
+        label: _ids(space, 2) for label in "012"
+    }
+    assert conditional_history(space, x, z).per_block == {
+        label: _ids(space, 0, 1, 2) for label in "012"
+    }
+    assert space._blocks == {}
+    assert space._grids == {}
+    assert space._atoms == {}
 
 
 def test_conditioned_queries_build_no_full_length_tables():

@@ -173,7 +173,10 @@ def test_integer_duality_counts_violations_like_the_oracle(monkeypatch):
         return IndexSet.empty(space.factor_count)
 
     # The package re-exports the function history under the module's name.
-    monkeypatch.setattr(importlib.import_module("facthist.history"), "history", blind)
+    history_module = importlib.import_module("facthist.history")
+    monkeypatch.setattr(history_module, "history", blind)
+    # conditional_history asks history() on every block, never the supports.
+    monkeypatch.setattr(history_module, "_history_off", lambda space, x, read: None)
     monkeypatch.setattr(importlib.import_module("facthist.verification"), "history", blind)
     violations = 0
     for index in range(60):

@@ -105,13 +105,11 @@ from .verification import (
     SUITE_MAX_OUTCOMES,
     DualityOutcome,
     LawTally,
-    SeparationOutcome,
     SuiteConfig,
     SuiteReport,
     check_duality,
     check_history_laws,
     check_semigraphoid,
-    check_separation_characterization,
     gen_random_space,
     gen_random_variable,
     run_suite,

@@ -16,8 +16,8 @@ Sampled distributions stay integers until one is reported.  _draw_ints
 draws a vector's numerators on 1..101; sample_vector normalizes one draw,
 and _sample_ints returns one per factor, the numerators of sample_product,
 which find_witness and the duality suite use directly.  verify_soundness
-draws each chunk of samples, one fresh generator per sample as
-_sample_ints does, into one bytes buffer (_draw_chunk).  find_witness
+draws each chunk of samples, one fresh generator per sample, into one
+bytes buffer (_draw_chunk); _sample_ints is a chunk of one.  find_witness
 builds Fractions only for the sample it returns.  _shifts is the one
 test of whether a conditional moved between two distributions, over
 _block_marginal rows, which also raise on a zero-mass block.
@@ -111,6 +111,8 @@ from .space import (
     RandomVariable,
     _grid_sum,
     blocks_of,
+    ensure_block,
+    ensure_on_space,
     support,
 )
 
@@ -312,7 +314,7 @@ def sample_vector(rng: random.Random, size: int) -> tuple[Fraction, ...]:
 
 
 def _draw_chunk(space: FactoredSpace, seeds: Sequence[int]) -> bytes:
-    """The numerators of _sample_ints(space, s) for each s in seeds, in one buffer.
+    """The numerators of sample_product(space, s) for each s in seeds, in one buffer.
 
     Sample after sample, each sample's factor vectors in factor order.
     """
@@ -335,9 +337,7 @@ def _sample_ints(space: FactoredSpace, seed: int) -> list[list[int]]:
     normalizing each list gives that distribution; the integers themselves
     are weights proportional to it, which is all a CI check needs.
     """
-    sizes = [f.size for f in space.factors]
-    nums = iter(_draw_ints(random.Random(seed), sum(sizes)))
-    return [list(islice(nums, size)) for size in sizes]
+    return _per_sample(space, _draw_chunk(space, [seed]))[0]
 
 
 def sample_product(space: FactoredSpace, seed: int) -> ProductDistribution:
@@ -452,6 +452,8 @@ def block_conditional(
     space: FactoredSpace, p: ProductDistribution, x: RandomVariable, c: Block
 ) -> dict[str, Fraction]:
     """P(x = value | C) for every codomain value, as exact Fractions."""
+    ensure_on_space(space, x)
+    ensure_block(space, c)
     weights = _weights(space, p)
     total, per_value = _block_marginal(weights, c, x.table, len(x.codomain))
     return {
@@ -470,6 +472,7 @@ def cond_table(
     Rows sum to 1; a zero-mass block (possible only for non-positive p)
     raises DegenerateBlockError.
     """
+    ensure_on_space(space, x)
     weights = _weights(space, p)
     out: dict[tuple[str, str], Fraction] = {}
     for zlabel, c in blocks_of(space, z).items():

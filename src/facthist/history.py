@@ -330,14 +330,10 @@ def generates(space: FactoredSpace, c: Block, j: IndexSet, x: RandomVariable) ->
     return _rectangle(space, block, j, len(c)) and _determined(space, block, j, c, x)
 
 
-def _rectangles(c: Block, on: Sequence[int]) -> list[bool]:
-    """Is C a J-rectangle, by mask J, from C folded along every mask?"""
-    return [a.bit_count() * b.bit_count() == len(c) for a, b in zip(reversed(on), on)]
-
-
 def _rectangle_masks(space: FactoredSpace, c: Block) -> list[bool]:
     """Is C a J-rectangle, for every factor mask J?"""
-    return _rectangles(c, _mask_folds(space, _bitset(space, c.ranks)))
+    on = _mask_folds(space, _bitset(space, c.ranks))
+    return [a.bit_count() * b.bit_count() == len(c) for a, b in zip(reversed(on), on)]
 
 
 def _determining_masks(space: FactoredSpace, c: Block, x: RandomVariable) -> list[bool]:
@@ -347,20 +343,6 @@ def _determining_masks(space: FactoredSpace, c: Block, x: RandomVariable) -> lis
         folds = zip(_mask_folds(space, zeros), _mask_folds(space, ones))
         clash = [m or a & b != 0 for m, (a, b) in zip(clash, folds)]
     return [not m for m in reversed(clash)]  # J is the complement of that mask
-
-
-def _separation_masks(space: FactoredSpace, c: Block) -> list[tuple[bool, bool]]:
-    """(Is C a J-rectangle, does every J-class of C meet every Jbar-class?)
-    for every factor mask J.
-
-    Byte r of C folded along Jbar times C folded along J counts the members
-    p of one and q of the other with p + q = r: at most one pair, since p is
-    0 on Jbar and q on J.  The product is the recombination set.
-    """
-    block = _bitset(space, c.ranks)
-    on = _mask_folds(space, block)
-    separated = [(a * b) & ~block == 0 for a, b in zip(reversed(on), on)]
-    return list(zip(_rectangles(c, on), separated))
 
 
 class Factorization(NamedTuple):

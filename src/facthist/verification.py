@@ -11,13 +11,11 @@ failure is a defect and makes the suite report as failed.  Two outcomes are
 deliberately weaker: a completeness witness miss is retried once with a
 fresh stream and only a reproducible miss counts as a failure, and the
 maximality direction of the history/irrelevance duality is budgeted search,
-so a miss is recorded as inconclusive, never as a pass.  The separation
-characterization is exploratory only; agreements and disagreements are
-recorded without affecting the verdict.
+so a miss is recorded as inconclusive, never as a pass.
 
-The exhaustive mask loops (check_history_laws and the separation check)
-read the rectangle, determination and separator tests of every factor mask
-at once from the history module, which folds each block once per mask.
+The exhaustive mask loop of check_history_laws reads the rectangle and
+determination tests of every factor mask at once from the history module,
+which folds each block once per mask.
 
 The duality law runs on integer draws, the numerators sample_product and
 sample_vector normalize, with one blocks/histories pass per call: each
@@ -54,7 +52,6 @@ from .distributions import (
 from .history import (
     _determining_masks,
     _rectangle_masks,
-    _separation_masks,
     disintegration_atoms,
     history,
     structurally_independent,
@@ -80,24 +77,21 @@ __all__ = [
     "LawTally",
     "SuiteReport",
     "DualityOutcome",
-    "SeparationOutcome",
     "gen_random_space",
     "gen_random_variable",
     "check_semigraphoid",
     "check_history_laws",
     "check_duality",
-    "check_separation_characterization",
     "run_suite",
 ]
 
 IRRELEVANCE_TRIALS = 3
 
-# The most factors an instance space may have.  The history laws and the
-# separation check loop over all 2**n factor masks, so an instance's cost
-# grows about tenfold per factor: with domains of up to 3 values, three
-# iterations take about 0.9 s at 8 factors, 2.8 s at 9 and 26 s at 10 with
-# seed 0 (2 cores, Python 3.11); the slowest of 25 seeds at 8 factors,
-# seed 18, takes 3.8 s.
+# The most factors an instance space may have.  The history laws loop over
+# all 2**n factor masks, so the widest instances dominate: with domains of
+# up to 3 values, three iterations of the slowest of 25 seeds take 1.0 s at
+# 8 factors, 0.5 s at 9 and 5.7 s at 10, against medians of 0.04 s to
+# 0.2 s (2 cores, Python 3.11).
 SUITE_MAX_FACTORS = 8
 
 # The largest instance space the bounds may allow: max_domain ** max_factors
@@ -399,38 +393,14 @@ def check_duality(
     )
 
 
-@dataclass(frozen=True)
-class SeparationOutcome:
-    """Rectangle condition versus separator condition, block by block."""
+def check_separation_characterization(*args: object, **kwargs: object) -> None:
+    """Former separator check, which restated the rectangle test exactly.
 
-    agreements: int
-    disagreements: tuple[tuple[tuple[int, ...], str, bool, bool], ...]
-
-
-def check_separation_characterization(
-    space: FactoredSpace, z: RandomVariable, cfg: SuiteConfig | None = None
-) -> SeparationOutcome:
-    """Exploratory: per block, compare is_rectangle with the separator condition.
-
-    The separator condition asks that disjoint events from the two sides
-    always admit a conditioner-measurable separator; with separators being
-    unions of blocks, that reduces to every pair of projection classes
-    inside one block having a common outcome.  Disagreements are recorded,
-    never asserted.  Both tests of every factor mask come from one set of
-    folds of the block (history._separation_masks).
+    Not exported and not called.  It stays defined only because the
+    benchmark tracer (perfbench/spans.py) looks it up by name; drop it
+    together with that entry.
     """
-    n = space.factor_count
-    agreements = 0
-    disagreements = []
-    for label, c in blocks_of(space, z).items():
-        for mask, (rect, sep) in enumerate(_separation_masks(space, c)):
-            if rect == sep:
-                agreements += 1
-            else:
-                disagreements.append((IndexSet(mask, n).members(), label, rect, sep))
-    return SeparationOutcome(
-        agreements=agreements, disagreements=tuple(disagreements)
-    )
+    raise NotImplementedError("the separator check was removed; use is_rectangle")
 
 
 def _joint_factorizes(
@@ -464,7 +434,6 @@ class SuiteReport:
     config: SuiteConfig
     tallies: dict[str, LawTally] = field(default_factory=dict)
     counterexamples: list[dict] = field(default_factory=list)
-    exploratory: dict = field(default_factory=dict)
 
     def tally(self, law: str) -> LawTally:
         return self.tallies.setdefault(law, LawTally())
@@ -480,7 +449,6 @@ class SuiteReport:
             "config": dict(vars(self.config)),
             "laws": {name: dict(vars(t)) for name, t in sorted(self.tallies.items())},
             "counterexamples": self.counterexamples,
-            "exploratory": self.exploratory,
             "failed": self.any_asserted_failure,
         }
 
@@ -494,8 +462,6 @@ class SuiteReport:
 def run_suite(cfg: SuiteConfig) -> SuiteReport:
     """Generate cfg.iterations instances and run every law family on each."""
     report = SuiteReport(config=cfg)
-    sep_agree = 0
-    sep_records: list = []
     for i in range(cfg.iterations):
         space = gen_random_space(cfg, i)
         x = gen_random_variable(space, cfg, 4 * i, name="x")
@@ -589,22 +555,4 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
         if pairwise:
             p = sample_product(space, _int_seed(cfg.seed, "vec", i))
             law("vector_factorization", _joint_factorizes(space, p, (x, y, w), z))
-
-        sep = check_separation_characterization(space, z, cfg)
-        sep_agree += sep.agreements
-        for members, label, rect, s in sep.disagreements:
-            sep_records.append(
-                {
-                    "instance": i,
-                    "factors": list(members),
-                    "block": label,
-                    "rectangle": rect,
-                    "separator": s,
-                }
-            )
-    report.exploratory["separation_characterization"] = {
-        "agree": sep_agree,
-        "disagree": len(sep_records),
-        "records": sep_records,
-    }
     return report

@@ -24,7 +24,7 @@ PINNED = {
     "parity-history": (17, "d90453e21294aa0bf564a3793ad90c62d556900d75c9203fc1198e56dce349c9"),
     "ci-verify": (9, "c9ad4f5f17f2fe626ad5076b3b88eb34f3bb71cd742f8ef5dcde5da4bc1a5856"),
     "dag-bridge": (252, "7ba21383003a53e25bb2969efc9e7ccaf3194e4ed0901e8e7a216d590124758d"),
-    "axioms-suite": (192, "b38535d7ececae6c29951b2521419c6b4ae9fcf1499c46f7b59f2cdfda946209"),
+    "axioms-suite": (192, "97b85dff278e9b976456fb38f327e088fe4d02230b39fde7fb96fd635c189ecb"),
 }
 
 

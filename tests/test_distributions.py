@@ -29,6 +29,7 @@ from facthist import (
     ProductDistribution,
     RandomVariable,
     SoundnessReport,
+    SpaceMismatchError,
     UnknownFactorError,
     block_conditional,
     blocks_of,
@@ -149,6 +150,20 @@ def test_cond_table_rows_sum_to_one_and_match_oracle():
                 assert table[(zlabel, xlabel)] == joint / pz
                 row += table[(zlabel, xlabel)]
             assert row == 1
+
+
+def test_conditionals_reject_variables_and_blocks_of_another_space():
+    s2, s4 = make_space(2), make_space(2, 2)
+    p = uniform_product(s2)
+    u0, foreign = factor_var(s2, 0), factor_var(s4, 1)
+    with pytest.raises(SpaceMismatchError):
+        cond_table(s2, p, foreign)
+    with pytest.raises(SpaceMismatchError):
+        cond_table(s2, p, u0, foreign)
+    with pytest.raises(SpaceMismatchError):
+        block_conditional(s2, p, foreign, full_block(s2))
+    with pytest.raises(SpaceMismatchError):
+        block_conditional(s2, p, u0, full_block(s4))
 
 
 def test_ci_agrees_with_fraction_oracle():

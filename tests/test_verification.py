@@ -1,8 +1,9 @@
 """The randomized law suites and their plumbing.
 
 Law checkers are exercised on the parity instance (where every expected
-verdict is known by hand) and on generated batches; the separator
-characterization is compared against the full event-enumeration oracle,
+verdict is known by hand) and on generated batches; the rectangle test,
+folded over blocks, is compared against the full event-enumeration oracle
+of the separator condition,
 the integer duality law against its Fraction form, and the chain-rule
 joint factorization against a per-rank pass.
 """
@@ -29,9 +30,9 @@ from facthist import (
     check_duality,
     check_history_laws,
     check_semigraphoid,
-    check_separation_characterization,
     gen_random_space,
     gen_random_variable,
+    is_rectangle,
     run_suite,
     trivial_var,
 )
@@ -43,7 +44,6 @@ from facthist.distributions import (
     IdentityReport,
     SoundnessReport,
 )
-from facthist.history import _separation_masks
 from facthist.verification import _joint_factorizes, _stream
 
 from helpers import function_of, make_space, make_var, xor_bundle
@@ -215,31 +215,29 @@ def test_joint_factorization_matches_per_rank_oracle():
 
 
 def test_separator_condition_matches_global_oracle():
+    # The separator condition restates the rectangle condition: per-block
+    # rectangles, folded over blocks, must agree with the literal global
+    # separator condition.
     cfg = SuiteConfig(seed=2, max_factors=3, max_domain=2)
     for index in range(6):
         space = gen_random_space(cfg, index)
         z = gen_random_variable(space, cfg, index, name="z")
-        out = check_separation_characterization(space, z, cfg)
-        assert not out.disagreements, out.disagreements
-        # The per-block class-intersection reading, folded over blocks, must
-        # agree with the literal global separator condition.
         blocks = blocks_of(space, z).values()
-        for ids in all_subsets(range(space.factor_count)):
-            mask = sum(1 << i for i in ids)
-            per_block = all(_separation_masks(space, c)[mask][1] for c in blocks)
+        n = space.factor_count
+        for ids in all_subsets(range(n)):
+            j = IndexSet(sum(1 << i for i in ids), n)
+            per_block = all(is_rectangle(space, c, j) for c in blocks)
             assert per_block == oracle_separation_global(space, z, ids)
 
 
 def test_separator_condition_on_parity_blocks():
     space, u0, u1, xor = xor_bundle()
-    out = check_separation_characterization(space, xor)
-    # 2 blocks x 4 factor subsets, every (rectangle, separator) pair agrees;
-    # on a parity block the singleton subsets are not rectangles.
-    assert out.agreements == 8 and not out.disagreements
+    # On a parity block only the empty and the full factor sets are
+    # rectangles, and only they pass the separator condition.
+    want = [True, False, False, True]  # by mask
     for c in blocks_of(space, xor).values():
-        # (rectangle, separated) by mask: only the empty and full sets pass.
-        assert _separation_masks(space, c) == [(True, True), (False, False),
-                                               (False, False), (True, True)]
+        assert [is_rectangle(space, c, IndexSet(m, 2)) for m in range(4)] == want
+    assert [oracle_separation_global(space, xor, ids) for ids in all_subsets(range(2))] == want
 
 
 def test_joint_factorization_for_pairwise_structural_triple():
@@ -269,18 +267,14 @@ def test_small_suite_runs_clean():
     assert "soundness_ci" in names or "completeness_witness" in names
     sem = report.tallies["semigraphoid_symmetry"]
     assert sem.passed == 8 and sem.failed == 0
-    sep = report.exploratory["separation_characterization"]
-    assert sep["disagree"] == 0 and sep["agree"] > 0
 
 
 # stdout of `axioms --seed 0 --iters 4`, recorded before the duality law
-# ran on integer draws.
+# ran on integer draws, less the separator check's "exploratory" key.
 PINNED_SUITE = (
     '{"config":{"iterations":4,"max_domain":3,"max_factors":4,'
     '"perturbation_budget":16,"sample_count":50,"seed":0,"witness_budget":64},'
-    '"counterexamples":[],'
-    '"exploratory":{"separation_characterization":{"agree":96,"disagree":0,'
-    '"records":[]}},"failed":false,"laws":{"completeness_witness":{"failed":0,'
+    '"counterexamples":[],"failed":false,"laws":{"completeness_witness":{"failed":0,'
     '"inconclusive":0,"passed":2},"duality_irrelevance":{"failed":0,'
     '"inconclusive":0,"passed":4},"duality_maximality":{"failed":0,'
     '"inconclusive":0,"passed":15},"history_atom_law":{"failed":0,'
@@ -315,11 +309,11 @@ def test_suite_output_is_pinned(capsys):
 
 # sha256 of run_suite(...).to_json() at 8 factors of up to 3 values, where
 # the mask loops run over 256 factor masks, recorded before those loops
-# folded rank bitsets.
+# folded rank bitsets, less the separator check's "exploratory" key.
 PINNED_WIDE_SUITES = {
-    0: "69840319ce18649c1bf2584ccc6aa2811e7fc06db537b7a05f7f378cae967138",
-    3: "69c5ac0da30a3bcd9337d0cc557c5101e557c44307626a2e863abff31af09f27",
-    11: "6b096c1df283be2c0c1fd471d8ed176c1a9e8e2424391a3e4b402f885c2dfed7",
+    0: "590ebb3a7ef0a71a01dd2fcd15989b05d9d4a7dffadf8ba3c2095cbcde9aebb5",
+    3: "2c4874d3cde7e9934691f03ccc50a78f5a9cd2b801fb7e3299dfb37fe39578e5",
+    11: "ca19f782184e6ac52e86e957ac7fa74e2b1e60956bb219fd11d097b9e47d0b49",
 }
 
 
@@ -354,8 +348,9 @@ def test_exhausted_witness_budget_is_an_asserted_failure():
 
 
 # sha256 of run_suite(SuiteConfig(seed=3, iterations=6)).to_json() with every
-# asserted law made to fail, recorded before the laws shared one recorder.
-PINNED_FAILING_SUITE = "18befd90a9bc5cf8581bd633e6beec61348e12ede68dde7494d8654ca53ba50e"
+# asserted law made to fail, recorded before the laws shared one recorder,
+# less the separator check's "exploratory" key.
+PINNED_FAILING_SUITE = "857f64332c1ef1deb7fb2b4608d12dc8bcc9e5d7b3c35cab3f4a8e3ed12096e3"
 
 
 def test_failing_laws_record_counterexamples_in_suite_order(monkeypatch):

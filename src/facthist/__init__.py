@@ -85,18 +85,13 @@ from .distributions import (
     verify_soundness,
 )
 from .dag import (
-    AncestryReport,
     Dag,
     Embedding,
-    EquivalenceReport,
-    QueryOutcome,
     ancestors,
     d_separated,
     dag_from_doc,
     dag_to_doc,
-    dsep_structural_equivalence,
     embed_dag,
-    structural_time_vs_ancestry,
 )
 from .verification import (
     HISTORY_LAWS,

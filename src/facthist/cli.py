@@ -63,7 +63,7 @@ def _load_json(path: str) -> object:
             return json.load(fh)
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"{path} is not valid JSON: {exc}") from None
 
 
@@ -158,9 +158,12 @@ def _cmd_embed(args: argparse.Namespace) -> tuple[dict, int]:
         return doc, 0
     # json.dump would stream through the pure-Python encoder.
     text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.write("\n")
+    try:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.write("\n")
+    except OSError as exc:
+        raise FormatError(f"cannot write {args.output}: {exc}") from None
     summary = {
         "written": args.output,
         "outcome_count": emb.space.outcome_count,

@@ -29,7 +29,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import chain, product, repeat
 from operator import add, mul
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .errors import (
     FormatError,
@@ -37,28 +37,19 @@ from .errors import (
     SpaceCapError,
     UnknownNodeError,
 )
-from .history import history, structurally_independent
 from .space import (
     Factor,
     FactoredSpace,
-    IndexSet,
     RandomVariable,
-    fold_pair,
-    full_block,
     _default_outcome_cap,
 )
 
 __all__ = [
     "Dag",
     "Embedding",
-    "QueryOutcome",
-    "EquivalenceReport",
-    "AncestryReport",
     "d_separated",
     "ancestors",
     "embed_dag",
-    "dsep_structural_equivalence",
-    "structural_time_vs_ancestry",
     "dag_to_doc",
     "dag_from_doc",
 ]
@@ -264,109 +255,6 @@ def embed_dag(dag: Dag, *, max_outcomes: int | None = None) -> Embedding:
         for v in dag.nodes
     }
     return Embedding(space=space, node_vars=node_vars)
-
-
-@dataclass(frozen=True)
-class QueryOutcome:
-    """One separation query with both verdicts."""
-
-    x: str
-    y: str
-    given: tuple[str, ...]
-    d_sep: bool
-    structural: bool
-
-    @property
-    def agree(self) -> bool:
-        return self.d_sep == self.structural
-
-
-@dataclass(frozen=True)
-class EquivalenceReport:
-    """d-separation versus structural independence over a query batch."""
-
-    results: tuple[QueryOutcome, ...]
-
-    @property
-    def disagreements(self) -> tuple[QueryOutcome, ...]:
-        return tuple(q for q in self.results if not q.agree)
-
-    @property
-    def all_agree(self) -> bool:
-        return not self.disagreements
-
-
-def dsep_structural_equivalence(
-    dag: Dag,
-    queries: Iterable[tuple[str, str, Sequence[str]]],
-    *,
-    max_outcomes: int | None = None,
-) -> EquivalenceReport:
-    """Run each (x, y, Z) query through both sides and collect the verdicts."""
-    emb = embed_dag(dag, max_outcomes=max_outcomes)
-    order = {n: k for k, n in enumerate(dag.nodes)}
-    results = []
-    for x, y, zs in queries:
-        # d_separated first: it rejects unknown and overlapping nodes.
-        dsep = d_separated(dag, [x], [y], zs)
-        given = tuple(sorted(zs, key=order.__getitem__))
-        z = fold_pair(emb.space, [emb.node_vars[n] for n in given])
-        verdict = structurally_independent(
-            emb.space, emb.node_vars[x], emb.node_vars[y], z
-        )
-        results.append(
-            QueryOutcome(
-                x=x,
-                y=y,
-                given=given,
-                d_sep=dsep,
-                structural=verdict.independent,
-            )
-        )
-    return EquivalenceReport(results=tuple(results))
-
-
-@dataclass(frozen=True)
-class AncestryReport:
-    """Unconditional histories versus graph ancestry for every node and pair."""
-
-    history_mismatches: tuple[tuple[str, tuple[int, ...], tuple[int, ...]], ...]
-    order_mismatches: tuple[tuple[str, str, bool, bool], ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.history_mismatches and not self.order_mismatches
-
-
-def structural_time_vs_ancestry(
-    dag: Dag, *, max_outcomes: int | None = None
-) -> AncestryReport:
-    """H(X_v) must be the ancestral factor set; containment must mirror ancestry."""
-    emb = embed_dag(dag, max_outcomes=max_outcomes)
-    space = emb.space
-    findex = {v: k for k, v in enumerate(dag.nodes)}
-    block = full_block(space)
-    hists: dict[str, IndexSet] = {}
-    history_mismatches = []
-    for v in dag.nodes:
-        got = history(space, block, emb.node_vars[v])
-        expected = space.index_set(
-            sorted(findex[w] for w in (ancestors(dag, v) | {v}))
-        )
-        hists[v] = got
-        if got != expected:
-            history_mismatches.append((v, got.members(), expected.members()))
-    order_mismatches = []
-    for v in dag.nodes:
-        for w in dag.nodes:
-            subset = hists[v].issubset(hists[w])
-            ancestral = v == w or v in ancestors(dag, w)
-            if subset != ancestral:
-                order_mismatches.append((v, w, subset, ancestral))
-    return AncestryReport(
-        history_mismatches=tuple(history_mismatches),
-        order_mismatches=tuple(order_mismatches),
-    )
 
 
 def dag_to_doc(dag: Dag) -> dict:

@@ -10,8 +10,14 @@ from facthist import (
     Factor,
     FactoredSpace,
     RandomVariable,
+    ancestors,
+    conditional_history,
+    d_separated,
+    embed_dag,
     factor_var,
+    fold_pair,
     outcome_unrank,
+    structurally_independent,
 )
 
 
@@ -85,3 +91,49 @@ def all_single_pair_queries(dag: Dag):
             rest = [n for n in nodes if n not in (nodes[i], nodes[j])]
             for zs in all_subsets(rest):
                 yield nodes[i], nodes[j], list(zs)
+
+
+def dsep_vs_structural(dag: Dag, queries):
+    """(x, y, zs, d-separated, structurally independent) for each query.
+
+    The structural verdict is taken on the response-function embedding,
+    given the joint variable of the conditioning nodes in node order.
+    """
+    emb = embed_dag(dag)
+    order = {n: k for k, n in enumerate(dag.nodes)}
+    results = []
+    for x, y, zs in queries:
+        dsep = d_separated(dag, [x], [y], zs)
+        given = [emb.node_vars[n] for n in sorted(zs, key=order.__getitem__)]
+        z = fold_pair(emb.space, given)
+        verdict = structurally_independent(
+            emb.space, emb.node_vars[x], emb.node_vars[y], z
+        )
+        results.append((x, y, list(zs), dsep, verdict.independent))
+    return results
+
+
+def ancestry_mismatches(dag: Dag):
+    """Where unconditional histories on the embedding disagree with ancestry.
+
+    Each node's history must be the factors of the node and its ancestors,
+    listed as (v, history, expected); and for every ordered pair, history
+    containment must mirror ancestry, listed as (v, w, subset, ancestral).
+    """
+    emb = embed_dag(dag)
+    findex = {v: k for k, v in enumerate(dag.nodes)}
+    hists = {}
+    mismatches = []
+    for v in dag.nodes:
+        (hist,) = conditional_history(emb.space, emb.node_vars[v]).per_block.values()
+        hists[v] = hist
+        expected = tuple(sorted(findex[w] for w in ancestors(dag, v) | {v}))
+        if hist.members() != expected:
+            mismatches.append((v, hist.members(), expected))
+    for v in dag.nodes:
+        for w in dag.nodes:
+            subset = hists[v].issubset(hists[w])
+            ancestral = v == w or v in ancestors(dag, w)
+            if subset != ancestral:
+                mismatches.append((v, w, subset, ancestral))
+    return mismatches

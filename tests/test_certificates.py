@@ -7,17 +7,26 @@ r gets a value at most one above every value before it).  Every (x, y, z)
 triple is checked against the exact CI oracle, and every history on every
 block of z against subset enumeration.  A z that reads one factor of a
 space with two free factors has its blocks lifted from its grid
-(history._lift), so that path is covered too.
+(history._lift), so that path is covered too.  The semigraphoid axioms are
+checked on every quadruple of the same variables, from one table of
+verdicts.
 """
 
 from __future__ import annotations
 
 import importlib
 from collections import Counter
+from itertools import product
 
 import pytest
 
-from facthist import blocks_of, history, structurally_independent
+from facthist import (
+    SEMIGRAPHOID_AXIOMS,
+    blocks_of,
+    history,
+    pair_var,
+    structurally_independent,
+)
 
 from helpers import make_space, make_var
 from oracles import oracle_ci_all_products, oracle_history
@@ -31,6 +40,12 @@ def restricted_growth_strings(n):
     for _ in range(n - 1):
         strings = [s + [v] for s in strings for v in range(max(s) + 2)]
     return strings
+
+
+def growth_string(table):
+    """The restricted-growth string of a table's level sets."""
+    first = {}
+    return tuple(first.setdefault(v, len(first)) for v in table)
 
 
 @pytest.mark.parametrize("sizes", [(2, 2), (2, 1, 2)])
@@ -68,3 +83,44 @@ def test_every_partition_triple_of_four_outcomes(sizes, monkeypatch):
     # grid of two factors, since a z reading both reads every free factor.
     free = [i for i, size in enumerate(sizes) if size > 1]
     assert lifted == {(i,): 2 for i in free}
+
+
+@pytest.mark.parametrize("sizes", [(2, 2), (2, 1, 2)])
+def test_semigraphoid_axioms_on_every_partition_quadruple(sizes):
+    space = make_space(*sizes)
+    variables = [
+        make_var(space, f"v{k}", max(s) + 1, s)
+        for k, s in enumerate(restricted_growth_strings(space.outcome_count))
+    ]
+    n = len(variables)
+    index = {v.table: k for k, v in enumerate(variables)}
+    ind = {
+        t: structurally_independent(space, *(variables[k] for k in t)).independent
+        for t in product(range(n), repeat=3)
+    }
+    # joint[a][b] is the partition of the pair (a, b).
+    joint = [
+        [index[growth_string(pair_var(space, a, b).table)] for b in variables]
+        for a in variables
+    ]
+    premises, failures = Counter(), Counter()
+    for x, y, z, w in product(range(n), repeat=4):
+        x_y_z = ind[x, y, z]
+        x_yw_z = ind[x, joint[y][w], z]
+        implications = {
+            "symmetry": (x_y_z, ind[y, x, z]),
+            "decomposition": (x_yw_z, x_y_z),
+            "weak_union": (x_yw_z, ind[x, y, joint[z][w]]),
+            "contraction": (x_y_z and ind[x, w, joint[z][y]], x_yw_z),
+            "composition": (x_y_z and ind[x, w, z], x_yw_z),
+        }
+        for axiom, (premise, conclusion) in implications.items():
+            premises[axiom] += premise
+            failures[axiom] += premise and not conclusion
+    assert tuple(premises) == SEMIGRAPHOID_AXIOMS
+    assert sum(ind.values()) == 1452
+    assert +failures == {}
+    assert premises == {
+        "symmetry": 1452 * n,
+        **dict.fromkeys(SEMIGRAPHOID_AXIOMS[1:], 15762),
+    }

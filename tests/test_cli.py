@@ -130,6 +130,18 @@ def test_malformed_file_is_a_usage_error(capsys, tmp_path):
     missing = str(tmp_path / "missing.json")
     code, _, err = run_cli(capsys, "history", missing, "--var", "x")
     assert code == 2 and "cannot read" in err
+    # Nesting past the parser's recursion limit, and bytes that are not UTF-8.
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000 + "]" * 100_000)
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"factors": "\xff"}')
+    for path in (str(nested), str(latin)):
+        for argv in (("history", path, "--var", "x"), ("dsep", path, "a", "b")):
+            start = time.monotonic()
+            code, out, err = run_cli(capsys, *argv)
+            assert time.monotonic() - start < 1.0
+            assert code == 2 and not out
+            assert err.startswith(f"error: {path} is not valid JSON: ")
 
 
 def test_dsep_command(capsys, dag_file):
@@ -166,6 +178,14 @@ def test_embed_writes_space_file(capsys, dag_file, tmp_path):
     assert code == 0
     doc = json.loads(out)
     assert [f["name"] for f in doc["factors"]] == ["u_A", "u_B", "u_C"]
+
+
+def test_embed_into_an_unwritable_path_is_a_usage_error(capsys, dag_file, tmp_path):
+    missing = str(tmp_path / "missing" / "x.json")
+    for target in (missing, str(tmp_path)):
+        code, out, err = run_cli(capsys, "embed", dag_file, "-o", target)
+        assert code == 2 and not out
+        assert err.startswith(f"error: cannot write {target}: ")
 
 
 def test_embed_respects_cap(capsys, tmp_path, monkeypatch):

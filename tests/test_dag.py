@@ -34,17 +34,20 @@ from facthist import (
     d_separated,
     dag_from_doc,
     dag_to_doc,
-    dsep_structural_equivalence,
     embed_dag,
     full_block,
     history,
     space_to_doc,
-    structural_time_vs_ancestry,
 )
 from facthist.cli import main
 from facthist.space import OUTCOME_CAP_ENV
 
-from helpers import all_single_pair_queries, random_binary_dag
+from helpers import (
+    all_single_pair_queries,
+    ancestry_mismatches,
+    dsep_vs_structural,
+    random_binary_dag,
+)
 from oracles import oracle_dsep_moralize, oracle_dsep_walks, oracle_embed_tables
 
 
@@ -114,6 +117,10 @@ def test_separation_query_validation():
     dag = chain3()
     with pytest.raises(UnknownNodeError):
         d_separated(dag, ["zz"], ["c"], [])
+    with pytest.raises(UnknownNodeError):
+        d_separated(dag, ["a"], ["zz"], [])
+    with pytest.raises(UnknownNodeError):
+        d_separated(dag, ["a"], ["c"], ["zz"])
     with pytest.raises(InvalidQueryError):
         d_separated(dag, ["a"], ["a"], [])
     with pytest.raises(InvalidQueryError):
@@ -277,20 +284,15 @@ def test_embedding_respects_cap():
 
 def test_equivalence_on_textbook_graphs():
     for dag in (chain3(), collider3()):
-        report = dsep_structural_equivalence(dag, all_single_pair_queries(dag))
-        assert report.all_agree, report.disagreements
-        assert len(report.results) == 3 * 2  # 3 pairs, Z subsets of 1 leftover node
+        results = dsep_vs_structural(dag, all_single_pair_queries(dag))
+        assert all(r[-2] == r[-1] for r in results), results
+        assert len(results) == 3 * 2  # 3 pairs, Z subsets of 1 leftover node
     # Spot-check one verdict pair directly.
-    report = dsep_structural_equivalence(collider3(), [("a", "b", []), ("a", "b", ["c"])])
-    assert report.results[0].d_sep and report.results[0].structural
-    assert not report.results[1].d_sep and not report.results[1].structural
-    # Queries are validated as d_separated validates them.
-    for bad in [("a", "zz", []), ("a", "b", ["zz"])]:
-        with pytest.raises(UnknownNodeError):
-            dsep_structural_equivalence(collider3(), [bad])
-    for bad in [("a", "a", []), ("a", "b", ["a"])]:
-        with pytest.raises(InvalidQueryError):
-            dsep_structural_equivalence(collider3(), [bad])
+    marginal, given_c = dsep_vs_structural(
+        collider3(), [("a", "b", []), ("a", "b", ["c"])]
+    )
+    assert marginal[-2:] == (True, True)
+    assert given_c[-2:] == (False, False)
 
 
 def test_conditioning_entangles_collider_embedding():
@@ -303,8 +305,8 @@ def test_conditioning_entangles_collider_embedding():
 def test_ancestry_report_on_random_dags():
     for index in range(10):
         dag = random_binary_dag("ancestry-smoke", index)
-        report = structural_time_vs_ancestry(dag)
-        assert report.ok, (dag, report)
+        mismatches = ancestry_mismatches(dag)
+        assert not mismatches, (dag, mismatches)
 
 
 def test_dag_doc_roundtrip():

@@ -26,7 +26,7 @@ from hypothesis import given, settings, strategies as st
 
 import facthist
 from facthist import RandomVariable, space_to_doc, dag_to_doc, Dag, space_from_doc
-from facthist.cli import _build_parser, main
+from facthist.cli import DIGIT_PATH_MIN_CHARS, _build_parser, main
 from facthist.space import OUTCOME_CAP_ENV
 
 from helpers import xor_bundle
@@ -356,6 +356,9 @@ def test_reused_parser_leaks_no_state(capsys, monkeypatch, space_file):
 
 
 TABLE_TYPE_ERROR = "variables['x'].table must be a list of integers"
+LENGTH_ERROR = "variables['x'].table has {entries} entries, space has {outcomes} outcomes"
+# json.dumps's default separators, and the compact ones embed -o writes.
+SEPARATORS = [None, (",", ":")]
 
 
 def _space_doc(sizes, k, table):
@@ -377,28 +380,38 @@ def _space_doc(sizes, k, table):
         ([0, 1, 1, None], TABLE_TYPE_ERROR),
         ([0, -1, 1, 0], "variable 'x' table entry -1 outside codomain of 2"),
         ([0, 1, 2, 0], "variable 'x' table entry 2 outside codomain of 2"),
-        ([0, 1, 1], "variables['x'].table has 3 entries, space has 4 outcomes"),
-        ([0, 1, 1, 0, 1], "variables['x'].table has 5 entries, space has 4 outcomes"),
+        ([0, 1, 1], LENGTH_ERROR),
+        ([0, 1, 1, 0, 1], LENGTH_ERROR),
     ],
     ids=["true", "float", "string", "null", "negative", "codomain-size", "short", "long"],
 )
 def test_malformed_tables_keep_their_messages(capsys, tmp_path, table, message):
+    # With DIGIT_PATH_MIN_CHARS outcomes a file is above the digit-array
+    # decoder's size gate.
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(_space_doc([2, 2], 2, table)))
-    assert run_cli(capsys, "indep", str(path), "u0", "u1") == (
-        2, "", f"error: {message}\n"
-    )
+    for sizes in ([2, 2], [2, 2, DIGIT_PATH_MIN_CHARS // 4]):
+        n = math.prod(sizes)
+        full = [0] * (n - 4) + table
+        doc = _space_doc(sizes, 2, full)
+        text = message.format(entries=len(full), outcomes=n)
+        for separators in SEPARATORS:
+            path.write_text(json.dumps(doc, separators=separators))
+            assert run_cli(capsys, "indep", str(path), "u0", "u1") == (
+                2, "", f"error: {text}\n"
+            )
 
 
 def test_malformed_table_at_the_cap_is_rejected_promptly(capsys, tmp_path):
     n = 10**6
     path = tmp_path / "big.json"
-    path.write_text(json.dumps(_space_doc([1000, 1000], 3, [0] * (n - 1) + [3])))
-    start = time.perf_counter()
-    code, out, err = run_cli(capsys, "atoms", str(path))
-    assert time.perf_counter() - start < 1.0
-    assert (code, out) == (2, "")
-    assert err == "error: variable 'x' table entry 3 outside codomain of 3\n"
+    doc = _space_doc([1000, 1000], 3, [0] * (n - 1) + [3])
+    for separators in SEPARATORS:
+        path.write_text(json.dumps(doc, separators=separators))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "atoms", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == "error: variable 'x' table entry 3 outside codomain of 3\n"
 
 
 MALFORMED_CAP = 4096
@@ -424,9 +437,16 @@ def malformed_space_files(draw):
             f"{count} outcomes exceeds cap of {MALFORMED_CAP}"
         )
     sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
-    n = math.prod(sizes)
     k = draw(st.integers(1, 4))
+    n = math.prod(sizes)
     table = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        # A leading factor that repeats the table to at least
+        # DIGIT_PATH_MIN_CHARS entries, so a compact file is read by the
+        # digit-array decoder.
+        copies = -(-DIGIT_PATH_MIN_CHARS // len(table))
+        sizes, table = [copies, *sizes], table * copies
+    n = math.prod(sizes)
     if kind == "length":
         m = draw(st.integers(0, n + 3).filter(lambda m: m != n))
         table = (table + [0] * 3)[:m]
@@ -445,12 +465,12 @@ def malformed_space_files(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(malformed_space_files(), st.sampled_from(COMMANDS))
-def test_malformed_space_files_exit_promptly(case, command):
+@given(malformed_space_files(), st.sampled_from(COMMANDS), st.sampled_from(SEPARATORS))
+def test_malformed_space_files_exit_promptly(case, command, separators):
     doc, code, message = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "space.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc, separators=separators))
         out, err = io.StringIO(), io.StringIO()
         with mock.patch.dict(os.environ, {OUTCOME_CAP_ENV: str(MALFORMED_CAP)}):
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -22,7 +22,7 @@ import functools
 import json
 import os
 import sys
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .dag import d_separated, dag_from_doc, embed_dag
 from .distributions import (
@@ -114,6 +114,39 @@ class _DigitTableDecoder(json.JSONDecoder):
         return self._whole(s, idx)
 
 
+_ASCII_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+
+
+def _dumps(doc: object) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def _dump_space(
+    space: FactoredSpace, variables: Mapping[str, RandomVariable]
+) -> bytes:
+    """The bytes of _dumps(space_to_doc(space, variables)) plus a newline.
+
+    The mirror of _DigitTableDecoder: a table over at most 10 values is
+    written as single ASCII digits by one bytes.translate, set into a
+    buffer of commas by one strided slice assignment.  Names, labels and
+    every other table go through json.dumps, keys in sorted order.
+    """
+    factors = [{"domain": list(f.domain), "name": f.name} for f in space.factors]
+    entries = []
+    for name in sorted(variables):
+        var = variables[name]
+        if len(var.codomain) <= 10:
+            digits = bytearray(b",") * (2 * len(var.table) - 1)
+            digits[::2] = bytearray(var.table).translate(_ASCII_DIGITS)
+            table = b"[" + digits + b"]"
+        else:
+            table = _dumps(var.table).encode()
+        head = f'{_dumps(name)}:{{"codomain":{_dumps(var.codomain)},"table":'
+        entries.append(head.encode() + table + b"}")
+    head = f'{{"factors":{_dumps(factors)},"variables":{{'
+    return head.encode() + b",".join(entries) + b"}}\n"
+
+
 def _loads(text: str) -> object:
     """json.loads(text), with a faster decoder for table-heavy text."""
     tables = text.count('"table":[')
@@ -184,10 +217,7 @@ def _check_budgets(args: argparse.Namespace, *names: str) -> None:
 
 
 def _emit(doc: object, pretty: bool) -> None:
-    if pretty:
-        print(json.dumps(doc, sort_keys=True, indent=2))
-    else:
-        print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    print(json.dumps(doc, sort_keys=True, indent=2) if pretty else _dumps(doc))
 
 
 def _cmd_history(args: argparse.Namespace) -> tuple[dict, int]:
@@ -221,15 +251,13 @@ def _cmd_dsep(args: argparse.Namespace) -> tuple[dict, int]:
 def _cmd_embed(args: argparse.Namespace) -> tuple[dict, int]:
     dag = dag_from_doc(_load_json(args.dag))
     emb = embed_dag(dag)
-    doc = space_to_doc(emb.space, {v.name: v for v in emb.node_vars.values()})
+    variables = {v.name: v for v in emb.node_vars.values()}
     if not args.output:
-        return doc, 0
-    # json.dump would stream through the pure-Python encoder.
-    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        return space_to_doc(emb.space, variables), 0
+    # The bytes main would print for that document, with no dict built.
     try:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.write("\n")
+        with open(args.output, "wb") as fh:
+            fh.write(_dump_space(emb.space, variables))
     except OSError as exc:
         raise FormatError(f"cannot write {args.output}: {exc}") from None
     summary = {

@@ -15,20 +15,27 @@ position r (most significant first) is the response to parent assignment
 rank r.  Both conventions are fixed so emitted space files are identical
 across runs and platforms.
 
-The evaluation runs column-wise, one node at a time in topological order:
-X_v's whole table is one lookup of the column u_v * m + (parent rank) in a
-table of response digits, with both built by C-level passes over the
-parents' finished tables, never by a Python loop over outcomes.
+The evaluation runs column-wise, one node at a time in topological order,
+on images: one int with a lane per outcome, as in space._image.  Node v's
+column u_v * m + (parent rank) is the image of u_v's coordinates times
+|dom p| plus the image of X_p, for each parent p in turn; a partial column
+never exceeds the final one, so no lane carries.  Lanes are one byte when
+|u_v| * m <= 256, and X_v's table is then one bytes.translate of the
+column through its response digits; otherwise they are eight bytes, read
+back as an array('Q') and looked up in one map.  No step is a Python loop
+over outcomes, and each node keeps its image at each lane width its
+children ask for.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import sys
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain, product, repeat
-from operator import add, mul
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -202,6 +209,11 @@ class Embedding:
     node_vars: Mapping[str, RandomVariable]
 
 
+def _from_lanes(lanes: bytes) -> int:
+    """The image of lanes: lane r holds entry r, in native byte order."""
+    return int.from_bytes(lanes, sys.byteorder)
+
+
 def embed_dag(dag: Dag, *, max_outcomes: int | None = None) -> Embedding:
     """Response-function embedding of a DAG.
 
@@ -228,28 +240,50 @@ def embed_dag(dag: Dag, *, max_outcomes: int | None = None) -> Embedding:
         sizes[v] = size
         total *= size
     factors = [
-        Factor(name=f"u_{v}", domain=tuple(str(k) for k in range(sizes[v])))
+        Factor(name=f"u_{v}", domain=tuple(map(str, range(sizes[v]))))
         for v in dag.nodes
     ]
     space = FactoredSpace(factors, max_outcomes=cap)
-    findex = {v: k for k, v in enumerate(dag.nodes)}
+    count = space.outcome_count
+    strides = dict(zip(dag.nodes, space._strides))
     tables: dict[str, tuple[int, ...]] = {}
+    images: dict[tuple[str, int], int] = {}
+
+    def image(p: str, width: int) -> int:
+        key = (p, width)
+        if key not in images:
+            t = tables[p]
+            lanes = bytes(t) if width == 1 else array("Q", t).tobytes()
+            images[key] = _from_lanes(lanes)
+        return images[key]
+
     for v in dag.topological_order():
+        size, stride, m = sizes[v], strides[v], pa_counts[v]
+        width = 1 if size * m <= 256 else 8
         # resp[k * m + a] is digit a (most significant first) of factor
         # value k, the response to parent-assignment rank a; product()
         # lists the digit strings of k = 0, 1, ... in that order.
-        digit_strings = product(range(doms[v]), repeat=pa_counts[v])
-        resp = tuple(chain.from_iterable(digit_strings))
-        # Folding each parent's column into u_v's digits as idx * |dom p| + X_p
-        # gives k * m + a, with the last parent varying fastest.
-        idx: Iterable[int] = space.digits(findex[v])
+        resp = tuple(chain.from_iterable(product(range(doms[v]), repeat=m)))
+        # u_v holds each value for stride consecutive ranks, and that
+        # period repeats.
+        lanes = map(int.to_bytes, range(size), repeat(width), repeat(sys.byteorder))
+        period = b"".join(map(bytes.__mul__, lanes, repeat(stride)))
+        img = _from_lanes(period * (count // (size * stride)))
+        # Folding each parent's column in as img * |dom p| + X_p gives
+        # k * m + a, with the last parent varying fastest.
         for p in dag.parents(v):
-            idx = map(add, map(mul, idx, repeat(doms[p])), tables[p])
-        tables[v] = tuple(map(resp.__getitem__, idx))
+            img = img * doms[p] + image(p, width)
+        column = img.to_bytes(width * count, sys.byteorder)
+        if width == 1:
+            values = column.translate(bytes(resp).ljust(256, b"\0"))
+            images[v, 1] = _from_lanes(values)
+            tables[v] = tuple(values)
+        else:
+            tables[v] = tuple(map(resp.__getitem__, array("Q", column)))
     node_vars = {
         v: RandomVariable(
             name=f"X_{v}",
-            codomain=tuple(str(k) for k in range(doms[v])),
+            codomain=tuple(map(str, range(doms[v]))),
             table=tables[v],
         )
         for v in dag.nodes

@@ -498,6 +498,10 @@ def fold_pair(space: FactoredSpace, xs: Sequence[RandomVariable]) -> RandomVaria
 
     Value tuples are keyed by their mixed-radix int over the codomain sizes,
     the last variable varying fastest, so sorted keys are the sorted tuples.
+    When every key fits in a byte, the keys are one byte image (_image)
+    folded as img * |codomain| + the next image, which no lane carries out
+    of, and the table is one bytes.translate of them through the ranks of
+    the attained keys.
     """
     if not xs:
         return trivial_var(space)
@@ -505,11 +509,22 @@ def fold_pair(space: FactoredSpace, xs: Sequence[RandomVariable]) -> RandomVaria
         ensure_on_space(space, x)
     if len(xs) == 1:
         return xs[0]
-    keys = xs[0].table
-    for x in xs[1:]:
-        keys = list(map(add, map(mul, keys, repeat(len(x.codomain))), x.table))
-    attained = sorted(set(keys))
-    index = {key: k for k, key in enumerate(attained)}
+    if math.prod(len(x.codomain) for x in xs) <= 256:
+        img = _image(xs[0].table)[0]
+        for x in xs[1:]:
+            img = img * len(x.codomain) + _image(x.table)[0]
+        keys = img.to_bytes(space.outcome_count, "little")
+        attained = sorted(set(keys))
+        ranks = bytearray(256)
+        for k, key in enumerate(attained):
+            ranks[key] = k
+        table: Iterable[int] = keys.translate(ranks)
+    else:
+        keys = xs[0].table
+        for x in xs[1:]:
+            keys = list(map(add, map(mul, keys, repeat(len(x.codomain))), x.table))
+        attained = sorted(set(keys))
+        table = map({key: k for k, key in enumerate(attained)}.__getitem__, keys)
     codomains = [[c.translate(_LABEL_ESCAPES) for c in x.codomain] for x in xs]
     labels = []
     for key in attained:
@@ -522,7 +537,7 @@ def fold_pair(space: FactoredSpace, xs: Sequence[RandomVariable]) -> RandomVaria
     return RandomVariable(
         name="(" + ",".join(x.name for x in xs) + ")",
         codomain=tuple(labels),
-        table=tuple(map(index.__getitem__, keys)),
+        table=tuple(table),
     )
 
 

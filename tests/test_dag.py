@@ -21,7 +21,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from facthist import (
     Dag,
@@ -214,32 +214,65 @@ def test_embedding_sizes_and_digit_convention():
 
 
 EMBED_CAP = 4096
+# Characters JSON writes escaped: a quote, a backslash, control characters,
+# and text outside ASCII, in and past the Basic Multilingual Plane.
+ESCAPED_CHARS = '"\\\x00\x1f\x7f\u00e9\u2603\U0001f600'
 
 
 @st.composite
 def small_dags(draw):
-    """1-5 nodes with domains 2-3 and in-degree at most 2.
+    """1-5 nodes with domains 2, 3 or 11 and in-degree at most 3.
 
-    Edges follow the order n0, n1, ...; the nodes are declared in a drawn
-    permutation of it, so declaration and topological order can differ.
+    A binary node with three binary parents has 256 * 8 columns, so its
+    column takes eight-byte lanes, and a node of 11 values has tables of
+    two-digit entries.  Names are n0, n1, ... plus up to two characters
+    JSON escapes.  Edges follow the order n0, n1, ...; the nodes are
+    declared in a drawn permutation of it, so declaration and topological
+    order can differ.
     """
     n = draw(st.integers(1, 5))
-    doms = draw(st.lists(st.sampled_from([2, 3]), min_size=n, max_size=n))
+    names = [f"n{i}" + draw(st.text(alphabet=ESCAPED_CHARS, max_size=2)) for i in range(n)]
+    doms = draw(st.lists(st.sampled_from([2, 2, 3, 11]), min_size=n, max_size=n))
     edges = []
     for child in range(1, n):
-        parents = draw(st.lists(st.integers(0, child - 1), max_size=2, unique=True))
-        edges += [(f"n{p}", f"n{child}") for p in parents]
+        parents = draw(st.lists(st.integers(0, child - 1), max_size=3, unique=True))
+        edges += [(names[p], names[child]) for p in parents]
     order = draw(st.permutations(range(n)))
-    return Dag([(f"n{i}", doms[i]) for i in order], edges)
+    return Dag([(names[i], doms[i]) for i in order], edges)
+
+
+def _embedding_size(dag):
+    doms = dag.domains
+    return math.prod(
+        doms[v] ** math.prod(doms[p] for p in dag.parents(v)) for v in dag.nodes
+    )
+
+
+def _cli_embed(dag, tmp, *args):
+    """The exit code and stdout of ``embed`` on a file holding dag, in tmp."""
+    dag_path = Path(tmp) / "dag.json"
+    dag_path.write_text(json.dumps(dag_to_doc(dag)))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["embed", str(dag_path), *args])
+    return code, out.getvalue()
+
+
+# A binary node with three binary parents (eight-byte lanes), and an
+# 11-value root beside a binary one, both with escaped names.
+WIDE_LANES = Dag(
+    [("a", 2), ("b\u00e9", 2), ('c"', 2), ("d\\", 2)],
+    [("a", "d\\"), ("b\u00e9", "d\\"), ('c"', "d\\")],
+)
+TWO_DIGITS = Dag([("r\x01", 11), ("s\U0001f600", 2)], [])
 
 
 @settings(max_examples=80, deadline=None)
 @given(small_dags())
+@example(WIDE_LANES)
+@example(TWO_DIGITS)
 def test_embedding_matches_per_outcome_oracle(dag):
-    doms = dag.domains
-    size = math.prod(
-        doms[v] ** math.prod(doms[p] for p in dag.parents(v)) for v in dag.nodes
-    )
+    size = _embedding_size(dag)
     if size > EMBED_CAP:
         with pytest.raises(SpaceCapError):
             embed_dag(dag, max_outcomes=EMBED_CAP)
@@ -252,12 +285,28 @@ def test_embedding_matches_per_outcome_oracle(dag):
     doc = space_to_doc(emb.space, {x.name: x for x in emb.node_vars.values()})
     text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     with tempfile.TemporaryDirectory() as tmp:
-        dag_path = Path(tmp) / "dag.json"
         out_path = Path(tmp) / "space.json"
-        dag_path.write_text(json.dumps(dag_to_doc(dag)))
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main(["embed", str(dag_path), "-o", str(out_path)]) == 0
+        assert _cli_embed(dag, tmp, "-o", str(out_path))[0] == 0
         assert out_path.read_bytes() == text.encode()
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_dags())
+@example(WIDE_LANES)
+@example(TWO_DIGITS)
+def test_embed_stdout_is_the_written_file(dag):
+    # main prints the document through json.dumps; -o writes it through
+    # cli._dump_space.  --pretty output is json.dumps with an indent of 2.
+    if _embedding_size(dag) > EMBED_CAP:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        out_path = Path(tmp) / "space.json"
+        assert _cli_embed(dag, tmp, "-o", str(out_path))[0] == 0
+        assert _cli_embed(dag, tmp) == (0, out_path.read_text())
+        emb = embed_dag(dag)
+        doc = space_to_doc(emb.space, {x.name: x for x in emb.node_vars.values()})
+        pretty = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        assert _cli_embed(dag, tmp, "--pretty") == (0, pretty)
 
 
 def test_embedding_histories_are_ancestral():

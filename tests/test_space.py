@@ -522,20 +522,26 @@ def test_space_doc_tables_match_the_type_and_range_scans(data):
         assert str(err.value) == want
 
 
-ESCAPED_LABELS = st.lists(
-    st.text(alphabet="a\\,()", max_size=3), min_size=1, max_size=4, unique=True
-)
+def escaped_labels(size):
+    return st.lists(
+        st.text(alphabet="a\\,()", max_size=3), min_size=size, max_size=size, unique=True
+    )
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_fold_pair_matches_value_tuple_keys(data):
+    # One variable may take up to 20 labels, so the product of the codomain
+    # sizes crosses 256, where the keys no longer fit in a byte.
     sizes = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
     space = make_space(*sizes)
     n = space.outcome_count
+    count = data.draw(st.integers(1, 4))
+    wide = data.draw(st.integers(0, count - 1))
     xs = []
-    for i in range(data.draw(st.integers(1, 4))):
-        labels = data.draw(ESCAPED_LABELS)
+    for i in range(count):
+        size = data.draw(st.integers(1, 20 if i == wide else 4))
+        labels = data.draw(escaped_labels(size))
         table = data.draw(st.lists(st.integers(0, len(labels) - 1), min_size=n, max_size=n))
         xs.append(RandomVariable(f"x{i}", tuple(labels), table))
     got = fold_pair(space, xs)
@@ -543,6 +549,26 @@ def test_fold_pair_matches_value_tuple_keys(data):
         assert got is xs[0]
     else:
         assert got == oracle_fold_pair(space, xs)
+
+
+@pytest.mark.parametrize("sizes", [(16, 16), (257, 1), (1, 257)])
+def test_fold_pair_at_256_and_257_keys(sizes):
+    # Codomain products of 256 and 257: each outcome takes a distinct key,
+    # the largest (255 or 256) included, in a shuffled order.
+    n = math.prod(sizes)
+    keys = random.Random(n).sample(range(n), n)
+    xs = [
+        RandomVariable(
+            f"x{i}",
+            tuple(f"v{k}" for k in range(size)),
+            [key // math.prod(sizes[i + 1 :]) % size for key in keys],
+        )
+        for i, size in enumerate(sizes)
+    ]
+    space = make_space(n)
+    got = fold_pair(space, xs)
+    assert len(got.codomain) == n
+    assert got == oracle_fold_pair(space, xs)
 
 
 def _traced_peak(build):

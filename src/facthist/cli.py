@@ -60,18 +60,18 @@ EXIT_CLOSED_STDOUT = 0
 # A table written compact over a codomain of at most 10 values is an array
 # of single digits joined by bare commas, which _digit_array reads in a few
 # C-level passes.  _DigitTableDecoder parses objects in Python, at a few
-# microseconds each, so it runs only on text with at least this many
-# characters per compactly written table key ('"table":['): over whole CLI
-# calls it was slower than json.loads on a one-table file of 846 characters
-# and faster on one of 1391.
+# microseconds each, so it runs only when the first compactly written table,
+# from its key ('"table":[') to the first ']' after it, spans at least this
+# many characters: over whole CLI calls it was slower than json.loads on a
+# one-table file of 846 characters and faster on one of 1391.
 DIGIT_PATH_MIN_CHARS = 1024
 _DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
 
 
-def _digit_array(s: str, end: int) -> tuple[list[int], int] | None:
+def _digit_array(s: str, end: int) -> tuple[bytes, int] | None:
     """The array of single ASCII digits joined by bare commas that opens
-    just before s[end], and the index past its ``]``; None for any other
-    array."""
+    just before s[end], as the bytes of its values, and the index past its
+    ``]``; None for any other array."""
     close = s.find("]", end)
     # find gives -1 when no ] follows, as in "[1,".
     if close > end:
@@ -80,12 +80,13 @@ def _digit_array(s: str, end: int) -> tuple[list[int], int] | None:
             raw = body.encode()
             digits = raw[::2]
             if digits.isdigit() and raw.count(b",") == len(digits) - 1:
-                return list(digits.translate(_DIGIT_VALUES)), close + 1
+                return digits.translate(_DIGIT_VALUES), close + 1
     return None
 
 
 class _DigitTableDecoder(json.JSONDecoder):
-    """Decodes as json.loads does, reading digit arrays by _digit_array.
+    """Decodes as json.loads does, but reads digit arrays by _digit_array,
+    as bytes where json.loads gives a list of ints.
 
     Objects are parsed by the pure-Python ``json.decoder.JSONObject`` with
     this scanner, so every array that sits in objects only is seen here.
@@ -137,10 +138,10 @@ def _dump_space(
         var = variables[name]
         if len(var.codomain) <= 10:
             digits = bytearray(b",") * (2 * len(var.table) - 1)
-            digits[::2] = bytearray(var.table).translate(_ASCII_DIGITS)
+            digits[::2] = var.table.translate(_ASCII_DIGITS)
             table = b"[" + digits + b"]"
         else:
-            table = _dumps(var.table).encode()
+            table = _dumps(list(var.table)).encode()
         head = f'{_dumps(name)}:{{"codomain":{_dumps(var.codomain)},"table":'
         entries.append(head.encode() + table + b"}")
     head = f'{{"factors":{_dumps(factors)},"variables":{{'
@@ -149,8 +150,8 @@ def _dump_space(
 
 def _loads(text: str) -> object:
     """json.loads(text), with a faster decoder for table-heavy text."""
-    tables = text.count('"table":[')
-    if tables and len(text) >= DIGIT_PATH_MIN_CHARS * tables:
+    key = text.find('"table":[')
+    if key >= 0 and text.find("]", key) - key >= DIGIT_PATH_MIN_CHARS:
         try:
             return _DigitTableDecoder().decode(text)
         except (ValueError, RecursionError):

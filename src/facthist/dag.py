@@ -209,11 +209,6 @@ class Embedding:
     node_vars: Mapping[str, RandomVariable]
 
 
-def _from_lanes(lanes: bytes) -> int:
-    """The image of lanes: lane r holds entry r, in native byte order."""
-    return int.from_bytes(lanes, sys.byteorder)
-
-
 def embed_dag(dag: Dag, *, max_outcomes: int | None = None) -> Embedding:
     """Response-function embedding of a DAG.
 
@@ -246,15 +241,17 @@ def embed_dag(dag: Dag, *, max_outcomes: int | None = None) -> Embedding:
     space = FactoredSpace(factors, max_outcomes=cap)
     count = space.outcome_count
     strides = dict(zip(dag.nodes, space._strides))
-    tables: dict[str, tuple[int, ...]] = {}
+    node_vars: dict[str, RandomVariable] = {}
     images: dict[tuple[str, int], int] = {}
 
     def image(p: str, width: int) -> int:
         key = (p, width)
         if key not in images:
-            t = tables[p]
-            lanes = bytes(t) if width == 1 else array("Q", t).tobytes()
-            images[key] = _from_lanes(lanes)
+            t = node_vars[p].table
+            # A width-1 child's parents have byte tables.  array("Q") would
+            # read a bytes table as raw words, so it gets the entries.
+            lanes = t if width == 1 else array("Q", iter(t)).tobytes()
+            images[key] = int.from_bytes(lanes, sys.byteorder)
         return images[key]
 
     for v in dag.topological_order():
@@ -268,7 +265,7 @@ def embed_dag(dag: Dag, *, max_outcomes: int | None = None) -> Embedding:
         # period repeats.
         lanes = map(int.to_bytes, range(size), repeat(width), repeat(sys.byteorder))
         period = b"".join(map(bytes.__mul__, lanes, repeat(stride)))
-        img = _from_lanes(period * (count // (size * stride)))
+        img = int.from_bytes(period * (count // (size * stride)), sys.byteorder)
         # Folding each parent's column in as img * |dom p| + X_p gives
         # k * m + a, with the last parent varying fastest.
         for p in dag.parents(v):
@@ -276,18 +273,12 @@ def embed_dag(dag: Dag, *, max_outcomes: int | None = None) -> Embedding:
         column = img.to_bytes(width * count, sys.byteorder)
         if width == 1:
             values = column.translate(bytes(resp).ljust(256, b"\0"))
-            images[v, 1] = _from_lanes(values)
-            tables[v] = tuple(values)
         else:
-            tables[v] = tuple(map(resp.__getitem__, array("Q", column)))
-    node_vars = {
-        v: RandomVariable(
-            name=f"X_{v}",
-            codomain=tuple(map(str, range(doms[v]))),
-            table=tables[v],
+            values = map(resp.__getitem__, array("Q", column))
+        node_vars[v] = RandomVariable(
+            name=f"X_{v}", codomain=tuple(map(str, range(doms[v]))), table=values
         )
-        for v in dag.nodes
-    }
+    node_vars = {v: node_vars[v] for v in dag.nodes}
     return Embedding(space=space, node_vars=node_vars)
 
 
@@ -304,7 +295,8 @@ def dag_from_doc(doc: object) -> Dag:
     if not isinstance(doc, dict):
         raise FormatError("DAG document must be a JSON object")
     nodes_raw = doc.get("nodes")
-    if not isinstance(nodes_raw, list) or not nodes_raw:
+    # bytes: a digit array as the CLI decodes it, whose items fail below.
+    if not isinstance(nodes_raw, (list, bytes)) or not nodes_raw:
         raise FormatError("DAG document needs a non-empty 'nodes' list")
     nodes = []
     for k, item in enumerate(nodes_raw):
@@ -318,7 +310,7 @@ def dag_from_doc(doc: object) -> Dag:
             raise FormatError(f"nodes[{k}].domain must be an integer")
         nodes.append((name, dom))
     edges_raw = doc.get("edges", [])
-    if not isinstance(edges_raw, list):
+    if not isinstance(edges_raw, (list, bytes)):
         raise FormatError("'edges' must be a list")
     edges = []
     for k, item in enumerate(edges_raw):

@@ -240,7 +240,7 @@ def _picker(ranks: Sequence[int]) -> Picker:
 
     itemgetter returns a bare item for one key, so one position becomes a
     one-item slice, and none an empty slice: the result is always a
-    sequence of the table's type.
+    sequence (a tuple, or a slice of the table).
     """
     if not ranks:
         return itemgetter(slice(0, 0))

@@ -33,10 +33,10 @@ masks, supports, the blocks of each conditioner, and the per-block atom
 factorizations and histories computed by the history module are memoized
 lazily; each memo is idempotent, so a racing double computation is
 harmless.  The memos are keyed by identity, not by value: the first time a
-space meets a table or a block's ranks it interns the tuple (one hash, so
-equal tuples share a record) and files the object's id under that record,
-which holds the object so the id is never reused.  Every later lookup is a
-dict hit on id(), with no pass over the tuple.
+space meets a table or a block's ranks it interns the object (one hash, so
+equal tables share a record) and files its id under that record, which
+holds the object so the id is never reused.  Every later lookup is a dict
+hit on id(), with no pass over the entries.
 """
 
 from __future__ import annotations
@@ -184,19 +184,32 @@ class IndexSet:
 class RandomVariable:
     """A dense total function from outcome ranks to codomain indices.
 
-    A table given as another sequence is stored as a tuple, and a tuple
-    (a subclass too) is kept as it is, so a space can intern it: a space
-    hashes a table once, the first time it meets that object, and keys its
-    memos by the object's identity after that (FactoredSpace.intern).
+    This constructor alone decides how a table is stored: as bytes, one
+    byte per entry, when every entry is an int in 0..255, and as a tuple
+    otherwise.  A bytes object, and a tuple that cannot be bytes, is kept
+    as it is (a subclass too), so a space can intern it: a space hashes a
+    table once, the first time it meets that object, and keys its memos by
+    the object's identity after that (FactoredSpace.intern).
     """
 
     name: str
     codomain: tuple[str, ...]
-    table: tuple[int, ...]
+    table: bytes | tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.table, tuple):
-            object.__setattr__(self, "table", tuple(self.table))
+        # entries keeps the table as given (an iterator is read once), so a
+        # range error names the entry the caller passed.
+        entries = table = self.table
+        if not isinstance(table, bytes):
+            entries = table = table if isinstance(table, tuple) else tuple(table)
+            try:
+                # bytearray() takes ints in 0..255 only, and from a tuple
+                # it is about twice as fast as bytes(); the copy out is one
+                # memcpy.
+                table = bytes(bytearray(table))
+            except (TypeError, ValueError):
+                pass
+            object.__setattr__(self, "table", table)
         if not self.name:
             raise ValueError("variable name must be a non-empty string")
         if not self.codomain:
@@ -204,17 +217,13 @@ class RandomVariable:
         if len(set(self.codomain)) != len(self.codomain):
             raise ValueError(f"variable {self.name!r} has duplicate codomain labels")
         k = len(self.codomain)
-        table = self.table
-        try:
-            # One C-level pass: bytearray() takes ints in 0..255 only (from a
-            # tuple it is faster than bytes()), and deleting 0..k-1 leaves
-            # exactly the entries outside the codomain.  Any other entry makes
-            # bytearray() raise, and min and max decide.
-            in_range = not bytearray(table).translate(None, bytes(range(min(k, 256))))
-        except (TypeError, ValueError):
-            in_range = not table or (0 <= min(table) and max(table) < k)
+        if isinstance(table, bytes):
+            # Deleting 0..k-1 leaves exactly the entries outside the codomain.
+            in_range = not table.translate(None, bytes(range(min(k, 256))))
+        else:
+            in_range = 0 <= min(table) and max(table) < k
         if not in_range:
-            bad = next(v for v in table if not 0 <= v < k)
+            bad = next(v for v in entries if not 0 <= v < k)
             raise ValueError(
                 f"variable {self.name!r} table entry {bad} outside codomain of {k}"
             )
@@ -238,12 +247,12 @@ class Block:
 
 
 class Record:
-    """The memo key of one interned tuple: the objects equal to it, held."""
+    """The memo key of an interned table or ranks: the equal objects, held."""
 
     __slots__ = ("objects",)
 
     def __init__(self) -> None:
-        self.objects: list[tuple] = []
+        self.objects: list[Sequence[int]] = []
 
 
 class FactoredSpace:
@@ -395,10 +404,10 @@ class FactoredSpace:
             self._bits[i] = cached
         return cached
 
-    def intern(self, t: tuple) -> Record:
-        """The record this space files t's memos under.
+    def intern(self, t: Sequence[int]) -> Record:
+        """The record this space files t's memos under, for a bytes or tuple t.
 
-        The first call for an object hashes it once, so equal tuples share
+        The first call for an object hashes it once, so equal objects share
         one record, and files the object's id; every later call is a lookup
         by id().  The record holds the object, so that id is never reused
         while the space lives.
@@ -473,11 +482,7 @@ def factor_var(space: FactoredSpace, i: int) -> RandomVariable:
 
 def trivial_var(space: FactoredSpace) -> RandomVariable:
     """The constant variable; conditioning on it means not conditioning."""
-    return RandomVariable(
-        name=TRIVIAL_NAME,
-        codomain=(TRIVIAL_LABEL,),
-        table=(0,) * space.outcome_count,
-    )
+    return RandomVariable(TRIVIAL_NAME, (TRIVIAL_LABEL,), bytes(space.outcome_count))
 
 
 _LABEL_ESCAPES = str.maketrans({c: "\\" + c for c in "\\,()"})
@@ -534,11 +539,8 @@ def fold_pair(space: FactoredSpace, xs: Sequence[RandomVariable]) -> RandomVaria
             parts.append(cod[v])
         parts.append(codomains[0][key])
         labels.append("(" + ",".join(reversed(parts)) + ")")
-    return RandomVariable(
-        name="(" + ",".join(x.name for x in xs) + ")",
-        codomain=tuple(labels),
-        table=tuple(table),
-    )
+    name = "(" + ",".join(x.name for x in xs) + ")"
+    return RandomVariable(name=name, codomain=tuple(labels), table=table)
 
 
 def _image(t: Sequence[int]) -> tuple[int, int]:
@@ -745,7 +747,8 @@ def space_from_doc(doc: object) -> tuple[FactoredSpace, dict[str, RandomVariable
     if not isinstance(doc, dict):
         raise FormatError("space document must be a JSON object")
     factors_raw = doc.get("factors")
-    if not isinstance(factors_raw, list) or not factors_raw:
+    # bytes: a digit array as the CLI decodes it, whose items fail below.
+    if not isinstance(factors_raw, (list, bytes)) or not factors_raw:
         raise FormatError("space document needs a non-empty 'factors' list")
     factors = []
     for k, item in enumerate(factors_raw):
@@ -786,13 +789,14 @@ def space_from_doc(doc: object) -> tuple[FactoredSpace, dict[str, RandomVariable
             raise FormatError(
                 f"variables[{name!r}].codomain must be a non-empty list of strings"
             )
-        # One C-level pass counts the plain ints; only a table with other
+        # A bytes table is a digit array as the CLI decodes it.  In a list
+        # one C-level pass counts the plain ints; only a table with other
         # entry types collects them, and int subclasses other than bool pass.
-        if not isinstance(table, list) or (
-            countOf(map(type, table), int) != len(table)
+        if not isinstance(table, bytes) and (
+            not isinstance(table, list)
+            or countOf(map(type, table), int) != len(table)
             and not all(
-                issubclass(t, int) and not issubclass(t, bool)
-                for t in set(map(type, table))
+                issubclass(t, int) and t is not bool for t in set(map(type, table))
             )
         ):
             raise FormatError(f"variables[{name!r}].table must be a list of integers")
@@ -803,7 +807,7 @@ def space_from_doc(doc: object) -> tuple[FactoredSpace, dict[str, RandomVariable
             )
         try:
             variables[name] = RandomVariable(
-                name=name, codomain=tuple(codomain), table=tuple(table)
+                name=name, codomain=tuple(codomain), table=table
             )
         except ValueError as exc:
             raise FormatError(str(exc)) from None

@@ -184,7 +184,7 @@ def gen_random_variable(
     return RandomVariable(
         name=name if name is not None else f"v{index}",
         codomain=tuple(str(v) for v in range(k)),
-        table=tuple(rng.randrange(k) for _ in range(space.outcome_count)),
+        table=(rng.randrange(k) for _ in range(space.outcome_count)),
     )
 
 
@@ -257,7 +257,7 @@ def check_history_laws(
         for i in IndexSet(mask, n):
             size = space.factors[i].size
             keys = list(map(add, map(size.__mul__, keys), space.digits(i)))
-        return RandomVariable(name="U_J", codomain=key_labels, table=tuple(keys))
+        return RandomVariable(name="U_J", codomain=key_labels, table=keys)
 
     xy = pair_var(space, x, y)
     f_size = rng.randint(1, len(y.codomain))
@@ -265,7 +265,7 @@ def check_history_laws(
     post_y = RandomVariable(
         name="f(y)",
         codomain=tuple(str(v) for v in range(f_size)),
-        table=tuple(f_map[v] for v in y.table),
+        table=map(f_map.__getitem__, y.table),
     )
     j_removal = rng.randrange(1 << n)
     j_null = rng.randrange(1 << n)

@@ -113,6 +113,15 @@ def oracle_range_error(name: str, k: int, table) -> str | None:
     return None
 
 
+def oracle_stored_table(table):
+    """The table as RandomVariable stores it: bytes when every entry is an
+    int in 0..255, a tuple otherwise."""
+    entries = tuple(table)
+    if all(isinstance(v, int) and 0 <= v < 256 for v in entries):
+        return bytes(entries)
+    return entries
+
+
 def oracle_table_is_ints(table) -> bool:
     """A list whose entry types are int or its subclasses other than bool."""
     return isinstance(table, list) and all(

@@ -93,7 +93,7 @@ def test_semigraphoid_axioms_on_every_partition_quadruple(sizes):
         for k, s in enumerate(restricted_growth_strings(space.outcome_count))
     ]
     n = len(variables)
-    index = {v.table: k for k, v in enumerate(variables)}
+    index = {growth_string(v.table): k for k, v in enumerate(variables)}
     ind = {
         t: structurally_independent(space, *(variables[k] for k in t)).independent
         for t in product(range(n), repeat=3)

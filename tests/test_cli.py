@@ -401,6 +401,30 @@ def test_malformed_tables_keep_their_messages(capsys, tmp_path, table, message):
             )
 
 
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        (("atoms",), {"factors": [1, 2]}, "factors[0] must be an object"),
+        (("dsep", "A", "B"), {"nodes": [1, 2]}, "nodes[0] must be an object"),
+        (
+            ("dsep", "A", "B"),
+            {"nodes": [{"name": "A", "domain": 2}], "edges": [1, 2]},
+            "edges[0] must be a [parent, child] pair of strings",
+        ),
+    ],
+)
+def test_malformed_digit_lists_keep_their_messages(capsys, tmp_path, command, doc, message):
+    # A long compact table first opens the decoder's gate, which reads the
+    # list of digits as bytes; the message is the one json.loads gives.
+    path = tmp_path / "bad.json"
+    doc = {"w": {"table": [0] * DIGIT_PATH_MIN_CHARS}, **doc}
+    for separators in SEPARATORS:
+        path.write_text(json.dumps(doc, separators=separators))
+        assert run_cli(capsys, command[0], str(path), *command[1:]) == (
+            2, "", f"error: {message}\n"
+        )
+
+
 def test_malformed_table_at_the_cap_is_rejected_promptly(capsys, tmp_path):
     n = 10**6
     path = tmp_path / "big.json"

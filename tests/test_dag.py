@@ -280,7 +280,7 @@ def test_embedding_matches_per_outcome_oracle(dag):
     emb = embed_dag(dag, max_outcomes=EMBED_CAP)
     assert emb.space.outcome_count == size
     expected = oracle_embed_tables(dag)
-    assert {v: x.table for v, x in emb.node_vars.items()} == expected
+    assert {v: tuple(x.table) for v, x in emb.node_vars.items()} == expected
     # embed -o writes the compact, key-sorted document plus one newline.
     doc = space_to_doc(emb.space, {x.name: x for x in emb.node_vars.values()})
     text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"

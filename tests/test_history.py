@@ -491,35 +491,39 @@ def test_history_memo_scans_each_block_and_table_once(monkeypatch):
 
 
 def test_memo_lookups_hash_each_table_and_block_once():
-    # Tables and block ranks of a tuple subclass that counts its hashes and
-    # equality tests.  After the first time a space meets an object, every
-    # memo finds it by identity, so no call hashes it again.
+    # Tables (bytes) and block ranks (tuples) of subclasses that count their
+    # hashes and equality tests.  After the first time a space meets an
+    # object, every memo finds it by identity, so no call hashes it again.
     hashes, equalities = Counter(), Counter()
 
-    class Counted(tuple):
-        def __hash__(self):
-            hashes[id(self)] += 1
-            return tuple.__hash__(self)
+    def counting(base):
+        class Counted(base):
+            def __hash__(self):
+                hashes[id(self)] += 1
+                return base.__hash__(self)
 
-        def __eq__(self, other):
-            equalities[id(self)] += 1
-            return tuple.__eq__(self, other)
+            def __eq__(self, other):
+                equalities[id(self)] += 1
+                return base.__eq__(self, other)
 
+        return Counted
+
+    CountedTable, CountedRanks = counting(bytes), counting(tuple)
     space = make_space(3, 2, 3, 2)
     rng = random.Random("hash-count")
 
     def counted(name, ids):
         v = function_of(space, name, ids, 3, rng)
-        return RandomVariable(v.name, v.codomain, Counted(v.table))
+        return RandomVariable(v.name, v.codomain, CountedTable(v.table))
 
     x, y = counted("x", [0, 1, 3]), counted("y", [1, 2])
-    twin = RandomVariable("twin", x.codomain, Counted(x.table))
+    twin = RandomVariable("twin", x.codomain, CountedTable(x.table))
     # z reads two factors, so its blocks are lifted from its grid; w reads
     # every factor.
     z, w = counted("z", [0, 2]), counted("w", [0, 1, 2, 3])
-    assert type(x.table) is Counted and twin.table is not x.table
+    assert type(x.table) is CountedTable and twin.table is not x.table
     blocks = [
-        Block(c.label, Counted(c.ranks))
+        Block(c.label, CountedRanks(c.ranks))
         for conditioner in (z, w, None)
         for c in blocks_of(space, conditioner).values()
     ]

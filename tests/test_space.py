@@ -42,9 +42,11 @@ from facthist import (
     pair_var,
     space_from_doc,
     space_to_doc,
+    structurally_independent,
     support,
     trivial_var,
 )
+from facthist.distributions import _CiQuery
 from facthist.space import OUTCOME_CAP_ENV
 
 from helpers import function_of, make_space, make_var, xor_bundle
@@ -52,6 +54,7 @@ from oracles import (
     oracle_fold_pair,
     oracle_history,
     oracle_range_error,
+    oracle_stored_table,
     oracle_support,
     oracle_table_is_ints,
 )
@@ -91,8 +94,8 @@ def test_factor_var_projects_coordinates():
     space = make_space(2, 3)
     u0 = factor_var(space, 0)
     u1 = factor_var(space, 1)
-    assert u0.table == (0, 0, 0, 1, 1, 1)
-    assert u1.table == (0, 1, 2, 0, 1, 2)
+    assert u0.table == bytes([0, 0, 0, 1, 1, 1])
+    assert u1.table == bytes([0, 1, 2, 0, 1, 2])
     assert u0.codomain == ("0", "1")
     with pytest.raises(UnknownFactorError):
         factor_var(space, 2)
@@ -135,7 +138,7 @@ def test_pair_var_attained_codomain():
     space, u0, u1, xor = xor_bundle()
     both = pair_var(space, u0, u1)
     assert len(both.codomain) == 4
-    assert both.table == (0, 1, 2, 3)
+    assert both.table == bytes([0, 1, 2, 3])
     same = pair_var(space, u0, u0)
     assert len(same.codomain) == 2
     const = make_var(space, "c", 1, [0, 0, 0, 0])
@@ -277,17 +280,81 @@ def test_intern_files_equal_tuples_under_one_record():
     assert record.objects == [a, b] and record.objects[1] is b
 
 
-def test_tables_are_stored_as_tuples():
+def test_tables_are_stored_as_bytes_or_tuples():
     # A space interns tables by hashing them once, so a list table must not
-    # reach it.
+    # reach it: entries that fit a byte are stored as bytes, others as a
+    # tuple.
     space = make_space(2, 2, 2)
     z = RandomVariable(name="z", codomain=("0", "1"), table=[0, 1] * 4)
     x = RandomVariable(name="x", codomain=("0", "1"), table=[0] * 4 + [1] * 4)
-    assert type(z.table) is tuple and z == make_var(space, "z", 2, z.table)
+    assert type(z.table) is bytes and z == make_var(space, "z", 2, z.table)
     assert support(space, z) == 0b100  # bit i is factor i; z reads u2
     assert [history(space, c, x) for c in blocks_of(space, z).values()] == [
         IndexSet(0b001, 3)
     ] * 2
+    w = RandomVariable(name="w", codomain=tuple(map(str, range(300))), table=[0, 299] * 4)
+    assert type(w.table) is tuple and w.table == (0, 299) * 4
+    assert support(space, w) == 0b100
+
+
+# Monotone labels of the values 0..3 past one byte, as codomain indices.
+_WIDE = (0, 1, 256, 299)
+
+
+def _observed(x: RandomVariable, sizes, y: RandomVariable, w: RandomVariable, vecs):
+    """Every answer that reads x's table, on a fresh space: x's support and
+    blocks, the histories and verdicts with x in each role, and the cell
+    sums of the CI queries with x as a variable and as the conditioner."""
+    space = make_space(*sizes)
+    z_blocks = blocks_of(space, w).values()
+    x_blocks = blocks_of(space, x)
+    return (
+        support(space, x),
+        x_blocks,
+        [history(space, c, x) for c in z_blocks],
+        [history(space, c, y) for c in x_blocks.values()],
+        structurally_independent(space, x, y, w),
+        structurally_independent(space, y, w, x),
+        _CiQuery(space, x, y, w).cell_sums(vecs),
+        _CiQuery(space, y, w, x).cell_sums(vecs),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_tables_in_every_form_give_the_same_answers(data):
+    # One table as bytes, tuple, list and generator, and again with its
+    # values moved past one byte (no bytes form): every form is stored
+    # alike, shares one interned record, and every answer equals that of
+    # the first form.
+    sizes = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    space = make_space(*sizes)
+    n = space.outcome_count
+    table = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    rng = random.Random(data.draw(st.integers()))
+    ids = range(space.factor_count)
+    y = function_of(space, "y", sorted(rng.sample(ids, rng.randint(0, len(ids)))), 3, rng)
+    w = function_of(space, "w", sorted(rng.sample(ids, rng.randint(0, len(ids)))), 2, rng)
+    vecs = [[rng.randint(1, 9) for _ in range(size)] for size in sizes]
+    wide_labels = [f"w{v}" for v in range(300)]
+    for v in range(4):
+        wide_labels[_WIDE[v]] = str(v)
+    groups = [
+        (("0", "1", "2", "3"), table, bytes),
+        (tuple(wide_labels), [_WIDE[v] for v in table], bytes if max(table) < 2 else tuple),
+    ]
+    answers = None
+    for codomain, values, kind in groups:
+        forms = [tuple(values), list(values), iter(values)]
+        if kind is bytes:
+            forms.append(bytes(values))
+        xs = [RandomVariable("x", codomain, form) for form in forms]
+        assert all(type(x.table) is kind and x == xs[0] for x in xs)
+        assert len({id(space.intern(x.table)) for x in xs}) == 1
+        for x in xs:
+            got = _observed(x, sizes, y, w, vecs)
+            answers = answers or got
+            assert got == answers
 
 
 @settings(max_examples=80, deadline=None)
@@ -464,7 +531,9 @@ def _assert_range_check(k, table):
     want = oracle_range_error("x", k, table)
     codomain = tuple(map(str, range(k)))
     if want is None:
-        assert RandomVariable("x", codomain, table).table == table
+        stored = RandomVariable("x", codomain, table).table
+        expected = oracle_stored_table(table)
+        assert type(stored) is type(expected) and stored == expected
     else:
         with pytest.raises(ValueError) as err:
             RandomVariable("x", codomain, table)
@@ -515,7 +584,8 @@ def test_space_doc_tables_match_the_type_and_range_scans(data):
     else:
         want = oracle_range_error("x", k, table)
     if want is None:
-        assert space_from_doc(doc)[1]["x"].table == tuple(table)
+        stored = space_from_doc(doc)[1]["x"].table
+        assert type(stored) is bytes and stored == oracle_stored_table(table)
     else:
         with pytest.raises(FormatError) as err:
             space_from_doc(doc)

@@ -85,8 +85,8 @@ def _digit_array(s: str, end: int) -> tuple[bytes, int] | None:
 
 
 class _DigitTableDecoder(json.JSONDecoder):
-    """Decodes as json.loads does, but reads digit arrays by _digit_array,
-    as bytes where json.loads gives a list of ints.
+    """Decodes as json.loads does, but reads a "table" key's array of digits
+    by _digit_array, as bytes where json.loads gives a list of ints.
 
     Objects are parsed by the pure-Python ``json.decoder.JSONObject`` with
     this scanner, so every array that sits in objects only is seen here.
@@ -108,7 +108,8 @@ class _DigitTableDecoder(json.JSONDecoder):
             return self.parse_object(
                 (s, idx + 1), self.strict, self.scan_once, None, None, self.memo
             )
-        if char == "[":
+        # After '{' or ',' a '"' opens a key (a quote inside a key is escaped).
+        if char == "[" and s[idx - 9 : idx] in ('{"table":', ',"table":'):
             found = _digit_array(s, idx + 1)
             if found is not None:
                 return found

@@ -295,8 +295,7 @@ def dag_from_doc(doc: object) -> Dag:
     if not isinstance(doc, dict):
         raise FormatError("DAG document must be a JSON object")
     nodes_raw = doc.get("nodes")
-    # bytes: a digit array as the CLI decodes it, whose items fail below.
-    if not isinstance(nodes_raw, (list, bytes)) or not nodes_raw:
+    if not isinstance(nodes_raw, list) or not nodes_raw:
         raise FormatError("DAG document needs a non-empty 'nodes' list")
     nodes = []
     for k, item in enumerate(nodes_raw):
@@ -310,7 +309,7 @@ def dag_from_doc(doc: object) -> Dag:
             raise FormatError(f"nodes[{k}].domain must be an integer")
         nodes.append((name, dom))
     edges_raw = doc.get("edges", [])
-    if not isinstance(edges_raw, (list, bytes)):
+    if not isinstance(edges_raw, list):
         raise FormatError("'edges' must be a list")
     edges = []
     for k, item in enumerate(edges_raw):

@@ -651,7 +651,6 @@ def structural_time_leq(
     z: RandomVariable | None = None,
 ) -> bool:
     """Is history(x) contained in history(y) on every block of z?"""
-    for block in blocks_of(space, z).values():
-        if not history(space, block, x).issubset(history(space, block, y)):
-            return False
-    return True
+    hx = conditional_history(space, x, z).per_block
+    hy = conditional_history(space, y, z).per_block
+    return all(h.issubset(hy[label]) for label, h in hx.items())

@@ -367,20 +367,22 @@ class FactoredSpace:
                 f"factor id {i} outside space with {len(self.factors)} factors"
             )
 
-    def digits(self, i: int) -> tuple[int, ...]:
-        """Coordinate of factor i in every outcome, indexed by rank."""
+    def digits(self, i: int) -> bytes | tuple[int, ...]:
+        """Coordinate of factor i in every outcome, indexed by rank, typed
+        as RandomVariable stores it: bytes up to 256 values, else a tuple."""
         self._check_factor(i)
         cached = self._digits.get(i)
         if cached is None:
-            # Factor i holds each value for `stride` consecutive ranks, and
-            # the period of size * stride ranks repeats.  Both steps run in
-            # C: range and repeat build the period, tuple repetition the
-            # column.
+            # Each value holds for `stride` consecutive ranks, and the period
+            # of size * stride ranks repeats, by one C-level repetition.
             stride, size = self._strides[i], self.factors[i].size
-            values = range(size)
-            if stride > 1:
-                values = chain.from_iterable(map(repeat, values, repeat(stride, size)))
-            period = tuple(values)
+            if size <= 256:
+                period = b"".join([bytes((v,)) * stride for v in range(size)])
+            else:
+                values = range(size)
+                if stride > 1:
+                    values = chain.from_iterable(map(repeat, values, repeat(stride, size)))
+                period = tuple(values)
             cached = period * (self.outcome_count // len(period))
             self._digits[i] = cached
         return cached
@@ -747,8 +749,7 @@ def space_from_doc(doc: object) -> tuple[FactoredSpace, dict[str, RandomVariable
     if not isinstance(doc, dict):
         raise FormatError("space document must be a JSON object")
     factors_raw = doc.get("factors")
-    # bytes: a digit array as the CLI decodes it, whose items fail below.
-    if not isinstance(factors_raw, (list, bytes)) or not factors_raw:
+    if not isinstance(factors_raw, list) or not factors_raw:
         raise FormatError("space document needs a non-empty 'factors' list")
     factors = []
     for k, item in enumerate(factors_raw):

@@ -401,6 +401,40 @@ def test_malformed_tables_keep_their_messages(capsys, tmp_path, table, message):
             )
 
 
+U0 = {"name": "u0", "domain": ["0", "1"]}
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        (("atoms",), {"factors": [U0], "variables": []}, "'variables' must be an object"),
+        (
+            ("history", "--var", "u0"),
+            {"factors": [U0], "variables": {"X": [0, 1]}},
+            "variables['X'] must be an object",
+        ),
+        (("atoms",), {"factors": [U0, U0]}, "factor names must be unique"),
+        (
+            ("atoms",),
+            {"factors": [{"name": "u", "domain": ["0", "0"]}]},
+            "factor 'u' has duplicate domain labels",
+        ),
+        (
+            ("dsep", "A", "B"),
+            {"nodes": [{"name": "A", "domain": 2}], "edges": {}},
+            "'edges' must be a list",
+        ),
+    ],
+)
+def test_malformed_documents_keep_their_messages(capsys, tmp_path, command, doc, message):
+    path = tmp_path / "bad.json"
+    for separators in SEPARATORS:
+        path.write_text(json.dumps(doc, separators=separators))
+        assert run_cli(capsys, command[0], str(path), *command[1:]) == (
+            2, "", f"error: {message}\n"
+        )
+
+
 @pytest.mark.parametrize(
     "command, doc, message",
     [

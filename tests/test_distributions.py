@@ -24,7 +24,9 @@ from facthist import (
     IdentityReport,
     IndependenceVerdict,
     IndexSet,
+    InvalidOutcomeError,
     PerturbationError,
+    PerturbationPair,
     PreconditionError,
     ProductDistribution,
     RandomVariable,
@@ -298,6 +300,67 @@ def test_distribution_doc_roundtrip():
         distribution_from_doc([])
     with pytest.raises(FormatError):
         distribution_from_doc({"per_factor": [["x/y"]]})
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([], "distribution document must be a JSON object"),
+        ({}, "distribution document needs a non-empty 'per_factor' list"),
+        ({"per_factor": []}, "distribution document needs a non-empty 'per_factor' list"),
+        ({"per_factor": [["1/2", "1/2"], []]}, r"per_factor\[1\] must be a non-empty list"),
+        ({"per_factor": ["1/2"]}, r"per_factor\[0\] must be a non-empty list"),
+        ({"per_factor": [[0.5, 0.5]]}, r"per_factor\[0\] entries must be 'num/den' strings"),
+        ({"per_factor": [["1/0"]]}, r"per_factor\[0\] entry '1/0' is not a rational"),
+    ],
+)
+def test_distribution_doc_shape_errors(doc, message):
+    with pytest.raises(FormatError, match=f"^{message}$"):
+        distribution_from_doc(doc)
+
+
+def test_direct_perturbation_pairs_are_checked():
+    half, third = (F(1, 2), F(1, 2)), (F(1, 3), F(2, 3))
+    base = ProductDistribution((half, half))
+    cases = [
+        (ProductDistribution((half,)), 0, "base and perturbed have different factor counts"),
+        (ProductDistribution((half, third)), 2, "factor index 2 out of range"),
+        (ProductDistribution((half, third)), -1, "factor index -1 out of range"),
+        (
+            ProductDistribution((half, (F(1, 3),) * 3)),
+            1,
+            "factor 1 vectors have different lengths",
+        ),
+        (
+            ProductDistribution((third, third)),
+            1,
+            "vectors differ at factor 0, expected differences only at factor 1",
+        ),
+        (
+            ProductDistribution((half, (F(0), F(1)))),
+            1,
+            "perturbation pairs must be strictly positive",
+        ),
+    ]
+    for perturbed, factor, message in cases:
+        with pytest.raises(PerturbationError, match=f"^{message}$"):
+            PerturbationPair(base, perturbed, factor)
+    assert PerturbationPair(base, ProductDistribution((half, third)), 1).factor == 1
+
+
+def test_empty_vectors_and_bad_outcomes_are_rejected():
+    with pytest.raises(ValueError, match="^factor 1 has an empty probability vector$"):
+        ProductDistribution(((F(1),), ()))
+    p = ProductDistribution(((F(1, 2), F(1, 2)), (F(1),)))
+    with pytest.raises(
+        InvalidOutcomeError, match="^outcome has 1 coordinates, distribution has 2$"
+    ):
+        outcome_prob(p, (0,))
+    for o, v, size in (((2, 0), 2, 2), ((0, 1), 1, 1), ((-1, 0), -1, 2)):
+        with pytest.raises(
+            InvalidOutcomeError, match=f"^coordinate {v} outside a domain of {size}$"
+        ):
+            outcome_prob(p, o)
 
 
 def _random_ids(space, rng):

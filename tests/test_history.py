@@ -427,6 +427,32 @@ def test_structural_time_on_parity():
     assert structural_time_leq(space, xor, u0, xor)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_structural_time_matches_subset_enumeration(data):
+    # y is at times the pair of x and another variable, so the order holds;
+    # when z leaves out a factor and neither x nor y reads one of z's, the
+    # comparison reads the supports and builds no block.
+    sizes = data.draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
+    space = make_space(*sizes)
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    ids = st.sets(st.sampled_from(range(len(sizes))))
+    z = function_of(space, "z", sorted(data.draw(ids)), data.draw(st.integers(1, 3)), rng)
+    x, y = (function_of(space, name, sorted(data.draw(ids)), 3, rng) for name in "xy")
+    if data.draw(st.booleans()):
+        y = pair_var(space, x, y)
+    read = support(space, z)
+    off = read != space._free and not (support(space, x) | support(space, y)) & read
+    leq = structural_time_leq(space, x, y, z)
+    if off:
+        assert space._blocks == {} and space._atoms == {}
+    fresh = make_space(*sizes)
+    assert leq == all(
+        oracle_history(fresh, c, x) <= oracle_history(fresh, c, y)
+        for c in blocks_of(fresh, z).values()
+    )
+
+
 def test_history_rejects_foreign_variables():
     space = make_space(2, 2)
     foreign = make_var(make_space(2, 3), "x", 2, [0] * 6)

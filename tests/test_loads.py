@@ -1,12 +1,13 @@
 """The space-file loader against json.loads.
 
-``cli._loads`` reads arrays of single digits joined by bare commas in a few
-C-level passes, as bytes, when the first compact table key and its array
-span at least ``DIGIT_PATH_MIN_CHARS`` characters.  Whatever the text, it
-must return what json.loads returns (bools stay bools), with bytes only
-where json.loads gives a list of the ints 0 to 9, or raise the same
-exception with the same message, and the fast path must take every compact
-table and nothing else.
+``cli._loads`` reads the compact array of a "table" key, when it holds
+single digits joined by bare commas, in a few C-level passes, as bytes,
+once the first compact table key and its array span at least
+``DIGIT_PATH_MIN_CHARS`` characters.  Whatever the text, it must return
+what json.loads returns (bools stay bools), with bytes only as the value of
+a "table" key where json.loads gives a list of the ints 0 to 9, or raise
+the same exception with the same message, and the fast path must take
+every compact table and nothing else.
 """
 
 from __future__ import annotations
@@ -22,16 +23,17 @@ from facthist import Factor, FactoredSpace, RandomVariable, cli, space_from_doc
 from facthist.cli import DIGIT_PATH_MIN_CHARS, _DigitTableDecoder, _loads
 
 
-def _as_lists(value, want):
+def _as_lists(value, want, key=None):
     """value with each bytes object as a list of its ints, after checking
-    that want, what json.loads returned, has a list of the ints 0 to 9
-    there."""
+    that the bytes are the value of a "table" key and that want, what
+    json.loads returned, has a list of the ints 0 to 9 there."""
     if isinstance(value, bytes):
+        assert key == "table"
         assert type(want) is list and all(type(v) is int and 0 <= v <= 9 for v in want)
         return list(value)
     if isinstance(value, dict):
         want = want if isinstance(want, dict) else {}
-        return {k: _as_lists(v, want.get(k)) for k, v in value.items()}
+        return {k: _as_lists(v, want.get(k), k) for k, v in value.items()}
     if isinstance(value, list):
         want = want if isinstance(want, list) and len(want) == len(value) else [None] * len(value)
         return [_as_lists(v, w) for v, w in zip(value, want)]
@@ -90,6 +92,24 @@ def test_fixed_cases_load_like_json():
         assert_loads_like_json(fragment)
         assert_loads_like_json(_gated(fragment))
     assert _loads(_gated("[1,2]"))["variables"]["x"]["table"] == bytes([1, 2])
+
+
+def test_digit_arrays_under_other_keys_load_as_lists():
+    # Above the size gate, so the decoder reads every object; only a key
+    # exactly "table" takes the digit path, and bytes stand nowhere else.
+    zeros = ",".join("0" * DIGIT_PATH_MIN_CHARS)
+    w = f'"w":{{"table":[{zeros}]}}'
+    for text in (
+        f'{{{w},"factors":[1,2,3]}}',
+        f'{{{w},"factors":[{{"name":"u","domain":[0,1]}}]}}',
+        f'{{"variables":{{{w},"x":{{"codomain":[0,1],"table":[0,1]}}}}}}',
+        f'{{{w},"nodes":[4,5],"edges":[6,7]}}',
+        f'{{{w},"my\\"table":[1,2]}}',
+        f'{{{w},"xtable":[1,2],"table ":[3]}}',
+        "[1,2,3]",
+        f"[{zeros}]",
+    ):
+        assert_loads_like_json(text)
 
 
 def test_digit_array_reads_only_a_whole_digit_array():

@@ -225,7 +225,31 @@ def test_digit_tables_match_the_mixed_radix_definition():
         for i, size in enumerate(sizes):
             stride = space.stride(i)
             want = tuple((r // stride) % size for r in range(space.outcome_count))
-            assert space.digits(i) == want
+            assert tuple(space.digits(i)) == want
+
+
+def test_factor_columns_are_stored_tables_handed_over_as_they_are():
+    # A column is bytes up to 256 values and a tuple past that, as
+    # RandomVariable stores a table, so factor_var passes the memoized
+    # column itself on every call.
+    for sizes in ((2, 3, 4), (256, 2), (257,), (10**5,)):
+        space = make_space(*sizes)
+        for i, size in enumerate(sizes):
+            assert type(space.digits(i)) is (bytes if size <= 256 else tuple)
+            assert space.digits(i) is space.digits(i)
+            assert factor_var(space, i).table is factor_var(space, i).table
+            assert factor_var(space, i).table is space.digits(i)
+    # At 2**18 binary outcomes one call holds the 0.26 MB column, not an
+    # eight-byte tuple slot per entry beside a bytes copy (2.3 MB).
+    space = make_space(*[2] * 18)
+    tracemalloc.start()
+    try:
+        var = factor_var(space, 0)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert var.table == bytes(2**17) + b"\1" * 2**17
+    assert held <= 0.4e6
 
 
 # Codomain labels for values up to 2**16 + 1.
@@ -451,6 +475,20 @@ def test_validation_of_building_blocks():
         FactoredSpace([])
     with pytest.raises(ValueError):
         FactoredSpace([Factor("u", ("0",)), Factor("u", ("0",))])
+
+
+@pytest.mark.parametrize(
+    "name, codomain, message",
+    [
+        ("", ("0", "1"), "variable name must be a non-empty string"),
+        ("x", (), "variable 'x' must have a non-empty codomain"),
+        ("x", ("a", "b", "a"), "variable 'x' has duplicate codomain labels"),
+    ],
+)
+def test_variable_names_and_codomains_are_checked(name, codomain, message):
+    for table in ((0, 1), bytes((0, 1)), [0, 1]):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            RandomVariable(name=name, codomain=codomain, table=table)
 
 
 @pytest.mark.parametrize("ranks", [(1, 1), (0, 2, 2), (2, 1), (0, 3, 1), (0, 1, 2, 0)])

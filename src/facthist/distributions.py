@@ -16,11 +16,11 @@ Sampled distributions stay integers until one is reported.  _draw_ints
 draws a vector's numerators on 1..101; sample_vector normalizes one draw,
 and _sample_ints returns one per factor, the numerators of sample_product,
 which find_witness and the duality suite use directly.  verify_soundness
-draws each chunk of samples, one fresh generator per sample, into one
-bytes buffer (_draw_chunk); _sample_ints is a chunk of one.  find_witness
-builds Fractions only for the sample it returns.  _shifts is the one
-test of whether a conditional moved between two distributions, over
-_block_marginal rows, which also raise on a zero-mass block.
+draws each chunk of samples into one bytes buffer by one generator,
+reseeded per sample (_draw_chunk); _sample_ints is a chunk of one.
+find_witness builds Fractions only for the sample it returns.  _shifts is
+the one test of whether a conditional moved between two distributions,
+over _block_marginal rows, which also raise on a zero-mass block.
 
 A CI check of x and y given z is a prepared query, run on a quotient of
 the space (see _CiQuery).  Setting it up costs O(n * |Omega|) once for n
@@ -45,11 +45,11 @@ weights.  Each distribution then costs the expansion of each lump's
 factors with one C-level sum per class, an O(|Q| / T) expansion of the
 head weights times K, one C-level sum per part over O(|Q|) weights in
 all, and one product by a tail weight per part.  Block totals and the x
-and y marginals come from the cell sums.  A block holds when every
-attained cell satisfies P(x=a, y=b, C) * P(C) = P(x=a, C) * P(y=b, C),
-which costs O(cells) (the unattained pairs then follow, see
-_CiQuery.check_ints); only a failing block compares all |x| * |y| value
-pairs to report the first violation in x-major order.
+and y marginals come from the cell sums.  A block holds when every value
+pair satisfies P(x=a, y=b, C) * P(C) = P(x=a, C) * P(y=b, C), and the
+(kx - 1)(ky - 1) pairs off its last attained x-value and y-value decide
+the rest (_block_tests); only a failing block compares all |x| * |y|
+value pairs to report the first violation in x-major order.
 Every cell sum equals the sum over the whole space, so verdicts, reports
 and zero-mass blocks are those of the unreduced check.  verify_soundness
 and find_witness prepare the query once for all of their samples.
@@ -61,8 +61,8 @@ with one integer per sample, the unit weight is a lane of ones, and each
 product and sum is a C-level map over lanes.  The chunk's buffer holds m
 numerators per sample, so numerator j of every sample is the strided slice
 buf[j::m], and those slices are the pass's input lanes.  The marginals and
-the cross-multiplied test are maps over lanes too, so the Python-level cost
-of a check is paid once per chunk, not once per sample.
+the cross-multiplied tests of check_ints are maps over lanes too, so the
+Python-level cost of a check is paid once per chunk, not once per sample.
 The pass only says whether every sample holds on every block with none of
 zero mass; if not, the buffer is split into per-sample vectors and each
 is checked again by check_ints, the one code that builds a CiReport, so
@@ -86,7 +86,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
-from itertools import chain, cycle, islice, repeat
+from itertools import islice, repeat
 from operator import add, mul
 from typing import Callable, Sequence
 
@@ -99,7 +99,6 @@ from .errors import (
     UnknownFactorError,
 )
 from .history import (
-    Picker,
     _picker,
     conditional_history,
     structurally_independent,
@@ -288,6 +287,12 @@ def _draw_tables(top: int) -> tuple[bytes, bytes]:
     return table, redrawn
 
 
+def _draw_round(rng: random.Random, words: int) -> bytes:
+    """The numerators _draw_ints keeps from the next `words` 32-bit words of rng."""
+    tops = rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
+    return tops.translate(*_draw_tables(SAMPLE_GRID_MAX))
+
+
 def _draw_ints(rng: random.Random, size: int) -> list[int]:
     """size numerators drawn uniformly from 1..SAMPLE_GRID_MAX, in order.
 
@@ -298,13 +303,9 @@ def _draw_ints(rng: random.Random, size: int) -> list[int]:
     exactly the missing count, so no word after the last kept one is drawn
     and rng ends in randint's state.
     """
-    table, redrawn = _draw_tables(SAMPLE_GRID_MAX)
     out = b""
     while len(out) < size:
-        m = size - len(out)
-        out += rng.getrandbits(32 * m).to_bytes(4 * m, "little")[3::4].translate(
-            table, redrawn
-        )
+        out += _draw_round(rng, size - len(out))
     return list(out)
 
 
@@ -316,10 +317,24 @@ def sample_vector(rng: random.Random, size: int) -> tuple[Fraction, ...]:
 def _draw_chunk(space: FactoredSpace, seeds: Sequence[int]) -> bytes:
     """The numerators of sample_product(space, s) for each s in seeds, in one buffer.
 
-    Sample after sample, each sample's factor vectors in factor order.
+    Sample after sample, each sample's factor vectors in factor order.  One
+    generator, built from the first seed and reseeded with each later one
+    (an int seed gives random.Random(s)'s state), draws one round per sample
+    with headroom for the rejected words, about 27 in 128; a shortfall takes
+    more rounds, and numerators past the sample's size are dropped, since
+    the generator is private to the call.
     """
     size = sum(f.size for f in space.factors)
-    return b"".join([bytes(_draw_ints(random.Random(s), size)) for s in seeds])
+    rng = random.Random(seeds[0]) if seeds else None
+    out = []
+    for i, s in enumerate(seeds):
+        if i:
+            rng.seed(s)
+        nums = _draw_round(rng, size + size // 3 + 4)
+        while len(nums) < size:
+            nums += _draw_round(rng, size)
+        out.append(nums[:size])
+    return b"".join(out)
 
 
 def _per_sample(space: FactoredSpace, buf: Sequence[int]) -> list[list[list[int]]]:
@@ -482,31 +497,24 @@ def cond_table(
     return out
 
 
-def _margins(
+def _block_tests(
     refs: Sequence[tuple[int, int, int]],
-) -> tuple[Picker, list[Picker], list[Picker], Picker, Picker]:
-    """Getters that read a block's margins off the list of cell sums.
+) -> list[tuple[int, int, int | None]]:
+    """The value pairs whose cross-multiplied test decides a block.
 
-    refs holds (x-value, y-value, cell index) per attained cell.  The first
-    getter picks those cells' sums in refs order; from that list each row
-    getter picks the cells of one attained x-value and each column getter
-    those of one y-value.  The last two pick each cell's row and column
-    from the lists of row and column sums.
+    refs holds (x-value, y-value, cell index) per attained cell.  The pairs
+    are those off the last attained x-value and y-value, each with its cell
+    index, or None when unattained (joint weight 0).  Rows sum to wx[a] and
+    columns to wy[b], so joint * total == wx[a] * wy[b] on these pairs
+    forces it on the last attained column, then on the last attained row,
+    and an unattained value has margin 0.  Nothing divides or uses signs,
+    so this holds with zero weights; a block of total 0 passes every test
+    and is caught apart.
     """
-    rows: dict[int, list[int]] = {}
-    cols: dict[int, list[int]] = {}
-    for j, (a, b, _) in enumerate(refs):
-        rows.setdefault(a, []).append(j)
-        cols.setdefault(b, []).append(j)
-    row = {a: i for i, a in enumerate(rows)}
-    col = {b: i for i, b in enumerate(cols)}
-    return (
-        _picker([k for _, _, k in refs]),
-        list(map(_picker, rows.values())),
-        list(map(_picker, cols.values())),
-        _picker([row[a] for a, _, _ in refs]),
-        _picker([col[b] for _, b, _ in refs]),
-    )
+    cell = {(a, b): k for a, b, k in refs}
+    xs = sorted({a for a, _, _ in refs})[:-1]
+    ys = sorted({b for _, b, _ in refs})[:-1]
+    return [(a, b, cell.get((a, b))) for a in xs for b in ys]
 
 
 class _CiQuery:
@@ -542,8 +550,8 @@ class _CiQuery:
     """
 
     __slots__ = (
-        "space", "x", "y", "factors", "sizes", "unread", "lumps", "kept",
-        "head", "order", "parts", "tails", "cells", "blocks", "lanes", "margins",
+        "space", "x", "y", "factors", "sizes", "unread", "lumps", "kept", "head",
+        "order", "parts", "tails", "cells", "blocks", "tests", "lanes", "margins",
     )
 
     def __init__(
@@ -651,6 +659,7 @@ class _CiQuery:
         self.parts = None if all(len(part) == 1 for part in heads) else _runs(heads)
         labels = (TRIVIAL_LABEL,) if z is None else z.codomain
         self.blocks = [(labels[c], grouped[c]) for c in sorted(grouped)]
+        self.tests = [_block_tests(refs) for _, refs in self.blocks]
         # The most samples one all_hold pass may carry: lanes times the
         # longest list of weights it expands (the head, or a lump's grid)
         # stay within |Omega|, the weights of one unreduced check, or within
@@ -659,7 +668,7 @@ class _CiQuery:
         for ids, _, _ in lumps:
             longest = max(longest, math.prod(sizes[i] for i in ids))
         self.lanes = max(1, max(space.outcome_count, LANE_WEIGHTS) // longest)
-        self.margins: list | None = None  # per block, _margins; built by all_hold
+        self.margins: list | None = None  # per block, built by all_hold
 
     def check(self, p: ProductDistribution) -> CiReport:
         _check_arity(self.space, p)
@@ -700,7 +709,7 @@ class _CiQuery:
         sums = self.cell_sums(vecs)
         x, y = self.x, self.y
         kx, ky = len(x.codomain), len(y.codomain)
-        for zlabel, refs in self.blocks:
+        for (zlabel, refs), tests in zip(self.blocks, self.tests):
             wx = [0] * kx
             wy = [0] * ky
             for a, b, k in refs:
@@ -710,12 +719,10 @@ class _CiQuery:
             total = sum(wx)
             if total == 0:
                 raise DegenerateBlockError(f"block {zlabel!r} has zero probability mass")
-            # Over all value pairs the products wx[a] * wy[b] sum to total**2,
-            # and so do the attained cells' joint * total.  Weights are not
-            # negative, so exact equality on the attained cells leaves every
-            # other pair with wx[a] * wy[b] = 0: the block holds.  Otherwise
-            # the scan below finds the first violation in x-major order.
-            if all(sums[k] * total == wx[a] * wy[b] for a, b, k in refs):
+            # Equality on the tests, an unattained pair's joint being 0, is
+            # equality on every pair (_block_tests); otherwise the scan below
+            # finds the first violation in x-major order.
+            if all((k is not None and sums[k]) * total == wx[a] * wy[b] for a, b, k in tests):
                 continue
             joint = {(a, b): sums[k] for a, b, k in refs}
             for a in range(kx):
@@ -755,20 +762,28 @@ class _CiQuery:
         says which, and how.
         """
         if self.margins is None:
-            self.margins = [_margins(refs) for _, refs in self.blocks]
+            self.margins = []
+            for (_, refs), tests in zip(self.blocks, self.tests):
+                rows: dict[int, list[int]] = {}
+                cols: dict[int, list[int]] = {b: [] for _, b, _ in tests}
+                for a, b, k in refs:
+                    rows.setdefault(a, []).append(k)
+                    if b in cols:
+                        cols[b].append(k)
+                getters = [[(v, _picker(ks)) for v, ks in d.items()] for d in (rows, cols)]
+                self.margins.append((*getters, tests))
         sums = self.lane_sums(buf)
-        for cells, rows, cols, row_of, col_of in self.margins:
-            joint = cells(sums)
-            wx = [_lane_sum(row(joint)) for row in rows]
-            total = _lane_sum(wx)
+        for rows, cols, tests in self.margins:
+            wx = {a: _lane_sum(row(sums)) for a, row in rows}
+            total = _lane_sum(list(wx.values()))
             if 0 in total:
                 return False
-            wy = [_lane_sum(col(joint)) for col in cols]
-            # As in check_ints, equality on the attained cells suffices.
-            lhs = map(mul, chain.from_iterable(joint), cycle(total))
-            rhs = map(mul, chain.from_iterable(row_of(wx)), chain.from_iterable(col_of(wy)))
-            if list(lhs) != list(rhs):
-                return False
+            wy = {b: _lane_sum(col(sums)) for b, col in cols}
+            # The tests of check_ints, each a C-level map over the lanes.
+            for a, b, k in tests:
+                joint = repeat(0, len(total)) if k is None else map(mul, sums[k], total)
+                if list(joint) != list(map(mul, wx[a], wy[b])):
+                    return False
         return True
 
 

@@ -270,6 +270,7 @@ class FactoredSpace:
         "_strides",
         "_ids",
         "_digits",
+        "_factor_vars",
         "_bits",
         "_axes",
         "_free",
@@ -310,6 +311,7 @@ class FactoredSpace:
         object.__setattr__(self, "_strides", tuple(strides))
         object.__setattr__(self, "_ids", {f.name: i for i, f in enumerate(fs)})
         object.__setattr__(self, "_digits", {})
+        object.__setattr__(self, "_factor_vars", {})  # factor id -> factor_var
         # A factor id -> the bitset of the ranks where it is 0, filled and
         # read by zero_bits.
         object.__setattr__(self, "_bits", {})
@@ -476,10 +478,13 @@ def ensure_block(space: FactoredSpace, c: Block) -> None:
 
 
 def factor_var(space: FactoredSpace, i: int) -> RandomVariable:
-    """The coordinate projection U_i as a random variable."""
-    space._check_factor(i)
-    f = space.factors[i]
-    return RandomVariable(name=f.name, codomain=f.domain, table=space.digits(i))
+    """The coordinate projection U_i as a random variable, one per space."""
+    var = space._factor_vars.get(i)
+    if var is None:
+        space._check_factor(i)
+        f = space.factors[i]
+        var = space._factor_vars[i] = RandomVariable(f.name, f.domain, space.digits(i))
+    return var
 
 
 def trivial_var(space: FactoredSpace) -> RandomVariable:

@@ -682,6 +682,35 @@ def test_buffer_draws_equal_per_sample_draws(monkeypatch, top):
         assert [_sample_ints(space, s) for s in seeds] == want
 
 
+@pytest.mark.parametrize("top", [1, 2])
+def test_buffer_draws_past_the_headroom_equal_per_sample_draws(monkeypatch, top):
+    # Half the words are rejected at tops 1 and 2, so a sample of 100-400
+    # numerators outruns its first round's headroom and takes more rounds.
+    # The chunk's generator is its own: the module-level state is untouched.
+    monkeypatch.setattr(distributions, "SAMPLE_GRID_MAX", top)
+    rounds = []
+    draw_round = distributions._draw_round
+
+    def counted(rng, words):
+        rounds.append(words)
+        return draw_round(rng, words)
+
+    monkeypatch.setattr(distributions, "_draw_round", counted)
+    rng = random.Random(f"headroom-draws:{top}")
+    for _ in range(10):
+        sizes = [rng.randint(97, 397), 1, 2]
+        rng.shuffle(sizes)
+        space = make_space(*sizes)
+        seeds = [rng.randrange(2**32) for _ in range(rng.randint(1, 4))]
+        want = [_draw_ints(random.Random(s), sum(sizes)) for s in seeds]
+        state = random.getstate()
+        del rounds[:]
+        buf = _draw_chunk(space, seeds)
+        assert random.getstate() == state
+        assert list(buf) == list(chain.from_iterable(want))
+        assert len(rounds) > len(seeds)
+
+
 @pytest.mark.parametrize("top", [101, 2])
 def test_samples_equal_per_factor_randint_draws(monkeypatch, top):
     monkeypatch.setattr(distributions, "SAMPLE_GRID_MAX", top)
@@ -998,6 +1027,82 @@ def test_lane_pass_matches_per_sample_checks_on_any_quotient(instance, extra, se
     samples.insert(seed % (extra + 1), nums)
     _assert_sums_match_oracle(query, z, samples)
     assert query.all_hold(_flat(samples)) == _holds_on_every(query, samples)
+
+
+def _cell_instance(cells, kx, ky, zs):
+    """An instance whose blocks attain exactly the (x-value, y-value) pairs in cells.
+
+    u0 has one value per listed pair, and x and y read it; z is u1, of zs
+    values, or no conditioner when zs is 1.  Each block's cell weights are
+    then u0's vector, times the block's entry of u1's vector.
+    """
+    space = make_space(len(cells), zs)
+    x, y = (
+        make_var(space, name, k, [cells[r // zs][j] for r in range(space.outcome_count)])
+        for j, (name, k) in enumerate((("x", kx), ("y", ky)))
+    )
+    z = factor_var(space, 1) if zs > 1 else None
+    return space, x, y, z
+
+
+# Hand-built blocks for the reduced lane test: (attained pairs, |x|, |y|,
+# values of z, samples as one vector per factor, whether each holds).  The
+# tests compare only the pairs off a block's last attained x- and y-value.
+CELL_CASES = {
+    # x attains one of its two values, so no pair is compared.
+    "one x-value": (
+        [(0, 0), (0, 1), (0, 2)], 2, 3, 1, [([3, 0, 5], [1], True), ([1, 2, 9], [1], True)]
+    ),
+    # y attains one value: again no pair is compared.
+    "one y-value": (
+        [(0, 1), (1, 1), (2, 1)], 3, 2, 1, [([4, 4, 1], [1], True), ([0, 7, 2], [1], True)]
+    ),
+    # (0, 0) is unattained, off the last row and column, with positive
+    # margins: it is compared and fails, unless a margin is 0.
+    "unattained inside": (
+        [(0, 1), (1, 0), (1, 1)], 2, 2, 1,
+        [([2, 3, 5], [1], False), ([0, 3, 5], [1], True), ([2, 0, 5], [1], True)],
+    ),
+    # (1, 1) is unattained, in the last row and column, so only (0, 0) is
+    # compared; with x or y constant on the attained weights it holds.
+    "unattained last": (
+        [(0, 0), (0, 1), (1, 0)], 2, 2, 1,
+        [([1, 1, 1], [1], False), ([4, 0, 6], [1], True), ([4, 6, 0], [1], True)],
+    ),
+    # (1, 0) is unattained, in the last row only: row 0 and column 1 decide.
+    "unattained last row": (
+        [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2)], 2, 3, 1,
+        [
+            ([2, 2, 2, 3, 3], [1], False),
+            ([0, 2, 4, 3, 6], [1], True),
+            ([0, 0, 0, 5, 1], [1], True),
+        ],
+    ),
+    # Block '1' has zero mass under the second sample only.
+    "zero-mass block": (
+        [(0, 0), (0, 1), (1, 0), (1, 1)], 2, 2, 2,
+        [([1, 2, 3, 6], [1, 1], True), ([1, 2, 3, 6], [4, 0], False)],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CELL_CASES)
+def test_lane_pass_decides_hand_built_blocks_like_per_sample_checks(case):
+    cells, kx, ky, zs, cases = CELL_CASES[case]
+    space, x, y, z = _cell_instance(cells, kx, ky, zs)
+    query = _CiQuery(space, x, y, z)
+    samples = [[u0, u1] for u0, u1, _ in cases]
+    for nums, (_, _, holds) in zip(samples, cases):
+        assert _holds_on_every(query, [nums]) == holds
+        assert query.all_hold(_flat([nums])) == holds
+        try:
+            report = query.check_ints(nums)
+        except DegenerateBlockError:
+            assert not holds
+        else:
+            assert report == oracle_ci_report(space, nums, x, y, z or trivial_var(space))
+    for chunk in (samples, samples[::-1], samples * 3):
+        assert query.all_hold(_flat(chunk)) == _holds_on_every(query, chunk)
 
 
 # Zero vectors, per case: factor id and vector, by sample index in the chunk.

@@ -47,6 +47,7 @@ from facthist import (
     trivial_var,
 )
 from facthist.distributions import _CiQuery
+import facthist.space as space_module
 from facthist.space import OUTCOME_CAP_ENV
 
 from helpers import function_of, make_space, make_var, xor_bundle
@@ -250,6 +251,30 @@ def test_factor_columns_are_stored_tables_handed_over_as_they_are():
         tracemalloc.stop()
     assert var.table == bytes(2**17) + b"\1" * 2**17
     assert held <= 0.4e6
+
+
+def test_factor_var_is_built_once_per_space(monkeypatch):
+    # The variable is memoized on the space, so a repeat call hands back the
+    # same object and runs no RandomVariable range check over the column.
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(RandomVariable(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(space_module, "RandomVariable", counting)
+    space = make_space(2, 3, 257)
+    for i, f in enumerate(space.factors):
+        var = factor_var(space, i)
+        assert factor_var(space, i) is var
+        assert (var.name, var.codomain, var.table) == (f.name, f.domain, space.digits(i))
+    assert len(built) == 3
+    for bad in (-1, 3):
+        with pytest.raises(UnknownFactorError):
+            factor_var(space, bad)
+    # Another space, even of the same shape, builds its own.
+    assert factor_var(make_space(2, 3, 257), 0) is not factor_var(space, 0)
+    assert len(built) == 4
 
 
 # Codomain labels for values up to 2**16 + 1.

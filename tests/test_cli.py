@@ -8,6 +8,7 @@ subprocess entry point.
 from __future__ import annotations
 
 import contextlib
+import errno
 import hashlib
 import importlib.util
 import io
@@ -186,6 +187,110 @@ def test_embed_into_an_unwritable_path_is_a_usage_error(capsys, dag_file, tmp_pa
         code, out, err = run_cli(capsys, "embed", dag_file, "-o", target)
         assert code == 2 and not out
         assert err.startswith(f"error: cannot write {target}: ")
+
+
+def test_embed_writes_over_files_in_place(capsys, dag_file, tmp_path, monkeypatch):
+    # Never O_TRUNC and never a cut to zero: ext4 writes out a file
+    # truncated to zero and rewritten when it is closed.
+    printed = run_cli(capsys, "embed", dag_file)[1].encode()
+    opens, truncates = [], []
+    real_open, real_ftruncate = os.open, os.ftruncate
+
+    def record_open(path, flags, *args, **kwargs):
+        opens.append(flags)
+        return real_open(path, flags, *args, **kwargs)
+
+    def record_ftruncate(fd, length):
+        truncates.append(length)
+        return real_ftruncate(fd, length)
+
+    monkeypatch.setattr(os, "open", record_open)
+    monkeypatch.setattr(os, "ftruncate", record_ftruncate)
+    target = tmp_path / "out.json"
+    # New, longer, shorter, and as long as the output.
+    for old, cuts in (
+        (None, []),
+        (b"x" * 2**20, [len(printed)]),
+        (b"{}", []),
+        (printed[:-1] + b" ", []),
+    ):
+        if old is not None:
+            target.write_bytes(old)
+        opens.clear()
+        truncates.clear()
+        code, out, err = run_cli(capsys, "embed", dag_file, "-o", str(target))
+        assert code == 0 and not err
+        assert json.loads(out)["written"] == str(target)
+        assert target.read_bytes() == printed
+        assert opens and not any(flags & os.O_TRUNC for flags in opens)
+        assert truncates == cuts
+
+
+def test_embed_creates_files_with_the_mode_open_gives(capsys, dag_file, tmp_path):
+    previous = os.umask(0o027)
+    try:
+        with open(tmp_path / "reference", "wb"):
+            pass
+        code, _, _ = run_cli(capsys, "embed", dag_file, "-o", str(tmp_path / "new.json"))
+    finally:
+        os.umask(previous)
+    assert code == 0
+    assert (tmp_path / "new.json").stat().st_mode == (tmp_path / "reference").stat().st_mode
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+def test_embed_into_dev_null(capsys, dag_file):
+    code, out, err = run_cli(capsys, "embed", dag_file, "-o", "/dev/null")
+    assert (code, err) == (0, "")
+    assert out == (
+        '{"factors":[{"name":"u_A","size":2},{"name":"u_B","size":2},'
+        '{"name":"u_C","size":16}],"outcome_count":64,"written":"/dev/null"}\n'
+    )
+
+
+def _write_files_as(monkeypatch, file_class):
+    """Make facthist.cli open every file it writes as file_class."""
+    import facthist.cli
+
+    def fake_open(file, mode="r", *args, **kwargs):
+        if "w" in mode:
+            return file_class(file, "wb")
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(facthist.cli, "open", fake_open, raising=False)
+
+
+def test_embed_write_failing_part_way_leaves_an_empty_file(
+    capsys, dag_file, tmp_path, monkeypatch
+):
+    class HalfWriter(io.FileIO):
+        def write(self, data):
+            super().write(bytes(data[: len(data) // 2]))
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    _write_files_as(monkeypatch, HalfWriter)
+    target = tmp_path / "old.json"
+    for old in (b"x" * 2**20, b""):
+        target.write_bytes(old)
+        code, out, err = run_cli(capsys, "embed", dag_file, "-o", str(target))
+        assert code == 2 and not out
+        reason = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+        assert err == f"error: cannot write {target}: {reason}\n"
+        assert target.read_bytes() == b""
+
+
+def test_embed_writes_every_byte_through_short_writes(
+    capsys, dag_file, tmp_path, monkeypatch
+):
+    class ShortWriter(io.FileIO):
+        def write(self, data):
+            return super().write(data[:100])
+
+    printed = run_cli(capsys, "embed", dag_file)[1].encode()
+    _write_files_as(monkeypatch, ShortWriter)
+    target = tmp_path / "out.json"
+    assert run_cli(capsys, "embed", dag_file, "-o", str(target))[0] == 0
+    assert target.read_bytes() == printed
 
 
 def test_embed_respects_cap(capsys, tmp_path, monkeypatch):

@@ -82,13 +82,14 @@ is its support, and history() returns it before any factorization lookup,
 read of C's values or below-top mask.  Proof: x varies along no atom of G,
 and along a factor k of R it varies on C exactly when it does on Omega,
 since C holds every assignment of R under each point of G and x reads no
-coordinate of that point.  So when neither x nor y reads a factor of z,
-structurally_independent and conditional_history (_history_off) answer
-from the supports alone and never build z's blocks: the histories are the
-same on every block, and z's attained values label the blocks.  When z
-reads every factor of more than one value, its blocks are factorized
-directly, as is any block not made by blocks_of other than the whole
-outcome set.
+coordinate of that point.  So when x reads no factor of z,
+conditional_history (_per_block, _history_off) answers from x's support
+alone and never builds z's blocks: the history is the same on every
+block, and z's attained values label the blocks.  structurally_independent
+is the overlap of two such maps, so it takes the shortcut for each
+variable off z.  When z reads every factor of more than one value, its
+blocks are factorized directly, as is any block not made by blocks_of
+other than the whole outcome set.
 
 The atoms are built one factor at a time, and every projection is counted
 on bitsets.  A set of ranks is an int whose byte r is 1 for each member r
@@ -520,6 +521,8 @@ def _attained(z: RandomVariable | None) -> list[str]:
     """The labels of z's blocks, in codomain order."""
     if z is None:
         return [TRIVIAL_LABEL]
+    if isinstance(z.table, bytes):  # a C search per value, each below 256
+        return [label for v, label in enumerate(z.codomain[:256]) if v in z.table]
     return [z.codomain[v] for v in sorted(set(z.table))]
 
 
@@ -555,6 +558,16 @@ def history(space: FactoredSpace, c: Block, x: RandomVariable) -> IndexSet:
     return found
 
 
+def _per_block(
+    space: FactoredSpace, x: RandomVariable, z: RandomVariable | None
+) -> dict[str, IndexSet]:
+    """The per_block map of conditional_history(space, x, z), no record."""
+    found = _history_off(space, x, 0 if z is None else support(space, z))
+    if found is not None:
+        return dict.fromkeys(_attained(z), found)
+    return {label: history(space, c, x) for label, c in blocks_of(space, z).items()}
+
+
 def conditional_history(
     space: FactoredSpace, x: RandomVariable, z: RandomVariable | None = None
 ) -> ConditionalHistory:
@@ -566,15 +579,7 @@ def conditional_history(
     label.  Only z's support is scanned when z reads every such factor.
     """
     given = TRIVIAL_NAME if z is None else z.name
-    found = _history_off(space, x, 0 if z is None else support(space, z))
-    if found is not None:
-        per_block = dict.fromkeys(_attained(z), found)
-    else:
-        per_block = {
-            label: history(space, block, x)
-            for label, block in blocks_of(space, z).items()
-        }
-    return ConditionalHistory(variable=x.name, given=given, per_block=per_block)
+    return ConditionalHistory(x.name, given, _per_block(space, x, z))
 
 
 def structurally_independent(
@@ -585,24 +590,15 @@ def structurally_independent(
 ) -> IndependenceVerdict:
     """Are the histories of x and y disjoint on every block of z?
 
-    When z leaves out some factor of more than one value and neither x nor
-    y reads one of z's factors, both histories are their supports on every
-    block, so the blocks are never built: the supports' overlap, if any,
-    is reported under each attained label.  Only z's support is scanned
-    when z reads every such factor.
+    The overlaps are the non-empty per-label intersections, in label
+    order, of the conditional histories of x and y given z, so a variable
+    that reads none of z's factors costs its support alone (see
+    conditional_history) whatever the other one reads.
     """
-    read = 0 if z is None else support(space, z)
-    hx = _history_off(space, x, read)
-    hy = None if hx is None else _history_off(space, y, read)
-    if hy is not None:
-        inter = hx & hy
-        shared = dict.fromkeys(_attained(z), inter) if inter else {}
-        return IndependenceVerdict(independent=not shared, overlaps=shared)
-    overlaps: dict[str, IndexSet] = {}
-    for label, block in blocks_of(space, z).items():
-        inter = history(space, block, x) & history(space, block, y)
-        if inter:
-            overlaps[label] = inter
+    hx, hy = _per_block(space, x, z), _per_block(space, y, z)
+    overlaps = {
+        label: h & hy[label] for label, h in hx.items() if not h.isdisjoint(hy[label])
+    }
     return IndependenceVerdict(independent=not overlaps, overlaps=overlaps)
 
 
@@ -651,6 +647,5 @@ def structural_time_leq(
     z: RandomVariable | None = None,
 ) -> bool:
     """Is history(x) contained in history(y) on every block of z?"""
-    hx = conditional_history(space, x, z).per_block
-    hy = conditional_history(space, y, z).per_block
+    hx, hy = _per_block(space, x, z), _per_block(space, y, z)
     return all(h.issubset(hy[label]) for label, h in hx.items())

@@ -52,6 +52,7 @@ from .distributions import (
 from .history import (
     _determining_masks,
     _rectangle_masks,
+    conditional_history,
     disintegration_atoms,
     history,
     structurally_independent,
@@ -350,7 +351,7 @@ def check_duality(
     base = _sample_ints(space, _int_seed(cfg.seed, "dual-base", index))
     k = len(x.codomain)
     blocks = blocks_of(space, z)
-    hist = {label: history(space, c, x) for label, c in blocks.items()}
+    hist = conditional_history(space, x, z).per_block
     base_w = _expand(base)
     base_rows = {
         label: _block_marginal(base_w, c, x.table, k) for label, c in blocks.items()

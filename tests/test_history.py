@@ -842,8 +842,11 @@ def test_independence_off_the_conditioner_at_scale_holds_no_block_memory():
 def test_queries_off_the_conditioner_match_subset_enumeration(data):
     # z reads a proper subset of the factors (maybe none), x and y none of
     # z's factors, and z has labels it never attains (its values doubled).
-    # Both queries are checked against the oracle on every block of z,
-    # built on a fresh space so that the queries' space builds none.
+    # Its codomain may hold more than 256 labels: as a bytes table whose
+    # labels from 256 on are never attained, or as a tuple table whose
+    # entries are 256 and up.  Both queries are checked against the
+    # oracle on every block of z, built on a fresh space so that the
+    # queries' space builds none.
     sizes = data.draw(st.lists(st.integers(1, 3), min_size=2, max_size=5))
     space = make_space(*sizes)
     rng = random.Random(data.draw(st.integers(0, 2**32)))
@@ -851,7 +854,10 @@ def test_queries_off_the_conditioner_match_subset_enumeration(data):
     z_ids = sorted(data.draw(st.sets(st.sampled_from(factors), max_size=len(sizes) - 1)))
     k = data.draw(st.integers(1, 3))
     z = function_of(space, "z", z_ids, k, rng)
-    z = make_var(space, "z", 2 * k, [2 * v for v in z.table])
+    table = data.draw(st.sampled_from(["narrow", "bytes", "tuple"]))
+    low, extra = {"narrow": (0, 0), "bytes": (0, 300), "tuple": (256, 300)}[table]
+    z = make_var(space, "z", low + 2 * k + extra, [low + 2 * v for v in z.table])
+    assert isinstance(z.table, bytes) == (table != "tuple")
     read = support(space, z)
     others = [i for i in factors if not read >> i & 1]
     x, y = (
@@ -874,6 +880,53 @@ def test_queries_off_the_conditioner_match_subset_enumeration(data):
     assert list(ch.per_block) == list(blocks)
     assert verdict.overlaps == want and list(verdict.overlaps) == list(want)
     assert verdict.independent == (not want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_independence_with_one_variable_off_the_conditioner_matches_subset_enumeration(data):
+    # z reads a proper subset of the free factors, x none of z's factors
+    # and y some.  x's history is its support on every block, so no
+    # history() call reads x's table on a block, in either argument order,
+    # and the overlaps match the oracle on every block of z in label order.
+    sizes = data.draw(st.lists(st.integers(1, 3), min_size=2, max_size=5))
+    for i in data.draw(st.sets(st.integers(0, len(sizes) - 1), min_size=2, max_size=2)):
+        sizes[i] = max(sizes[i], 2)
+    space = make_space(*sizes)
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    factors = range(len(sizes))
+    free = [i for i in factors if sizes[i] > 1]
+    z_ids = sorted(data.draw(st.sets(st.sampled_from(free), min_size=1, max_size=len(free) - 1)))
+    z = function_of(space, "z", z_ids, data.draw(st.integers(2, 3)), rng)
+    read = support(space, z)
+    assume(read not in (0, space._free))
+    z_read = [i for i in z_ids if read >> i & 1]
+    others = [i for i in factors if i not in z_read]
+    x = function_of(space, "x", sorted(data.draw(st.sets(st.sampled_from(others)))), 3, rng)
+    y_ids = data.draw(st.sets(st.sampled_from(z_read), min_size=1))
+    y_ids |= data.draw(st.sets(st.sampled_from(factors)))
+    y = function_of(space, "y", sorted(y_ids), 3, rng)
+    assume(support(space, y) & read)
+    tables = []
+    real_history = history_module.history
+
+    def spy(space, c, v):
+        tables.append(v.table)
+        return real_history(space, c, v)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(history_module, "history", spy)
+        verdicts = [structurally_independent(space, a, b, z) for a, b in ((x, y), (y, x))]
+    assert x.table not in tables
+    fresh = make_space(*sizes)
+    want = {}
+    for label, c in blocks_of(fresh, z).items():
+        shared = oracle_history(fresh, c, x) & oracle_history(fresh, c, y)
+        if shared:
+            want[label] = IndexSet.of(shared, len(sizes))
+    for verdict in verdicts:
+        assert verdict.overlaps == want and list(verdict.overlaps) == list(want)
+        assert verdict.independent == (not want)
 
 
 def test_ci_verify_queries_off_the_conditioner_build_no_blocks(monkeypatch):

@@ -12,14 +12,14 @@ outcomes of C have distinct (proj_J, proj_Jbar) pairs, and those pairs always
 lie inside the projection product, so equality of counts says every cross
 pair is attained.
 
-Both conditions are bit counts of rank bitsets (see the atoms below): C
-folded along the factors outside J holds one rank per J-projection.  The
-rectangle test compares the counts of C folded along Jbar and along J
-with |C|.  Determination goes bit by bit through x's values: J determines
-x iff, for each bit, the ranks of C where it is 0 and those where it is 1,
-folded along Jbar, share no rank.  Two folds per bit, with one pair of
-bitsets held at a time, keep it O(|Omega|) bytes however many values x
-takes.  The law suites' mask loops fold the same bitsets along every mask.
+is_rectangle reads C's memoized atoms (below): J is a rectangle exactly
+when it holds each atom whole or not at all.  Determination counts bits of
+rank bitsets (see below): C folded along the factors outside J holds one
+rank per J-projection, and J determines x iff, for each bit of x's values,
+the ranks of C where it is 0 and those where it is 1, folded along Jbar,
+share no rank.  Two folds per bit, with one pair of bitsets held at a time,
+keep it O(|Omega|) bytes however many values x takes.  The law suites'
+mask loops fold the same bitsets along every mask, rectangles included.
 
 The rectangle sets of C form a field of factor sets.  Its *atoms* (minimal
 non-empty members, once the factors constant on C are set aside as the
@@ -91,20 +91,23 @@ variable off z.  When z reads every factor of more than one value, its
 blocks are factorized directly, as is any block not made by blocks_of
 other than the whole outcome set.
 
-The atoms are built one factor at a time, and every projection is counted
-on bitsets.  A set of ranks is an int whose byte r is 1 for each member r
-(space.zero_bits).  Folding it along factor i, the OR over v < size(i) of
-X >> 8 * v * stride(i) kept to the ranks where i is 0, sets coordinate i of
-every rank to 0 (_fold; the OR doubles its run of shifts, so a fold is
-O(log size(i)) shifts).  Folding C along the free factors outside J leaves
-one rank per J-projection, so |proj_J(C)| is the result's bit count.  The
-width |proj_k(C)| of every factor comes from one pass down the factors
-(_widths): C folded along the factors before k lies below k's period, where
-the factors after k fold as one factor of stride 1.  The projections on
-the prefixes S = free[:i] are C folded along free[i:], built from the last
-free factor down the first time a step needs one and shared by the later
-steps.  A factor constant on C joins the trivial part.  Otherwise factor k
-joins the factors seen so far, S, whose atoms are already known:
+_atoms builds the atoms one factor at a time from counts alone, touching no
+bitset: the free factors (of more than one value on C), the widths
+|proj_k(C)|, |C|, and count(i, drop) = |proj_J(C)| for J = free[:i] minus
+drop.  Here each count is a bit count.  A set of ranks is an int whose byte
+r is 1 for each member r (space.zero_bits).  Folding it along factor i, the
+OR over v < size(i) of X >> 8 * v * stride(i) kept to the ranks where i is
+0, sets coordinate i of every rank to 0 (_fold; the OR doubles its run of
+shifts, so a fold is O(log size(i)) shifts).  Folding C along the free
+factors outside J leaves one rank per J-projection, so |proj_J(C)| is the
+result's bit count.  The width |proj_k(C)| of every factor comes from one
+pass down the factors (_widths): C folded along the factors before k lies
+below k's period, where the factors after k fold as one factor of stride 1.
+The bitset count folds drop out of C folded along free[i:], a prefix
+projection built from the last free factor down the first time a count
+needs it and shared by the later counts.  A factor constant on C joins the trivial part.
+Factor free[i] = k joins the factors seen so far, S = free[:i], whose atoms
+are already known:
 
 * Product exit: if |proj_S(C)| times the widths |proj_j(C)| of k and every
   later free factor j equals |C|, C is proj_S(C) times those projections,
@@ -116,9 +119,9 @@ joins the factors seen so far, S, whose atoms are already known:
   atoms of S are unchanged.
 * Merge rule: otherwise {k} absorbs exactly those atoms A of S for which
   |proj_A| * |proj_{S+k minus A}| != |proj_{S+k}|, and the other atoms stay.
-  The second count folds A's factors out of the prefix projection on S+k,
-  and the grown atom's count is |proj_{S+k}| over the kept atoms' counts,
-  since proj_{S+k}(C) is the product of its atoms' projections.
+  Those counts are count(i + 1, A) and count(i + 1, ()), and the grown
+  atom's count is |proj_{S+k}| over the kept atoms' counts, since
+  proj_{S+k}(C) is the product of its atoms' projections.
 
 Proof sketch: projecting away k maps a rectangle of proj_{S+k}(C) to a
 rectangle of proj_S(C), so every new atom is a union of old atoms plus
@@ -287,48 +290,36 @@ def _value_planes(
             yield block ^ ones, ones
 
 
-def _checked_bitset(
-    space: FactoredSpace, c: Block, j: IndexSet, x: RandomVariable | None = None
-) -> int:
+def _check(space: FactoredSpace, c: Block, j: IndexSet) -> None:
     ensure_block(space, c)
-    if x is not None:
-        ensure_on_space(space, x)
     if j.size != space.factor_count:
         raise ValueError("index set universe does not match the space")
-    return _bitset(space, c.ranks)
-
-
-def _rectangle(space: FactoredSpace, block: int, j: IndexSet, count: int) -> bool:
-    """Is |proj_J| * |proj_Jbar| = count, for the block with this bitset?"""
-    on_j = _fold_out(space, block, j.complement().members())
-    return on_j.bit_count() * _fold_out(space, block, j.members()).bit_count() == count
-
-
-def _determined(
-    space: FactoredSpace, block: int, j: IndexSet, c: Block, x: RandomVariable
-) -> bool:
-    """Do x's bit planes on C stay apart when folded along Jbar?"""
-    outside = j.complement().members()
-    return not any(
-        _fold_out(space, zeros, outside) & _fold_out(space, ones, outside)
-        for zeros, ones in _value_planes(space, block, c.ranks, x.table)
-    )
 
 
 def is_rectangle(space: FactoredSpace, c: Block, j: IndexSet) -> bool:
-    """Does C recombine as proj_J(C) x proj_Jbar(C)?"""
-    return _rectangle(space, _checked_bitset(space, c, j), j, len(c))
+    """Does C recombine as proj_J(C) x proj_Jbar(C)?  Does J, that is, hold
+    each of C's atoms whole or not at all?"""
+    _check(space, c, j)
+    return all(j.mask & m in (0, m) for m, _, _ in _factorize(space, c.ranks).axes)
 
 
 def determines(space: FactoredSpace, c: Block, j: IndexSet, x: RandomVariable) -> bool:
-    """Do equal J-coordinates force equal x-values on C?"""
-    return _determined(space, _checked_bitset(space, c, j, x), j, c, x)
+    """Do equal J-coordinates force equal x-values on C?  Do x's bit planes
+    on C, that is, stay apart when folded along Jbar?"""
+    _check(space, c, j)
+    ensure_on_space(space, x)
+    outside = j.complement().members()
+    planes = _value_planes(space, _bitset(space, c.ranks), c.ranks, x.table)
+    return not any(
+        _fold_out(space, zeros, outside) & _fold_out(space, ones, outside)
+        for zeros, ones in planes
+    )
 
 
 def generates(space: FactoredSpace, c: Block, j: IndexSet, x: RandomVariable) -> bool:
-    """is_rectangle and determines, on one bitset of C."""
-    block = _checked_bitset(space, c, j, x)
-    return _rectangle(space, block, j, len(c)) and _determined(space, block, j, c, x)
+    """is_rectangle and determines."""
+    ensure_on_space(space, x)
+    return is_rectangle(space, c, j) and determines(space, c, j, x)
 
 
 def _rectangle_masks(space: FactoredSpace, c: Block) -> list[bool]:
@@ -410,58 +401,75 @@ def _widths(space: FactoredSpace, block: int) -> list[int]:
     return widths
 
 
-def _factorize_block(space: FactoredSpace, ranks: tuple[int, ...]) -> Factorization:
-    """Factorize the block with these ranks one factor at a time."""
-    block = _bitset(space, ranks)
-    widths = _widths(space, block)
-    free = [k for k, w in enumerate(widths) if w > 1]
-    trivial = sum(1 << k for k, w in enumerate(widths) if w == 1)
+def _atoms(
+    free: Sequence[int],
+    widths: Sequence[int],
+    total: int,
+    count: Callable[[int, Sequence[int]], int],
+) -> list[tuple[int, int]]:
+    """A block's atoms (mask, |proj_A|) by lowest factor, from its counts.
+
+    free lists the block's factors of more than one value, widths[k] is
+    |proj_k| for every factor k and total the block's size; count(i, drop)
+    is |proj_J| for J = free[:i] minus the factor ids in drop.
+    """
     rest = [1] * (len(free) + 1)  # rest[i]: product of the widths of free[i:]
     for i in range(len(free) - 1, -1, -1):
         rest[i] = rest[i + 1] * widths[free[i]]
-    # prefix[i]: the block folded along free[i:], whose bit count is
-    # |proj_{free[:i]}|; filled downward from the block itself when needed.
-    prefix = [0] * len(free) + [block]
-    low = len(free)
-    seen_count = 1  # |proj_S|, S = the free factors so far
+    seen_count = 1  # |proj_S|, S = free[:i]
     atoms: list[tuple[int, int, list[int]]] = []  # (mask, |proj_A|, factor ids)
     for i, k in enumerate(free):
-        if seen_count * rest[i] == len(ranks):
+        if seen_count * rest[i] == total:
             # Product exit: C = proj_S(C) x the projections of free[i:].
             atoms += [(1 << j, widths[j], [j]) for j in free[i:]]
             break
-        if not atoms:
-            count = widths[k]
-        else:
-            while low > i + 1:
-                low -= 1
-                prefix[low] = _fold_out(space, prefix[low + 1], (free[low],))
-            count = prefix[i + 1].bit_count()
-        if count == seen_count * widths[k]:
+        grown = count(i + 1, ()) if atoms else widths[k]
+        if grown == seen_count * widths[k]:
             atoms.append((1 << k, widths[k], [k]))
         else:
             mask, ids, kept, kept_count = 1 << k, [k], [], 1
             for atom in atoms:
                 a_mask, a_count, a_ids = atom
-                other = _fold_out(space, prefix[i + 1], a_ids)
-                if a_count * other.bit_count() == count:
+                if a_count * count(i + 1, a_ids) == grown:
                     kept.append(atom)
                     kept_count *= a_count
                 else:
                     mask |= a_mask
                     ids += a_ids
             # proj_{S+k} is the product of its atoms' projections.
-            kept.append((mask, count // kept_count, ids))
+            kept.append((mask, grown // kept_count, ids))
             atoms = kept
-        seen_count = count
+        seen_count = grown
     atoms.sort(key=lambda atom: atom[0] & -atom[0])  # by lowest factor
+    return [(mask, size) for mask, size, _ in atoms]
+
+
+def _factorize_block(space: FactoredSpace, ranks: tuple[int, ...]) -> Factorization:
+    """Factorize the block with these ranks: _atoms on bitset counts."""
+    block = _bitset(space, ranks)
+    widths = _widths(space, block)
+    free = [k for k, w in enumerate(widths) if w > 1]
+    trivial = sum(1 << k for k, w in enumerate(widths) if w == 1)
+    # prefix[i]: the block folded along free[i:], whose bit count is
+    # |proj_{free[:i]}|; filled downward from the block itself when needed.
+    prefix = [0] * len(free) + [block]
+    low = len(free)
+
+    def count(i: int, drop: Sequence[int]) -> int:
+        nonlocal low
+        while low > i:
+            low -= 1
+            prefix[low] = _fold_out(space, prefix[low + 1], (free[low],))
+        return (_fold_out(space, prefix[i], drop) if drop else prefix[i]).bit_count()
+
+    atoms = _atoms(free, widths, len(ranks), count)
     axes: list[Axis] = []
     stride = 1
-    for mask, count, _ in reversed(atoms):
-        axes.append((mask, count, stride))
-        stride *= count
+    for mask, size in reversed(atoms):
+        axes.append((mask, size, stride))
+        stride *= size
     axes.reverse()
-    if [k for mask, _, _ in atoms for k in free if mask >> k & 1] == free:
+    if [k for mask, _ in atoms for k in free if mask >> k & 1] == free:
         return Factorization(trivial, tuple(axes), _picker(ranks), {}, {})
     # An atom is not a run of consecutive free factors.  The block folded
     # along the free factors outside atom A holds one rank per A-projection,
@@ -470,7 +478,7 @@ def _factorize_block(space: FactoredSpace, ranks: tuple[int, ...]) -> Factorizat
     # is a rank of C, in tensor order.
     n = space.outcome_count
     lists = []
-    for mask, _, _ in atoms:
+    for mask, _ in atoms:
         x = _fold_out(space, block, [j for j in free if not mask >> j & 1])
         lists.append(list(compress(range(n), x.to_bytes(n, "little"))))
     lists.append([ranks[0] - sum(keys[0] for keys in lists)])
@@ -540,9 +548,7 @@ def history(space: FactoredSpace, c: Block, x: RandomVariable) -> IndexSet:
         found = _history_off(space, x, lifted[0].mask)
         if found is not None:
             return found
-    entry = space._atoms.get(block)
-    if entry is None:
-        entry = _factorize(space, ranks)
+    entry = _factorize(space, ranks)
     key = space.intern(x.table)
     found = entry.known.get(key)
     if found is None:

@@ -237,10 +237,14 @@ class Block:
     ranks: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.ranks, tuple):  # a tuple subclass is kept as given
+            object.__setattr__(self, "ranks", tuple(self.ranks))
         if not self.ranks:
             raise ValueError(f"block {self.label!r} must be non-empty")
         if not all(map(lt, self.ranks, self.ranks[1:])):
             raise ValueError(f"block {self.label!r} ranks must be strictly increasing")
+        if self.ranks[0] < 0:
+            raise ValueError(f"block {self.label!r} ranks must be non-negative")
 
     def __len__(self) -> int:
         return len(self.ranks)

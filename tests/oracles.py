@@ -5,8 +5,9 @@ force, without reusing the package's algorithms: rectangles by literal
 cross-pair membership, determination by pairwise comparison, histories by
 enumerating all subsets and taking the subset-minimal generating ones,
 block factorizations by counting sets of integer projection keys,
-probabilities by summing exact outcome products, the cell sums of a
-prepared CI query by a per-rank pass, CI under every product
+projection counts by sets of coordinate tuples, probabilities by summing
+exact outcome products, the cell sums of a prepared CI query by a
+per-rank pass, CI under every product
 distribution by comparing monomial coefficients, CI reports and joint
 factorization by a per-rank pass over each block, the duality law through
 the public Fraction API, d-separation both by walk enumeration and by
@@ -221,6 +222,25 @@ def oracle_factorize(space: FactoredSpace, ranks: tuple[int, ...]):
         order = sorted(range(len(ranks)), key=pos.__getitem__)
         pick = _picker([ranks[i] for i in order])
     return trivial, tuple(axes), pick
+
+
+def oracle_projection_counts(space: FactoredSpace, ranks):
+    """A block's projection counts, each the size of a set of coordinate tuples.
+
+    Returns the block's free factors (those of more than one value on it),
+    the width |proj_k| of every factor k, and count(i, drop) = |proj_J| for
+    J = free[:i] minus the factor ids in drop: the inputs of the package's
+    atom rule (history._atoms), with no bitset.
+    """
+    outcomes = [outcome_unrank(space, r) for r in ranks]
+    widths = [len({o[k] for o in outcomes}) for k in range(space.factor_count)]
+    free = [k for k, w in enumerate(widths) if w > 1]
+
+    def count(i, drop):
+        ids = [k for k in free[:i] if k not in drop]
+        return len({tuple(o[k] for k in ids) for o in outcomes})
+
+    return free, widths, count
 
 
 def oracle_event_prob(space: FactoredSpace, p: ProductDistribution, ranks) -> Fraction:

@@ -49,6 +49,7 @@ from oracles import (
     oracle_determines,
     oracle_factorize,
     oracle_history,
+    oracle_projection_counts,
     oracle_rectangle,
 )
 
@@ -326,11 +327,11 @@ def test_parity_blocks_at_scale_build_no_digit_tables():
 
 def test_predicates_at_scale_count_folded_bitsets():
     # A parity block of 2^18 outcomes is a J-rectangle for no proper,
-    # non-empty J, and x, the parity of the first 9 factors, is determined
-    # by them but not generated.  The predicates fold the block's bitset
-    # (2^18 bytes) along J and its complement, with one memoized zero mask
-    # per factor; key lists over 9 full-length digit tables would peak near
-    # 30 MB.
+    # non-empty J (its one atom holds every factor), and x, the parity of
+    # the first 9 factors, is determined by them but not generated.  The
+    # predicates fold the block's bitset (2^18 bytes), is_rectangle to
+    # factorize the block, with one memoized zero mask per factor; key
+    # lists over 9 full-length digit tables would peak near 30 MB.
     n = 18
     space = make_space(*[2] * n)  # a fresh space, so no memoized masks
     count = space.outcome_count
@@ -1058,6 +1059,110 @@ def test_bitset_factorization_matches_key_counts(data):
         assert entry.axes == want_axes
         every = range(space.outcome_count)
         assert tuple(entry.read(every)) == tuple(want_read(every))
+
+
+def _rule_block(data):
+    """(space, ranks) of a block of 2 to 5 factors of 1 to 3 values.
+
+    Either a product of arbitrary subsets over a random grouping of the
+    factors (_draw_block), or a product of parity level sets over one, so
+    that atoms of several factors interleave and merges absorb atoms.
+    One-value factors and one-point subsets give constant factors.
+    """
+    sizes = data.draw(st.lists(st.integers(1, 3), min_size=2, max_size=5))
+    space = make_space(*sizes)
+    if data.draw(st.booleans()):
+        return space, _draw_block(data, space).ranks
+    n = len(sizes)
+    groups = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    wide = {h for size, h in zip(sizes, groups) if size > 1}
+    # A group of one-value factors has parity 0 everywhere.
+    parity = [data.draw(st.integers(0, 1)) if g in wide else 0 for g in range(3)]
+
+    def parities(o):
+        return [sum(v for v, h in zip(o, groups) if h == g) % 2 for g in range(3)]
+
+    every = range(space.outcome_count)
+    return space, tuple(r for r in every if parities(outcome_unrank(space, r)) == parity)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_atom_rule_on_set_counts_finds_the_minimal_rectangle_sets(data):
+    # _atoms on projections counted as Python sets, against literal
+    # recombination over every non-empty set of free factors.
+    space, ranks = _rule_block(data)
+    free, widths, count = oracle_projection_counts(space, ranks)
+    atoms = history_module._atoms(free, widths, len(ranks), count)
+    block = Block(label="c", ranks=ranks)
+    rects = [
+        frozenset(ids)
+        for ids in all_subsets(free)
+        if ids and oracle_rectangle(space, block, ids)
+    ]
+    got = [[k for k in free if m >> k & 1] for m, _ in atoms]
+    assert len(got) == len({frozenset(a) for a in got})
+    assert {frozenset(a) for a in got} == {r for r in rects if not any(s < r for s in rects)}
+    assert [a[0] for a in got] == sorted(a[0] for a in got)
+    outcomes = [outcome_unrank(space, r) for r in ranks]
+    want = [len({tuple(o[k] for k in a) for o in outcomes}) for a in got]
+    assert [size for _, size in atoms] == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_bitset_counts_equal_set_counts_wherever_the_rule_asks(data):
+    space, ranks = _rule_block(data)
+    free, widths, fake = oracle_projection_counts(space, ranks)
+    asked = []
+    rule = history_module._atoms
+
+    def spy(free_, widths_, total, count):
+        assert (free_, widths_, total) == (free, widths, len(ranks))
+
+        def checked(i, drop):
+            got = count(i, drop)
+            asked.append(((i, tuple(drop)), got, fake(i, drop)))
+            return got
+
+        return rule(free_, widths_, total, checked)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(history_module, "_atoms", spy)
+        history_module._factorize(space, ranks)
+    assert [got for _, got, _ in asked] == [want for _, _, want in asked], asked
+
+
+@pytest.mark.parametrize(
+    "sizes, z, folds",
+    [
+        ((2,) * 8, lambda o: sum(o) % 2, 56),
+        ((2,) * 6, lambda o: 2 * (o[0] ^ o[2]) + (o[1] + o[3] + o[4] + o[5]) % 2, 112),
+        ((2, 3, 2, 2), lambda o: (o[0] ^ (o[1] % 2)) + 2 * (o[2] & o[3]), 42),
+    ],
+    ids=["parity-8", "xor-and-parity-6", "mixed-2x3x2x2"],
+)
+def test_factorizing_every_block_takes_the_pinned_folds(monkeypatch, sizes, z, folds):
+    # z reads every factor, so each block is factorized on the full space:
+    # the _fold calls of _widths, the prefix projections and the merge
+    # counts, pinned so that a change to the rule or its counts that adds
+    # folds shows here.
+    space = make_space(*sizes)
+    zvar = make_var(
+        space, "z", 4, (z(outcome_unrank(space, r)) for r in range(space.outcome_count))
+    )
+    blocks = blocks_of(space, zvar).values()
+    calls = Counter()
+    fold = history_module._fold
+
+    def counting(*args):
+        calls["fold"] += 1
+        return fold(*args)
+
+    monkeypatch.setattr(history_module, "_fold", counting)
+    for c in blocks:
+        history_module._factorize(space, c.ranks)
+    assert calls["fold"] == folds
 
 
 @settings(max_examples=60, deadline=None)

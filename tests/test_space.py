@@ -33,10 +33,12 @@ from facthist import (
     UnknownFactorError,
     blocks_of,
     conditional_history,
+    disintegration_atoms,
     factor_var,
     fold_pair,
     full_block,
     history,
+    is_rectangle,
     outcome_rank,
     outcome_unrank,
     pair_var,
@@ -520,6 +522,39 @@ def test_variable_names_and_codomains_are_checked(name, codomain, message):
 def test_block_ranks_must_strictly_increase(ranks):
     with pytest.raises(ValueError, match=r"^block 'b' ranks must be strictly increasing$"):
         Block(label="b", ranks=ranks)
+
+
+@pytest.mark.parametrize("ranks", [(-1, 0), (-1,), (-3, -2, 4)])
+def test_block_ranks_must_be_non_negative(ranks):
+    # A negative rank would read its table from the end.
+    with pytest.raises(ValueError, match=r"^block 'b' ranks must be non-negative$"):
+        Block(label="b", ranks=ranks)
+
+
+def test_block_ranks_of_any_sequence_give_the_same_answers():
+    # On 2x3: a row (u0 constant), a column (u1 constant), a diagonal (one
+    # atom of both factors) and an L of three outcomes.  Each form of the
+    # ranks gets a fresh space, so no memo is shared between them.
+    class Ranks(tuple):
+        pass
+
+    for members in (range(3), range(0, 6, 3), range(0, 5, 4), range(1, 6, 2)):
+        answers = []
+        for form in (list, tuple, lambda m: m):
+            space = make_space(2, 3)
+            block = Block(label="b", ranks=form(members))
+            assert type(block.ranks) is tuple and block.ranks == tuple(members)
+            x = make_var(space, "x", 3, (0, 1, 2, 1, 2, 0))
+            answers.append(
+                (
+                    [history(space, block, v) for v in (factor_var(space, 0), x)],
+                    disintegration_atoms(space, block),
+                    [is_rectangle(space, block, IndexSet(m, 2)) for m in range(4)],
+                )
+            )
+        assert answers[0] == answers[1] == answers[2]
+    kept = Ranks((0, 4))
+    assert Block(label="b", ranks=kept).ranks is kept
 
 
 @pytest.mark.parametrize(

@@ -87,7 +87,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from itertools import islice, repeat
-from operator import add, mul
+from operator import add, itemgetter, mul
 from typing import Callable, Sequence
 
 from .errors import (
@@ -98,17 +98,12 @@ from .errors import (
     PreconditionError,
     UnknownFactorError,
 )
-from .history import (
-    _picker,
-    conditional_history,
-    structurally_independent,
-)
+from .history import conditional_history, structurally_independent
 from .space import (
     TRIVIAL_LABEL,
     Block,
     FactoredSpace,
     RandomVariable,
-    _grid_sum,
     blocks_of,
     ensure_block,
     ensure_on_space,
@@ -422,6 +417,28 @@ def _lane_sum(lanes: Sequence[Sequence[int]]) -> Sequence[int]:
     return list(map(sum, zip(*lanes)))
 
 
+def _picker(ranks: Sequence[int]) -> Callable[[Sequence[int]], Sequence[int]]:
+    """An itemgetter that reads a table at these positions, in order.
+
+    itemgetter returns a bare item for one key, so one position becomes a
+    one-item slice, and none an empty slice: the result is always a
+    sequence (a tuple, or a slice of the table).
+    """
+    if not ranks:
+        return itemgetter(slice(0, 0))
+    if len(ranks) == 1:
+        return itemgetter(slice(ranks[0], ranks[0] + 1))
+    return itemgetter(*ranks)
+
+
+def _grid_sum(offsets: Sequence[Sequence[int]]) -> list[int]:
+    """Every sum of one entry per list, the last list varying fastest."""
+    out = [0]
+    for offs in offsets:
+        out = [a + b for a in out for b in offs]
+    return out
+
+
 def _runs(groups: Sequence[Sequence[int]]) -> list[slice]:
     """The slice of each group in the concatenation of the groups."""
     out = []
@@ -523,10 +540,10 @@ class _CiQuery:
     The check runs on a quotient of the space.  The readers of a factor are
     those of x, y and z whose tables vary along it, so each variable's
     factors are its support, its unconditional history.  Supports are
-    memoized on the space by the identity of each table (space.support):
-    blocks_of and the histories on lifted blocks read the same entries, so
-    after structurally_independent all three are known and each costs one
-    id() lookup.  A factor with no reader is dropped, and the
+    memoized on the space by the identity of each table (space.support),
+    and structurally_independent reads the same entries, so after it z's,
+    and x's and y's whenever z leaves a factor out, cost one id() lookup
+    each.  A factor with no reader is dropped, and the
     product K of the sums of the dropped factors' vectors scales every
     weight.  The factors read by one variable v alone, its private group,
     become one virtual factor if that shrinks them: its values are the

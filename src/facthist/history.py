@@ -32,64 +32,53 @@ factors outside A fail to determine x: that complement is itself a
 rectangle set, so if it determines x it generates x and contains the
 history.
 
-history() reads that test off a tensor, with no hashing.  Order the atoms
-A_1..A_m by lowest factor.  C is the product of their projections times the
-one point of the trivial part: from any outcome of C, swapping in any
-A_1-projection of C keeps it in C (A_1 is a rectangle set), then any
-A_2-projection, and so on, so every combination is attained.  List each
-proj_{A_i}(C) in increasing key order; C becomes a tensor whose axis i has
-size s_i = |proj_{A_i}(C)| and the product of the later sizes as stride,
-and x's values in that order are a tensor t.  Two outcomes of C agree
-outside A_i exactly when their tensor positions differ only on axis i, so
-the A_i-classes are the lines along axis i, and the factors outside A_i
-determine x exactly when t is constant along axis i.  That is one test on
-t's image (space._image), an int with one lane per entry, one byte wide
-when every value is below 256 and eight bytes otherwise: t is constant
-along the axis exactly when every entry whose axis coordinate is below
-s_i - 1 equals the entry one stride further, i.e. when
-(img ^ img >> 8 * width * stride) & below_top is zero, where below_top
-sets every lane of such an entry (space._varies).  space._scan builds
-the image once per scan and tests every axis; the below-top mask of each
-axis and lane width is built once per block, and each test is three
-C-level big-int operations, whatever the axis.
-The factorization memoizes one itemgetter that reads C's values off a
-table in tensor order.  When every atom is a run of consecutive free
-factors, rank order is already tensor order (ranks compare
-lexicographically, factor by factor), so it reads C's ranks as they are.
-On the full outcome set every factor of more than one value is an atom of
-its own and rank order is tensor order, so the tensor is the variable's
-whole table on the space's own axes (space._axes), and its history is its
-support (space.support, one _scan of the table).  history() returns the
-support there without factorizing the block or interning its ranks; the
-CI queries of the distributions module read their factors the same way.
+history() reads that test off bit planes.  A bit plane P of x's table is
+the rank bitset of the outcomes where one bit of x's value is 1.  The
+factors outside an atom A fail to determine x exactly when, for some
+plane P, fold_A(C & ~P) & fold_A(C & P) != 0, where fold_A folds along
+the factors of A (_fold, below).  Proof: two outcomes of C that agree
+outside A and differ on x differ in some bit, so one lies in C & ~P and the
+other in C & P for that bit's plane, and both fold to the rank of their
+common coordinates outside A; conversely a rank both folds hold is the
+common outside-A coordinates of an outcome where the bit is 0 and one
+where it is 1.
+Only the atoms that meet x's support are tested: two outcomes that differ
+only in an atom x reads none of agree on x.  x is constant on C exactly
+when every C & P is 0 or C, and then its history is empty, found before C
+is factorized.  Otherwise the history is a non-empty union of atoms, so
+when one atom is left to test it is the history, with no fold.
+The planes of a bytes table are one bytes.translate each, memoized on the
+space (_planes); a tuple table's (values from 256 up) are built one at a
+time and not kept, so determines and the law suites' mask loops, which
+fold the same planes, hold one pair of bitsets at a time.
+
+On the whole outcome set every factor of more than one value is an atom of
+its own, so a variable's history there is its support (space.support, one
+scan of the table).  history() returns the support there without
+factorizing the block or interning its ranks; the CI queries of the
+distributions module read their factors the same way.
 
 A level-set block of z is its grid block times the unread factors.  z reads
 only the factors of its support S, so every block C of z is G x Omega_R,
-where G is the block of z on the grid Omega_S (space.Grid) and R holds the
-factors of more than one value outside S.  A set of factors is a rectangle
-of C exactly when its part in S is a rectangle of G, so the atoms of C are
-those of G, lifted to the full factor ids, plus one singleton atom per
-factor of R; the trivial part is G's plus the factors of one value.
-blocks_of records each grid block, and the factorization of C is then the
-ordinary one of G on the grid space (_lift): a pass over |G| ranks of |S|
-factors instead of |C| ranks of all of them, with no full-length coordinate
-table.  Its tensor lists G in G's tensor order and, under each point of G,
-the assignments of R in rank order, so one itemgetter of full ranks reads
-it.  A history there skips each atom x's table does not vary along at all,
-found from x's support: two outcomes that differ only in such an atom agree
-on x.  When x's support holds none of the grid's factors, its history on C
-is its support, and history() returns it before any factorization lookup,
-read of C's values or below-top mask.  Proof: x varies along no atom of G,
-and along a factor k of R it varies on C exactly when it does on Omega,
-since C holds every assignment of R under each point of G and x reads no
-coordinate of that point.  So when x reads no factor of z,
+where G is the block of z on the grid Omega_S and R holds the factors of
+more than one value outside S.  A set of factors is a rectangle of C
+exactly when its part in S is a rectangle of G, so the atoms of C are
+those of G plus one singleton atom per factor of R.  _factorize_block is
+told R for a level set: it takes those atoms with no fold, and folds C
+along a factor of R by keeping the ranks where that factor is 0, since C
+holds every value of it wherever it holds one.  When x's support
+holds none of S, its history on C is its support: x varies along no atom
+of G, and along a factor k of R it varies on C exactly when it does on
+Omega, since C holds every assignment of R under each point of G and x
+reads no coordinate of that point.  So when x reads no factor of z,
 conditional_history (_per_block, _history_off) answers from x's support
 alone and never builds z's blocks: the history is the same on every
 block, and z's attained values label the blocks.  structurally_independent
 is the overlap of two such maps, so it takes the shortcut for each
-variable off z.  When z reads every factor of more than one value, its
-blocks are factorized directly, as is any block not made by blocks_of
-other than the whole outcome set.
+variable off z.  Otherwise _per_block builds each level set of z as a rank
+bitset, never as ranks: for a bytes table, one bytes.translate through a
+map that sends the value to 1 and every other byte to 0; a tuple table's
+blocks come from blocks_of.  One level set is held at a time.
 
 _atoms builds the atoms one factor at a time from counts alone, touching no
 bitset: the free factors (of more than one value on C), the widths
@@ -136,27 +125,21 @@ shortcut fails, one fold per factor of the atoms it tests, so factorizing a
 block of n factors costs O(n^2) folds of O(|Omega|) bytes, each a few
 C-level big-int shifts, ORs and ANDs, plus the widths pass, whose ints
 shrink as it goes; transient memory is O(n * |Omega|) bytes, and the space
-memoizes one O(|Omega|)-byte mask per factor.  When an atom A is not a
-run of consecutive free factors, C folded along the free factors outside A
-lists proj_A(C) in increasing key order, and C's ranks in tensor order are
-the grid sums of those lists (at most n more folds per atom).  A history
-costs one image of |C| values and one axis test per atom on top, and the
-first history on a block builds one below-top mask of |C| lanes per atom.
-The result (a Factorization: trivial mask, one axis (mask, size, stride)
-per atom in tensor order, and the tensor-order itemgetter; no key lists
-or bitsets) is memoized on the FactoredSpace under the record of the
-block's ranks (space.intern: one hash the first time a ranks object is
-seen, an id() lookup after that), because independence checks,
-verification and the law suites ask for several histories per block.
-The same entry memoizes each history (an immutable IndexSet, returned as
-it is), keyed by the record of the variable's table, and the below-top
-mask of each axis per lane width.
-Tables are interned by value, so variables with equal tables share a
-history whatever their names, and a repeated question (verify asks
+memoizes one O(|Omega|)-byte mask per factor.  A history costs, per plane
+that splits C, two folds along each atom still in question.  The
+factorization (a Factorization: the trivial mask and the atoms) is
+memoized on the FactoredSpace under the block's key, and so is each
+history (an immutable IndexSet, returned as it is), keyed by the record of
+the variable's table, because independence checks, verification and the
+law suites ask for several histories per block.  A level set of a bytes
+conditioner is keyed by its table's record and the value, and so is a
+Block that blocks_of made for it (space._levels), so the two share one
+entry; any other Block is keyed by the record of its ranks (space.intern:
+one hash the first time a ranks object is seen, an id() lookup after
+that).  Neither memo holds the block's ranks or bitset.  Tables are interned by value, so variables with equal tables
+share a history whatever their names, and a repeated question (verify asks
 structurally_independent once itself and once more through
-verify_soundness or find_witness) costs two id() lookups and no read of
-the block's values.  A variable constant on the block has the
-empty history, found by the same read with no scan.
+verify_soundness or find_witness) reads no history twice.
 
 The *conditional history* maps every attained value of a conditioning
 variable z to the history on that block.  Two variables are *structurally
@@ -169,23 +152,20 @@ verification suites and the acceptance tests).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
-from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from functools import partial
+from itertools import repeat
+from operator import rshift
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import InvariantViolationError
 from .space import (
     TRIVIAL_LABEL,
     TRIVIAL_NAME,
-    Axis,
     Block,
     FactoredSpace,
-    Grid,
     IndexSet,
     RandomVariable,
-    Record,
-    _grid_sum,
-    _scan,
+    _supported,
     blocks_of,
     ensure_block,
     ensure_on_space,
@@ -236,23 +216,6 @@ class DisintegrationAtoms:
     trivial_part: IndexSet
 
 
-Picker = Callable[[Sequence[int]], Sequence[int]]
-
-
-def _picker(ranks: Sequence[int]) -> Picker:
-    """An itemgetter that reads a table at these positions, in order.
-
-    itemgetter returns a bare item for one key, so one position becomes a
-    one-item slice, and none an empty slice: the result is always a
-    sequence (a tuple, or a slice of the table).
-    """
-    if not ranks:
-        return itemgetter(slice(0, 0))
-    if len(ranks) == 1:
-        return itemgetter(slice(ranks[0], ranks[0] + 1))
-    return itemgetter(*ranks)
-
-
 def _bitset(space: FactoredSpace, ranks: Iterable[int]) -> int:
     """The rank bitset of these ranks: byte r is 1 for each of them."""
     flags = bytearray(space.outcome_count)
@@ -261,12 +224,51 @@ def _bitset(space: FactoredSpace, ranks: Iterable[int]) -> int:
     return int.from_bytes(flags, "little")
 
 
+# Per bit b, the byte map that sends each value to its bit b.
+_BIT_MAPS = tuple(bytes(v >> b & 1 for v in range(256)) for b in range(8))
+
+
+def _planes(space: FactoredSpace, x: RandomVariable) -> Iterable[int]:
+    """x's bit planes: per bit of its largest label index, the rank bitset
+    of the outcomes where that bit of x's value is 1.
+
+    A bytes table's planes are one translate each, memoized on the space by
+    the table's record; a tuple table's are built one at a time as they are
+    iterated and not kept.
+    """
+    table = x.table
+    bits = (len(x.codomain) - 1).bit_length()
+    if isinstance(table, bytes):
+        key = space.intern(table)
+        planes = space._planes.get(key)
+        if planes is None:
+            planes = space._planes[key] = [
+                int.from_bytes(table.translate(_BIT_MAPS[b]), "little")
+                for b in range(min(bits, 8))
+            ]
+        return planes
+    return (
+        int.from_bytes(bytes(map((1).__and__, map(rshift, table, repeat(b)))), "little")
+        for b in range(bits)
+    )
+
+
+def _cuts(block: int, planes: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """The block's ranks where a bit of the values is 0 and where it is 1,
+    for each plane that splits the block."""
+    for plane in planes:
+        ones = block & plane
+        if ones and ones != block:
+            yield block ^ ones, ones
+
+
 def _fold_out(space: FactoredSpace, x: int, ids: Sequence[int]) -> int:
     """The rank bitset x folded along every factor in ids (see _fold)."""
+    factors, strides = space.factors, space._strides
     for k in ids:
-        size = space.factors[k].size
+        size = len(factors[k].domain)
         if size > 1:
-            x = _fold(x, size, 8 * space._strides[k], space.zero_bits(k))
+            x = _fold(x, size, 8 * strides[k], space.zero_bits(k))
     return x
 
 
@@ -279,17 +281,6 @@ def _mask_folds(space: FactoredSpace, bits: int) -> list[int]:
     return folds
 
 
-def _value_planes(
-    space: FactoredSpace, block: int, ranks: Sequence[int], table: Sequence[int]
-) -> Iterator[tuple[int, int]]:
-    """The block's ranks where each bit of the table's values is 0 and 1."""
-    values = [table[r] for r in ranks]
-    for b in range(max(values).bit_length()):
-        ones = _bitset(space, compress(ranks, map((1 << b).__and__, values)))
-        if ones and ones != block:
-            yield block ^ ones, ones
-
-
 def _check(space: FactoredSpace, c: Block, j: IndexSet) -> None:
     ensure_block(space, c)
     if j.size != space.factor_count:
@@ -300,7 +291,7 @@ def is_rectangle(space: FactoredSpace, c: Block, j: IndexSet) -> bool:
     """Does C recombine as proj_J(C) x proj_Jbar(C)?  Does J, that is, hold
     each of C's atoms whole or not at all?"""
     _check(space, c, j)
-    return all(j.mask & m in (0, m) for m, _, _ in _factorize(space, c.ranks).axes)
+    return all(j.mask & m in (0, m) for m, _ in _factorize(space, c.ranks).atoms)
 
 
 def determines(space: FactoredSpace, c: Block, j: IndexSet, x: RandomVariable) -> bool:
@@ -309,10 +300,10 @@ def determines(space: FactoredSpace, c: Block, j: IndexSet, x: RandomVariable) -
     _check(space, c, j)
     ensure_on_space(space, x)
     outside = j.complement().members()
-    planes = _value_planes(space, _bitset(space, c.ranks), c.ranks, x.table)
+    cuts = _cuts(_bitset(space, c.ranks), _planes(space, x))
     return not any(
         _fold_out(space, zeros, outside) & _fold_out(space, ones, outside)
-        for zeros, ones in planes
+        for zeros, ones in cuts
     )
 
 
@@ -331,30 +322,32 @@ def _rectangle_masks(space: FactoredSpace, c: Block) -> list[bool]:
 def _determining_masks(space: FactoredSpace, c: Block, x: RandomVariable) -> list[bool]:
     """Does J determine x on C, for every factor mask J?"""
     clash = [False] * (1 << space.factor_count)  # by the mask folded along
-    for zeros, ones in _value_planes(space, _bitset(space, c.ranks), c.ranks, x.table):
+    for zeros, ones in _cuts(_bitset(space, c.ranks), _planes(space, x)):
         folds = zip(_mask_folds(space, zeros), _mask_folds(space, ones))
         clash = [m or a & b != 0 for m, (a, b) in zip(clash, folds)]
     return [not m for m in reversed(clash)]  # J is the complement of that mask
 
 
 class Factorization(NamedTuple):
-    """What the space memoizes per block: its atoms as tensor axes."""
+    """What the space memoizes per block."""
 
     trivial: int  # the mask of the factors constant on the block
-    axes: tuple[Axis, ...]  # one per atom, by lowest factor: tensor order
-    read: Picker  # reads a table's values on the block in tensor order
-    known: dict[Record, IndexSet]  # histories by the record of the table
-    tops: dict[int, list[int]]  # each axis's below-top mask, by lane width
+    atoms: tuple[tuple[int, tuple[int, ...]], ...]  # (mask, factor ids), by lowest factor
+
+
+def _block_key(space: FactoredSpace, ranks: tuple[int, ...]) -> Hashable:
+    """The memo key of the block with these ranks: its level-set key when
+    blocks_of made it for a bytes conditioner, else the record of the ranks."""
+    record = space.intern(ranks)
+    return space._levels.get(record, record)
 
 
 def _factorize(space: FactoredSpace, ranks: tuple[int, ...]) -> Factorization:
     """The memoized factorization of the block with these ranks."""
-    key = space.intern(ranks)
+    key = _block_key(space, ranks)
     cached = space._atoms.get(key)
     if cached is None:
-        grid = space._grids.get(key)
-        cached = _factorize_block(space, ranks) if grid is None else _lift(space, *grid)
-        space._atoms[key] = cached
+        cached = space._atoms[key] = _factorize_block(space, _bitset(space, ranks))
     return cached
 
 
@@ -375,7 +368,7 @@ def _fold(x: int, size: int, step: int, zero: int) -> int:
     return x & zero
 
 
-def _widths(space: FactoredSpace, block: int) -> list[int]:
+def _widths(space: FactoredSpace, block: int, unread: int = 0) -> list[int]:
     """|proj_k| of a block's rank bitset for every factor k.
 
     The block is folded along the factors in order, so at factor k its
@@ -384,18 +377,21 @@ def _widths(space: FactoredSpace, block: int) -> list[int]:
     that one, rank v * stride(k) is set exactly when the block meets value
     v of k, so every stride(k)-th byte counts the values.  Folding along k
     itself then leaves ranks below stride(k), so each fold runs on a
-    shorter int than the one before.
+    shorter int than the one before.  The block holds every value of each
+    factor in unread wherever it holds one, so there the width is the size
+    and the fold keeps the ranks where the factor is 0.
     """
-    widths = []
+    widths = [1] * len(space.factors)
     x = block
-    for f, stride in zip(space.factors, space._strides):
-        size = len(f.domain)
-        if size == 1:
-            widths.append(1)
+    for mask, size, stride in space._axes:  # the factors of more than one value
+        k = mask.bit_length() - 1
+        if mask & unread:
+            widths[k] = size
+            x &= (1 << 8 * stride) - 1
         else:
             # Shifts of whole bytes keep every byte 0 or 1.
             below = _fold(x, stride, 8, -1).to_bytes(size * stride, "little")
-            widths.append(below[::stride].count(1))
+            widths[k] = below[::stride].count(1)
             if stride > 1:  # otherwise every later factor has one value
                 x = _fold(x, size, 8 * stride, (1 << 8 * stride) - 1)
     return widths
@@ -444,15 +440,25 @@ def _atoms(
     return [(mask, size) for mask, size, _ in atoms]
 
 
-def _factorize_block(space: FactoredSpace, ranks: tuple[int, ...]) -> Factorization:
-    """Factorize the block with these ranks: _atoms on bitset counts."""
-    block = _bitset(space, ranks)
-    widths = _widths(space, block)
-    free = [k for k, w in enumerate(widths) if w > 1]
+def _factorize_block(space: FactoredSpace, block: int, unread: int = 0) -> Factorization:
+    """Factorize the block with this rank bitset: _atoms on bitset counts.
+
+    unread masks factors of more than one value that the block's
+    conditioner does not read, so the block is its projection on the other
+    factors times every value of these: each is an atom of its own, and
+    _atoms runs on the other factors with the block folded along these.
+    """
+    widths = _widths(space, block, unread)
+    free = [k for k, w in enumerate(widths) if w > 1 and not unread >> k & 1]
     trivial = sum(1 << k for k, w in enumerate(widths) if w == 1)
-    # prefix[i]: the block folded along free[i:], whose bit count is
-    # |proj_{free[:i]}|; filled downward from the block itself when needed.
-    prefix = [0] * len(free) + [block]
+    spread = [k for k in range(len(widths)) if unread >> k & 1]
+    # prefix[i]: the block folded along free[i:] and spread, whose bit count
+    # is |proj_{free[:i]}|; filled downward from the last one when needed.
+    # Folding along a factor of spread keeps the ranks where it is 0.
+    inner = block
+    for k in spread:
+        inner &= space.zero_bits(k)
+    prefix = [0] * len(free) + [inner]
     low = len(free)
 
     def count(i: int, drop: Sequence[int]) -> int:
@@ -462,50 +468,13 @@ def _factorize_block(space: FactoredSpace, ranks: tuple[int, ...]) -> Factorizat
             prefix[low] = _fold_out(space, prefix[low + 1], (free[low],))
         return (_fold_out(space, prefix[i], drop) if drop else prefix[i]).bit_count()
 
-    atoms = _atoms(free, widths, len(ranks), count)
-    axes: list[Axis] = []
-    stride = 1
-    for mask, size in reversed(atoms):
-        axes.append((mask, size, stride))
-        stride *= size
-    axes.reverse()
-    if [k for mask, _ in atoms for k in free if mask >> k & 1] == free:
-        return Factorization(trivial, tuple(axes), _picker(ranks), {}, {})
-    # An atom is not a run of consecutive free factors.  The block folded
-    # along the free factors outside atom A holds one rank per A-projection,
-    # in increasing key order, but each keeps C's constant coordinates; the
-    # last list takes the surplus out, so every sum of one entry per list
-    # is a rank of C, in tensor order.
-    n = space.outcome_count
-    lists = []
-    for mask, _ in atoms:
-        x = _fold_out(space, block, [j for j in free if not mask >> j & 1])
-        lists.append(list(compress(range(n), x.to_bytes(n, "little"))))
-    lists.append([ranks[0] - sum(keys[0] for keys in lists)])
-    return Factorization(trivial, tuple(axes), _picker(_grid_sum(lists)), {}, {})
-
-
-def _lift(space: FactoredSpace, grid: Grid, granks: tuple[int, ...]) -> Factorization:
-    """The factorization of a grid block times the factors the grid leaves out.
-
-    Its atoms are those of the grid block, mapped to full factor ids, then
-    each other factor of more than one value on its own.  The tensor lists
-    the grid block in its own tensor order, and under each grid point the
-    other factors' assignments in rank order.
-    """
-    gentry = _factorize(grid.space, granks)
-
-    def to_full(gmask: int) -> int:
-        return sum(1 << i for k, i in enumerate(grid.ids) if gmask >> k & 1)
-
-    inner = len(grid.rest)
-    axes = [(to_full(m), size, stride * inner) for m, size, stride in gentry.axes]
-    for i in grid.rest_ids:
-        inner //= space.factors[i].size
-        axes.append((1 << i, space.factors[i].size, inner))
-    trivial = to_full(gentry.trivial) | ~space._free & (1 << space.factor_count) - 1
-    read = _picker(_grid_sum([gentry.read(grid.offsets), grid.rest]))
-    return Factorization(trivial, tuple(axes), read, {}, {})
+    atoms = [
+        (mask, tuple(k for k in free if mask >> k & 1))
+        for mask, _ in _atoms(free, widths, inner.bit_count(), count)
+    ]
+    atoms += [(1 << k, (k,)) for k in spread]
+    atoms.sort(key=lambda atom: atom[0] & -atom[0])  # by lowest factor
+    return Factorization(trivial, tuple(atoms))
 
 
 def _history_off(space: FactoredSpace, x: RandomVariable, read: int) -> IndexSet | None:
@@ -516,13 +485,13 @@ def _history_off(space: FactoredSpace, x: RandomVariable, read: int) -> IndexSet
     varies along it exactly where it does on the whole outcome set (see the
     module docstring).  With no conditioner read is 0, and the one block
     is the whole outcome set.  A conditioner that reads every factor of
-    more than one value gets None without a scan of x: its blocks are
-    partitioned directly, and only a constant x would read none of them.
+    more than one value gets None without a scan of x: only a constant x
+    would read none of them.
     """
-    if read == space._free:
+    if read and read == space._free:
         return None
-    reads = support(space, x)
-    return None if reads & read else IndexSet(reads, space.factor_count)
+    reads, found = _supported(space, x)
+    return None if reads & read else found
 
 
 def _attained(z: RandomVariable | None) -> list[str]:
@@ -534,6 +503,70 @@ def _attained(z: RandomVariable | None) -> list[str]:
     return [z.codomain[v] for v in sorted(set(z.table))]
 
 
+def _level_set(table: bytes, v: int) -> int:
+    """The rank bitset of the outcomes where a bytes table takes the value v:
+    one translate through the map that sends v to 1 and every other byte to
+    0."""
+    return int.from_bytes(table.translate(bytes(v) + b"\1" + bytes(255 - v)), "little")
+
+
+def _level_sets(
+    space: FactoredSpace, z: RandomVariable
+) -> Iterator[tuple[str, Hashable, Callable[[], int]]]:
+    """(label, memo key, maker of the rank bitset) of each block of z, in
+    codomain order."""
+    table = z.table
+    if isinstance(table, bytes):
+        record = space.intern(table)
+        for v, label in enumerate(z.codomain[:256]):
+            if v in table:  # a C search
+                yield label, (record, v), partial(_level_set, table, v)
+    else:
+        for label, c in blocks_of(space, z).items():
+            yield label, _block_key(space, c.ranks), partial(_bitset, space, c.ranks)
+
+
+def _history_on(
+    space: FactoredSpace,
+    key: Hashable,
+    bits: Callable[[], int],
+    x: RandomVariable,
+    unread: int = 0,
+) -> IndexSet:
+    """x's history on the block with this memo key, memoized; bits() makes
+    the block's rank bitset when the history is not memoized yet, and
+    unread masks factors its conditioner does not read (_factorize_block)."""
+    known = space._histories.get(key)
+    if known is None:
+        known = space._histories[key] = {}
+    record = space.intern(x.table)
+    found = known.get(record)
+    if found is not None:
+        return found
+    block = bits()
+    mask = 0
+    if any(block & plane not in (0, block) for plane in _planes(space, x)):
+        # x is not constant on the block, so its history is not empty.
+        entry = space._atoms.get(key)
+        if entry is None:
+            entry = space._atoms[key] = _factorize_block(space, block, unread)
+        atoms = entry.atoms
+        if len(atoms) > 1:
+            reads = _supported(space, x)[0]
+            atoms = [atom for atom in atoms if atom[0] & reads]
+        if len(atoms) == 1:
+            mask = atoms[0][0]
+        else:
+            for zeros, ones in _cuts(block, _planes(space, x)):
+                for atom, ids in atoms:
+                    if not mask & atom and (
+                        _fold_out(space, zeros, ids) & _fold_out(space, ones, ids)
+                    ):
+                        mask |= atom
+    found = known[record] = IndexSet(mask, len(space.factors))
+    return found
+
+
 def history(space: FactoredSpace, c: Block, x: RandomVariable) -> IndexSet:
     """The unique subset-minimal generating set of x on C."""
     ensure_block(space, c)
@@ -541,37 +574,23 @@ def history(space: FactoredSpace, c: Block, x: RandomVariable) -> IndexSet:
     ranks = c.ranks
     if len(ranks) == space.outcome_count:
         # The whole outcome set: the history is the support.
-        return IndexSet(support(space, x), space.factor_count)
-    block = space.intern(ranks)
-    lifted = space._grids.get(block)
-    if lifted is not None:
-        found = _history_off(space, x, lifted[0].mask)
-        if found is not None:
-            return found
-    entry = _factorize(space, ranks)
-    key = space.intern(x.table)
-    found = entry.known.get(key)
-    if found is None:
-        values = entry.read(x.table)
-        if values.count(values[0]) == len(values):
-            mask = 0
-        else:
-            # On a lifted block, skip the atoms x's table does not vary
-            # along anywhere: outcomes that differ only there agree on x.
-            reads = -1 if lifted is None else support(space, x)
-            mask = _scan(entry.axes, entry.tops, values, reads)
-        found = entry.known[key] = IndexSet(mask, space.factor_count)
-    return found
+        return _supported(space, x)[1]
+    return _history_on(space, _block_key(space, ranks), partial(_bitset, space, ranks), x)
 
 
 def _per_block(
     space: FactoredSpace, x: RandomVariable, z: RandomVariable | None
 ) -> dict[str, IndexSet]:
     """The per_block map of conditional_history(space, x, z), no record."""
-    found = _history_off(space, x, 0 if z is None else support(space, z))
+    read = 0 if z is None else support(space, z)
+    found = _history_off(space, x, read)
     if found is not None:
         return dict.fromkeys(_attained(z), found)
-    return {label: history(space, c, x) for label, c in blocks_of(space, z).items()}
+    unread = space._free & ~read
+    return {
+        label: _history_on(space, key, bits, x, unread)
+        for label, key, bits in _level_sets(space, z)
+    }
 
 
 def conditional_history(
@@ -620,7 +639,7 @@ def disintegration_atoms(space: FactoredSpace, c: Block) -> DisintegrationAtoms:
     n = space.factor_count
     entry = _factorize(space, c.ranks)
     trivial_mask = entry.trivial
-    atom_masks = sorted(m for m, _, _ in entry.axes)
+    atom_masks = sorted(m for m, _ in entry.atoms)
     covered = 0
     for m in atom_masks:
         if covered & m:

@@ -15,8 +15,7 @@ outcome set.
 The *support* of a variable is the set of factors its table varies along:
 changing that factor's coordinate alone changes the value somewhere.  A
 variable reads nothing outside its support, so a block of z is the block of
-z on the grid of supp(z) times every factor z does not read; blocks_of
-partitions only that grid.
+z on the grid of supp(z) times every factor z does not read.
 
 A support is read off the table's *image*: its values as one int with one
 lane per entry (one byte when every value is below 256, else eight).  The
@@ -24,19 +23,18 @@ tensor varies along a factor of stride s exactly when some lane whose
 coordinate is below the factor's top value differs from the lane s entries
 on, that is when (img ^ img >> 8 * width * s) & top is not zero.  The
 space's axes are its factors of more than one value (_axes), and _scan
-fills one such mask per axis and lane width (_tops); the history module
-scans a block's atom axes with the same function.
+fills one such mask per axis and lane width (_tops).
 
 Everything here is immutable after construction and safe to share between
 threads.  Internal per-factor coordinate tables, rank bitsets and lane
-masks, supports, the blocks of each conditioner, and the per-block atom
-factorizations and histories computed by the history module are memoized
-lazily; each memo is idempotent, so a racing double computation is
-harmless.  The memos are keyed by identity, not by value: the first time a
-space meets a table or a block's ranks it interns the object (one hash, so
-equal tables share a record) and files its id under that record, which
-holds the object so the id is never reused.  Every later lookup is a dict
-hit on id(), with no pass over the entries.
+masks, supports, the blocks of each conditioner, and the bit planes of
+tables and the per-block atom factorizations and histories computed by the
+history module are memoized lazily; each memo is idempotent, so a racing
+double computation is harmless.  The memos are keyed by identity, not by
+value: the first time a space meets a table or a block's ranks it interns
+the object (one hash, so equal tables share a record) and files its id
+under that record, which holds the object so the id is never reused.
+Every later lookup is a dict hit on id(), with no pass over the entries.
 """
 
 from __future__ import annotations
@@ -47,8 +45,8 @@ import sys
 from array import array
 from dataclasses import dataclass
 from itertools import chain, repeat
-from operator import add, countOf, itemgetter, lt, mul
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from operator import add, countOf, lt, mul
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     FormatError,
@@ -283,8 +281,10 @@ class FactoredSpace:
         "_by_id",
         "_supports",
         "_blocks",
-        "_grids",
+        "_planes",
+        "_levels",
         "_atoms",
+        "_histories",
     )
 
     def __init__(
@@ -332,19 +332,28 @@ class FactoredSpace:
         object.__setattr__(self, "_by_id", {})
         # The memos below are keyed by the Record of a table or of a block's
         # ranks, found by intern.
-        # A variable's table -> its support mask, filled and read by support.
+        # A variable's table -> its support, as a mask and as an IndexSet,
+        # filled and read by _supported.
         object.__setattr__(self, "_supports", {})
         # (table, codomain) of a conditioner, or None for no conditioner ->
         # its blocks by label, filled and read by blocks_of.
         object.__setattr__(self, "_blocks", {})
-        # Ranks of a block partitioned on its conditioner's grid -> (Grid,
-        # the block's ranks on the grid), filled by blocks_of and read by
-        # history.py.
-        object.__setattr__(self, "_grids", {})
-        # Block ranks -> its history.Factorization (atom axes, tensor-order
-        # picker, history masks by the table's Record, lane masks per
-        # axis), filled and read by history.py.
+        # A bytes table -> its bit planes as rank bitsets, filled and read
+        # by history.py.
+        object.__setattr__(self, "_planes", {})
+        # The ranks of a block blocks_of made for a bytes conditioner ->
+        # (Record of the conditioner's table, value), the key history.py
+        # files that level set's memos under, so a Block and its level set
+        # share one factorization and one history per table.
+        object.__setattr__(self, "_levels", {})
+        # A block -> its history.Factorization (trivial mask and atoms), and
+        # a block -> its histories by the table's Record, filled and read by
+        # history.py.  A level set of a bytes conditioner is keyed by
+        # (Record of the table, value), through _levels for its Block too,
+        # and any other block by the Record of its ranks; neither memo holds
+        # the block's ranks or bitset.
         object.__setattr__(self, "_atoms", {})
+        object.__setattr__(self, "_histories", {})
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("FactoredSpace is immutable")
@@ -592,13 +601,8 @@ def _varies(img: int, width: int, stride: int, top: int) -> bool:
 Axis = tuple[int, int, int]
 
 
-def _scan(
-    axes: Sequence[Axis],
-    tops: dict[int, list[int]],
-    values: Sequence[int],
-    reads: int = -1,
-) -> int:
-    """Mask of the axes that meet reads and along which the values vary.
+def _scan(axes: Sequence[Axis], tops: dict[int, list[int]], values: Sequence[int]) -> int:
+    """Mask of the axes along which the values vary.
 
     The values are a tensor with these axes, and tops memoizes each axis's
     below-top mask (_below_top) by lane width.  One image of the values is
@@ -612,7 +616,7 @@ def _scan(
         ]
     mask = 0
     for (axis, _, stride), top in zip(axes, masks):
-        if axis & reads and _varies(img, width, stride, top):
+        if _varies(img, width, stride, top):
             mask |= axis
     return mask
 
@@ -623,72 +627,18 @@ def support(space: FactoredSpace, x: RandomVariable) -> int:
     A table in rank order is a tensor with one axis per factor of more
     than one value, so the support is one _scan of the table.
     """
+    return _supported(space, x)[0]
+
+
+def _supported(space: FactoredSpace, x: RandomVariable) -> tuple[int, IndexSet]:
+    """x's support as a mask and as an IndexSet, both memoized by table."""
     ensure_on_space(space, x)
     key = space.intern(x.table)
-    mask = space._supports.get(key)
-    if mask is None:
-        mask = space._supports[key] = _scan(space._axes, space._tops, x.table)
-    return mask
-
-
-def _grid_sum(offsets: Sequence[Sequence[int]]) -> list[int]:
-    """Every sum of one entry per list, the last list varying fastest."""
-    out = [0]
-    for offs in offsets:
-        out = [a + b for a in out for b in offs]
-    return out
-
-
-class Grid(NamedTuple):
-    """The factors a conditioner reads, as a space of their own.
-
-    ``ids`` are the grid's factors in the full space, ``mask`` their mask
-    (the conditioner's support), and ``offsets`` the full rank of each grid
-    rank with every other coordinate 0.  ``rest_ids`` are the other factors
-    of more than one value, and ``rest`` the full rank of each of their
-    assignments, in rank order, with the grid's coordinates 0.  A grid
-    rank g and a rest assignment r make the outcome of rank
-    offsets[g] + rest[r].
-    """
-
-    space: FactoredSpace
-    ids: tuple[int, ...]
-    mask: int
-    offsets: list[int]
-    rest_ids: tuple[int, ...]
-    rest: list[int]
-
-
-def _grid_blocks(
-    space: FactoredSpace, z: RandomVariable, read: int
-) -> dict[int, tuple[int, ...]]:
-    """The ranks of each level set of z, read on the grid of the factors in read.
-
-    Each level set on the grid, times every factor z does not read, is a
-    block; its grid ranks are recorded on the space for history.py.
-    """
-    steps = [range(0, f.size * s, s) for f, s in zip(space.factors, space._strides)]
-    ids = tuple(i for i in range(space.factor_count) if read >> i & 1)
-    rest_ids = tuple(
-        i for i, f in enumerate(space.factors) if f.size > 1 and not read >> i & 1
-    )
-    gspace = FactoredSpace(
-        [space.factors[i] for i in ids],
-        max_outcomes=space.outcome_count,
-        max_factors=len(ids),
-    )
-    offsets = _grid_sum([steps[i] for i in ids])
-    rest = _grid_sum([steps[i] for i in rest_ids])
-    grid = Grid(gspace, ids, read, offsets, rest_ids, rest)
-    groups: dict[int, list[int]] = {}
-    for g, v in enumerate(itemgetter(*offsets)(z.table)):
-        groups.setdefault(v, []).append(g)
-    blocks = {}
-    for v, granks in groups.items():
-        ranks = tuple(sorted(_grid_sum([[offsets[g] for g in granks], grid.rest])))
-        space._grids[space.intern(ranks)] = (grid, tuple(granks))
-        blocks[v] = ranks
-    return blocks
+    found = space._supports.get(key)
+    if found is None:
+        mask = _scan(space._axes, space._tops, x.table)
+        found = space._supports[key] = (mask, IndexSet(mask, space.factor_count))
+    return found
 
 
 def blocks_of(
@@ -696,13 +646,12 @@ def blocks_of(
 ) -> dict[str, Block]:
     """Level sets of z, keyed by the attained value labels in codomain order.
 
-    Without z there is one block, the whole outcome set.  When z reads some,
-    but not all, of the factors of more than one value, only the grid of its
-    support is partitioned, and each grid block is expanded to its full
-    ranks as sums of rank offsets (see Grid); otherwise one pass over z's
-    table groups the ranks.  The blocks are memoized on the space
+    Without z there is one block, the whole outcome set; otherwise one pass
+    over z's table groups the ranks.  The blocks are memoized on the space
     by z's table (interned) and codomain, so a conditioner is partitioned
-    once per space; each call returns a new dict of them.
+    once per space; each call returns a new dict of them.  The ranks of
+    each block of a bytes table are interned and filed under the level
+    set's memo key (_levels).
     """
     if z is None:
         key = None
@@ -714,17 +663,16 @@ def blocks_of(
         if z is None:
             blocks = {TRIVIAL_LABEL: full_block(space)}
         else:
-            read = support(space, z)
-            if read in (0, space._free):
-                groups: dict[int, list[int]] = {}
-                for r, v in enumerate(z.table):
-                    groups.setdefault(v, []).append(r)
-            else:
-                groups = _grid_blocks(space, z, read)
+            groups: dict[int, list[int]] = {}
+            for r, v in enumerate(z.table):
+                groups.setdefault(v, []).append(r)
             blocks = {
                 z.codomain[v]: Block(label=z.codomain[v], ranks=tuple(groups[v]))
                 for v in sorted(groups)
             }
+            if isinstance(z.table, bytes):
+                for v, c in zip(sorted(groups), blocks.values()):
+                    space._levels[space.intern(c.ranks)] = (key[0], v)
         space._blocks[key] = blocks
     return dict(blocks)
 

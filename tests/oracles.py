@@ -46,7 +46,6 @@ from facthist import (
     sample_product,
     sample_vector,
 )
-from facthist.history import _picker
 from facthist.verification import IRRELEVANCE_TRIALS, _int_seed, _stream
 
 
@@ -164,13 +163,10 @@ def oracle_factorize(space: FactoredSpace, ranks: tuple[int, ...]):
     The same incremental algorithm as the package (product exit, product
     shortcut, merge rule), with every projection counted as the set of its
     keys, sums of digits times strides, rather than by bitset folds.
-    Returns the trivial mask, the axes (atom mask, |proj_A|, stride) in
-    tensor order, and a picker that reads a table on the block in tensor
-    order.
+    Returns the trivial mask and the atom masks by lowest factor.
     """
-    pick = _picker(ranks)
     cols = [
-        [d * space.stride(k) for d in pick(space.digits(k))]
+        [space.digits(k)[r] * space.stride(k) for r in ranks]
         for k in range(space.factor_count)
     ]
     widths = [len(set(col)) for col in cols]
@@ -207,21 +203,7 @@ def oracle_factorize(space: FactoredSpace, ranks: tuple[int, ...]):
             kept.append((mask, keys, len(set(keys))))
             atoms = kept
         seen, seen_count = grown, count
-    atoms.sort(key=lambda atom: atom[0] & -atom[0])
-    axes = []
-    stride = 1
-    for mask, _, count in reversed(atoms):
-        axes.append((mask, count, stride))
-        stride *= count
-    axes.reverse()
-    if [k for mask, _, _ in atoms for k in free if mask >> k & 1] != free:
-        pos = [0] * len(ranks)
-        for (_, keys, _), (_, _, stride) in zip(atoms, axes):
-            index = {key: v * stride for v, key in enumerate(sorted(set(keys)))}
-            pos = list(map(add, pos, map(index.__getitem__, keys)))
-        order = sorted(range(len(ranks)), key=pos.__getitem__)
-        pick = _picker([ranks[i] for i in order])
-    return trivial, tuple(axes), pick
+    return trivial, tuple(sorted((mask for mask, _, _ in atoms), key=lambda m: m & -m))
 
 
 def oracle_projection_counts(space: FactoredSpace, ranks):

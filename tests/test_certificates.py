@@ -5,16 +5,18 @@ so the variables of a space are covered, up to relabelling, by one per set
 partition of its outcomes, written as a restricted-growth string (outcome
 r gets a value at most one above every value before it).  Every (x, y, z)
 triple is checked against the exact CI oracle, and every history on every
-block of z against subset enumeration.  A z that reads one factor of a
-space with two free factors has its blocks lifted from its grid
-(history._lift), so that path is covered too.  The semigraphoid axioms are
+block of z against subset enumeration, through the Blocks of blocks_of
+and, inside structurally_independent, through level-set bitsets.  The
+level sets factorized are counted by the factors their conditioner reads,
+so those of a z that reads one factor of a space with two free factors,
+each a grid block times the other factor, are seen to be covered.  The
+semigraphoid axioms are
 checked on every quadruple of the same variables, from one table of
 verdicts.
 """
 
 from __future__ import annotations
 
-import importlib
 from collections import Counter
 from itertools import product
 
@@ -31,9 +33,6 @@ from facthist import (
 from helpers import make_space, make_var
 from oracles import oracle_ci_all_products, oracle_history
 
-# The package re-exports the function history() under the module's name.
-history_module = importlib.import_module("facthist.history")
-
 
 def restricted_growth_strings(n):
     strings = [[0]]
@@ -49,16 +48,8 @@ def growth_string(table):
 
 
 @pytest.mark.parametrize("sizes", [(2, 2), (2, 1, 2)])
-def test_every_partition_triple_of_four_outcomes(sizes, monkeypatch):
+def test_every_partition_triple_of_four_outcomes(sizes):
     # (2, 1, 2) adds a factor of one value, which is in no history.
-    lifted = Counter()  # by the factors of the grid
-    lift = history_module._lift
-
-    def counting_lift(space, grid, granks):
-        lifted[grid.ids] += 1
-        return lift(space, grid, granks)
-
-    monkeypatch.setattr(history_module, "_lift", counting_lift)
     space = make_space(*sizes)
     variables = [
         make_var(space, f"v{k}", max(s) + 1, s)
@@ -79,10 +70,16 @@ def test_every_partition_triple_of_four_outcomes(sizes, monkeypatch):
                 )
                 verdicts[got] += 1
     assert verdicts == {True: 756, False: 1044}
-    # Each free factor read alone by some z: both blocks of that z, and no
-    # grid of two factors, since a z reading both reads every free factor.
-    free = [i for i, size in enumerate(sizes) if size > 1]
-    assert lifted == {(i,): 2 for i in free}
+    # A level set is memoized under (its conditioner's table, the value).
+    # Each free factor is read alone by one partition, with two blocks; the
+    # 12 partitions that read both free factors have 12 blocks of more than
+    # one outcome between them, and a one-outcome block, on which every
+    # variable is constant, is never factorized.
+    factorized = Counter(
+        space._supports[key[0]][1].members() for key in space._atoms if isinstance(key, tuple)
+    )
+    free = tuple(i for i, size in enumerate(sizes) if size > 1)
+    assert factorized == {free: 12, **{(i,): 2 for i in free}}
 
 
 @pytest.mark.parametrize("sizes", [(2, 2), (2, 1, 2)])

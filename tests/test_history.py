@@ -94,6 +94,28 @@ def test_constant_variable_has_empty_history():
     assert history(space, full_block(space), trivial_var(space)) == space.empty_set()
 
 
+def test_a_conditioner_is_constant_on_its_blocks_with_no_factorization(monkeypatch):
+    # z is constant on each of its blocks, so every bit plane of its values
+    # meets a block in nothing or all of it: the empty history, found
+    # through the level sets and through the Blocks before any block is
+    # factorized.
+    def no_factorization(*args):
+        raise AssertionError("a block was factorized")
+
+    monkeypatch.setattr(history_module, "_factorize_block", no_factorization)
+    rng = random.Random("constant-on-blocks")
+    for _ in range(20):
+        space = make_space(*(rng.randint(1, 3) for _ in range(rng.randint(2, 4))))
+        ids = [i for i in range(space.factor_count) if rng.random() < 0.7]
+        z = function_of(space, "z", ids, rng.choice([2, 3, 300]), rng)
+        per_block = conditional_history(space, z, z).per_block
+        assert set(per_block.values()) <= {space.empty_set()}
+        for label, c in blocks_of(space, z).items():
+            if len(c) < space.outcome_count:
+                assert history(space, c, z) == space.empty_set()
+    assert space._atoms == {}
+
+
 def test_generation_needs_both_determination_and_rectangle():
     space, u0, u1, xor = xor_bundle()
     parity_block = blocks_of(space, xor)["0"]  # {(0,0), (1,1)}
@@ -373,30 +395,32 @@ def test_determination_of_many_values_holds_one_bit_plane_at_a_time():
 def test_interleaved_atoms_at_scale_build_no_digit_tables():
     # 2^18 outcomes and Z = (u0 xor u2, parity of the other factors) reads
     # every factor, so its blocks are factorized on the full space, into the
-    # atoms {u0, u2} and the other factors: neither is a run, so the block
-    # is read out of rank order.  That order comes off bitset folds, with no
+    # atoms {u0, u2} and the other factors: neither is a run of consecutive
+    # factors.  The atoms and histories come off bitset folds, with no
     # digit table (18 of them would hold 18 * 2^18 entries).  The bound
     # leaves ample room for a loaded machine.
     n = 18
     space = make_space(*[2] * n)
+    ranks = range(space.outcome_count)
     pair = 1 << n - 1 | 1 << n - 3  # the bits of u0 and u2 in a rank
     z = make_var(
         space, "Z", 4,
-        (2 * ((r & pair).bit_count() & 1) + ((r & ~pair).bit_count() & 1)
-         for r in range(space.outcome_count)),
+        (2 * ((r & pair).bit_count() & 1) + ((r & ~pair).bit_count() & 1) for r in ranks),
     )
+    u0 = make_var(space, "u0", 2, (r >> n - 1 for r in ranks))
+    u1 = make_var(space, "u1", 2, (r >> n - 2 & 1 for r in ranks))
     c = blocks_of(space, z)["1"]
     start = time.perf_counter()
     parts = disintegration_atoms(space, c)
+    # u0 varies within the atom {u0, u2} alone, u1 within the other one.
+    assert history(space, c, u0) == _ids(space, 0, 2)
+    assert history(space, c, u1) == _ids(space, 1, *range(3, n))
+    given = conditional_history(space, u0, z).per_block
     assert time.perf_counter() - start < 10.0
     assert space._digits == {}
     assert parts.atoms == (_ids(space, 0, 2), _ids(space, 1, *range(3, n)))
     assert parts.trivial_part == space.empty_set()
-    # Tensor order: the u0, u2 projection first, the rest in rank order.
-    read = history_module._factorize(space, c.ranks).read
-    assert list(read(range(space.outcome_count))) == sorted(
-        c.ranks, key=lambda r: (r & pair, r)
-    )
+    assert given == dict.fromkeys("0123", _ids(space, 0, 2))
 
 
 def test_unconditional_queries_factorize_nothing():
@@ -461,15 +485,35 @@ def test_history_rejects_foreign_variables():
         history(space, full_block(space), foreign)
 
 
+def _memo_block(key):
+    """The Block a history memo key stands for: the record of a block's
+    ranks, or (record of a bytes table, value) for a level set."""
+    if isinstance(key, tuple):
+        record, v = key
+        table = record.objects[0]
+        return Block(label="b", ranks=tuple(r for r, t in enumerate(table) if t == v))
+    return Block(label="b", ranks=key.objects[0])
+
+
 def test_history_memo_scans_each_block_and_table_once(monkeypatch):
-    scans = Counter()  # by the id of the block entry's below-top masks
-    scan = history_module._scan
+    # "Scans" counts the bit-plane tests of one table on one block: the
+    # constancy test every history makes before its memo entry is filled.
+    scans = Counter()  # by (memo key of the block, record of the table)
+    factorized = Counter()  # by the id of the block's bitset
+    history_on, factorize = history_module._history_on, history_module._factorize_block
 
-    def counting_scan(axes, tops, values, reads=-1):
-        scans[id(tops)] += 1
-        return scan(axes, tops, values, reads)
+    def counting_history(space, key, bits, x, unread=0):
+        record = space.intern(x.table)
+        if record not in space._histories.get(key, {}):
+            scans[key, record] += 1
+        return history_on(space, key, bits, x, unread)
 
-    monkeypatch.setattr(history_module, "_scan", counting_scan)
+    def counting_factorize(space, block, unread=0):
+        factorized[block] += 1
+        return factorize(space, block, unread)
+
+    monkeypatch.setattr(history_module, "_history_on", counting_history)
+    monkeypatch.setattr(history_module, "_factorize_block", counting_factorize)
     rng = random.Random("history-memo")
     total = 0
     for trial in range(40):
@@ -479,6 +523,7 @@ def test_history_memo_scans_each_block_and_table_once(monkeypatch):
             make_var(space, name, 3, [rng.randrange(3) for _ in range(n)]) for name in "xyz"
         )
         scans.clear()
+        factorized.clear()
         first = structurally_independent(space, x, y, z)
         after_first = Counter(scans)
         total += sum(after_first.values())
@@ -497,21 +542,18 @@ def test_history_memo_scans_each_block_and_table_once(monkeypatch):
         assert structurally_independent(space, twin, y, z) == first
         assert scans == after_first
         assert space.intern(twin.table) is space.intern(x.table)
-        # Each block is scanned once per distinct table not constant on it.
-        for c in blocks.values():
-            tables = {v.table for v in (x, y) if len(set(v.table[r] for r in c.ranks)) > 1}
-            entry = space._atoms.get(space.intern(c.ranks))
-            if entry is None:
-                # Never factorized, so never scanned: the whole outcome set,
-                # whose histories are supports.  A block neither table
-                # varies on is factorized like any other and scanned 0 times.
-                assert len(c) == space.outcome_count or not tables
-                continue
-            assert scans[id(entry.tops)] == len(tables)
+        # Each table is tested once on each block, and a block is factorized
+        # at most once, and only when some table varies on it.
+        assert set(after_first.values()) <= {1}
+        assert set(factorized.values()) <= {1}
+        assert len(factorized) == len(space._atoms)
+        for key in space._atoms:
+            c = _memo_block(key)
+            assert any(len({v.table[r] for r in c.ranks}) > 1 for v in (x, y))
         # Every memoized history is the one the oracle gives for its table.
-        for key, entry in space._atoms.items():
-            block = Block(label="b", ranks=key.objects[0])
-            for record, found in entry.known.items():
+        for key, known in space._histories.items():
+            block = _memo_block(key)
+            for record, found in known.items():
                 var = make_var(space, "v", 3, record.objects[0])
                 assert found.members() == tuple(sorted(oracle_history(space, block, var)))
     assert total >= 60
@@ -545,8 +587,7 @@ def test_memo_lookups_hash_each_table_and_block_once():
 
     x, y = counted("x", [0, 1, 3]), counted("y", [1, 2])
     twin = RandomVariable("twin", x.codomain, CountedTable(x.table))
-    # z reads two factors, so its blocks are lifted from its grid; w reads
-    # every factor.
+    # z reads two factors, w every factor.
     z, w = counted("z", [0, 2]), counted("w", [0, 1, 2, 3])
     assert type(x.table) is CountedTable and twin.table is not x.table
     blocks = [
@@ -577,10 +618,18 @@ def test_memo_lookups_hash_each_table_and_block_once():
     assert space.intern(twin.table) is space.intern(x.table)
 
 
-def test_interleaved_atoms_are_read_in_tensor_order():
+def _interleaved(space, c):
+    """Is some atom of C not a run of consecutive factors free on C?"""
+    parts = disintegration_atoms(space, c)
+    free = [k for k in range(space.factor_count) if k not in parts.trivial_part]
+    # The atoms are listed by lowest factor.
+    return [k for atom in parts.atoms for k in atom] != free
+
+
+def test_histories_on_interleaved_atoms_match_subset_enumeration():
     # z reads two factors with a free one between them, so a block of more
-    # than one point of z's grid lists the grid first and the free factor
-    # after it: its values are read out of rank order for the axis scan.
+    # than one point of z's grid has an atom of z's factors around that
+    # free factor.  Both the Block path and the level-set path are checked.
     rng = random.Random("interleaved-atoms")
     interleaved = 0
     for _ in range(30):
@@ -589,17 +638,16 @@ def test_interleaved_atoms_are_read_in_tensor_order():
         i = rng.randrange(space.factor_count - 2)
         j = rng.randrange(i + 2, space.factor_count)
         z = function_of(space, "z", [i, j], 2, rng)
-        for c in blocks_of(space, z).values():
-            read = history_module._factorize(space, c.ranks).read
-            if tuple(read(range(space.outcome_count))) == c.ranks:
+        for label, c in blocks_of(space, z).items():
+            if not _interleaved(space, c):
                 continue
             interleaved += 1
             for k in range(8):
                 ids = [f for f in range(space.factor_count) if rng.random() < 0.5]
                 x = function_of(space, f"x{k}", ids, 3, rng)
-                assert history(space, c, x).members() == tuple(
-                    sorted(oracle_history(space, c, x))
-                )
+                want = tuple(sorted(oracle_history(space, c, x)))
+                assert history(space, c, x).members() == want
+                assert conditional_history(space, x, z).per_block[label].members() == want
     assert interleaved >= 20
 
 
@@ -659,23 +707,28 @@ def test_full_product_block_takes_the_product_exit(monkeypatch):
     assert history(space, full_block(space), factor_var(space, n - 1)) == _ids(space, n - 1)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_grid_block_entries_match_the_general_factorization(data):
-    # Domains of size 1 put constant factors among those z reads and those
-    # it leaves out.  "some" leaves out a factor of more than one value, so
-    # z's blocks are lifted from its grid whenever z reads anything, and
-    # its factors often have a left-out one between them.  "entangled"
-    # reads a < b < c, and where z is 0 (a or c at 0, any b) a and c form
-    # one atom with b free between them, so that grid block's tensor order
-    # (a, c, b) is not its rank order.
-    sizes = data.draw(st.lists(st.integers(1, 3), min_size=2, max_size=5))
+def test_level_set_histories_match_block_histories_and_subset_enumeration(data):
+    # conditional_history and structurally_independent build each block of
+    # z as a level-set bitset; history() is given the Blocks of blocks_of,
+    # on a second space so that no memo is shared.  Both must agree with
+    # subset enumeration on every block.  Domains of size 1 put constant
+    # factors among those z reads and those it leaves out.  "some" leaves
+    # out a factor of more than one value, and z's factors often have a
+    # left-out one between them.  "entangled" reads a < b < c, and where z
+    # is 0 (a or c at 0, any b) a and c form one atom with b free between
+    # them.  z's values are stored as drawn, doubled in a bytes table of
+    # 300 labels (every odd label and every label from 256 on unattained),
+    # or from 256 up in a tuple table; x takes 1 to 300 values, so its table
+    # is a tuple when a value reaches 256.
+    sizes = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
     space = make_space(*sizes)
     n = space.factor_count
     free = [i for i, size in enumerate(sizes) if size > 1]
     rng = random.Random(data.draw(st.integers()))
     kinds = ["one", "all", "constant", "no z"]
-    if free:
+    if free and n > 1:
         kinds += ["some"] * 3
     if n >= 3:
         kinds += ["entangled"] * 2
@@ -697,15 +750,26 @@ def test_grid_block_entries_match_the_general_factorization(data):
         else:
             ids = list(range(n)) if kind == "all" else []
         z = function_of(space, "z", ids, data.draw(st.integers(1, 3)), rng)
+    if z is not None:
+        stored = data.draw(st.sampled_from(["narrow", "bytes", "tuple"]))
+        low, extra = {"narrow": (0, 0), "bytes": (0, 300), "tuple": (256, 300)}[stored]
+        k = len(z.codomain)
+        z = make_var(space, "z", low + 2 * k + extra, [low + 2 * v for v in z.table])
+        assert isinstance(z.table, bytes) == (stored != "tuple")
     xs = [
-        function_of(space, f"x{k}", sorted(data.draw(st.sets(st.integers(0, n - 1)))), 3, rng)
+        function_of(
+            space,
+            f"x{k}",
+            sorted(data.draw(st.sets(st.integers(0, n - 1)))),
+            data.draw(st.sampled_from([1, 2, 3, 300])),
+            rng,
+        )
         for k in range(2)
     ]
     xs.append(make_var(space, "r", 3, [rng.randrange(3) for _ in range(space.outcome_count)]))
     if z is not None:
         # A function of z and one factor reads z's factors, yet on a block
-        # it varies along that factor alone: a scan in the wrong order
-        # finds more.
+        # it varies along that factor alone.
         i = data.draw(st.integers(0, n - 1))
         h: dict[tuple[int, int], int] = {}
         table = [
@@ -713,68 +777,78 @@ def test_grid_block_entries_match_the_general_factorization(data):
             for r, v in enumerate(z.table)
         ]
         xs.append(make_var(space, "zx", 3, table))
-    copy = make_space(*sizes)
-    for c in blocks_of(space, z).values():
-        entry = history_module._factorize(space, c.ranks)
-        general = history_module._factorize(copy, c.ranks)
-        assert copy.intern(c.ranks) not in copy._grids
-        assert entry.trivial == general.trivial
-        assert sorted(m for m, _, _ in entry.axes) == sorted(m for m, _, _ in general.axes)
-        for x in xs:
-            want = tuple(sorted(oracle_history(space, c, x)))
-            assert history(space, c, x).members() == want
-            assert history(copy, c, x).members() == want
+    fresh = make_space(*sizes)
+    blocks = blocks_of(fresh, z)
+    hists = []
+    for x in xs:
+        per_block = conditional_history(space, x, z).per_block
+        assert list(per_block) == list(blocks)
+        for label, c in blocks.items():
+            want = tuple(sorted(oracle_history(fresh, c, x)))
+            assert per_block[label].members() == want
+            assert history(fresh, c, x).members() == want
+        hists.append(per_block)
+    for (x, hx), (y, hy) in combinations(zip(xs, hists), 2):
+        verdict = structurally_independent(space, x, y, z)
+        want = {label: hx[label] & hy[label] for label in blocks if hx[label] & hy[label]}
+        assert verdict.overlaps == want and list(verdict.overlaps) == list(want)
 
 
-def test_a_grid_block_out_of_rank_order_is_read_in_its_tensor_order():
+def test_an_atom_around_a_free_factor_gives_exact_histories():
     # Where z is 0 (u0 or u2 at 0, any u1), u0 and u2 form one atom with u1
-    # free between them, so that grid block lists (u0, u2, u1), not rank
-    # order; z leaves u3 out, so the block is lifted from its grid.
+    # free between them, and z leaves u3 out.  Histories through the level
+    # set and through the Block agree with subset enumeration.
     space = make_space(3, 2, 3, 2)
     outcomes = [outcome_unrank(space, r) for r in range(space.outcome_count)]
     z = make_var(space, "z", 3, [0 if o[0] == 0 or o[2] == 0 else 1 + o[1] for o in outcomes])
-    block = blocks_of(space, z)["0"]
-    grid, granks = space._grids[space.intern(block.ranks)]
-    read = history_module._factorize(grid.space, granks).read
-    assert tuple(read(range(grid.space.outcome_count))) != granks
+    blocks = blocks_of(space, z)
+    assert disintegration_atoms(space, blocks["0"]).atoms == (
+        _ids(space, 1), _ids(space, 0, 2), _ids(space, 3)
+    )
     # x reads u0, u1 and u2, but where z is 0 it is u1.
     x = make_var(space, "x", 3, [o[1] if v == 0 else 2 for o, v in zip(outcomes, z.table)])
-    assert history(space, block, x) == _ids(space, 1)
+    assert history(space, blocks["0"], x) == _ids(space, 1)
+    assert conditional_history(space, x, z).per_block["0"] == _ids(space, 1)
     rng = random.Random("grid-tensor-order")
     for i in range(space.factor_count):
         h: dict[tuple[int, int], int] = {}
         table = [h.setdefault((v, o[i]), rng.randrange(3)) for o, v in zip(outcomes, z.table)]
         y = make_var(space, "y", 3, table)
-        for c in blocks_of(space, z).values():
-            assert history(space, c, y).members() == tuple(sorted(oracle_history(space, c, y)))
+        per_block = conditional_history(space, y, z).per_block
+        for label, c in blocks.items():
+            want = tuple(sorted(oracle_history(space, c, y)))
+            assert history(space, c, y).members() == want
+            assert per_block[label].members() == want
 
 
-def test_a_conditioner_reading_every_factor_builds_no_grid(monkeypatch):
+def test_a_conditioner_reading_every_factor_builds_no_blocks():
     # A parity over every factor of more than one value, next to a factor
-    # of one value: no grid space, no lifted entry, no support but z's.
-    def no_grid(*args):
-        raise AssertionError("a grid was built")
-
-    monkeypatch.setattr(space_module, "_grid_blocks", no_grid)
+    # of one value: the queries build no Block, scan no support but z's,
+    # and factorize each of z's two level sets once.
     space = make_space(2, 1, 3, 2)
     n = space.outcome_count
     z = make_var(space, "z", 2, [sum(outcome_unrank(space, r)) % 2 for r in range(n)])
     x = factor_var(space, 2)
     ch = conditional_history(space, x, z)
     assert structurally_independent(space, x, factor_var(space, 0), z).overlaps
-    assert space._grids == {}
+    assert space._blocks == {}
     assert list(space._supports) == [space.intern(z.table)]
     assert len(space._atoms) == 2
     for label, c in blocks_of(space, z).items():
         assert ch.per_block[label].members() == tuple(sorted(oracle_history(space, c, x)))
+        assert history(space, c, x) == ch.per_block[label]
+    # The Blocks of blocks_of share their level sets' memo entries.
+    assert len(space._atoms) == 2
+    assert all(isinstance(key, tuple) for key in space._histories)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_histories_on_lifted_blocks_match_subset_enumeration(data):
     # z reads some but not all of the factors of more than one value, so
-    # its blocks are lifted from its grid; x reads none, some or all of
-    # z's factors.  Reading none, its history is its support on every
+    # each of its blocks is its block on the grid of z's factors, lifted:
+    # times every factor z leaves out.  x reads none, some or all of z's
+    # factors.  Reading none, its history given z is its support on every
     # block, with no block factorized.
     sizes = data.draw(st.lists(st.integers(1, 3), min_size=2, max_size=5))
     for i in data.draw(st.sets(st.integers(0, len(sizes) - 1), min_size=2, max_size=2)):
@@ -791,13 +865,14 @@ def test_histories_on_lifted_blocks_match_subset_enumeration(data):
     mode = data.draw(st.sampled_from(["none", "some", "all"]))
     shared = {"none": [], "some": z_read[: rng.randint(1, len(z_read))], "all": z_read}[mode]
     x = function_of(space, "x", sorted(others | set(shared)), data.draw(st.integers(1, 3)), rng)
-    blocks = blocks_of(space, z).values()
-    for c in blocks:
-        want = tuple(sorted(oracle_history(space, c, x)))
-        assert history(space, c, x).members() == want, (mode, x.table, z.table)
+    per_block = conditional_history(space, x, z).per_block
     if not support(space, x) & read:
         assert space._atoms == {}
-        assert all(history(space, c, x).mask == support(space, x) for c in blocks)
+        assert all(h.mask == support(space, x) for h in per_block.values())
+    for label, c in blocks_of(space, z).items():
+        want = tuple(sorted(oracle_history(space, c, x)))
+        assert per_block[label].members() == want, (mode, x.table, z.table)
+        assert history(space, c, x).members() == want, (mode, x.table, z.table)
 
 
 def test_independence_of_variables_off_the_conditioner_factorizes_no_block():
@@ -812,6 +887,32 @@ def test_independence_of_variables_off_the_conditioner_factorizes_no_block():
     assert space._atoms == {}
     assert not structurally_independent(space, x, x, z).independent
     assert space._atoms == {}
+
+
+def test_repeated_independence_off_the_conditioner_builds_no_index_set(monkeypatch):
+    # x and y read none of z's factors, so their histories given z are
+    # their supports, memoized as IndexSets with the support masks: a
+    # repeated check builds none.
+    space = make_space(2, 3, 2, 2)
+    outcomes = [outcome_unrank(space, r) for r in range(space.outcome_count)]
+    z = make_var(space, "z", 3, [(o[0] + o[1]) % 3 for o in outcomes])
+    x, y = factor_var(space, 2), factor_var(space, 3)
+    first = structurally_independent(space, x, y, z)
+    assert first.independent
+    built = []
+    post_init = IndexSet.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(IndexSet, "__post_init__", counting)
+    verdict = structurally_independent(space, x, y, z)
+    per_block = conditional_history(space, x, z).per_block
+    monkeypatch.undo()
+    assert built == []
+    assert verdict == first
+    assert per_block == dict.fromkeys("012", _ids(space, 2))
 
 
 def test_independence_off_the_conditioner_at_scale_holds_no_block_memory():
@@ -887,9 +988,9 @@ def test_queries_off_the_conditioner_match_subset_enumeration(data):
 @given(st.data())
 def test_independence_with_one_variable_off_the_conditioner_matches_subset_enumeration(data):
     # z reads a proper subset of the free factors, x none of z's factors
-    # and y some.  x's history is its support on every block, so no
-    # history() call reads x's table on a block, in either argument order,
-    # and the overlaps match the oracle on every block of z in label order.
+    # and y some.  x's history is its support on every block, so x's table
+    # is read on no block, in either argument order, and the overlaps match
+    # the oracle on every block of z in label order.
     sizes = data.draw(st.lists(st.integers(1, 3), min_size=2, max_size=5))
     for i in data.draw(st.sets(st.integers(0, len(sizes) - 1), min_size=2, max_size=2)):
         sizes[i] = max(sizes[i], 2)
@@ -909,14 +1010,14 @@ def test_independence_with_one_variable_off_the_conditioner_matches_subset_enume
     y = function_of(space, "y", sorted(y_ids), 3, rng)
     assume(support(space, y) & read)
     tables = []
-    real_history = history_module.history
+    history_on = history_module._history_on
 
-    def spy(space, c, v):
+    def spy(space, key, bits, v, unread=0):
         tables.append(v.table)
-        return real_history(space, c, v)
+        return history_on(space, key, bits, v, unread)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(history_module, "history", spy)
+        mp.setattr(history_module, "_history_on", spy)
         verdicts = [structurally_independent(space, a, b, z) for a, b in ((x, y), (y, x))]
     assert x.table not in tables
     fresh = make_space(*sizes)
@@ -930,14 +1031,10 @@ def test_independence_with_one_variable_off_the_conditioner_matches_subset_enume
         assert verdict.independent == (not want)
 
 
-def test_ci_verify_queries_off_the_conditioner_build_no_blocks(monkeypatch):
+def test_ci_verify_queries_off_the_conditioner_build_no_blocks():
     # The ci-verify shape: X reads u0-u2, Y u3-u5, W u2 and u3, Z u6 and u7.
     # X and Y, and X and W, read none of Z's factors, so neither query
-    # partitions Z, builds a grid or factorizes a block.
-    def no_grid(*args):
-        raise AssertionError("a grid was built")
-
-    monkeypatch.setattr(space_module, "_grid_blocks", no_grid)
+    # partitions Z, builds a level set or factorizes a block.
     space = make_space(2, 3, 2, 3, 2, 3, 2, 3)
     outcomes = [outcome_unrank(space, r) for r in range(space.outcome_count)]
     x = make_var(space, "X", 3, [(o[0] + o[1] + o[2]) % 3 for o in outcomes])
@@ -952,7 +1049,7 @@ def test_ci_verify_queries_off_the_conditioner_build_no_blocks(monkeypatch):
         label: _ids(space, 0, 1, 2) for label in "012"
     }
     assert space._blocks == {}
-    assert space._grids == {}
+    assert space._histories == {}
     assert space._atoms == {}
 
 
@@ -979,6 +1076,31 @@ def test_conditioned_queries_build_no_full_length_tables():
     assert elapsed < 20.0
 
 
+def test_conditioned_histories_at_scale_hold_one_level_set_at_a_time():
+    # 2^18 outcomes: z = u3 + u12 reads two factors, and x = u3 xor u9 reads
+    # one of them.  Where z is 0 or 2, u3 and u12 are constant and x's
+    # history is {u9}; where z is 1, u3 and u12 form one atom.  Each level
+    # set is one 2^18-byte bitset built from z's table and dropped after
+    # its history, next to the support scans' memoized lane masks (18 of
+    # 2^18 bytes); block ranks and their tensor-order read-off would peak
+    # near 33 MB.
+    space = make_space(*[2] * 18)
+    ranks = range(space.outcome_count)
+    z = make_var(space, "z", 3, ((r >> 14 & 1) + (r >> 5 & 1) for r in ranks))
+    x = make_var(space, "x", 2, ((r >> 14 ^ r >> 8) & 1 for r in ranks))
+    tracemalloc.start()
+    try:
+        per_block = conditional_history(space, x, z).per_block
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert per_block == {
+        "0": _ids(space, 9), "1": _ids(space, 3, 9, 12), "2": _ids(space, 9)
+    }
+    assert space._digits == {} and space._blocks == {}
+    assert peak < 16 * 10**6
+
+
 def _interleaved_block(data):
     """(space, ranks) of a block with atoms {a, a'}, {b, b'} and {c}, the
     factors placed in any order among a one-value factor and one pinned to
@@ -999,66 +1121,63 @@ def _interleaved_block(data):
 
 
 def _factorizations(data):
-    """(space, ranks) of the blocks one drawn case factorizes.
+    """(space, ranks, unread) of the blocks one drawn case factorizes.
 
     Domains of size 1 give constant factors, and domains up to 4 folds
     that shift by more than one value step.  "drawn" is a product of
     arbitrary subsets over a random grouping of the factors, "entangled"
-    ties two factors with one between them (an atom that is not a run, so
-    its tensor order is not rank order), "interleaved" has three atoms in
-    any order around a one-value factor and a pinned one, and "grid" gives
-    the grid blocks that _lift factorizes for a z that leaves a factor out.
+    ties two factors with one between them (an atom that is not a run),
+    "interleaved" has three atoms in any order around a one-value factor
+    and a pinned one, and "partial" gives the blocks of a z that leaves a
+    factor out, with the mask of the factors of more than one value that z
+    does not read; other blocks come with 0.
     """
     kind = data.draw(
-        st.sampled_from(["drawn", "single", "full", "entangled", "interleaved", "grid"])
+        st.sampled_from(["drawn", "single", "full", "entangled", "interleaved", "partial"])
     )
     if kind == "interleaved":
-        return [_interleaved_block(data)]
-    low = 3 if kind in ("entangled", "grid") else 1
+        return [(*_interleaved_block(data), 0)]
+    low = 3 if kind in ("entangled", "partial") else 1
     sizes = data.draw(st.lists(st.integers(1, 4), min_size=low, max_size=4))
     n = len(sizes)
     if kind == "entangled":
         a, b, c = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=3, max_size=3)))
         sizes[a], sizes[c] = max(sizes[a], 2), max(sizes[c], 2)
-    elif kind == "grid":
+    elif kind == "partial":
         ids = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1)))
         left_out = data.draw(st.sampled_from([i for i in range(n) if i not in ids]))
         sizes[left_out] = max(sizes[left_out], 2)
     space = make_space(*sizes)
     if kind == "drawn":
-        return [(space, _draw_block(data, space).ranks)]
+        return [(space, _draw_block(data, space).ranks, 0)]
     if kind == "single":
-        return [(space, (data.draw(st.integers(0, space.outcome_count - 1)),))]
+        return [(space, (data.draw(st.integers(0, space.outcome_count - 1)),), 0)]
     if kind == "full":
-        return [(space, full_block(space).ranks)]
+        return [(space, full_block(space).ranks, 0)]
     outcomes = [outcome_unrank(space, r) for r in range(space.outcome_count)]
     if kind == "entangled":
         parity = data.draw(st.integers(0, 1))
-        return [(space, tuple(r for r, o in enumerate(outcomes) if (o[a] + o[c]) % 2 == parity))]
+        ranks = tuple(r for r, o in enumerate(outcomes) if (o[a] + o[c]) % 2 == parity)
+        return [(space, ranks, 0)]
     rng = random.Random(data.draw(st.integers()))
     z = function_of(space, "z", ids, data.draw(st.integers(2, 4)), rng)
-    cases = []
-    for c in blocks_of(space, z).values():
-        grid = space._grids.get(space.intern(c.ranks))
-        if grid is not None:
-            history_module._factorize(space, c.ranks)
-            grid, granks = grid
-            cases.append((grid.space, granks))
-    return cases
+    unread = space._free & ~support(space, z)
+    return [(space, c.ranks, unread) for c in blocks_of(space, z).values()]
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_bitset_factorization_matches_key_counts(data):
-    for space, ranks in _factorizations(data):
+    # A block factorized knowing the factors its conditioner leaves out
+    # (the level-set path) factorizes as it does without.
+    for space, ranks, unread in _factorizations(data):
         entry = history_module._factorize(space, ranks)
         copy = make_space(*(f.size for f in space.factors))
-        want_trivial, want_axes, want_read = oracle_factorize(copy, ranks)
-        assert space.intern(ranks) not in space._grids
-        assert entry.trivial == want_trivial
-        assert entry.axes == want_axes
-        every = range(space.outcome_count)
-        assert tuple(entry.read(every)) == tuple(want_read(every))
+        assert (entry.trivial, tuple(m for m, _ in entry.atoms)) == oracle_factorize(copy, ranks)
+        for mask, ids in entry.atoms:
+            assert ids == IndexSet(mask, space.factor_count).members()
+        block = history_module._bitset(space, ranks)
+        assert history_module._factorize_block(space, block, unread) == entry
 
 
 def _rule_block(data):
@@ -1137,7 +1256,7 @@ def test_bitset_counts_equal_set_counts_wherever_the_rule_asks(data):
     "sizes, z, folds",
     [
         ((2,) * 8, lambda o: sum(o) % 2, 56),
-        ((2,) * 6, lambda o: 2 * (o[0] ^ o[2]) + (o[1] + o[3] + o[4] + o[5]) % 2, 112),
+        ((2,) * 6, lambda o: 2 * (o[0] ^ o[2]) + (o[1] + o[3] + o[4] + o[5]) % 2, 88),
         ((2, 3, 2, 2), lambda o: (o[0] ^ (o[1] % 2)) + 2 * (o[2] & o[3]), 42),
     ],
     ids=["parity-8", "xor-and-parity-6", "mixed-2x3x2x2"],

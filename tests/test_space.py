@@ -11,6 +11,7 @@ round-trips.
 
 from __future__ import annotations
 
+import importlib
 import math
 import random
 import tracemalloc
@@ -61,6 +62,9 @@ from oracles import (
     oracle_support,
     oracle_table_is_ints,
 )
+
+# The package re-exports the function history() under the module's name.
+history_module = importlib.import_module("facthist.history")
 
 
 def test_rank_is_mixed_radix_with_last_factor_fastest():
@@ -312,7 +316,7 @@ def test_support_matches_cell_comparisons(data):
     assert conditional_history(space, x).per_block == {"*": got}
     # Memoized by table: an equal table under another name shares the
     # record, so it reads the one entry.
-    assert space._supports == {space.intern(x.table): want}
+    assert space._supports == {space.intern(x.table): (want, got)}
     twin = RandomVariable("twin", x.codomain, tuple(list(x.table)))
     assert twin.table is not x.table
     assert support(space, twin) == want
@@ -422,11 +426,11 @@ def test_blocks_on_the_support_grid_are_the_level_sets(data):
     assert {label: c.ranks for label, c in blocks.items()} == {
         z.codomain[v]: tuple(want[v]) for v in sorted(want)
     }
-    # The grid path runs exactly when z reads some but not all of the
-    # factors of more than one value.
-    free = sum(1 << i for i, s in enumerate(sizes) if s > 1)
-    read = support(space, z)
-    assert bool(space._grids) == (read not in (0, free))
+    # The history module's level sets are the same blocks, as bitsets.
+    level_sets = history_module._level_sets(space, z)
+    assert [(label, bits()) for label, _, bits in level_sets] == [
+        (label, history_module._bitset(space, c.ranks)) for label, c in blocks.items()
+    ]
 
 
 def test_blocks_partition_and_keys_are_attained():

@@ -175,8 +175,12 @@ def test_integer_duality_counts_violations_like_the_oracle(monkeypatch):
     # The package re-exports the function history under the module's name.
     history_module = importlib.import_module("facthist.history")
     monkeypatch.setattr(history_module, "history", blind)
-    # conditional_history asks history() on every block, never the supports.
+    # conditional_history reports every history empty too: it never takes
+    # the supports, and each level set's history is blind.
     monkeypatch.setattr(history_module, "_history_off", lambda space, x, read: None)
+    monkeypatch.setattr(
+        history_module, "_history_on", lambda space, key, bits, x, unread: blind(space, None, x)
+    )
     monkeypatch.setattr(importlib.import_module("facthist.verification"), "history", blind)
     violations = 0
     for index in range(60):

@@ -12,13 +12,22 @@ objects.  Reported probabilities are still exact Fractions.  The weight of
 every outcome comes from expanding the outer product of the per-factor
 integer vectors, in rank order (last factor fastest).
 
-Sampled distributions stay integers until one is reported.  _draw_ints
-draws a vector's numerators on 1..101; sample_vector normalizes one draw,
-and _sample_ints returns one per factor, the numerators of sample_product,
-which find_witness and the duality suite use directly.  verify_soundness
-draws each chunk of samples into one bytes buffer by one generator,
-reseeded per sample (_draw_chunk); _sample_ints is a chunk of one.
-find_witness builds Fractions only for the sample it returns.  _shifts is
+Sampled distributions stay integers until one is reported.  Numerators
+lie on 1..101, each one byte, drawn by rejection: a byte whose top seven
+bits are at most 100 gives one plus them, any other byte is dropped
+(_draw_tables).  Two streams feed that rule.  A sampled product
+distribution is counter-based: sample s reads the bytes of SHAKE-256 keyed
+by the decimal digits of s, so the numerators of sample i of a batch are a
+function of (seed, i) alone, with no generator state, and are the same on
+every Python version (_draw_chunk; after Salmon, Moraes, Dror and Shaw,
+"Parallel random numbers: as easy as 1, 2, 3", SC 2011).  _sample_ints
+returns one sample's numerators per factor, the numerators of
+sample_product, which find_witness and the duality suite use directly;
+verify_soundness draws each chunk of samples into one bytes buffer.  A
+single vector is drawn from a caller's random.Random instead (_draw_ints,
+with randint's numbers; sample_vector normalizes one draw), as the law
+suites' perturbation vectors are.  find_witness builds Fractions only for
+the sample it returns.  _shifts is
 the one test of whether a conditional moved between two distributions,
 over _block_marginal rows, which also raise on a zero-mass block.
 
@@ -81,6 +90,7 @@ thrown away.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from dataclasses import dataclass
@@ -269,23 +279,20 @@ def _normalized(nums: Sequence[int]) -> tuple[Fraction, ...]:
 
 @lru_cache(maxsize=4)
 def _draw_tables(top: int) -> tuple[bytes, bytes]:
-    """translate() tables from a 32-bit word's top byte to randint(1, top).
+    """translate() tables from a byte to a numerator on 1..top, or to none.
 
-    randint(1, top) keeps the top k = top.bit_length() bits of one 32-bit
-    word, redraws while they are >= top, and adds 1.  The first table maps
-    each byte to that number, the second lists the bytes that are redrawn.
-    A top of at most 255 keeps every number in one byte.
+    A byte b gives 1 + (b >> (8 - k)) when that shift, its top
+    k = top.bit_length() bits, is below top, and is dropped otherwise.  The
+    first table maps each byte to its number, the second lists the dropped
+    bytes.  Read off the top byte of a 32-bit word, this is
+    randint(1, top), which keeps the word's top k bits and redraws while
+    they are >= top (_draw_ints); _draw_chunk reads every byte of a
+    SHAKE-256 stream.  A top of at most 255 keeps every number in one byte.
     """
     shift = 8 - top.bit_length()
     table = bytes(1 + (b >> shift) if b >> shift < top else 0 for b in range(256))
     redrawn = bytes(b for b in range(256) if b >> shift >= top)
     return table, redrawn
-
-
-def _draw_round(rng: random.Random, words: int) -> bytes:
-    """The numerators _draw_ints keeps from the next `words` 32-bit words of rng."""
-    tops = rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
-    return tops.translate(*_draw_tables(SAMPLE_GRID_MAX))
 
 
 def _draw_ints(rng: random.Random, size: int) -> list[int]:
@@ -298,9 +305,12 @@ def _draw_ints(rng: random.Random, size: int) -> list[int]:
     exactly the missing count, so no word after the last kept one is drawn
     and rng ends in randint's state.
     """
+    tables = _draw_tables(SAMPLE_GRID_MAX)
     out = b""
     while len(out) < size:
-        out += _draw_round(rng, size - len(out))
+        words = size - len(out)
+        tops = rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
+        out += tops.translate(*tables)
     return list(out)
 
 
@@ -312,22 +322,27 @@ def sample_vector(rng: random.Random, size: int) -> tuple[Fraction, ...]:
 def _draw_chunk(space: FactoredSpace, seeds: Sequence[int]) -> bytes:
     """The numerators of sample_product(space, s) for each s in seeds, in one buffer.
 
-    Sample after sample, each sample's factor vectors in factor order.  One
-    generator, built from the first seed and reseeded with each later one
-    (an int seed gives random.Random(s)'s state), draws one round per sample
-    with headroom for the rejected words, about 27 in 128; a shortfall takes
-    more rounds, and numerators past the sample's size are dropped, since
-    the generator is private to the call.
+    Sample after sample, each sample's factor vectors in factor order.
+    Sample s reads the unbounded byte stream of SHAKE-256 keyed by the
+    ASCII decimal of s, a counter-based stream: no generator is seeded,
+    and the sample is a function of s alone.  Each byte is mapped to a
+    numerator or dropped by the translate() tables of _draw_tables, and the
+    first sum of the factor sizes numerators kept are the sample's.  One
+    digest per sample has headroom for the dropped bytes, about 27 in 128;
+    on a shortfall a longer digest is read, and since a longer SHAKE digest
+    extends the shorter one, the numerators do not depend on how many
+    digests that took.
     """
     size = sum(f.size for f in space.factors)
-    rng = random.Random(seeds[0]) if seeds else None
+    tables = _draw_tables(SAMPLE_GRID_MAX)
     out = []
-    for i, s in enumerate(seeds):
-        if i:
-            rng.seed(s)
-        nums = _draw_round(rng, size + size // 3 + 4)
+    for s in seeds:
+        stream = hashlib.shake_256(str(s).encode("ascii"))
+        length = size + size // 3 + 4
+        nums = stream.digest(length).translate(*tables)
         while len(nums) < size:
-            nums += _draw_round(rng, size)
+            length += size
+            nums = stream.digest(length).translate(*tables)
         out.append(nums[:size])
     return b"".join(out)
 
@@ -343,9 +358,9 @@ def _per_sample(space: FactoredSpace, buf: Sequence[int]) -> list[list[list[int]
 def _sample_ints(space: FactoredSpace, seed: int) -> list[list[int]]:
     """The numerators of sample_product(space, seed), one list per factor.
 
-    The draws are made in the same order, all in one _draw_ints call, so
-    normalizing each list gives that distribution; the integers themselves
-    are weights proportional to it, which is all a CI check needs.
+    They are _draw_chunk's for this one seed, so normalizing each list gives
+    that distribution; the integers themselves are weights proportional to
+    it, which is all a CI check needs.
     """
     return _per_sample(space, _draw_chunk(space, [seed]))[0]
 
@@ -353,8 +368,11 @@ def _sample_ints(space: FactoredSpace, seed: int) -> list[list[int]]:
 def sample_product(space: FactoredSpace, seed: int) -> ProductDistribution:
     """A strictly positive rational product distribution, deterministic per seed.
 
-    Every entry is at least 1/(101*d) for a d-valued factor, so sampled
-    distributions never have degenerate blocks.
+    Its numerators are the first bytes of the SHAKE-256 stream keyed by the
+    ASCII decimal of seed that _draw_tables keeps, in factor order
+    (_draw_chunk), so the distribution depends on the seed alone, on every
+    Python version.  Every entry is at least 1/(101*d) for a d-valued
+    factor, so sampled distributions never have degenerate blocks.
     """
     return ProductDistribution(
         per_factor=tuple(map(_normalized, _sample_ints(space, seed)))
@@ -830,13 +848,15 @@ def verify_soundness(
 ) -> SoundnessReport:
     """Exact CI under n sampled positive distributions; requires a structural pair.
 
-    Sample i is sample_product(space, spawn_seed(seed, i)), drawn in order.
-    The samples are checked in chunks of at most query.lanes, as even as
-    that allows, each drawn into one buffer (_draw_chunk) and checked by
-    one lane pass (_CiQuery.all_hold) when it holds at least LANES_MIN
-    samples.  A chunk the pass does not clear, and any
-    shorter chunk, is checked sample by sample with check_ints, so the
-    report is exactly that of checking every sample on its own.  The cap
+    Sample i is sample_product(space, spawn_seed(seed, i)), a function of
+    (seed, i) alone: its numerators are read off a SHAKE-256 stream keyed
+    by that child seed, with no generator to seed or carry.  The samples
+    are checked in chunks of at most query.lanes, as even as that allows,
+    each drawn into one buffer (_draw_chunk) and checked by one lane pass
+    (_CiQuery.all_hold) when it holds at least LANES_MIN samples.  A chunk
+    the pass does not clear, and any shorter chunk, is checked sample by
+    sample with check_ints, so the report is exactly that of checking
+    every sample on its own.  The cap
     keeps a pass's lanes within the weights of one unreduced check, or
     within LANE_WEIGHTS on a smaller space; a space of at least that many
     outcomes whose quotient does not shrink gets chunks of one.
@@ -873,8 +893,10 @@ def find_witness(
 ) -> ProductDistribution | None:
     """First sampled distribution violating CI, or None after max_tries.
 
-    Only defined for non-structural pairs; a miss flags the instance for
-    review rather than counting as evidence either way.
+    Try i is sample_product(space, spawn_seed(seed, i)), drawn from its own
+    SHAKE-256 stream (_draw_chunk), so a try's numerators depend on (seed,
+    i) alone.  Only defined for non-structural pairs; a miss flags the
+    instance for review rather than counting as evidence either way.
     """
     if max_tries < 0:
         raise ValueError(f"max_tries must be non-negative, got {max_tries}")

@@ -108,9 +108,10 @@ are already known:
   atoms of S are unchanged.
 * Merge rule: otherwise {k} absorbs exactly those atoms A of S for which
   |proj_A| * |proj_{S+k minus A}| != |proj_{S+k}|, and the other atoms stay.
-  Those counts are count(i + 1, A) and count(i + 1, ()), and the grown
-  atom's count is |proj_{S+k}| over the kept atoms' counts, since
-  proj_{S+k}(C) is the product of its atoms' projections.
+  Those counts are count(i + 1, A) and count(i + 1, ()), which is |C| at
+  the last free factor, and the grown atom's count is |proj_{S+k}| over
+  the kept atoms' counts, since proj_{S+k}(C) is the product of its
+  atoms' projections.
 
 Proof sketch: projecting away k maps a rectangle of proj_{S+k}(C) to a
 rectangle of proj_S(C), so every new atom is a union of old atoms plus
@@ -419,7 +420,12 @@ def _atoms(
             # Product exit: C = proj_S(C) x the projections of free[i:].
             atoms += [(1 << j, widths[j], [j]) for j in free[i:]]
             break
-        grown = count(i + 1, ()) if atoms else widths[k]
+        if not atoms:
+            grown = widths[k]
+        elif i + 1 == len(free):
+            grown = total  # |proj_free(C)| is the block's size
+        else:
+            grown = count(i + 1, ())
         if grown == seen_count * widths[k]:
             atoms.append((1 << k, widths[k], [k]))
         else:

@@ -6,7 +6,8 @@ cross-pair membership, determination by pairwise comparison, histories by
 enumerating all subsets and taking the subset-minimal generating ones,
 block factorizations by counting sets of integer projection keys,
 projection counts by sets of coordinate tuples, probabilities by summing
-exact outcome products, the cell sums of a prepared CI query by a
+exact outcome products, sampled numerators by reading the SHAKE-256
+stream one byte at a time, the cell sums of a prepared CI query by a
 per-rank pass, CI under every product
 distribution by comparing monomial coefficients, CI reports and joint
 factorization by a per-rank pass over each block, the duality law through
@@ -19,6 +20,7 @@ on purpose; only run on small inputs.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from collections import Counter
 from fractions import Fraction
@@ -223,6 +225,31 @@ def oracle_projection_counts(space: FactoredSpace, ranks):
         return len({tuple(o[k] for k in ids) for o in outcomes})
 
     return free, widths, count
+
+
+def oracle_sample_ints(space: FactoredSpace, seed: int, top: int = 101) -> list[list[int]]:
+    """The numerators of sample_product(space, seed), one list per factor.
+
+    Byte j of the stream of seed is the last byte of the SHAKE-256 digest,
+    j + 1 bytes long, of the decimal digits of seed.  Bytes are read one at
+    a time; a byte b whose top top.bit_length() bits are below top gives
+    the numerator 1 + those bits, any other byte is skipped.  The first
+    sum of the factor sizes numerators fill the factors in order.
+    """
+    key = str(seed).encode("ascii")
+    shift = 8 - top.bit_length()
+    nums: list[int] = []
+    length = 0
+    while len(nums) < sum(f.size for f in space.factors):
+        length += 1
+        b = hashlib.shake_256(key).digest(length)[-1]
+        if b >> shift < top:
+            nums.append(1 + (b >> shift))
+    out = []
+    for f in space.factors:
+        out.append(nums[: f.size])
+        del nums[: f.size]
+    return out
 
 
 def oracle_event_prob(space: FactoredSpace, p: ProductDistribution, ranks) -> Fraction:

@@ -762,7 +762,7 @@ def test_traced_names_resolve():
 
 # sha256 over repr((exit code, stdout, stderr)) of every call in
 # SURFACE_CALLS, run in a fresh directory that holds the files below.
-PINNED_SURFACE = (42, "981b0187dcc9aecf1a6e3f7f5793bd9729ccac6abf9c3117391f5fb19eab01bf")
+PINNED_SURFACE = (42, "8137288bf9acde6be0aee506e0f95d527e0696f1a96e4b09433b3bec65f2ec3b")
 
 SURFACE_SPACE = {
     "factors": [{"name": f"u{i}", "domain": ["0", "1"]} for i in range(3)],

@@ -22,7 +22,7 @@ from facthist.cli import main
 # seed 0, in order of first use, with the corpus directory written "<root>".
 PINNED = {
     "parity-history": (17, "d90453e21294aa0bf564a3793ad90c62d556900d75c9203fc1198e56dce349c9"),
-    "ci-verify": (9, "c9ad4f5f17f2fe626ad5076b3b88eb34f3bb71cd742f8ef5dcde5da4bc1a5856"),
+    "ci-verify": (9, "e6584941f082dfe4f1f7f40f67fa3b372177c6c7b364df46dff8add63b5bb70b"),
     "dag-bridge": (252, "7ba21383003a53e25bb2969efc9e7ccaf3194e4ed0901e8e7a216d590124758d"),
     "axioms-suite": (192, "97b85dff278e9b976456fb38f327e088fe4d02230b39fde7fb96fd635c189ecb"),
 }

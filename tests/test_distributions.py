@@ -7,13 +7,15 @@ integer-weight internals never get to grade their own homework.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from itertools import chain, islice, product
+from itertools import chain, product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -78,6 +80,7 @@ from oracles import (
     oracle_ci_report,
     oracle_event_prob,
     oracle_int_weights,
+    oracle_sample_ints,
     oracle_support,
 )
 
@@ -666,16 +669,15 @@ def test_draws_equal_randint(monkeypatch, top):
 
 @pytest.mark.parametrize("top", DRAW_TOPS)
 def test_buffer_draws_equal_per_sample_draws(monkeypatch, top):
+    # A chunk's buffer, each of its samples drawn alone, and the oracle's
+    # byte-at-a-time read of each seed's SHAKE-256 stream are one list.
     monkeypatch.setattr(distributions, "SAMPLE_GRID_MAX", top)
     rng = random.Random(f"buffer-draws:{top}")
     for _ in range(100):
         sizes = [rng.randint(1, 6) for _ in range(rng.randint(1, 5))]
         space = make_space(*sizes)
         seeds = [rng.randrange(2**32) for _ in range(rng.randint(0, 4))]
-        want = []
-        for s in seeds:
-            nums = iter(_draw_ints(random.Random(s), sum(sizes)))
-            want.append([list(islice(nums, size)) for size in sizes])
+        want = [oracle_sample_ints(space, s, top) for s in seeds]
         buf = _draw_chunk(space, seeds)
         assert isinstance(buf, bytes) and list(buf) == _flat(want)
         assert _per_sample(space, buf) == want
@@ -684,43 +686,94 @@ def test_buffer_draws_equal_per_sample_draws(monkeypatch, top):
 
 @pytest.mark.parametrize("top", [1, 2])
 def test_buffer_draws_past_the_headroom_equal_per_sample_draws(monkeypatch, top):
-    # Half the words are rejected at tops 1 and 2, so a sample of 100-400
-    # numerators outruns its first round's headroom and takes more rounds.
-    # The chunk's generator is its own: the module-level state is untouched.
+    # Half the bytes are dropped at tops 1 and 2, so a sample of 100-400
+    # numerators outruns its first digest's headroom and reads longer ones.
+    # Sampling holds no generator: the module-level random state is
+    # untouched.
     monkeypatch.setattr(distributions, "SAMPLE_GRID_MAX", top)
     rounds = []
-    draw_round = distributions._draw_round
 
-    def counted(rng, words):
-        rounds.append(words)
-        return draw_round(rng, words)
+    class CountedShake:
+        """hashlib.shake_256 that records the length of every digest read."""
 
-    monkeypatch.setattr(distributions, "_draw_round", counted)
+        def __init__(self, key):
+            self.stream = hashlib.shake_256(key)
+
+        def digest(self, length):
+            rounds.append(length)
+            return self.stream.digest(length)
+
+    monkeypatch.setattr(distributions, "hashlib", SimpleNamespace(shake_256=CountedShake))
     rng = random.Random(f"headroom-draws:{top}")
     for _ in range(10):
         sizes = [rng.randint(97, 397), 1, 2]
         rng.shuffle(sizes)
         space = make_space(*sizes)
         seeds = [rng.randrange(2**32) for _ in range(rng.randint(1, 4))]
-        want = [_draw_ints(random.Random(s), sum(sizes)) for s in seeds]
+        want = [oracle_sample_ints(space, s, top) for s in seeds]
         state = random.getstate()
         del rounds[:]
         buf = _draw_chunk(space, seeds)
         assert random.getstate() == state
-        assert list(buf) == list(chain.from_iterable(want))
+        assert list(buf) == _flat(want)
         assert len(rounds) > len(seeds)
 
 
 @pytest.mark.parametrize("top", [101, 2])
 def test_samples_equal_per_factor_randint_draws(monkeypatch, top):
+    # Numbers 1..top from the stream's bytes, factor after factor, as the
+    # oracle reads them one byte at a time.
     monkeypatch.setattr(distributions, "SAMPLE_GRID_MAX", top)
     rng = random.Random("sample-sizes")
     for seed in range(100):
         space = make_space(*(rng.randint(1, 6) for _ in range(rng.randint(1, 5))))
-        draw = random.Random(seed)
-        assert _sample_ints(space, seed) == [
-            [draw.randint(1, top) for _ in range(f.size)] for f in space.factors
-        ]
+        assert _sample_ints(space, seed) == oracle_sample_ints(space, seed, top)
+
+
+def test_sampled_numerators_are_uniform_on_the_grid():
+    # 10^5 numerators of 1,000 samples: Pearson's statistic over the 101
+    # values stays below 149.45, the 0.999 quantile of chi-square with 100
+    # degrees of freedom.  The seed is fixed, so the verdict is too.
+    space = make_space(100)
+    buf = _draw_chunk(space, [spawn_seed(2024, i) for i in range(1000)])
+    counts = Counter(buf)
+    assert sorted(counts) == list(range(1, SAMPLE_GRID_MAX + 1))
+    expected = len(buf) / SAMPLE_GRID_MAX
+    stat = sum((counts[v] - expected) ** 2 / expected for v in counts)
+    assert len(buf) == 10**5 and stat < 149.45, stat
+
+
+def test_every_seed_draws_a_distinct_sample():
+    # The stream's key is the decimal of the seed, so zero, negative seeds,
+    # seeds past 2^128 and consecutive children all draw, and no two of
+    # them give the same 18 numerators.
+    space = make_space(2, 3, 4, 9)
+    seeds = [0, -1, -(2**70), 2**128 + 1]
+    seeds += [spawn_seed(s, i) for s in (2**128, 2**200 + 7) for i in range(8)]
+    seeds += [spawn_seed(s, i) for s in (0, 1, -3) for i in range(32)]
+    assert min(seeds) < 0 and max(seeds) > 2**128 and len(set(seeds)) == len(seeds)
+    samples = _per_sample(space, _draw_chunk(space, seeds))
+    assert samples == [_sample_ints(space, s) for s in seeds]
+    assert len({str(nums) for nums in samples}) == len(seeds)
+    for s in seeds[:12]:
+        assert _sample_ints(space, s) == oracle_sample_ints(space, s)
+        assert sample_product(space, s).is_positive
+
+
+def test_lane_pass_agrees_with_check_ints_on_drawn_chunks():
+    # Chunks straight from _draw_chunk, of every length up to a lane pass's
+    # cap, on the ci-verify shape and a law-suite-sized space: the pass
+    # clears a chunk exactly when check_ints holds on each of its samples.
+    verdicts = Counter()
+    for space, v in (_ci_verify_space(), _suite_sized_space()):
+        for w in ("Y", "W"):
+            query = _CiQuery(space, v["X"], v[w], v["Z"])
+            for seed, length in enumerate(range(1, min(query.lanes, 50) + 1)):
+                buf = _draw_chunk(space, [spawn_seed(seed, i) for i in range(length)])
+                want = all(query.check_ints(nums).holds for nums in _per_sample(space, buf))
+                assert query.all_hold(buf) == want, (w, length)
+                verdicts[w, want] += 1
+    assert set(verdicts) == {("Y", True), ("W", False)}, verdicts
 
 
 @st.composite
@@ -1190,7 +1243,9 @@ def _pinned_space_doc():
     return space_to_doc(space, variables)
 
 
-# stdout of these calls, recorded before samples were checked as integers.
+# stdout of these calls.  The witnesses are the first tries, whose
+# numerators tests/oracles.py::oracle_sample_ints reads off SHAKE-256 one
+# byte at a time and whose violation its Fraction CI oracle confirms.
 PINNED_VERIFY = [
     (
         ("verify", "X", "Y", "--given", "Z", "--seed", "7"),
@@ -1201,14 +1256,14 @@ PINNED_VERIFY = [
         ("verify", "X", "W", "--given", "Z", "--seed", "7"),
         '{"found":true,"given":["Z"],"independent":false,"mode":"witness",'
         '"overlaps":{"z0":["u1"],"z1":["u1"]},"witness":{"per_factor":'
-        '[["23/113","90/113"],["29/127","34/127","64/127"],["61/148","87/148"],'
-        '["41/122","35/122","23/61"],["14/27","13/27"]]},"x":"X","y":"W"}\n',
+        '[["43/76","33/76"],["41/143","25/143","7/13"],["5/7","2/7"],'
+        '["45/173","50/173","78/173"],["40/53","13/53"]]},"x":"X","y":"W"}\n',
     ),
     (
         ("witness", "W", "X", "--seed", "3", "--tries", "5"),
         '{"found":true,"given":[],"tries":5,"witness":{"per_factor":'
-        '[["22/53","31/53"],["49/177","50/177","26/59"],["19/61","42/61"],'
-        '["51/178","73/178","27/89"],["23/94","71/94"]]},"x":"W","y":"X"}\n',
+        '[["27/76","49/76"],["27/73","39/146","53/146"],["39/128","89/128"],'
+        '["38/183","22/61","79/183"],["2/7","5/7"]]},"x":"W","y":"X"}\n',
     ),
 ]
 

@@ -9,6 +9,10 @@ cap is exceeded.  If the
 reader closes stdout before the document is written out (``| head -c0``),
 the command exits 0, whatever the verdict, and prints no traceback.
 
+Well-formed command lines are read off the argument declarations in
+_COMMANDS by _fast_args; argparse parses every other one, so help, usage
+errors and their exit codes are argparse's own.
+
 Conditioning variables are given as a comma-separated name list; the list
 is folded into a joint variable, and an empty list means conditioning on
 nothing.  Names resolve against the space file's variables first, then
@@ -360,11 +364,86 @@ def _cmd_atoms(args: argparse.Namespace) -> tuple[dict, int]:
     return {"given": given, "blocks": blocks}, 0
 
 
+def _arg(*flags: str, **kwargs: object) -> tuple[tuple[str, ...], dict]:
+    """One argument: its option strings, or its positional name, and the
+    keywords ArgumentParser.add_argument takes."""
+    return flags, kwargs
+
+
+_PRETTY = _arg("--pretty", action="store_true", help="indent the JSON output")
+# The arguments indep, verify and witness share.
+_PAIR = (_arg("space"), _arg("x"), _arg("y"), _arg("--given"))
+_SEARCH = (_arg("--tries", type=int, default=64), _arg("--seed", type=int, default=0))
+
+# Every command's arguments, declared once: _build_parser adds them to
+# argparse, and _fast_args reads them.  command -> (handler, help text,
+# arguments in the order argparse lists them).
+_COMMANDS = {
+    "history": (
+        _cmd_history,
+        "per-block history of a variable",
+        (
+            _PRETTY,
+            _arg("space", help="space file (JSON)"),
+            _arg("--var", required=True, help="variable or factor name"),
+            _arg("--given", help="comma-separated conditioning names"),
+        ),
+    ),
+    "indep": (_cmd_indep, "structural independence verdict", (_PRETTY, *_PAIR)),
+    "dsep": (
+        _cmd_dsep,
+        "d-separation verdict",
+        (
+            _PRETTY,
+            _arg("dag", help="DAG file (JSON)"),
+            _arg("x"),
+            _arg("y"),
+            _arg("--given", help="comma-separated node names"),
+        ),
+    ),
+    "embed": (
+        _cmd_embed,
+        "response-function embedding of a DAG",
+        (_PRETTY, _arg("dag"), _arg("-o", "--output", help="write the space file here")),
+    ),
+    "verify": (
+        _cmd_verify,
+        "soundness samples or witness search, depending on the verdict",
+        (_PRETTY, *_PAIR, *_SEARCH, _arg("--samples", type=int, default=50)),
+    ),
+    "witness": (
+        _cmd_witness,
+        "search for a product distribution violating CI",
+        (_PRETTY, *_PAIR, *_SEARCH),
+    ),
+    "axioms": (
+        _cmd_axioms,
+        "run the randomized law suites",
+        (
+            _PRETTY,
+            _arg("--seed", type=int, default=0),
+            _arg("--iters", type=int, default=20),
+            _arg("--max-factors", type=int, default=4),
+            _arg("--max-domain", type=int, default=3),
+            _arg("--samples", type=int, default=50),
+            _arg("--witness-budget", type=int, default=64),
+            _arg("--perturbation-budget", type=int, default=16),
+        ),
+    ),
+    "atoms": (
+        _cmd_atoms,
+        "disintegration atoms per block",
+        (_PRETTY, _arg("space"), _arg("--given")),
+    ),
+}
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    # Built once per process: argparse sets up a help formatter for every
-    # argument, which costs more than a small command.  parse_args keeps
-    # its results in a fresh Namespace, so reuse carries no state.
+    # Built once per process, and only for an argv _fast_args leaves to
+    # argparse: argparse sets up a help formatter for every argument, which
+    # costs more than a small command.  parse_args keeps its results in a
+    # fresh Namespace, so reuse carries no state.
     parser = argparse.ArgumentParser(
         prog="facthist",
         description=(
@@ -373,90 +452,103 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--pretty", action="store_true", help="indent the JSON output"
-    )
-
-    p = sub.add_parser(
-        "history", parents=[common], help="per-block history of a variable"
-    )
-    p.add_argument("space", help="space file (JSON)")
-    p.add_argument("--var", required=True, help="variable or factor name")
-    p.add_argument("--given", help="comma-separated conditioning names")
-    p.set_defaults(func=_cmd_history)
-
-    # The arguments indep, verify and witness share.
-    pair = argparse.ArgumentParser(add_help=False)
-    pair.add_argument("space")
-    pair.add_argument("x")
-    pair.add_argument("y")
-    pair.add_argument("--given")
-    search = argparse.ArgumentParser(add_help=False)
-    search.add_argument("--tries", type=int, default=64)
-    search.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser(
-        "indep", parents=[common, pair], help="structural independence verdict"
-    )
-    p.set_defaults(func=_cmd_indep)
-
-    p = sub.add_parser("dsep", parents=[common], help="d-separation verdict")
-    p.add_argument("dag", help="DAG file (JSON)")
-    p.add_argument("x")
-    p.add_argument("y")
-    p.add_argument("--given", help="comma-separated node names")
-    p.set_defaults(func=_cmd_dsep)
-
-    p = sub.add_parser(
-        "embed", parents=[common], help="response-function embedding of a DAG"
-    )
-    p.add_argument("dag")
-    p.add_argument("-o", "--output", help="write the space file here")
-    p.set_defaults(func=_cmd_embed)
-
-    p = sub.add_parser(
-        "verify",
-        parents=[common, pair, search],
-        help="soundness samples or witness search, depending on the verdict",
-    )
-    p.add_argument("--samples", type=int, default=50)
-    p.set_defaults(func=_cmd_verify)
-
-    sub.add_parser(
-        "witness",
-        parents=[common, pair, search],
-        help="search for a product distribution violating CI",
-    ).set_defaults(func=_cmd_witness)
-
-    p = sub.add_parser(
-        "axioms", parents=[common], help="run the randomized law suites"
-    )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--iters", type=int, default=20)
-    p.add_argument("--max-factors", type=int, default=4)
-    p.add_argument("--max-domain", type=int, default=3)
-    p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--witness-budget", type=int, default=64)
-    p.add_argument("--perturbation-budget", type=int, default=16)
-    p.set_defaults(func=_cmd_axioms)
-
-    p = sub.add_parser(
-        "atoms", parents=[common], help="disintegration atoms per block"
-    )
-    p.add_argument("space")
-    p.add_argument("--given")
-    p.set_defaults(func=_cmd_atoms)
-
+    for command, (func, help_text, arguments) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
+def _fast_spec(command: str, func, arguments) -> tuple:
+    """What _fast_args needs of one command: option string -> (dest, flag,
+    type), the positional names in order, the required dests, and the
+    namespace before parsing (command, func and every optional default).
+
+    Of the add_argument keywords it reads action="store_true", type,
+    default and required, the ones the declarations use.
+    """
+    options, positionals, required = {}, [], set()
+    namespace = {"command": command, "func": func}
+    for flags, kwargs in arguments:
+        if not flags[0].startswith("-"):
+            positionals.append(flags[0])
+            continue
+        # argparse's dest: the first long option string, else the first one.
+        dest = next((f for f in flags if f.startswith("--")), flags[0])
+        dest = dest.lstrip("-").replace("-", "_")
+        flag = kwargs.get("action") == "store_true"
+        if kwargs.get("required"):
+            required.add(dest)
+        else:
+            namespace[dest] = False if flag else kwargs.get("default")
+        for option in flags:
+            options[option] = (dest, flag, kwargs.get("type"))
+    return options, tuple(positionals), frozenset(required), namespace
+
+
+_FAST_SPECS = {
+    command: _fast_spec(command, func, arguments)
+    for command, (func, _, arguments) in _COMMANDS.items()
+}
+
+
+def _fast_args(argv: Sequence[str]) -> argparse.Namespace | None:
+    """The namespace _build_parser().parse_args(argv) gives, read off the
+    declarations in _COMMANDS without argparse, or None.
+
+    It reads argv only in this form: a command name, then tokens that are
+    either one of that command's option strings exactly (not -h/--help),
+    each but a flag followed by a value that does not start with "-", or
+    positionals, which must fill the command's positionals exactly; every
+    required option must be given, and a repeated option keeps its last
+    value.  Every other argv, among them help, usage errors, abbreviated
+    options, --opt=value, values such as -3 and "--", gives None, and
+    argparse parses it with its own messages and exit codes.
+    """
+    spec = _FAST_SPECS.get(argv[0]) if argv else None
+    if spec is None:
+        return None
+    options, positionals, required, defaults = spec
+    namespace = dict(defaults)
+    filled = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token[:1] != "-":
+            filled.append(token)
+            continue
+        option = options.get(token)
+        if option is None:
+            return None
+        dest, flag, convert = option
+        if flag:
+            namespace[dest] = True
+            continue
+        # A missing value reads as one that starts with "-".
+        value = next(tokens, "-")
+        if value[:1] == "-":
+            return None
+        if convert is not None:
+            try:
+                value = convert(value)
+            except ValueError:
+                return None
+        namespace[dest] = value
+    if len(filled) != len(positionals) or not required.issubset(namespace):
+        return None
+    namespace.update(zip(positionals, filled))
+    return argparse.Namespace(**namespace)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _fast_args(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         doc, code = args.func(args)
         _emit(doc, args.pretty)

@@ -277,41 +277,49 @@ def _normalized(nums: Sequence[int]) -> tuple[Fraction, ...]:
     return tuple(Fraction(n, total) for n in nums)
 
 
-@lru_cache(maxsize=4)
-def _draw_tables(top: int) -> tuple[bytes, bytes]:
-    """translate() tables from a byte to a numerator on 1..top, or to none.
+@lru_cache(maxsize=8)
+def _draw_tables(top: int, first: int) -> tuple[bytes, bytes]:
+    """translate() tables from a byte to a number on first..first + top - 1,
+    or to none.
 
-    A byte b gives 1 + (b >> (8 - k)) when that shift, its top
+    A byte b gives first + (b >> (8 - k)) when that shift, its top
     k = top.bit_length() bits, is below top, and is dropped otherwise.  The
     first table maps each byte to its number, the second lists the dropped
     bytes.  Read off the top byte of a 32-bit word, this is
-    randint(1, top), which keeps the word's top k bits and redraws while
-    they are >= top (_draw_ints); _draw_chunk reads every byte of a
-    SHAKE-256 stream.  A top of at most 255 keeps every number in one byte.
+    first + randrange(top), which keeps the word's top k bits and redraws
+    while they are >= top (_draw_bytes); _draw_chunk reads every byte of a
+    SHAKE-256 stream.  first + top of at most 256 keeps every number in one
+    byte.
     """
     shift = 8 - top.bit_length()
-    table = bytes(1 + (b >> shift) if b >> shift < top else 0 for b in range(256))
+    table = bytes(first + (b >> shift) if b >> shift < top else 0 for b in range(256))
     redrawn = bytes(b for b in range(256) if b >> shift >= top)
     return table, redrawn
 
 
-def _draw_ints(rng: random.Random, size: int) -> list[int]:
-    """size numerators drawn uniformly from 1..SAMPLE_GRID_MAX, in order.
+def _draw_bytes(rng: random.Random, size: int, top: int, first: int) -> bytes:
+    """size numbers drawn uniformly from first..first + top - 1, in order.
 
-    These are the numbers of rng.randint(1, SAMPLE_GRID_MAX) from the same
+    These are the numbers of first + rng.randrange(top) from the same
     state, without its Python layers: getrandbits(32 * m) holds the next m
     words, least significant first, so its bytes 3, 7, ... are their top
     bytes, and one translate() maps or drops them all.  Each round draws
     exactly the missing count, so no word after the last kept one is drawn
-    and rng ends in randint's state.
+    and rng ends in randrange's state.
     """
-    tables = _draw_tables(SAMPLE_GRID_MAX)
+    tables = _draw_tables(top, first)
     out = b""
     while len(out) < size:
         words = size - len(out)
         tops = rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
         out += tops.translate(*tables)
-    return list(out)
+    return out
+
+
+def _draw_ints(rng: random.Random, size: int) -> list[int]:
+    """size numerators drawn uniformly from 1..SAMPLE_GRID_MAX, in order,
+    the numbers of rng.randint(1, SAMPLE_GRID_MAX)."""
+    return list(_draw_bytes(rng, size, SAMPLE_GRID_MAX, 1))
 
 
 def sample_vector(rng: random.Random, size: int) -> tuple[Fraction, ...]:
@@ -334,7 +342,7 @@ def _draw_chunk(space: FactoredSpace, seeds: Sequence[int]) -> bytes:
     digests that took.
     """
     size = sum(f.size for f in space.factors)
-    tables = _draw_tables(SAMPLE_GRID_MAX)
+    tables = _draw_tables(SAMPLE_GRID_MAX, 1)
     out = []
     for s in seeds:
         stream = hashlib.shake_256(str(s).encode("ascii"))

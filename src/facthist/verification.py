@@ -37,6 +37,7 @@ from typing import Callable, Mapping, Sequence
 from .distributions import (
     ProductDistribution,
     _block_marginal,
+    _draw_bytes,
     _draw_ints,
     _expand,
     _sample_ints,
@@ -61,7 +62,6 @@ from .space import (
     Block,
     Factor,
     FactoredSpace,
-    IndexSet,
     RandomVariable,
     blocks_of,
     fold_pair,
@@ -185,7 +185,7 @@ def gen_random_variable(
     return RandomVariable(
         name=name if name is not None else f"v{index}",
         codomain=tuple(str(v) for v in range(k)),
-        table=(rng.randrange(k) for _ in range(space.outcome_count)),
+        table=_draw_bytes(rng, space.outcome_count, k, 0),
     )
 
 
@@ -251,14 +251,23 @@ def check_history_laws(
     # The bundle U_J as the joint of the factors in J, each outcome keyed by
     # the mixed-radix value of its J-coordinates (below outcome_count): an
     # injective relabelling of the joint, so it has the same history.
+    # Each U_J is built once per call, from U_J of J less its highest factor.
     key_labels = tuple(map(str, range(space.outcome_count)))
+    bundles: dict[int, RandomVariable] = {}
 
     def uj(mask: int) -> RandomVariable:
-        keys = [0] * space.outcome_count
-        for i in IndexSet(mask, n):
-            size = space.factors[i].size
-            keys = list(map(add, map(size.__mul__, keys), space.digits(i)))
-        return RandomVariable(name="U_J", codomain=key_labels, table=keys)
+        bundle = bundles.get(mask)
+        if bundle is None:
+            if mask:
+                i = mask.bit_length() - 1
+                rest = uj(mask ^ (1 << i)).table
+                size = space.factors[i].size
+                keys = map(add, map(size.__mul__, rest), space.digits(i))
+            else:
+                keys = bytes(space.outcome_count)
+            bundle = RandomVariable(name="U_J", codomain=key_labels, table=keys)
+            bundles[mask] = bundle
+        return bundle
 
     xy = pair_var(space, x, y)
     f_size = rng.randint(1, len(y.codomain))

@@ -27,7 +27,7 @@ from hypothesis import given, settings, strategies as st
 
 import facthist
 from facthist import RandomVariable, space_to_doc, dag_to_doc, Dag, space_from_doc
-from facthist.cli import DIGIT_PATH_MIN_CHARS, _build_parser, main
+from facthist.cli import _COMMANDS, DIGIT_PATH_MIN_CHARS, _build_parser, _fast_args, main
 from facthist.space import OUTCOME_CAP_ENV
 
 from helpers import xor_bundle
@@ -819,3 +819,115 @@ def test_cli_surface_is_pinned(capsys, monkeypatch, tmp_path):
     assert (len(SURFACE_CALLS), digest.hexdigest()) == PINNED_SURFACE
     # embed -o writes what embed prints.
     assert Path("e.json").read_text() == run_cli(capsys, "embed", "d.json")[1]
+
+
+# sha256 over repr((exit code, stdout, stderr)) of every call in HELP_CALLS
+# at COLUMNS=80, run next to SURFACE_SPACE: the help and usage text and the
+# errors argparse reports.  argparse lays help out differently from one
+# Python release to the next, so the digest is per release.
+PINNED_HELP = {(3, 11): (15, "0f33eafc43359e830a4656ba72bcf73bb37d590bb1262ee2125d4735cffd4580")}
+
+HELP_CALLS = [
+    ["-h"],
+    *(
+        [command, "-h"]
+        for command in (
+            "history", "indep", "dsep", "embed", "verify", "witness", "axioms", "atoms"
+        )
+    ),
+    ["indep", "s.json", "u0"],
+    ["history", "s.json", "--var", "u0", "--bogus"],
+    ["indep", "s.json", "u0", "u2", "--giv", "XOR"],
+    ["indep", "s.json", "u0", "u2", "--given=XOR"],
+    ["verify", "s.json", "u0", "u2", "--seed", "x"],
+    ["verify", "s.json", "u0", "u1", "--tries", "-3"],
+]
+
+
+def test_help_and_usage_are_pinned(capsys, monkeypatch, tmp_path):
+    pinned = PINNED_HELP.get(sys.version_info[:2])
+    if pinned is None:
+        pytest.skip("no help digest taken on this Python release")
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    Path("s.json").write_text(json.dumps(SURFACE_SPACE))
+    digest = hashlib.sha256()
+    for argv in HELP_CALLS:
+        digest.update(repr(run_cli(capsys, *argv)).encode())
+    assert (len(HELP_CALLS), digest.hexdigest()) == pinned
+
+
+OPTION_STRINGS = sorted(
+    {
+        flag
+        for _, _, arguments in _COMMANDS.values()
+        for flags, _ in arguments
+        for flag in flags
+        if flag.startswith("-")
+    }
+    | {"-h", "--help"}
+)
+NAMES = ["u0", "XOR", "s.json", "x", "", "a b"]
+TOKENS = st.one_of(
+    st.sampled_from([*_COMMANDS, *OPTION_STRINGS, *NAMES, "--", "-"]),
+    # Abbreviations, and prefixes of short options such as "-".
+    st.sampled_from(OPTION_STRINGS).flatmap(
+        lambda o: st.integers(1, len(o) - 1).map(lambda k: o[:k])
+    ),
+    st.builds("{}={}".format, st.sampled_from(OPTION_STRINGS), st.sampled_from(["3", "x", ""])),
+    st.integers(-20, 20).map(str),
+)
+# Values that argparse takes, so that many drawn command lines are well formed.
+VALUES = st.one_of(st.sampled_from(NAMES), st.integers(0, 99).map(str))
+
+
+@st.composite
+def command_lines(draw):
+    """A command and each of its declared arguments, each left out at times,
+    in a random order, with a few random tokens spliced in."""
+    command = draw(st.sampled_from([*_COMMANDS, "-h", "nope", ""]))
+    chunks = []
+    for flags, kwargs in _COMMANDS[command][2] if command in _COMMANDS else ():
+        # About one in ten is left out (hypothesis favours the bounds 0 and 9).
+        if draw(st.integers(0, 9)) == 5:
+            continue
+        flag = draw(st.sampled_from(flags))
+        if not flag.startswith("-"):
+            chunks.append([draw(VALUES)])
+        elif kwargs.get("action") == "store_true":
+            chunks.append([flag] * draw(st.integers(1, 2)))
+        else:
+            chunks.append([flag, draw(st.one_of(VALUES, TOKENS))])
+    tokens = [token for chunk in draw(st.permutations(chunks)) for token in chunk]
+    for token in draw(st.lists(TOKENS, max_size=2)):
+        tokens.insert(draw(st.integers(0, len(tokens))), token)
+    return [command, *tokens]
+
+
+@settings(max_examples=500, deadline=None)
+@given(command_lines())
+def test_fast_path_parses_as_argparse_does(argv):
+    fast = _fast_args(argv)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            parsed = _build_parser().parse_args(argv)
+        except SystemExit:
+            assert fast is None
+            return
+    if fast is not None:
+        assert vars(fast) == vars(parsed)
+
+
+def test_which_calls_take_the_fast_path():
+    # Every surface call but the three with a negative budget, which
+    # argparse reads as a value and the fast path leaves to it; no help
+    # or usage-error call.
+    negative = [
+        argv for argv in SURFACE_CALLS if any(t[:1] == "-" and t[1:].isdigit() for t in argv)
+    ]
+    assert len(negative) == 3
+    for argv in SURFACE_CALLS:
+        if argv not in negative:
+            assert vars(_fast_args(argv)) == vars(_build_parser().parse_args(argv)), argv
+    for argv in [*negative, *HELP_CALLS]:
+        assert _fast_args(argv) is None, argv

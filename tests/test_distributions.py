@@ -64,6 +64,7 @@ from facthist.cli import main
 from facthist.distributions import (
     SAMPLE_GRID_MAX,
     _CiQuery,
+    _draw_bytes,
     _draw_chunk,
     _draw_ints,
     _normalized,
@@ -667,6 +668,17 @@ def test_draws_equal_randint(monkeypatch, top):
             assert c.getstate() == b.getstate()
 
 
+def test_byte_draws_equal_randrange():
+    # gen_random_variable draws its tables this way; every top one byte
+    # holds, with rejection rates from none (top 128) to one half (top 1).
+    for top in range(1, 256):
+        for seed in range(4):
+            for size in (0, 1, 7, 300):
+                a, b = random.Random(f"{seed}:{top}"), random.Random(f"{seed}:{top}")
+                assert _draw_bytes(a, size, top, 0) == bytes(b.randrange(top) for _ in range(size))
+                assert a.getstate() == b.getstate()
+
+
 @pytest.mark.parametrize("top", DRAW_TOPS)
 def test_buffer_draws_equal_per_sample_draws(monkeypatch, top):
     # A chunk's buffer, each of its samples drawn alone, and the oracle's
@@ -1268,7 +1280,9 @@ PINNED_VERIFY = [
 ]
 
 
-@pytest.mark.parametrize("argv, stdout", PINNED_VERIFY)
+@pytest.mark.parametrize(
+    "argv, stdout", PINNED_VERIFY, ids=[" ".join(a) for a, _ in PINNED_VERIFY]
+)
 def test_verify_output_is_pinned(capsys, tmp_path, argv, stdout):
     path = tmp_path / "space.json"
     path.write_text(json.dumps(_pinned_space_doc()))

@@ -55,7 +55,7 @@ fold the same planes, hold one pair of bitsets at a time.
 On the whole outcome set every factor of more than one value is an atom of
 its own, so a variable's history there is its support (space.support, one
 scan of the table).  history() returns the support there without
-factorizing the block or interning its ranks; the CI queries of the
+factorizing the block or keying a memo by its ranks; the CI queries of the
 distributions module read their factors the same way.
 
 A level-set block of z is its grid block times the unread factors.  z reads
@@ -78,7 +78,9 @@ is the overlap of two such maps, so it takes the shortcut for each
 variable off z.  Otherwise _per_block builds each level set of z as a rank
 bitset, never as ranks: for a bytes table, one bytes.translate through a
 map that sends the value to 1 and every other byte to 0; a tuple table's
-blocks come from blocks_of.  One level set is held at a time.
+blocks come from blocks_of.  One level set is held at a time, and
+structurally_independent and structural_time_leq build each one at most
+once for both variables.
 
 _atoms builds the atoms one factor at a time from counts alone, touching no
 bitset: the free factors (of more than one value on C), the widths
@@ -130,16 +132,16 @@ memoizes one O(|Omega|)-byte mask per factor.  A history costs, per plane
 that splits C, two folds along each atom still in question.  The
 factorization (a Factorization: the trivial mask and the atoms) is
 memoized on the FactoredSpace under the block's key, and so is each
-history (an immutable IndexSet, returned as it is), keyed by the record of
-the variable's table, because independence checks, verification and the
-law suites ask for several histories per block.  A level set of a bytes
-conditioner is keyed by its table's record and the value, and so is a
-Block that blocks_of made for it (space._levels), so the two share one
-entry; any other Block is keyed by the record of its ranks (space.intern:
-one hash the first time a ranks object is seen, an id() lookup after
-that).  Neither memo holds the block's ranks or bitset.  Tables are interned by value, so variables with equal tables
-share a history whatever their names, and a repeated question (verify asks
-structurally_independent once itself and once more through
+history (an immutable IndexSet, returned as it is), keyed by the
+variable's table, because independence checks, verification and the law
+suites ask for several histories per block.  A level set of a bytes
+conditioner is keyed by (table, value), and so is a Block that blocks_of
+made for it (space._levels), so the two share one entry and the Block's
+bitset is the level set's one translate; any other Block is keyed by its
+ranks, and its bitset is set rank by rank (_keyed).  Neither memo holds
+the block's bitset.  Memos are keyed by value, so variables with equal
+tables share a history whatever their names, and a repeated question
+(verify asks structurally_independent once itself and once more through
 verify_soundness or find_witness) reads no history twice.
 
 The *conditional history* maps every attained value of a conditioning
@@ -234,16 +236,15 @@ def _planes(space: FactoredSpace, x: RandomVariable) -> Iterable[int]:
     of the outcomes where that bit of x's value is 1.
 
     A bytes table's planes are one translate each, memoized on the space by
-    the table's record; a tuple table's are built one at a time as they are
+    the table; a tuple table's are built one at a time as they are
     iterated and not kept.
     """
     table = x.table
     bits = (len(x.codomain) - 1).bit_length()
     if isinstance(table, bytes):
-        key = space.intern(table)
-        planes = space._planes.get(key)
+        planes = space._planes.get(table)
         if planes is None:
-            planes = space._planes[key] = [
+            planes = space._planes[table] = [
                 int.from_bytes(table.translate(_BIT_MAPS[b]), "little")
                 for b in range(min(bits, 8))
             ]
@@ -301,7 +302,7 @@ def determines(space: FactoredSpace, c: Block, j: IndexSet, x: RandomVariable) -
     _check(space, c, j)
     ensure_on_space(space, x)
     outside = j.complement().members()
-    cuts = _cuts(_bitset(space, c.ranks), _planes(space, x))
+    cuts = _cuts(_keyed(space, c.ranks)[1](), _planes(space, x))
     return not any(
         _fold_out(space, zeros, outside) & _fold_out(space, ones, outside)
         for zeros, ones in cuts
@@ -316,14 +317,14 @@ def generates(space: FactoredSpace, c: Block, j: IndexSet, x: RandomVariable) ->
 
 def _rectangle_masks(space: FactoredSpace, c: Block) -> list[bool]:
     """Is C a J-rectangle, for every factor mask J?"""
-    on = _mask_folds(space, _bitset(space, c.ranks))
+    on = _mask_folds(space, _keyed(space, c.ranks)[1]())
     return [a.bit_count() * b.bit_count() == len(c) for a, b in zip(reversed(on), on)]
 
 
 def _determining_masks(space: FactoredSpace, c: Block, x: RandomVariable) -> list[bool]:
     """Does J determine x on C, for every factor mask J?"""
     clash = [False] * (1 << space.factor_count)  # by the mask folded along
-    for zeros, ones in _cuts(_bitset(space, c.ranks), _planes(space, x)):
+    for zeros, ones in _cuts(_keyed(space, c.ranks)[1](), _planes(space, x)):
         folds = zip(_mask_folds(space, zeros), _mask_folds(space, ones))
         clash = [m or a & b != 0 for m, (a, b) in zip(clash, folds)]
     return [not m for m in reversed(clash)]  # J is the complement of that mask
@@ -336,19 +337,27 @@ class Factorization(NamedTuple):
     atoms: tuple[tuple[int, tuple[int, ...]], ...]  # (mask, factor ids), by lowest factor
 
 
-def _block_key(space: FactoredSpace, ranks: tuple[int, ...]) -> Hashable:
-    """The memo key of the block with these ranks: its level-set key when
-    blocks_of made it for a bytes conditioner, else the record of the ranks."""
-    record = space.intern(ranks)
-    return space._levels.get(record, record)
+def _keyed(
+    space: FactoredSpace, ranks: tuple[int, ...]
+) -> tuple[Hashable, Callable[[], int]]:
+    """The memo key of the block with these ranks and a maker of its bitset.
+
+    A block that blocks_of made for a bytes conditioner is its level set:
+    keyed by (table, value), its bitset one translate (_level_set).  Any
+    other block is keyed by its ranks, its bitset set rank by rank.
+    """
+    level = space._levels.get(ranks)
+    if level is None:
+        return ranks, partial(_bitset, space, ranks)
+    return level, partial(_level_set, *level)
 
 
 def _factorize(space: FactoredSpace, ranks: tuple[int, ...]) -> Factorization:
     """The memoized factorization of the block with these ranks."""
-    key = _block_key(space, ranks)
+    key, bits = _keyed(space, ranks)
     cached = space._atoms.get(key)
     if cached is None:
-        cached = space._atoms[key] = _factorize_block(space, _bitset(space, ranks))
+        cached = space._atoms[key] = _factorize_block(space, bits())
     return cached
 
 
@@ -523,13 +532,24 @@ def _level_sets(
     codomain order."""
     table = z.table
     if isinstance(table, bytes):
-        record = space.intern(table)
         for v, label in enumerate(z.codomain[:256]):
             if v in table:  # a C search
-                yield label, (record, v), partial(_level_set, table, v)
+                yield label, (table, v), partial(_level_set, table, v)
     else:
         for label, c in blocks_of(space, z).items():
-            yield label, _block_key(space, c.ranks), partial(_bitset, space, c.ranks)
+            yield label, *_keyed(space, c.ranks)
+
+
+def _once(make: Callable[[], int]) -> Callable[[], int]:
+    """make, run at most once: every call returns its first result."""
+    made: list[int] = []
+
+    def once() -> int:
+        if not made:
+            made.append(make())
+        return made[0]
+
+    return once
 
 
 def _history_on(
@@ -545,8 +565,7 @@ def _history_on(
     known = space._histories.get(key)
     if known is None:
         known = space._histories[key] = {}
-    record = space.intern(x.table)
-    found = known.get(record)
+    found = known.get(x.table)
     if found is not None:
         return found
     block = bits()
@@ -569,7 +588,7 @@ def _history_on(
                         _fold_out(space, zeros, ids) & _fold_out(space, ones, ids)
                     ):
                         mask |= atom
-    found = known[record] = IndexSet(mask, len(space.factors))
+    found = known[x.table] = IndexSet(mask, len(space.factors))
     return found
 
 
@@ -577,26 +596,29 @@ def history(space: FactoredSpace, c: Block, x: RandomVariable) -> IndexSet:
     """The unique subset-minimal generating set of x on C."""
     ensure_block(space, c)
     ensure_on_space(space, x)
-    ranks = c.ranks
-    if len(ranks) == space.outcome_count:
+    if len(c.ranks) == space.outcome_count:
         # The whole outcome set: the history is the support.
         return _supported(space, x)[1]
-    return _history_on(space, _block_key(space, ranks), partial(_bitset, space, ranks), x)
+    return _history_on(space, *_keyed(space, c.ranks), x)
 
 
 def _per_block(
-    space: FactoredSpace, x: RandomVariable, z: RandomVariable | None
-) -> dict[str, IndexSet]:
-    """The per_block map of conditional_history(space, x, z), no record."""
+    space: FactoredSpace, z: RandomVariable | None, *xs: RandomVariable
+) -> list[dict[str, IndexSet]]:
+    """The per_block map of conditional_history(space, x, z) for each x in
+    xs; each level set of z is built at most once for all of them."""
     read = 0 if z is None else support(space, z)
-    found = _history_off(space, x, read)
-    if found is not None:
-        return dict.fromkeys(_attained(z), found)
-    unread = space._free & ~read
-    return {
-        label: _history_on(space, key, bits, x, unread)
-        for label, key, bits in _level_sets(space, z)
-    }
+    off = [_history_off(space, x, read) for x in xs]
+    maps = [{} if h is None else dict.fromkeys(_attained(z), h) for h in off]
+    on = [(x, per_block) for x, h, per_block in zip(xs, off, maps) if h is None]
+    if on:
+        unread = space._free & ~read
+        for label, key, bits in _level_sets(space, z):
+            if len(on) > 1:
+                bits = _once(bits)
+            for x, per_block in on:
+                per_block[label] = _history_on(space, key, bits, x, unread)
+    return maps
 
 
 def conditional_history(
@@ -610,7 +632,7 @@ def conditional_history(
     label.  Only z's support is scanned when z reads every such factor.
     """
     given = TRIVIAL_NAME if z is None else z.name
-    return ConditionalHistory(x.name, given, _per_block(space, x, z))
+    return ConditionalHistory(x.name, given, _per_block(space, z, x)[0])
 
 
 def structurally_independent(
@@ -626,7 +648,7 @@ def structurally_independent(
     that reads none of z's factors costs its support alone (see
     conditional_history) whatever the other one reads.
     """
-    hx, hy = _per_block(space, x, z), _per_block(space, y, z)
+    hx, hy = _per_block(space, z, x, y)
     overlaps = {
         label: h & hy[label] for label, h in hx.items() if not h.isdisjoint(hy[label])
     }
@@ -678,5 +700,5 @@ def structural_time_leq(
     z: RandomVariable | None = None,
 ) -> bool:
     """Is history(x) contained in history(y) on every block of z?"""
-    hx, hy = _per_block(space, x, z), _per_block(space, y, z)
+    hx, hy = _per_block(space, z, x, y)
     return all(h.issubset(hy[label]) for label, h in hx.items())

@@ -30,11 +30,11 @@ threads.  Internal per-factor coordinate tables, rank bitsets and lane
 masks, supports, the blocks of each conditioner, and the bit planes of
 tables and the per-block atom factorizations and histories computed by the
 history module are memoized lazily; each memo is idempotent, so a racing
-double computation is harmless.  The memos are keyed by identity, not by
-value: the first time a space meets a table or a block's ranks it interns
-the object (one hash, so equal tables share a record) and files its id
-under that record, which holds the object so the id is never reused.
-Every later lookup is a dict hit on id(), with no pass over the entries.
+double computation is harmless.  The memos are keyed by the tables
+themselves, so equal tables share an entry whatever object holds them.  A
+bytes table hashes once and CPython caches that hash on the object, so
+every later lookup of it is one dict probe; a tuple table (values from 256
+up) is hashed on every lookup.
 """
 
 from __future__ import annotations
@@ -185,9 +185,8 @@ class RandomVariable:
     This constructor alone decides how a table is stored: as bytes, one
     byte per entry, when every entry is an int in 0..255, and as a tuple
     otherwise.  A bytes object, and a tuple that cannot be bytes, is kept
-    as it is (a subclass too), so a space can intern it: a space hashes a
-    table once, the first time it meets that object, and keys its memos by
-    the object's identity after that (FactoredSpace.intern).
+    as it is (a subclass too).  A space keys its memos by the table, and
+    CPython caches a bytes object's hash, so a bytes table is hashed once.
     """
 
     name: str
@@ -248,15 +247,6 @@ class Block:
         return len(self.ranks)
 
 
-class Record:
-    """The memo key of an interned table or ranks: the equal objects, held."""
-
-    __slots__ = ("objects",)
-
-    def __init__(self) -> None:
-        self.objects: list[Sequence[int]] = []
-
-
 class FactoredSpace:
     """An ordered tuple of finite factors; outcomes are the full product.
 
@@ -277,8 +267,6 @@ class FactoredSpace:
         "_axes",
         "_free",
         "_tops",
-        "_records",
-        "_by_id",
         "_supports",
         "_blocks",
         "_planes",
@@ -326,12 +314,6 @@ class FactoredSpace:
         # The mask of those factors.
         object.__setattr__(self, "_free", sum(a[0] for a in self._axes))
         object.__setattr__(self, "_tops", {})
-        # Each interned tuple, by value -> its Record; and the id of every
-        # object interned -> the Record holding it.  Filled by intern.
-        object.__setattr__(self, "_records", {})
-        object.__setattr__(self, "_by_id", {})
-        # The memos below are keyed by the Record of a table or of a block's
-        # ranks, found by intern.
         # A variable's table -> its support, as a mask and as an IndexSet,
         # filled and read by _supported.
         object.__setattr__(self, "_supports", {})
@@ -342,16 +324,15 @@ class FactoredSpace:
         # by history.py.
         object.__setattr__(self, "_planes", {})
         # The ranks of a block blocks_of made for a bytes conditioner ->
-        # (Record of the conditioner's table, value), the key history.py
-        # files that level set's memos under, so a Block and its level set
-        # share one factorization and one history per table.
+        # (the conditioner's table, value), the key history.py files that
+        # level set's memos under, so a Block and its level set share one
+        # factorization and one history per table.
         object.__setattr__(self, "_levels", {})
         # A block -> its history.Factorization (trivial mask and atoms), and
-        # a block -> its histories by the table's Record, filled and read by
-        # history.py.  A level set of a bytes conditioner is keyed by
-        # (Record of the table, value), through _levels for its Block too,
-        # and any other block by the Record of its ranks; neither memo holds
-        # the block's ranks or bitset.
+        # a block -> its histories by table, filled and read by history.py.
+        # A level set of a bytes conditioner is keyed by (table, value),
+        # through _levels for its Block too, and any other block by its
+        # ranks; neither memo holds the block's bitset.
         object.__setattr__(self, "_atoms", {})
         object.__setattr__(self, "_histories", {})
 
@@ -420,21 +401,6 @@ class FactoredSpace:
             cached = int.from_bytes(period * reps, "little")
             self._bits[i] = cached
         return cached
-
-    def intern(self, t: Sequence[int]) -> Record:
-        """The record this space files t's memos under, for a bytes or tuple t.
-
-        The first call for an object hashes it once, so equal objects share
-        one record, and files the object's id; every later call is a lookup
-        by id().  The record holds the object, so that id is never reused
-        while the space lives.
-        """
-        record = self._by_id.get(id(t))
-        if record is None:
-            record = self._records.setdefault(t, Record())
-            record.objects.append(t)
-            self._by_id[id(t)] = record
-        return record
 
     def index_set(self, ids: Iterable[int]) -> IndexSet:
         return IndexSet.of(ids, len(self.factors))
@@ -633,11 +599,10 @@ def support(space: FactoredSpace, x: RandomVariable) -> int:
 def _supported(space: FactoredSpace, x: RandomVariable) -> tuple[int, IndexSet]:
     """x's support as a mask and as an IndexSet, both memoized by table."""
     ensure_on_space(space, x)
-    key = space.intern(x.table)
-    found = space._supports.get(key)
+    found = space._supports.get(x.table)
     if found is None:
         mask = _scan(space._axes, space._tops, x.table)
-        found = space._supports[key] = (mask, IndexSet(mask, space.factor_count))
+        found = space._supports[x.table] = (mask, IndexSet(mask, space.factor_count))
     return found
 
 
@@ -648,16 +613,15 @@ def blocks_of(
 
     Without z there is one block, the whole outcome set; otherwise one pass
     over z's table groups the ranks.  The blocks are memoized on the space
-    by z's table (interned) and codomain, so a conditioner is partitioned
-    once per space; each call returns a new dict of them.  The ranks of
-    each block of a bytes table are interned and filed under the level
-    set's memo key (_levels).
+    by z's table and codomain, so a conditioner is partitioned once per
+    space; each call returns a new dict of them.  The ranks of each block
+    of a bytes table are filed under the level set's memo key (_levels).
     """
     if z is None:
         key = None
     else:
         ensure_on_space(space, z)
-        key = (space.intern(z.table), z.codomain)
+        key = (z.table, z.codomain)
     blocks = space._blocks.get(key)
     if blocks is None:
         if z is None:
@@ -672,7 +636,7 @@ def blocks_of(
             }
             if isinstance(z.table, bytes):
                 for v, c in zip(sorted(groups), blocks.values()):
-                    space._levels[space.intern(c.ranks)] = (key[0], v)
+                    space._levels[c.ranks] = (z.table, v)
         space._blocks[key] = blocks
     return dict(blocks)
 

@@ -426,7 +426,7 @@ def test_interleaved_atoms_at_scale_build_no_digit_tables():
 def test_unconditional_queries_factorize_nothing():
     # With no conditioner the one block is the whole outcome set, and its
     # histories are the supports: no block is factorized, and its ranks
-    # are never interned.
+    # never become a memo key.
     space = make_space(3, 1, 2, 2)
     outcomes = [outcome_unrank(space, r) for r in range(space.outcome_count)]
     x = make_var(space, "x", 3, [(o[0] + o[2]) % 3 for o in outcomes])
@@ -434,8 +434,40 @@ def test_unconditional_queries_factorize_nothing():
     verdict = structurally_independent(space, x, y)
     assert verdict.overlaps == {"*": _ids(space, 2)}
     assert conditional_history(space, x).per_block == {"*": _ids(space, 0, 2)}
-    assert space._atoms == {}
-    assert tuple(range(space.outcome_count)) not in space._records
+    assert history(space, full_block(space), y) == _ids(space, 2, 3)
+    assert space._atoms == {} and space._histories == {}
+
+
+def test_each_level_set_is_built_once_for_both_variables(monkeypatch):
+    # x and y both read factors z reads, so neither takes the support
+    # shortcut: on a fresh space each level set of z is built once per
+    # query and shared by the two variables.
+    built = Counter()
+    level_set = history_module._level_set
+
+    def counting(table, v):
+        built[v] += 1
+        return level_set(table, v)
+
+    monkeypatch.setattr(history_module, "_level_set", counting)
+    for query in (structurally_independent, structural_time_leq):
+        space = make_space(2, 3, 2)
+        outcomes = [outcome_unrank(space, r) for r in range(space.outcome_count)]
+        z = make_var(space, "z", 3, [(o[0] + o[1]) % 3 for o in outcomes])
+        x = make_var(space, "x", 2, [o[0] ^ o[2] for o in outcomes])
+        y = make_var(space, "y", 3, [(o[1] + o[2]) % 3 for o in outcomes])
+        built.clear()
+        got = query(space, x, y, z)
+        assert built == {0: 1, 1: 1, 2: 1}
+        fresh = make_space(2, 3, 2)
+        hx = conditional_history(fresh, x, z).per_block
+        hy = conditional_history(fresh, y, z).per_block
+        if query is structural_time_leq:
+            assert got == all(h.issubset(hy[label]) for label, h in hx.items())
+        else:
+            assert got.overlaps == {
+                label: h & hy[label] for label, h in hx.items() if h & hy[label]
+            }
 
 
 def test_structural_time_on_parity():
@@ -486,26 +518,24 @@ def test_history_rejects_foreign_variables():
 
 
 def _memo_block(key):
-    """The Block a history memo key stands for: the record of a block's
-    ranks, or (record of a bytes table, value) for a level set."""
-    if isinstance(key, tuple):
-        record, v = key
-        table = record.objects[0]
+    """The Block a history memo key stands for: a block's ranks, or (bytes
+    table, value) for a level set."""
+    if isinstance(key[0], bytes):
+        table, v = key
         return Block(label="b", ranks=tuple(r for r, t in enumerate(table) if t == v))
-    return Block(label="b", ranks=key.objects[0])
+    return Block(label="b", ranks=key)
 
 
 def test_history_memo_scans_each_block_and_table_once(monkeypatch):
     # "Scans" counts the bit-plane tests of one table on one block: the
     # constancy test every history makes before its memo entry is filled.
-    scans = Counter()  # by (memo key of the block, record of the table)
-    factorized = Counter()  # by the id of the block's bitset
+    scans = Counter()  # by (memo key of the block, table)
+    factorized = Counter()  # by the block's bitset
     history_on, factorize = history_module._history_on, history_module._factorize_block
 
     def counting_history(space, key, bits, x, unread=0):
-        record = space.intern(x.table)
-        if record not in space._histories.get(key, {}):
-            scans[key, record] += 1
+        if x.table not in space._histories.get(key, {}):
+            scans[key, x.table] += 1
         return history_on(space, key, bits, x, unread)
 
     def counting_factorize(space, block, unread=0):
@@ -537,11 +567,12 @@ def test_history_memo_scans_each_block_and_table_once(monkeypatch):
         }
         assert structurally_independent(space, x, y, z) == first
         # A variable with an equal table under another name shares the entry.
+        entries = {key: list(known) for key, known in space._histories.items()}
         twin = make_var(space, "twin", 3, list(x.table))
         assert twin.table is not x.table
         assert structurally_independent(space, twin, y, z) == first
         assert scans == after_first
-        assert space.intern(twin.table) is space.intern(x.table)
+        assert {key: list(known) for key, known in space._histories.items()} == entries
         # Each table is tested once on each block, and a block is factorized
         # at most once, and only when some table varies on it.
         assert set(after_first.values()) <= {1}
@@ -553,69 +584,80 @@ def test_history_memo_scans_each_block_and_table_once(monkeypatch):
         # Every memoized history is the one the oracle gives for its table.
         for key, known in space._histories.items():
             block = _memo_block(key)
-            for record, found in known.items():
-                var = make_var(space, "v", 3, record.objects[0])
+            for table, found in known.items():
+                var = make_var(space, "v", 3, table)
                 assert found.members() == tuple(sorted(oracle_history(space, block, var)))
     assert total >= 60
 
 
-def test_memo_lookups_hash_each_table_and_block_once():
-    # Tables (bytes) and block ranks (tuples) of subclasses that count their
-    # hashes and equality tests.  After the first time a space meets an
-    # object, every memo finds it by identity, so no call hashes it again.
-    hashes, equalities = Counter(), Counter()
+def test_equal_tables_and_ranks_share_memo_entries(monkeypatch):
+    # Tables and block ranks held again in distinct but equal objects: each
+    # table is scanned for its support once, each block factorized at most
+    # once, and each table's history on a block found once, because every
+    # memo is keyed by the table or ranks themselves.  A Block of equal
+    # ranks to a level set of a bytes conditioner shares that level set's
+    # entries; a Block of a tuple conditioner is keyed by its ranks.  The
+    # whole outcome set's ranks never become a memo key.
+    scans, factorized, found = Counter(), Counter(), Counter()
+    scan = space_module._scan
+    history_on, factorize = history_module._history_on, history_module._factorize_block
 
-    def counting(base):
-        class Counted(base):
-            def __hash__(self):
-                hashes[id(self)] += 1
-                return base.__hash__(self)
+    def counting_scan(axes, tops, values):
+        scans[tuple(values)] += 1
+        return scan(axes, tops, values)
 
-            def __eq__(self, other):
-                equalities[id(self)] += 1
-                return base.__eq__(self, other)
+    def counting_history(space, key, bits, x, unread=0):
+        if x.table not in space._histories.get(key, {}):
+            found[key, x.table] += 1
+        return history_on(space, key, bits, x, unread)
 
-        return Counted
+    def counting_factorize(space, block, unread=0):
+        factorized[block] += 1
+        return factorize(space, block, unread)
 
-    CountedTable, CountedRanks = counting(bytes), counting(tuple)
+    monkeypatch.setattr(space_module, "_scan", counting_scan)
+    monkeypatch.setattr(history_module, "_history_on", counting_history)
+    monkeypatch.setattr(history_module, "_factorize_block", counting_factorize)
     space = make_space(3, 2, 3, 2)
-    rng = random.Random("hash-count")
-
-    def counted(name, ids):
-        v = function_of(space, name, ids, 3, rng)
-        return RandomVariable(v.name, v.codomain, CountedTable(v.table))
-
-    x, y = counted("x", [0, 1, 3]), counted("y", [1, 2])
-    twin = RandomVariable("twin", x.codomain, CountedTable(x.table))
-    # z reads two factors, w every factor.
-    z, w = counted("z", [0, 2]), counted("w", [0, 1, 2, 3])
-    assert type(x.table) is CountedTable and twin.table is not x.table
+    rng = random.Random("equal-keys")
+    x, y = function_of(space, "x", [0, 1, 3], 3, rng), function_of(space, "y", [1, 2], 3, rng)
+    twin = RandomVariable("twin", x.codomain, bytes(bytearray(x.table)))
+    # z reads two factors, w every factor; u, on values past one byte (a
+    # tuple table), reads two others.
+    z, w = function_of(space, "z", [0, 2], 3, rng), function_of(space, "w", [0, 1, 2, 3], 3, rng)
+    u = function_of(space, "u", [1, 3], 3, rng)
+    u = RandomVariable("u", tuple(map(str, range(300))), [(0, 256, 299)[v] for v in u.table])
+    assert type(twin.table) is bytes and twin.table is not x.table
+    assert type(u.table) is tuple
     blocks = [
-        Block(c.label, CountedRanks(c.ranks))
-        for conditioner in (z, w, None)
+        Block(c.label, tuple(list(c.ranks)))
+        for conditioner in (z, w, u, None)
         for c in blocks_of(space, conditioner).values()
     ]
     for _ in range(3):
-        for v in (x, y, twin, z, w):
+        for v in (x, y, twin, z, w, u):
             support(space, v)
         for c in blocks:
             for v in (x, y, twin):
                 history(space, c, v)
-        for conditioner in (z, w, None):
+        for conditioner in (z, w, u, None):
             blocks_of(space, conditioner)
             structurally_independent(space, x, y, conditioner)
             structurally_independent(space, twin, y, conditioner)
             _CiQuery(space, x, y, conditioner)
-    # The whole outcome set's ranks are never interned: its histories are
-    # supports.
-    assert len(hashes) == 4 + len(blocks)
-    assert set(hashes.values()) == {1}
-    # Interning an object finds the equal one interned before it, if any,
-    # with one equality test: the twin finds x's table, and a block's ranks
-    # the equal ranks blocks_of built.
-    assert equalities[id(x.table)] == 1
-    assert set(equalities.values()) == {1}
-    assert space.intern(twin.table) is space.intern(x.table)
+    assert set(scans) == {tuple(v.table) for v in (x, y, z, w, u)}
+    assert set(scans.values()) == {1}
+    assert set(factorized.values()) == {1}
+    assert set(found.values()) == {1}
+    assert {table for _, table in found} == {x.table, y.table}
+    assert len(space._supports) == 5 and len(space._blocks) == 4
+    # One history entry per block of a conditioner, none for the whole
+    # outcome set.
+    full = tuple(range(space.outcome_count))
+    keys = {(z.table, v) for v in set(z.table)} | {(w.table, v) for v in set(w.table)}
+    keys |= {c.ranks for c in blocks_of(space, u).values()}
+    assert set(space._histories) == keys and len(blocks) == len(keys) + 1
+    assert full not in space._atoms and full not in space._levels
 
 
 def _interleaved(space, c):
@@ -832,14 +874,16 @@ def test_a_conditioner_reading_every_factor_builds_no_blocks():
     ch = conditional_history(space, x, z)
     assert structurally_independent(space, x, factor_var(space, 0), z).overlaps
     assert space._blocks == {}
-    assert list(space._supports) == [space.intern(z.table)]
-    assert len(space._atoms) == 2
+    assert list(space._supports) == [z.table]
+    # Each level set is keyed by (z's table, value).
+    levels = [(z.table, 0), (z.table, 1)]
+    assert list(space._atoms) == levels
     for label, c in blocks_of(space, z).items():
         assert ch.per_block[label].members() == tuple(sorted(oracle_history(space, c, x)))
         assert history(space, c, x) == ch.per_block[label]
     # The Blocks of blocks_of share their level sets' memo entries.
-    assert len(space._atoms) == 2
-    assert all(isinstance(key, tuple) for key in space._histories)
+    assert list(space._atoms) == levels
+    assert list(space._histories) == levels
 
 
 @settings(max_examples=150, deadline=None)

@@ -314,31 +314,39 @@ def test_support_matches_cell_comparisons(data):
     got = IndexSet(want, space.factor_count)
     assert history(space, omega, x) == got
     assert conditional_history(space, x).per_block == {"*": got}
-    # Memoized by table: an equal table under another name shares the
-    # record, so it reads the one entry.
-    assert space._supports == {space.intern(x.table): (want, got)}
+    # Memoized by table: an equal table under another name reads the one
+    # entry, filed under the first object.
+    assert space._supports == {x.table: (want, got)}
     twin = RandomVariable("twin", x.codomain, tuple(list(x.table)))
     assert twin.table is not x.table
     assert support(space, twin) == want
-    assert len(space._supports) == 1
-    assert space.intern(twin.table) is space.intern(x.table)
+    assert list(space._supports) == [x.table]
+    assert next(iter(space._supports)) is x.table
 
 
-def test_intern_files_equal_tuples_under_one_record():
+def test_equal_tuple_tables_share_memo_entries():
+    # Tables of values past one byte stay tuples: an equal tuple in another
+    # object finds the entries of the first, and an unequal one does not.
     space = make_space(2, 2)
-    a, b, c = (0, 1, 1, 0), tuple([0, 1, 1, 0]), (1, 1, 0, 0)
-    record = space.intern(a)
-    assert space.intern(b) is record and space.intern(a) is record
-    assert space.intern(c) is not record
-    # The record holds every object filed under it, so no id is reused
-    # while the space lives.
-    assert record.objects == [a, b] and record.objects[1] is b
+    labels = tuple(map(str, range(300)))
+    a, b, c = (0, 299, 299, 0), tuple([0, 299, 299, 0]), (299, 299, 0, 0)
+    xa, xb, xc = (RandomVariable(n, labels, t) for n, t in zip("abc", (a, b, c)))
+    assert xa.table is a and xb.table is b and a is not b
+    for x in (xa, xb, xc):
+        support(space, x)
+        blocks_of(space, x)
+        conditional_history(space, factor_var(space, 0), x)
+    assert [key for key in space._supports if type(key) is tuple] == [a, c]
+    assert next(iter(space._supports)) is a
+    assert [key for key, _ in space._blocks] == [a, c]
+    # Each block of a tuple conditioner is keyed by its ranks.
+    assert list(space._histories) == [(0, 3), (1, 2), (2, 3), (0, 1)]
 
 
 def test_tables_are_stored_as_bytes_or_tuples():
-    # A space interns tables by hashing them once, so a list table must not
-    # reach it: entries that fit a byte are stored as bytes, others as a
-    # tuple.
+    # A space keys its memos by table, so a list table, which cannot be
+    # hashed, must not reach it: entries that fit a byte are stored as
+    # bytes, others as a tuple.
     space = make_space(2, 2, 2)
     z = RandomVariable(name="z", codomain=("0", "1"), table=[0, 1] * 4)
     x = RandomVariable(name="x", codomain=("0", "1"), table=[0] * 4 + [1] * 4)
@@ -380,8 +388,8 @@ def _observed(x: RandomVariable, sizes, y: RandomVariable, w: RandomVariable, ve
 def test_tables_in_every_form_give_the_same_answers(data):
     # One table as bytes, tuple, list and generator, and again with its
     # values moved past one byte (no bytes form): every form is stored
-    # alike, shares one interned record, and every answer equals that of
-    # the first form.
+    # alike, shares one memo entry, and every answer equals that of the
+    # first form.
     sizes = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
     space = make_space(*sizes)
     n = space.outcome_count
@@ -405,7 +413,10 @@ def test_tables_in_every_form_give_the_same_answers(data):
             forms.append(bytes(values))
         xs = [RandomVariable("x", codomain, form) for form in forms]
         assert all(type(x.table) is kind and x == xs[0] for x in xs)
-        assert len({id(space.intern(x.table)) for x in xs}) == 1
+        shared = make_space(*sizes)
+        for x in xs:
+            support(shared, x)
+        assert len(shared._supports) == 1
         for x in xs:
             got = _observed(x, sizes, y, w, vecs)
             answers = answers or got

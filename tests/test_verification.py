@@ -116,6 +116,32 @@ def test_history_laws_on_parity_instance():
     assert all(out.values()), [k for k, v in out.items() if not v]
 
 
+def test_history_laws_on_bytes_conditioners_set_no_bitset_rank_by_rank(monkeypatch):
+    # Every block the laws visit is a level set of a bytes conditioner, so
+    # its rank bitset is one translate of that table, never _bitset's
+    # per-rank loop.
+    history_module = importlib.import_module("facthist.history")
+    calls = Counter()
+    bitset = history_module._bitset
+
+    def counting(space, ranks):
+        calls[len(ranks)] += 1
+        return bitset(space, ranks)
+
+    monkeypatch.setattr(history_module, "_bitset", counting)
+    cfg = SuiteConfig(seed=7)
+    for index in range(20):
+        space = gen_random_space(cfg, index)
+        x, y, z = (
+            gen_random_variable(space, cfg, 3 * index + k, name=name)
+            for k, name in enumerate("xyz")
+        )
+        assert type(z.table) is bytes
+        out = check_history_laws(space, x, y, z, rng=_stream(cfg.seed, "laws", index))
+        assert all(out.values()), [k for k, v in out.items() if not v]
+    assert calls == {}
+
+
 def test_duality_on_parity_instance():
     space, u0, u1, xor = xor_bundle()
     cfg = SuiteConfig(seed=5)

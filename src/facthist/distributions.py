@@ -566,21 +566,21 @@ class _CiQuery:
     The check runs on a quotient of the space.  The readers of a factor are
     those of x, y and z whose tables vary along it, so each variable's
     factors are its support, its unconditional history.  Supports are
-    memoized on the space by the identity of each table (space.support),
-    and structurally_independent reads the same entries, so after it z's,
-    and x's and y's whenever z leaves a factor out, cost one id() lookup
-    each.  A factor with no reader is dropped, and the
-    product K of the sums of the dropped factors' vectors scales every
-    weight.  The factors read by one variable v alone, its private group,
-    become one virtual factor if that shrinks them: its values are the
+    memoized on the space, keyed by the table itself (space.support), and
+    structurally_independent reads the same entries, so after it z's, and x's
+    and y's whenever z leaves a factor out, cost one dict lookup each:
+    CPython caches a bytes table's hash, and a tuple table (values from 256
+    up) is hashed anew at each lookup.  A factor with no reader is dropped,
+    and the product K of the sums of the dropped factors' vectors scales
+    every weight.  The factors read by one variable v alone, its private
+    group, become one virtual factor if that shrinks them: its values are the
     classes of the group's assignments that give v the same column over v's
     other factors, and a class weighs the sum of its assignments' weights.
     The quotient factors are these lumps, by lowest factor, then the kept
-    factors in order.  x, y and z are read off one
-    representative outcome per quotient outcome, and every cell sum on the
-    quotient equals the sum over the whole space.  When no factor of more
-    than one value is dropped and no group shrinks, the quotient is the
-    space itself.
+    factors in order.  x, y and z are read off one representative outcome per
+    quotient outcome, and every cell sum on the quotient equals the sum over
+    the whole space.  When no factor of more than one value is dropped and no
+    group shrinks, the quotient is the space itself.
 
     Each block of z is split into cells, the quotient ranks where (x, y)
     takes one attained value pair.  The last quotient factors form a tail:

@@ -18,8 +18,8 @@ rank bitsets (see below): C folded along the factors outside J holds one
 rank per J-projection, and J determines x iff, for each bit of x's values,
 the ranks of C where it is 0 and those where it is 1, folded along Jbar,
 share no rank.  Two folds per bit, with one pair of bitsets held at a time,
-keep it O(|Omega|) bytes however many values x takes.  The law suites'
-mask loops fold the same bitsets along every mask, rectangles included.
+keep it O(|Omega|) bytes however many values x takes.  For the law suites,
+_mask_tests folds C and the same pairs along every mask, by brute force.
 
 The rectangle sets of C form a field of factor sets.  Its *atoms* (minimal
 non-empty members, once the factors constant on C are set aside as the
@@ -32,25 +32,24 @@ factors outside A fail to determine x: that complement is itself a
 rectangle set, so if it determines x it generates x and contains the
 history.
 
-history() reads that test off bit planes.  A bit plane P of x's table is
-the rank bitset of the outcomes where one bit of x's value is 1.  The
-factors outside an atom A fail to determine x exactly when, for some
-plane P, fold_A(C & ~P) & fold_A(C & P) != 0, where fold_A folds along
-the factors of A (_fold, below).  Proof: two outcomes of C that agree
-outside A and differ on x differ in some bit, so one lies in C & ~P and the
-other in C & P for that bit's plane, and both fold to the rank of their
-common coordinates outside A; conversely a rank both folds hold is the
-common outside-A coordinates of an outcome where the bit is 0 and one
-where it is 1.
-Only the atoms that meet x's support are tested: two outcomes that differ
-only in an atom x reads none of agree on x.  x is constant on C exactly
-when every C & P is 0 or C, and then its history is empty, found before C
-is factorized.  Otherwise the history is a non-empty union of atoms, so
-when one atom is left to test it is the history, with no fold.
-The planes of a bytes table are one bytes.translate each, memoized on the
-space (_planes); a tuple table's (values from 256 up) are built one at a
-time and not kept, so determines and the law suites' mask loops, which
-fold the same planes, hold one pair of bitsets at a time.
+_splits, the one implementation of that test (history() and determines call
+it), reads it off bit planes.  A bit plane P of x's table is the rank bitset
+of the outcomes where one bit of x's value is 1.  The factors outside an
+atom A fail to determine x exactly when, for some plane P, fold_A(C & ~P) &
+fold_A(C & P) != 0, where fold_A folds along the factors of A (_fold,
+below).  Proof: two outcomes of C that agree outside A and differ on x
+differ in some bit, so one lies in C & ~P and the other in C & P for that
+bit's plane, and both fold to the rank of their common coordinates outside
+A; conversely a rank both folds hold is the common outside-A coordinates of
+an outcome where the bit is 0 and one where it is 1.  Only the atoms that
+meet x's support are tested: two outcomes that differ only in an atom x
+reads none of agree on x.  x is constant on C exactly when every C & P is 0
+or C, and then its history is empty, found before C is factorized.
+Otherwise the history is a non-empty union of atoms, so when one atom is
+left to test it is the history, with no fold.  The planes of a bytes table
+are one bytes.translate each, memoized on the space (_planes); a tuple
+table's (values from 256 up) are built one at a time and not kept, so
+_splits and _mask_tests hold one pair at a time.
 
 On the whole outcome set every factor of more than one value is an atom of
 its own, so a variable's history there is its support (space.support, one
@@ -130,19 +129,19 @@ C-level big-int shifts, ORs and ANDs, plus the widths pass, whose ints
 shrink as it goes; transient memory is O(n * |Omega|) bytes, and the space
 memoizes one O(|Omega|)-byte mask per factor.  A history costs, per plane
 that splits C, two folds along each atom still in question.  The
-factorization (a Factorization: the trivial mask and the atoms) is
-memoized on the FactoredSpace under the block's key, and so is each
-history (an immutable IndexSet, returned as it is), keyed by the
-variable's table, because independence checks, verification and the law
-suites ask for several histories per block.  A level set of a bytes
-conditioner is keyed by (table, value), and so is a Block that blocks_of
-made for it (space._levels), so the two share one entry and the Block's
-bitset is the level set's one translate; any other Block is keyed by its
-ranks, and its bitset is set rank by rank (_keyed).  Neither memo holds
-the block's bitset.  Memos are keyed by value, so variables with equal
-tables share a history whatever their names, and a repeated question
-(verify asks structurally_independent once itself and once more through
-verify_soundness or find_witness) reads no history twice.
+factorization (a Factorization: the trivial mask and the atoms) is memoized
+on the FactoredSpace under the block's key, and so is each history (an
+immutable IndexSet, returned as it is), keyed by the variable's table,
+because independence checks, verification and the law suites ask for several
+histories per block; _factorize alone reads and fills the factorization
+memo.  A level set of a bytes conditioner is keyed by (table, value), and so
+is a Block that blocks_of made for it (space._levels), so the two share one
+entry and the Block's bitset is the level set's one translate; any other
+Block is keyed by its ranks, and its bitset is set rank by rank (_keyed).
+Neither memo holds the block's bitset.  Memos are keyed by value, so
+variables with equal tables share a history whatever their names, and a
+repeated question (verify asks structurally_independent once itself and once
+more through verify_soundness or find_witness) reads no history twice.
 
 The *conditional history* maps every attained value of a conditioning
 variable z to the history on that block.  Two variables are *structurally
@@ -293,20 +292,34 @@ def is_rectangle(space: FactoredSpace, c: Block, j: IndexSet) -> bool:
     """Does C recombine as proj_J(C) x proj_Jbar(C)?  Does J, that is, hold
     each of C's atoms whole or not at all?"""
     _check(space, c, j)
-    return all(j.mask & m in (0, m) for m, _ in _factorize(space, c.ranks).atoms)
+    atoms = _factorize(space, *_keyed(space, c.ranks)).atoms
+    return all(j.mask & m in (0, m) for m, _ in atoms)
+
+
+def _splits(
+    space: FactoredSpace,
+    block: int,
+    x: RandomVariable,
+    sets: Sequence[tuple[int, Sequence[int]]],
+) -> int:
+    """The union of the masks of the disjoint (mask, factor ids) sets along
+    which x varies on the block with this rank bitset (module docstring):
+    each plane that cuts the block folds every set not yet found."""
+    mask = 0
+    for zeros, ones in _cuts(block, _planes(space, x)):
+        for found, ids in sets:
+            if not mask & found and _fold_out(space, zeros, ids) & _fold_out(space, ones, ids):
+                mask |= found
+    return mask
 
 
 def determines(space: FactoredSpace, c: Block, j: IndexSet, x: RandomVariable) -> bool:
-    """Do equal J-coordinates force equal x-values on C?  Do x's bit planes
-    on C, that is, stay apart when folded along Jbar?"""
+    """Do equal J-coordinates force equal x-values on C?  Does x, that is,
+    vary along Jbar nowhere on C?"""
     _check(space, c, j)
     ensure_on_space(space, x)
-    outside = j.complement().members()
-    cuts = _cuts(_keyed(space, c.ranks)[1](), _planes(space, x))
-    return not any(
-        _fold_out(space, zeros, outside) & _fold_out(space, ones, outside)
-        for zeros, ones in cuts
-    )
+    out = j.complement()
+    return not _splits(space, _keyed(space, c.ranks)[1](), x, [(out.mask, out.members())])
 
 
 def generates(space: FactoredSpace, c: Block, j: IndexSet, x: RandomVariable) -> bool:
@@ -315,19 +328,18 @@ def generates(space: FactoredSpace, c: Block, j: IndexSet, x: RandomVariable) ->
     return is_rectangle(space, c, j) and determines(space, c, j, x)
 
 
-def _rectangle_masks(space: FactoredSpace, c: Block) -> list[bool]:
-    """Is C a J-rectangle, for every factor mask J?"""
-    on = _mask_folds(space, _keyed(space, c.ranks)[1]())
-    return [a.bit_count() * b.bit_count() == len(c) for a, b in zip(reversed(on), on)]
-
-
-def _determining_masks(space: FactoredSpace, c: Block, x: RandomVariable) -> list[bool]:
-    """Does J determine x on C, for every factor mask J?"""
+def _mask_tests(
+    space: FactoredSpace, c: Block, x: RandomVariable
+) -> tuple[list[bool], list[bool]]:
+    """Is C a J-rectangle, and does J determine x on C, for every factor
+    mask J?  Both by brute force over every mask, from one bitset of C."""
+    on = _mask_folds(space, _keyed(space, c.ranks)[1]())  # on[0] is C
+    rectangles = [a.bit_count() * b.bit_count() == len(c) for a, b in zip(reversed(on), on)]
     clash = [False] * (1 << space.factor_count)  # by the mask folded along
-    for zeros, ones in _cuts(_keyed(space, c.ranks)[1](), _planes(space, x)):
+    for zeros, ones in _cuts(on[0], _planes(space, x)):
         folds = zip(_mask_folds(space, zeros), _mask_folds(space, ones))
         clash = [m or a & b != 0 for m, (a, b) in zip(clash, folds)]
-    return [not m for m in reversed(clash)]  # J is the complement of that mask
+    return rectangles, [not m for m in reversed(clash)]  # J is the complement
 
 
 class Factorization(NamedTuple):
@@ -352,12 +364,13 @@ def _keyed(
     return level, partial(_level_set, *level)
 
 
-def _factorize(space: FactoredSpace, ranks: tuple[int, ...]) -> Factorization:
-    """The memoized factorization of the block with these ranks."""
-    key, bits = _keyed(space, ranks)
+def _factorize(
+    space: FactoredSpace, key: Hashable, bits: Callable[[], int], unread: int = 0
+) -> Factorization:
+    """The memoized factorization of the block with this key; bits() makes its bitset."""
     cached = space._atoms.get(key)
     if cached is None:
-        cached = space._atoms[key] = _factorize_block(space, bits())
+        cached = space._atoms[key] = _factorize_block(space, bits(), unread)
     return cached
 
 
@@ -572,22 +585,11 @@ def _history_on(
     mask = 0
     if any(block & plane not in (0, block) for plane in _planes(space, x)):
         # x is not constant on the block, so its history is not empty.
-        entry = space._atoms.get(key)
-        if entry is None:
-            entry = space._atoms[key] = _factorize_block(space, block, unread)
-        atoms = entry.atoms
+        atoms = _factorize(space, key, lambda: block, unread).atoms
         if len(atoms) > 1:
             reads = _supported(space, x)[0]
             atoms = [atom for atom in atoms if atom[0] & reads]
-        if len(atoms) == 1:
-            mask = atoms[0][0]
-        else:
-            for zeros, ones in _cuts(block, _planes(space, x)):
-                for atom, ids in atoms:
-                    if not mask & atom and (
-                        _fold_out(space, zeros, ids) & _fold_out(space, ones, ids)
-                    ):
-                        mask |= atom
+        mask = atoms[0][0] if len(atoms) == 1 else _splits(space, block, x, atoms)
     found = known[x.table] = IndexSet(mask, len(space.factors))
     return found
 
@@ -665,9 +667,8 @@ def disintegration_atoms(space: FactoredSpace, c: Block) -> DisintegrationAtoms:
     """
     ensure_block(space, c)
     n = space.factor_count
-    entry = _factorize(space, c.ranks)
-    trivial_mask = entry.trivial
-    atom_masks = sorted(m for m, _ in entry.atoms)
+    trivial_mask, atoms = _factorize(space, *_keyed(space, c.ranks))
+    atom_masks = sorted(m for m, _ in atoms)
     covered = 0
     for m in atom_masks:
         if covered & m:

@@ -51,8 +51,7 @@ from .distributions import (
     verify_soundness,
 )
 from .history import (
-    _determining_masks,
-    _rectangle_masks,
+    _mask_tests,
     conditional_history,
     disintegration_atoms,
     history,
@@ -300,12 +299,12 @@ def check_history_laws(
 
         parts = disintegration_atoms(space, c)
         trivial_mask = parts.trivial_part.mask
-        rect_masks = {m for m, rect in enumerate(_rectangle_masks(space, c)) if rect}
+        rectangles, determined = _mask_tests(space, c, x)
+        rect_masks = {m for m, rect in enumerate(rectangles) if rect}
         for mask in rect_masks:
             if history(space, c, uj(mask)).mask != mask & ~trivial_mask:
                 results["atom_law"] = False
         # Generation is the rectangle condition plus determination.
-        determined = _determining_masks(space, c, x)
         gen_masks = [m for m in sorted(rect_masks) if determined[m]]
         gen_set = set(gen_masks)
         inter_all = full

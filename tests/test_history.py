@@ -1215,7 +1215,7 @@ def test_bitset_factorization_matches_key_counts(data):
     # A block factorized knowing the factors its conditioner leaves out
     # (the level-set path) factorizes as it does without.
     for space, ranks, unread in _factorizations(data):
-        entry = history_module._factorize(space, ranks)
+        entry = history_module._factorize(space, *history_module._keyed(space, ranks))
         copy = make_space(*(f.size for f in space.factors))
         assert (entry.trivial, tuple(m for m, _ in entry.atoms)) == oracle_factorize(copy, ranks)
         for mask, ids in entry.atoms:
@@ -1292,7 +1292,7 @@ def test_bitset_counts_equal_set_counts_wherever_the_rule_asks(data):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(history_module, "_atoms", spy)
-        history_module._factorize(space, ranks)
+        history_module._factorize(space, *history_module._keyed(space, ranks))
     assert [got for _, got, _ in asked] == [want for _, _, want in asked], asked
 
 
@@ -1324,8 +1324,109 @@ def test_factorizing_every_block_takes_the_pinned_folds(monkeypatch, sizes, z, f
 
     monkeypatch.setattr(history_module, "_fold", counting)
     for c in blocks:
-        history_module._factorize(space, c.ranks)
+        history_module._factorize(space, *history_module._keyed(space, c.ranks))
     assert calls["fold"] == folds
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["bytes", "tuple"])
+@pytest.mark.parametrize(
+    "sizes, z, folds",
+    [
+        ((2,) * 8, lambda o: sum(o) % 2, 0),
+        ((2,) * 6, lambda o: 2 * (o[0] ^ o[2]) + (o[1] + o[3] + o[4] + o[5]) % 2, 64),
+        ((2, 3, 2, 2), lambda o: (o[0] ^ (o[1] % 2)) + 2 * (o[2] & o[3]), 24),
+    ],
+    ids=["parity-8", "xor-and-parity-6", "mixed-2x3x2x2"],
+)
+def test_histories_on_every_block_take_the_pinned_folds(monkeypatch, sizes, z, folds, wide):
+    # The conditioners above, each block factorized beforehand, and x =
+    # u1 + 2 * u2.  On the xor-and-parity blocks x's first plane is u1 and
+    # its second u2, so the second plane folds only the atom the first one
+    # left.  On a parity block one atom holds both and is the history with
+    # no fold.  Values from 256 up (a tuple table, its planes built one at
+    # a time) fold the same.
+    space = make_space(*sizes)
+    outcomes = [outcome_unrank(space, r) for r in range(space.outcome_count)]
+    zvar = make_var(space, "z", 4, map(z, outcomes))
+    x = make_var(space, "x", 5, (o[1] + 2 * o[2] for o in outcomes))
+    if wide:
+        x = RandomVariable("x", tuple(map(str, range(300))), [v + 256 * (v & 1) for v in x.table])
+        assert type(x.table) is tuple
+    blocks = blocks_of(space, zvar).values()
+    for c in blocks:
+        disintegration_atoms(space, c)
+    calls = Counter()
+    fold = history_module._fold
+
+    def counting(*args):
+        calls["fold"] += 1
+        return fold(*args)
+
+    monkeypatch.setattr(history_module, "_fold", counting)
+    for c in blocks:
+        assert history(space, c, x).members() == tuple(sorted(oracle_history(space, c, x)))
+    assert calls["fold"] == folds
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_splits_is_the_union_of_the_sets_whose_complements_fail_to_determine(data):
+    # _splits against the literal pairwise test, one set at a time: x
+    # varies along S on C exactly when the factors outside S fail to
+    # determine it.  Blocks of a conditioner (level-set bitsets for a bytes
+    # one) and arbitrary rank sets; x of two to six values, half of the
+    # time some moved past 255 so that its table is a tuple; disjoint sets,
+    # empty ones included.
+    sizes = data.draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
+    space = make_space(*sizes)
+    n, count = space.factor_count, space.outcome_count
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    if data.draw(st.booleans()):
+        ids = sorted(data.draw(st.sets(st.integers(0, n - 1))))
+        z = function_of(space, "z", ids, data.draw(st.integers(1, 3)), rng)
+        c = data.draw(st.sampled_from(list(blocks_of(space, z).values())))
+    else:
+        c = Block("c", tuple(sorted(data.draw(st.sets(st.integers(0, count - 1), min_size=1)))))
+    k = data.draw(st.integers(2, 6))
+    ids = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    x = function_of(space, "x", ids, k, rng)
+    assume(len(set(x.table)) > 1)
+    if data.draw(st.booleans()):
+        wide = (0, 256, 299, 1, 257, 100)  # a tuple table if it takes 1, 2 or 4
+        x = RandomVariable("x", tuple(map(str, range(300))), [wide[v] for v in x.table])
+    groups = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    sets = [IndexSet.of([i for i, h in enumerate(groups) if h == g], n) for g in range(3)]
+    want = 0
+    for found in sets:
+        if not oracle_determines(space, c, found.complement().members(), x):
+            want |= found.mask
+    block = history_module._keyed(space, c.ranks)[1]()
+    assert history_module._splits(space, block, x, [(s.mask, s.members()) for s in sets]) == want
+
+
+def test_mask_tests_build_each_block_once(monkeypatch):
+    # One level-set translate per block of a bytes conditioner serves both
+    # tables, and both agree with the literal tests on every mask.
+    calls = Counter()
+    level_set = history_module._level_set
+
+    def counting(table, v):
+        calls[table, v] += 1
+        return level_set(table, v)
+
+    monkeypatch.setattr(history_module, "_level_set", counting)
+    rng = random.Random("mask-tests")
+    space = make_space(2, 3, 2)
+    x = function_of(space, "x", [0, 1, 2], 5, rng)
+    z = function_of(space, "z", [1, 2], 3, rng)
+    blocks = blocks_of(space, z)
+    assert type(z.table) is bytes and len(blocks) > 1
+    for c in blocks.values():
+        rectangles, determined = history_module._mask_tests(space, c, x)
+        masks = [IndexSet(m, space.factor_count).members() for m in range(1 << space.factor_count)]
+        assert rectangles == [oracle_rectangle(space, c, ids) for ids in masks]
+        assert determined == [oracle_determines(space, c, ids, x) for ids in masks]
+    assert calls == {(z.table, v): 1 for v in set(z.table)}
 
 
 @settings(max_examples=60, deadline=None)

@@ -68,9 +68,11 @@ EXIT_CLOSED_STDOUT = 0
 # C-level passes.  _DigitTableDecoder parses objects in Python, at a few
 # microseconds each, so it runs only when the first compactly written table,
 # from its key ('"table":[') to the first ']' after it, spans at least this
-# many characters: over whole CLI calls it was slower than json.loads on a
-# one-table file of 846 characters and faster on one of 1391.
-DIGIT_PATH_MIN_CHARS = 1024
+# many characters.  Parsing plus space_from_doc, decoder against json.loads:
+# 44 against 35 us for a first table spanning 72, level at 264, and 55
+# against 70 us on the benchmark's 846-character parity-history file, whose
+# table spans 520; there whole calls are level (30 alternating pairs).
+DIGIT_PATH_MIN_CHARS = 512
 _DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
 
 
@@ -373,7 +375,13 @@ def _arg(*flags: str, **kwargs: object) -> tuple[tuple[str, ...], dict]:
 _PRETTY = _arg("--pretty", action="store_true", help="indent the JSON output")
 # The arguments indep, verify and witness share.
 _PAIR = (_arg("space"), _arg("x"), _arg("y"), _arg("--given"))
-_SEARCH = (_arg("--tries", type=int, default=64), _arg("--seed", type=int, default=0))
+# Every default budget is SuiteConfig's: verify and witness search as the
+# suite does.
+_SEARCH = (
+    _arg("--tries", type=int, default=SuiteConfig.witness_budget),
+    _arg("--seed", type=int, default=SuiteConfig.seed),
+)
+_SAMPLES = _arg("--samples", type=int, default=SuiteConfig.sample_count)
 
 # Every command's arguments, declared once: _build_parser adds them to
 # argparse, and _fast_args reads them.  command -> (handler, help text,
@@ -409,7 +417,7 @@ _COMMANDS = {
     "verify": (
         _cmd_verify,
         "soundness samples or witness search, depending on the verdict",
-        (_PRETTY, *_PAIR, *_SEARCH, _arg("--samples", type=int, default=50)),
+        (_PRETTY, *_PAIR, *_SEARCH, _SAMPLES),
     ),
     "witness": (
         _cmd_witness,
@@ -421,13 +429,13 @@ _COMMANDS = {
         "run the randomized law suites",
         (
             _PRETTY,
-            _arg("--seed", type=int, default=0),
-            _arg("--iters", type=int, default=20),
-            _arg("--max-factors", type=int, default=4),
-            _arg("--max-domain", type=int, default=3),
-            _arg("--samples", type=int, default=50),
-            _arg("--witness-budget", type=int, default=64),
-            _arg("--perturbation-budget", type=int, default=16),
+            _arg("--seed", type=int, default=SuiteConfig.seed),
+            _arg("--iters", type=int, default=SuiteConfig.iterations),
+            _arg("--max-factors", type=int, default=SuiteConfig.max_factors),
+            _arg("--max-domain", type=int, default=SuiteConfig.max_domain),
+            _SAMPLES,
+            _arg("--witness-budget", type=int, default=SuiteConfig.witness_budget),
+            _arg("--perturbation-budget", type=int, default=SuiteConfig.perturbation_budget),
         ),
     ),
     "atoms": (

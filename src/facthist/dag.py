@@ -16,23 +16,22 @@ rank r.  Both conventions are fixed so emitted space files are identical
 across runs and platforms.
 
 The evaluation runs column-wise, one node at a time in topological order,
-on images: one int with a lane per outcome, as in space._image.  Node v's
-column u_v * m + (parent rank) is the image of u_v's coordinates times
-|dom p| plus the image of X_p, for each parent p in turn; a partial column
-never exceeds the final one, so no lane carries.  Lanes are one byte when
-|u_v| * m <= 256, and X_v's table is then one bytes.translate of the
-column through its response digits; otherwise they are eight bytes, read
-back as an array('Q') and looked up in one map.  No step is a Python loop
-over outcomes, and each node keeps its image at each lane width its
-children ask for.
+on images: one int with a little-endian lane per outcome (space._image).
+Node v's column u_v * m + (parent rank) is the image of u_v's coordinates
+times |dom p| plus the image of X_p, for each parent p in turn; a partial
+column never exceeds the final one, so no lane carries.  Lanes are one
+byte when |u_v| * m <= 256, and X_v's table is then one bytes.translate of
+the column through its response digits; otherwise they are eight bytes,
+read back by struct.unpack and looked up in one map.  No step is a Python
+loop over outcomes, and each parent's image is built at its child's lane
+width by space._image, once per child.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import sys
-from array import array
+import struct
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain, product, repeat
@@ -49,6 +48,7 @@ from .space import (
     FactoredSpace,
     RandomVariable,
     _default_outcome_cap,
+    _image,
 )
 
 __all__ = [
@@ -242,18 +242,6 @@ def embed_dag(dag: Dag, *, max_outcomes: int | None = None) -> Embedding:
     count = space.outcome_count
     strides = dict(zip(dag.nodes, space._strides))
     node_vars: dict[str, RandomVariable] = {}
-    images: dict[tuple[str, int], int] = {}
-
-    def image(p: str, width: int) -> int:
-        key = (p, width)
-        if key not in images:
-            t = node_vars[p].table
-            # A width-1 child's parents have byte tables.  array("Q") would
-            # read a bytes table as raw words, so it gets the entries.
-            lanes = t if width == 1 else array("Q", iter(t)).tobytes()
-            images[key] = int.from_bytes(lanes, sys.byteorder)
-        return images[key]
-
     for v in dag.topological_order():
         size, stride, m = sizes[v], strides[v], pa_counts[v]
         width = 1 if size * m <= 256 else 8
@@ -263,18 +251,18 @@ def embed_dag(dag: Dag, *, max_outcomes: int | None = None) -> Embedding:
         resp = tuple(chain.from_iterable(product(range(doms[v]), repeat=m)))
         # u_v holds each value for stride consecutive ranks, and that
         # period repeats.
-        lanes = map(int.to_bytes, range(size), repeat(width), repeat(sys.byteorder))
+        lanes = map(int.to_bytes, range(size), repeat(width), repeat("little"))
         period = b"".join(map(bytes.__mul__, lanes, repeat(stride)))
-        img = int.from_bytes(period * (count // (size * stride)), sys.byteorder)
+        img = int.from_bytes(period * (count // (size * stride)), "little")
         # Folding each parent's column in as img * |dom p| + X_p gives
         # k * m + a, with the last parent varying fastest.
         for p in dag.parents(v):
-            img = img * doms[p] + image(p, width)
-        column = img.to_bytes(width * count, sys.byteorder)
+            img = img * doms[p] + _image(node_vars[p].table, width)[0]
+        column = img.to_bytes(width * count, "little")
         if width == 1:
             values = column.translate(bytes(resp).ljust(256, b"\0"))
         else:
-            values = map(resp.__getitem__, array("Q", column))
+            values = map(resp.__getitem__, struct.unpack(f"<{count}Q", column))
         node_vars[v] = RandomVariable(
             name=f"X_{v}", codomain=tuple(map(str, range(doms[v]))), table=values
         )

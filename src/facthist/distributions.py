@@ -28,8 +28,10 @@ single vector is drawn from a caller's random.Random instead (_draw_ints,
 with randint's numbers; sample_vector normalizes one draw), as the law
 suites' perturbation vectors are.  find_witness builds Fractions only for
 the sample it returns.  _shifts is
-the one test of whether a conditional moved between two distributions,
-over _block_marginal rows, which also raise on a zero-mass block.
+the one integer test of whether a conditional moved between two
+distributions, over _block_marginal rows, which also raise on a zero-mass
+block; the law suites and product_difference_identity use it, while
+irrelevance_invariance compares the Fractions of two cond_table calls.
 
 A CI check of x and y given z is a prepared query, run on a quotient of
 the space (see _CiQuery).  Setting it up costs O(n * |Omega|) once for n
@@ -952,29 +954,20 @@ def irrelevance_invariance(
 ) -> InvarianceReport:
     """Conditionals of x must match on every block whose history omits the factor."""
     ch = conditional_history(space, x, z)
-    wb = _weights(space, pair.base)
-    wq = _weights(space, pair.perturbed)
+    before = cond_table(space, pair.base, x, z)
+    after = cond_table(space, pair.perturbed, x, z)
     checked: list[str] = []
     skipped: list[str] = []
     violations: list[tuple[str, str, Fraction, Fraction]] = []
-    k = len(x.codomain)
-    for zlabel, c in blocks_of(space, z).items():
-        if pair.factor in ch.per_block[zlabel]:
+    for zlabel, h in ch.per_block.items():
+        if pair.factor in h:
             skipped.append(zlabel)
             continue
         checked.append(zlabel)
-        tb, pb = _block_marginal(wb, c, x.table, k)
-        tq, pq = _block_marginal(wq, c, x.table, k)
-        for a, shift in enumerate(_shifts((tb, pb), (tq, pq))):
-            if shift:
-                violations.append(
-                    (
-                        zlabel,
-                        x.codomain[a],
-                        Fraction(pb[a], tb),
-                        Fraction(pq[a], tq),
-                    )
-                )
+        for xlabel in x.codomain:
+            b, q = before[zlabel, xlabel], after[zlabel, xlabel]
+            if b != q:
+                violations.append((zlabel, xlabel, b, q))
     return InvarianceReport(
         factor=pair.factor,
         checked=tuple(checked),

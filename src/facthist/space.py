@@ -17,13 +17,13 @@ changing that factor's coordinate alone changes the value somewhere.  A
 variable reads nothing outside its support, so a block of z is the block of
 z on the grid of supp(z) times every factor z does not read.
 
-A support is read off the table's *image*: its values as one int with one
-lane per entry (one byte when every value is below 256, else eight).  The
-tensor varies along a factor of stride s exactly when some lane whose
-coordinate is below the factor's top value differs from the lane s entries
-on, that is when (img ^ img >> 8 * width * s) & top is not zero.  The
-space's axes are its factors of more than one value (_axes), and _scan
-fills one such mask per axis and lane width (_tops).
+A support is read off the table's *image* (_image): its values as one int
+with one little-endian lane per entry (one byte when every value is below
+256, else eight).  The tensor varies along a factor of stride s exactly
+when some lane whose coordinate is below the factor's top value differs
+from the lane s entries on, that is when (img ^ img >> 8 * width * s) & top
+is not zero.  The space's axes are its factors of more than one value
+(_axes), and _scan fills one such mask per axis and lane width (_tops).
 
 Everything here is immutable after construction and safe to share between
 threads.  Internal per-factor coordinate tables, rank bitsets and lane
@@ -41,8 +41,7 @@ from __future__ import annotations
 
 import math
 import os
-import sys
-from array import array
+import struct
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import add, countOf, lt, mul
@@ -529,17 +528,21 @@ def fold_pair(space: FactoredSpace, xs: Sequence[RandomVariable]) -> RandomVaria
     return RandomVariable(name=name, codomain=tuple(labels), table=table)
 
 
-def _image(t: Sequence[int]) -> tuple[int, int]:
+def _image(t: Sequence[int], width: int = 1) -> tuple[int, int]:
     """The values of t as one int with a lane per entry, and the lane width.
 
-    Entry r is byte r when bytearray() takes every entry (0..255; from a
-    tuple it is about twice as fast as bytes()), otherwise bytes 8r to
-    8r+7, so each lane holds its value exactly.
+    Lanes are width bytes (1 or 8), or 8 when an entry is past 255, so each
+    holds its value exactly.  Images are little-endian, as rank bitsets
+    are: entry r is the lane at byte width * r, least significant first.
+    bytearray() takes entries up to 255, from a tuple about twice as fast
+    as bytes().
     """
-    try:
-        return int.from_bytes(bytearray(t), "little"), 1
-    except ValueError:
-        return int.from_bytes(array("Q", t).tobytes(), sys.byteorder), 8
+    if width == 1:
+        try:
+            return int.from_bytes(bytearray(t), "little"), 1
+        except ValueError:
+            pass
+    return int.from_bytes(struct.pack(f"<{len(t)}Q", *t), "little"), 8
 
 
 def _below_top(count: int, size: int, stride: int, width: int) -> int:

@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import facthist
-from facthist import RandomVariable, space_to_doc, dag_to_doc, Dag, space_from_doc
+from facthist import RandomVariable, SuiteConfig, space_to_doc, dag_to_doc, Dag, space_from_doc
 from facthist.cli import _COMMANDS, DIGIT_PATH_MIN_CHARS, _build_parser, _fast_args, main
 from facthist.space import OUTCOME_CAP_ENV
 
@@ -366,6 +366,12 @@ def test_axioms_command_deterministic(capsys):
     doc = json.loads(out1)
     assert doc["failed"] is False
     assert doc["config"]["iterations"] == 4
+
+
+def test_axioms_defaults_are_the_suite_config(capsys):
+    code, out, _ = run_cli(capsys, "axioms")
+    assert code == 0
+    assert json.loads(out)["config"] == vars(SuiteConfig())
 
 
 def test_axioms_zero_iterations(capsys):

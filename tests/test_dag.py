@@ -309,6 +309,23 @@ def test_embed_stdout_is_the_written_file(dag):
         assert _cli_embed(dag, tmp, "--pretty") == (0, pretty)
 
 
+# A feeds B, whose |u_B| * m is 4 * 2 (one-byte lanes), and C, whose three
+# binary parents make it 256 * 8 (eight-byte lanes), so A's image is built
+# at both lane widths; the declaration order decides which child comes first.
+SHARED_PARENT_NODES = [("A", 2), ("R", 2), ("S", 2), ("B", 2), ("C", 2)]
+SHARED_PARENT_EDGES = [("A", "B"), ("A", "C"), ("R", "C"), ("S", "C")]
+
+
+@pytest.mark.parametrize("nodes", [SHARED_PARENT_NODES, SHARED_PARENT_NODES[::-1]])
+def test_parent_shared_by_both_lane_widths_matches_oracle(nodes):
+    dag = Dag(nodes, SHARED_PARENT_EDGES)
+    emb = embed_dag(dag)
+    sizes = {f.name: f.size for f in emb.space.factors}
+    assert sizes["u_B"] * 2 <= 256 < sizes["u_C"] * 8
+    assert emb.space.outcome_count == 2 * 2 * 2 * 4 * 256
+    assert {v: tuple(x.table) for v, x in emb.node_vars.items()} == oracle_embed_tables(dag)
+
+
 def test_embedding_histories_are_ancestral():
     emb = embed_dag(chain3())
     space = emb.space

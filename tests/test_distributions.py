@@ -80,6 +80,7 @@ from oracles import (
     oracle_ci,
     oracle_ci_report,
     oracle_event_prob,
+    oracle_history,
     oracle_int_weights,
     oracle_sample_ints,
     oracle_support,
@@ -471,6 +472,30 @@ def test_perturbation_reports_name_the_moved_conditionals(monkeypatch):
         seen["moved" if moved else "still"] += 1
         seen["identity fails" if first else "identity holds"] += 1
     assert all(seen[k] >= 20 for k in ("moved", "still", "identity fails", "identity holds")), seen
+
+
+def test_irrelevance_checks_exactly_the_blocks_whose_history_omits_the_factor():
+    # Real histories: a block is skipped exactly when the perturbed factor
+    # is in x's history there (brute force), and no checked block moves.
+    rng = random.Random("irrelevance-split")
+    seen = Counter()
+    for trial in range(150):
+        space = make_space(*(rng.randint(1, 3) for _ in range(rng.randint(2, 4))))
+        x, z = (
+            function_of(space, name, _random_ids(space, rng), rng.randint(2, 3), rng)
+            for name in "xz"
+        )
+        i = rng.randrange(space.factor_count)
+        vec = sample_vector(rng, space.factors[i].size)
+        rep = irrelevance_invariance(space, perturb_factor(sample_product(space, trial), i, vec), x, z)
+        hist = {label: oracle_history(space, c, x) for label, c in blocks_of(space, z).items()}
+        assert rep.skipped == tuple(label for label, h in hist.items() if i in h), trial
+        assert rep.checked == tuple(label for label, h in hist.items() if i not in h), trial
+        assert rep.factor == i and rep.violations == (), trial
+        seen["checked"] += bool(rep.checked)
+        seen["skipped"] += bool(rep.skipped)
+        seen["both"] += bool(rep.checked and rep.skipped)
+    assert all(seen[k] >= 10 for k in ("checked", "skipped", "both")), seen
 
 
 def test_first_violation_is_row_major():

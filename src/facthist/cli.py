@@ -43,15 +43,10 @@ from .errors import (
     UnknownFactorError,
     UnknownNameError,
 )
-from .history import (
-    conditional_history,
-    disintegration_atoms,
-    structurally_independent,
-)
+from .history import _block_atoms, conditional_history, structurally_independent
 from .space import (
     FactoredSpace,
     RandomVariable,
-    blocks_of,
     factor_var,
     fold_pair,
     space_from_doc,
@@ -359,8 +354,7 @@ def _cmd_axioms(args: argparse.Namespace) -> tuple[dict, int]:
 def _cmd_atoms(args: argparse.Namespace) -> tuple[dict, int]:
     space, _, z, given = _load(args)
     blocks = {}
-    for label, block in blocks_of(space, z).items():
-        parts = disintegration_atoms(space, block)
+    for label, parts in _block_atoms(space, z):
         trivial, *atoms = _named(space, [parts.trivial_part, *parts.atoms])
         blocks[label] = {"atoms": atoms, "trivial_part": trivial}
     return {"given": given, "blocks": blocks}, 0

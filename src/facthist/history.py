@@ -63,9 +63,10 @@ where G is the block of z on the grid Omega_S and R holds the factors of
 more than one value outside S.  A set of factors is a rectangle of C
 exactly when its part in S is a rectangle of G, so the atoms of C are
 those of G plus one singleton atom per factor of R.  _factorize_block is
-told R for a level set: it takes those atoms with no fold, and folds C
-along a factor of R by keeping the ranks where that factor is 0, since C
-holds every value of it wherever it holds one.  When x's support
+told R for a level set: it takes those atoms with no fold, and never folds
+along R, since C folded along factors of G is still a product with
+Omega_R: each of its bit counts is |Omega_R| times the count on G.  So a
+level set folds only along the factors z reads.  When x's support
 holds none of S, its history on C is its support: x varies along no atom
 of G, and along a factor k of R it varies on C exactly when it does on
 Omega, since C holds every assignment of R under each point of G and x
@@ -85,19 +86,25 @@ _atoms builds the atoms one factor at a time from counts alone, touching no
 bitset: the free factors (of more than one value on C), the widths
 |proj_k(C)|, |C|, and count(i, drop) = |proj_J(C)| for J = free[:i] minus
 drop.  Here each count is a bit count.  A set of ranks is an int whose byte
-r is 1 for each member r (space.zero_bits).  Folding it along factor i, the
-OR over v < size(i) of X >> 8 * v * stride(i) kept to the ranks where i is
-0, sets coordinate i of every rank to 0 (_fold; the OR doubles its run of
-shifts, so a fold is O(log size(i)) shifts).  Folding C along the free
-factors outside J leaves one rank per J-projection, so |proj_J(C)| is the
-result's bit count.  The width |proj_k(C)| of every factor comes from one
-pass down the factors (_widths): C folded along the factors before k lies
-below k's period, where the factors after k fold as one factor of stride 1.
+r is 1 for each member r.  Folding it along factor i, the OR over v <
+size(i) of X >> 8 * v * stride(i) kept to the ranks where i is 0, sets
+coordinate i of every rank to 0 (_fold: one shift-OR for two values,
+otherwise an OR that doubles its run of shifts, so O(log size(i)) shifts).
+Every fold reads the factor's entry of the space's fold plan
+(space.fold_axis): its size, its step 8 * stride(i) and its zero mask,
+built the first time the factor is folded and kept.  Folding C along the
+free factors outside J leaves one rank per J-projection, so |proj_J(C)| is
+the result's bit count.  The width |proj_k(C)| of every factor comes from
+one pass down the factors (_widths): C folded along the factors before k
+lies below k's period.  For two values the ranks below stride(k) are
+those where k is 0 and the rest those where it is 1, so two mask tests
+give the width, and the OR of the two halves folds along k with no _fold
+call.  For more values the factors after k fold as one factor of stride 1.
 The bitset count folds drop out of C folded along free[i:], a prefix
 projection built from the last free factor down the first time a count
-needs it and shared by the later counts.  A factor constant on C joins the trivial part.
-Factor free[i] = k joins the factors seen so far, S = free[:i], whose atoms
-are already known:
+needs it and shared by the later counts.  A factor constant on C joins the
+trivial part.  Factor free[i] = k joins the factors seen so far, S =
+free[:i], whose atoms are already known:
 
 * Product exit: if |proj_S(C)| times the widths |proj_j(C)| of k and every
   later free factor j equals |C|, C is proj_S(C) times those projections,
@@ -126,19 +133,22 @@ Each non-constant factor costs at most one prefix fold plus, when the
 shortcut fails, one fold per factor of the atoms it tests, so factorizing a
 block of n factors costs O(n^2) folds of O(|Omega|) bytes, each a few
 C-level big-int shifts, ORs and ANDs, plus the widths pass, whose ints
-shrink as it goes; transient memory is O(n * |Omega|) bytes, and the space
-memoizes one O(|Omega|)-byte mask per factor.  A history costs, per plane
-that splits C, two folds along each atom still in question.  The
-factorization (a Factorization: the trivial mask and the atoms) is memoized
-on the FactoredSpace under the block's key, and so is each history (an
-immutable IndexSet, returned as it is), keyed by the variable's table,
-because independence checks, verification and the law suites ask for several
-histories per block; _factorize alone reads and fills the factorization
-memo.  A level set of a bytes conditioner is keyed by (table, value), and so
-is a Block that blocks_of made for it (space._levels), so the two share one
-entry and the Block's bitset is the level set's one translate; any other
-Block is keyed by its ranks, and its bitset is set rank by rank (_keyed).
-Neither memo holds the block's bitset.  Memos are keyed by value, so
+shrink as it goes; transient memory is O(n * |Omega|) bytes, and the
+space's fold plan holds one O(|Omega|)-byte mask per factor ever folded.
+A history costs, per plane that splits C, two folds along each atom still
+in question.  The factorization (a Factorization: the trivial mask and the
+atoms) is memoized on the FactoredSpace under the block's key, and so is
+each history (an immutable IndexSet, returned as it is), keyed by the
+variable's table, because independence checks, verification and the law
+suites ask for several histories per block; _factorize alone reads and
+fills the factorization memo.  A level set of a bytes conditioner is keyed
+by (table, value), and so is a Block that blocks_of made for it
+(space._levels), so the two share one entry and the Block's bitset is the
+level set's one translate; any other Block is keyed by its ranks, and its
+bitset is set rank by rank (_keyed).  The atoms of every block of z
+(_block_atoms, the CLI's atoms command) walk the same level sets as the
+histories, so a bytes conditioner builds no Block there.  Neither memo
+holds the block's bitset.  Memos are keyed by value, so
 variables with equal tables share a history whatever their names, and a
 repeated question (verify asks structurally_independent once itself and once
 more through verify_soundness or find_witness) reads no history twice.
@@ -264,12 +274,13 @@ def _cuts(block: int, planes: Iterable[int]) -> Iterator[tuple[int, int]]:
 
 
 def _fold_out(space: FactoredSpace, x: int, ids: Sequence[int]) -> int:
-    """The rank bitset x folded along every factor in ids (see _fold)."""
-    factors, strides = space.factors, space._strides
+    """The rank bitset x folded along every factor in ids, each by its entry
+    of the space's fold plan (space.fold_axis, _fold)."""
+    plan = space._plan
     for k in ids:
-        size = len(factors[k].domain)
+        size, step, zero = plan[k] or space.fold_axis(k)
         if size > 1:
-            x = _fold(x, size, 8 * strides[k], space.zero_bits(k))
+            x = _fold(x, size, step, zero)
     return x
 
 
@@ -378,10 +389,13 @@ def _fold(x: int, size: int, step: int, zero: int) -> int:
     """The rank bitset x with one coordinate set to 0 in every rank.
 
     The coordinate has size values, step is 8 times its stride and zero
-    holds the ranks where it is 0 (space.zero_bits for a factor), so
-    x >> v * step moves every rank v values down it; the fold is the OR over
-    v < size, kept to zero.  The OR doubles the run of shifts it covers.
+    holds the ranks where it is 0 (a factor's fold plan entry is these
+    three, space.fold_axis), so x >> v * step moves every rank v values
+    down it; the fold is the OR over v < size, kept to zero.  Two values
+    take one shift-OR; for more, the OR doubles the run of shifts it covers.
     """
+    if size == 2:
+        return (x | x >> step) & zero
     span = 1
     while 2 * span <= size:
         x |= x >> span * step
@@ -395,28 +409,36 @@ def _widths(space: FactoredSpace, block: int, unread: int = 0) -> list[int]:
     """|proj_k| of a block's rank bitset for every factor k.
 
     The block is folded along the factors in order, so at factor k its
-    ranks lie below k's period size(k) * stride(k).  Below it the factors
-    after k read as one factor of size stride(k) and stride 1: folded along
-    that one, rank v * stride(k) is set exactly when the block meets value
-    v of k, so every stride(k)-th byte counts the values.  Folding along k
-    itself then leaves ranks below stride(k), so each fold runs on a
-    shorter int than the one before.  The block holds every value of each
-    factor in unread wherever it holds one, so there the width is the size
-    and the fold keeps the ranks where the factor is 0.
+    ranks lie below k's period size(k) * stride(k), and folding along k
+    leaves ranks below stride(k): each step runs on a shorter int than the
+    one before.  For a factor of two values the ranks below stride(k) are
+    those where k is 0 and the rest those where it is 1, so two mask tests
+    give the width, and the OR of the two halves is the fold.  For more
+    values the factors after k read as one factor of size stride(k) and
+    stride 1: folded along that one, rank v * stride(k) is set exactly
+    when the block meets value v of k, so every stride(k)-th byte counts
+    the values.  The block holds every value of each factor in unread
+    wherever it holds one, so there the width is the size and the fold
+    keeps the ranks where the factor is 0.
     """
     widths = [1] * len(space.factors)
     x = block
     for mask, size, stride in space._axes:  # the factors of more than one value
         k = mask.bit_length() - 1
+        low = (1 << 8 * stride) - 1  # the ranks where k is 0
         if mask & unread:
             widths[k] = size
-            x &= (1 << 8 * stride) - 1
+            x &= low
+        elif size == 2:
+            zeros, ones = x & low, x >> 8 * stride
+            widths[k] = (zeros != 0) + (ones != 0)
+            x = zeros | ones
         else:
             # Shifts of whole bytes keep every byte 0 or 1.
             below = _fold(x, stride, 8, -1).to_bytes(size * stride, "little")
             widths[k] = below[::stride].count(1)
             if stride > 1:  # otherwise every later factor has one value
-                x = _fold(x, size, 8 * stride, (1 << 8 * stride) - 1)
+                x = _fold(x, size, 8 * stride, low)
     return widths
 
 
@@ -474,34 +496,51 @@ def _factorize_block(space: FactoredSpace, block: int, unread: int = 0) -> Facto
     unread masks factors of more than one value that the block's
     conditioner does not read, so the block is its projection on the other
     factors times every value of these: each is an atom of its own, and
-    _atoms runs on the other factors with the block folded along these.
+    _atoms runs on the other factors, each count divided by the number of
+    assignments of these.  No fold runs along them.
     """
     widths = _widths(space, block, unread)
-    free = [k for k, w in enumerate(widths) if w > 1 and not unread >> k & 1]
-    trivial = sum(1 << k for k, w in enumerate(widths) if w == 1)
-    spread = [k for k in range(len(widths)) if unread >> k & 1]
-    # prefix[i]: the block folded along free[i:] and spread, whose bit count
-    # is |proj_{free[:i]}|; filled downward from the last one when needed.
-    # Folding along a factor of spread keeps the ranks where it is 0.
-    inner = block
-    for k in spread:
-        inner &= space.zero_bits(k)
-    prefix = [0] * len(free) + [inner]
+    free: list[int] = []
+    spread: list[int] = []
+    trivial = 0
+    # Folding along the factors of free leaves the block the product of its
+    # folded projection on the other factors and every value of spread, so
+    # each bit count is scale = |Omega_spread| times the projection's count.
+    scale = 1
+    for k, w in enumerate(widths):
+        if w == 1:
+            trivial |= 1 << k
+        elif unread >> k & 1:
+            spread.append(k)
+            scale *= w
+        else:
+            free.append(k)
+    # prefix[i]: the block folded along free[i:], whose bit count is
+    # scale * |proj_{free[:i]}|; filled downward from the last one when
+    # needed, each fold by the factor's fold plan entry.
+    prefix = [0] * len(free) + [block]
     low = len(free)
+    plan = space._plan
 
     def count(i: int, drop: Sequence[int]) -> int:
         nonlocal low
         while low > i:
             low -= 1
-            prefix[low] = _fold_out(space, prefix[low + 1], (free[low],))
-        return (_fold_out(space, prefix[i], drop) if drop else prefix[i]).bit_count()
+            size, step, zero = plan[free[low]] or space.fold_axis(free[low])
+            prefix[low] = _fold(prefix[low + 1], size, step, zero)
+        x = prefix[i]
+        for k in drop:
+            size, step, zero = plan[k] or space.fold_axis(k)
+            x = _fold(x, size, step, zero)
+        return x.bit_count() // scale
 
     atoms = [
         (mask, tuple(k for k in free if mask >> k & 1))
-        for mask, _ in _atoms(free, widths, inner.bit_count(), count)
+        for mask, _ in _atoms(free, widths, block.bit_count() // scale, count)
     ]
-    atoms += [(1 << k, (k,)) for k in spread]
-    atoms.sort(key=lambda atom: atom[0] & -atom[0])  # by lowest factor
+    if spread:
+        atoms += [(1 << k, (k,)) for k in spread]
+        atoms.sort(key=lambda atom: atom[0] & -atom[0])  # by lowest factor
     return Factorization(trivial, tuple(atoms))
 
 
@@ -539,11 +578,12 @@ def _level_set(table: bytes, v: int) -> int:
 
 
 def _level_sets(
-    space: FactoredSpace, z: RandomVariable
+    space: FactoredSpace, z: RandomVariable | None
 ) -> Iterator[tuple[str, Hashable, Callable[[], int]]]:
     """(label, memo key, maker of the rank bitset) of each block of z, in
-    codomain order."""
-    table = z.table
+    codomain order.  A tuple table and no conditioner (z None, one block:
+    the outcome set) take the Blocks of blocks_of."""
+    table = None if z is None else z.table
     if isinstance(table, bytes):
         for v, label in enumerate(z.codomain[:256]):
             if v in table:  # a C search
@@ -657,6 +697,33 @@ def structurally_independent(
     return IndependenceVerdict(independent=not overlaps, overlaps=overlaps)
 
 
+def _checked_atoms(
+    space: FactoredSpace, entry: Factorization, label: str
+) -> DisintegrationAtoms:
+    """The factorization of the block with this label as DisintegrationAtoms.
+
+    Its atoms must partition the factors outside its trivial part; an
+    overlap or a gap would mean the factorization is broken, so either
+    raises InvariantViolationError.
+    """
+    n = space.factor_count
+    trivial_mask, atoms = entry
+    atom_masks = sorted(m for m, _ in atoms)
+    covered = 0
+    for m in atom_masks:
+        if covered & m:
+            raise InvariantViolationError(f"atoms overlap on block {label!r}")
+        covered |= m
+    if covered != ~trivial_mask & ((1 << n) - 1):
+        raise InvariantViolationError(
+            f"atoms do not cover the non-constant factors on block {label!r}"
+        )
+    return DisintegrationAtoms(
+        atoms=tuple(IndexSet(m, n) for m in atom_masks),
+        trivial_part=IndexSet(trivial_mask, n),
+    )
+
+
 def disintegration_atoms(space: FactoredSpace, c: Block) -> DisintegrationAtoms:
     """Constant factors of C plus the finest partition of the rest.
 
@@ -666,22 +733,21 @@ def disintegration_atoms(space: FactoredSpace, c: Block) -> DisintegrationAtoms:
     InvariantViolationError.
     """
     ensure_block(space, c)
-    n = space.factor_count
-    trivial_mask, atoms = _factorize(space, *_keyed(space, c.ranks))
-    atom_masks = sorted(m for m, _ in atoms)
-    covered = 0
-    for m in atom_masks:
-        if covered & m:
-            raise InvariantViolationError(f"atoms overlap on block {c.label!r}")
-        covered |= m
-    if covered != ~trivial_mask & ((1 << n) - 1):
-        raise InvariantViolationError(
-            f"atoms do not cover the non-constant factors on block {c.label!r}"
-        )
-    return DisintegrationAtoms(
-        atoms=tuple(IndexSet(m, n) for m in atom_masks),
-        trivial_part=IndexSet(trivial_mask, n),
-    )
+    return _checked_atoms(space, _factorize(space, *_keyed(space, c.ranks)), c.label)
+
+
+def _block_atoms(
+    space: FactoredSpace, z: RandomVariable | None
+) -> Iterator[tuple[str, DisintegrationAtoms]]:
+    """(label, disintegration_atoms) of each block of z, in codomain order.
+
+    The blocks are z's level sets (_level_sets), each factorized under its
+    memo key and told the factors z does not read, as _per_block does, so
+    a bytes conditioner costs one translate per label and builds no Block.
+    """
+    unread = space._free & ~(0 if z is None else support(space, z))
+    for label, key, bits in _level_sets(space, z):
+        yield label, _checked_atoms(space, _factorize(space, key, bits, unread), label)
 
 
 def history_via_atoms(space: FactoredSpace, c: Block, x: RandomVariable) -> IndexSet:

@@ -26,7 +26,7 @@ is not zero.  The space's axes are its factors of more than one value
 (_axes), and _scan fills one such mask per axis and lane width (_tops).
 
 Everything here is immutable after construction and safe to share between
-threads.  Internal per-factor coordinate tables, rank bitsets and lane
+threads.  Internal per-factor coordinate tables, fold plan entries and lane
 masks, supports, the blocks of each conditioner, and the bit planes of
 tables and the per-block atom factorizations and histories computed by the
 history module are memoized lazily; each memo is idempotent, so a racing
@@ -262,7 +262,7 @@ class FactoredSpace:
         "_ids",
         "_digits",
         "_factor_vars",
-        "_bits",
+        "_plan",
         "_axes",
         "_free",
         "_tops",
@@ -303,9 +303,9 @@ class FactoredSpace:
         object.__setattr__(self, "_ids", {f.name: i for i, f in enumerate(fs)})
         object.__setattr__(self, "_digits", {})
         object.__setattr__(self, "_factor_vars", {})  # factor id -> factor_var
-        # A factor id -> the bitset of the ranks where it is 0, filled and
-        # read by zero_bits.
-        object.__setattr__(self, "_bits", {})
+        # Per factor id, its fold plan entry (size, step, zero), or None
+        # until fold_axis builds it.
+        object.__setattr__(self, "_plan", [None] * len(fs))
         # One (mask, size, stride) axis per factor of more than one value,
         # and per lane width each axis's below-top mask, filled by _scan.
         axes = [(1 << i, f.size, s) for i, (f, s) in enumerate(zip(fs, strides))]
@@ -382,24 +382,29 @@ class FactoredSpace:
             self._digits[i] = cached
         return cached
 
-    def zero_bits(self, i: int) -> int:
-        """The ranks where factor i is 0, as a bitset.
+    def fold_axis(self, i: int) -> tuple[int, int, int]:
+        """Factor i's entry of the space's fold plan: (size, step, zero).
 
         A rank bitset is an int whose byte r is 1 for each member rank r
-        and 0 otherwise, so x >> 8 * v * stride(i) moves every rank of x v
-        values down factor i, and an AND with this mask keeps the ranks
-        whose coordinate i is 0.  Like a digits column, the mask is one
-        period of bytes repeated.
+        and 0 otherwise, so x >> v * step, with step = 8 * stride(i), moves
+        every rank of x v values down factor i, and an AND with zero keeps
+        the ranks whose coordinate i is 0.  Like a digits column, zero is
+        one period of bytes repeated; a factor of one value has coordinate
+        0 in every rank, so its zero is -1 and no mask is built.  Each
+        entry is built on first use and kept in the plan (_plan), which
+        callers read directly.
         """
-        cached = self._bits.get(i)
-        if cached is None:
-            self._check_factor(i)
+        self._check_factor(i)
+        entry = self._plan[i]
+        if entry is None:
             stride, size = self._strides[i], self.factors[i].size
-            period = b"\1" * stride + bytes((size - 1) * stride)
-            reps = self.outcome_count // len(period)
-            cached = int.from_bytes(period * reps, "little")
-            self._bits[i] = cached
-        return cached
+            zero = -1
+            if size > 1:
+                period = b"\1" * stride + bytes((size - 1) * stride)
+                reps = self.outcome_count // len(period)
+                zero = int.from_bytes(period * reps, "little")
+            entry = self._plan[i] = (size, 8 * stride, zero)
+        return entry
 
     def index_set(self, ids: Iterable[int]) -> IndexSet:
         return IndexSet.of(ids, len(self.factors))
@@ -535,13 +540,18 @@ def _image(t: Sequence[int], width: int = 1) -> tuple[int, int]:
     holds its value exactly.  Images are little-endian, as rank bitsets
     are: entry r is the lane at byte width * r, least significant first.
     bytearray() takes entries up to 255, from a tuple about twice as fast
-    as bytes().
+    as bytes().  Eight-byte lanes of a bytes table are one strided copy
+    into a zeroed buffer; only other sequences are packed entry by entry.
     """
     if width == 1:
         try:
             return int.from_bytes(bytearray(t), "little"), 1
         except ValueError:
             pass
+    elif isinstance(t, bytes):
+        lanes = bytearray(8 * len(t))
+        lanes[::8] = t
+        return int.from_bytes(lanes, "little"), 8
     return int.from_bytes(struct.pack(f"<{len(t)}Q", *t), "little"), 8
 
 

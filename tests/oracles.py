@@ -208,6 +208,12 @@ def oracle_factorize(space: FactoredSpace, ranks: tuple[int, ...]):
     return trivial, tuple(sorted((mask for mask, _, _ in atoms), key=lambda m: m & -m))
 
 
+def oracle_widths(space: FactoredSpace, ranks) -> list[int]:
+    """|proj_k| of a block for every factor k: the set of its k-coordinates."""
+    outcomes = [outcome_unrank(space, r) for r in ranks]
+    return [len({o[k] for o in outcomes}) for k in range(space.factor_count)]
+
+
 def oracle_projection_counts(space: FactoredSpace, ranks):
     """A block's projection counts, each the size of a set of coordinate tuples.
 
@@ -217,7 +223,7 @@ def oracle_projection_counts(space: FactoredSpace, ranks):
     atom rule (history._atoms), with no bitset.
     """
     outcomes = [outcome_unrank(space, r) for r in ranks]
-    widths = [len({o[k] for o in outcomes}) for k in range(space.factor_count)]
+    widths = oracle_widths(space, ranks)
     free = [k for k, w in enumerate(widths) if w > 1]
 
     def count(i, drop):

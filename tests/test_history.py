@@ -51,6 +51,7 @@ from oracles import (
     oracle_history,
     oracle_projection_counts,
     oracle_rectangle,
+    oracle_widths,
 )
 
 # The package re-exports the function history() under the module's name.
@@ -731,12 +732,13 @@ def test_axis_scan_matches_cell_comparisons(shape):
 
 def test_full_product_block_takes_the_product_exit(monkeypatch):
     # 2^18 outcomes: every factor is an atom of its own, found from the
-    # widths before any fold of a prefix projection; the bound leaves ample
-    # room for a loaded machine.
-    def no_prefix_fold(space, x, ids):
+    # widths before any fold of a prefix projection.  The widths of binary
+    # factors take no _fold call, so any call here is a prefix or merge
+    # fold.  The bound leaves ample room for a loaded machine.
+    def no_prefix_fold(x, size, step, zero):
         raise AssertionError("the factorization folded a prefix projection")
 
-    monkeypatch.setattr(history_module, "_fold_out", no_prefix_fold)
+    monkeypatch.setattr(history_module, "_fold", no_prefix_fold)
     n = 18
     space = make_space(*[2] * n)
     x = make_var(space, "x", 2, map(xor, space.digits(3), space.digits(11)))
@@ -1120,6 +1122,26 @@ def test_conditioned_queries_build_no_full_length_tables():
     assert elapsed < 20.0
 
 
+def test_conditioned_history_at_scale_builds_plan_entries_for_its_factors_only():
+    # 2^18 outcomes: z = u3 xor u11, and x = u3 + 2 * u11 reads the same two
+    # factors.  Each block of z is its grid block times the 16 factors z
+    # leaves out, which the factorization counts and never folds, so the
+    # space's fold plan gains entries for u3 and u11 at most; the 16 others
+    # would hold 16 zero masks of 2^18 bytes.  On each block u3 and u11
+    # form one atom, found by a merge count that folds one of them.
+    space = make_space(*[2] * 18)
+    ranks = range(space.outcome_count)
+    z = make_var(space, "z", 2, ((r >> 14 ^ r >> 6) & 1 for r in ranks))
+    x = make_var(space, "x", 4, ((r >> 14 & 1) + 2 * (r >> 6 & 1) for r in ranks))
+    start = time.perf_counter()
+    per_block = conditional_history(space, x, z).per_block
+    assert time.perf_counter() - start < 10.0
+    assert per_block == dict.fromkeys("01", _ids(space, 3, 11))
+    built = {k for k, entry in enumerate(space._plan) if entry is not None}
+    assert built and built <= {3, 11}
+    assert space._digits == {}
+
+
 def test_conditioned_histories_at_scale_hold_one_level_set_at_a_time():
     # 2^18 outcomes: z = u3 + u12 reads two factors, and x = u3 xor u9 reads
     # one of them.  Where z is 0 or 2, u3 and u12 are constant and x's
@@ -1224,6 +1246,33 @@ def test_bitset_factorization_matches_key_counts(data):
         assert history_module._factorize_block(space, block, unread) == entry
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_widths_are_the_projection_sizes(data):
+    # _widths against the sets of each factor's coordinates: on arbitrary
+    # rank sets, on products of subsets (_draw_block), and on the level
+    # sets of a conditioner, each with and without the factors it leaves
+    # out given as unread.  Sizes 1 to 4 put binary factors (two mask
+    # tests) next to wider ones (folds) and one-value factors.
+    sizes = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    space = make_space(*sizes)
+    kind = data.draw(st.sampled_from(["ranks", "drawn", "level"]))
+    if kind == "ranks":
+        count = space.outcome_count
+        cases = [(tuple(sorted(data.draw(st.sets(st.integers(0, count - 1), min_size=1)))), 0)]
+    elif kind == "drawn":
+        cases = [(_draw_block(data, space).ranks, 0)]
+    else:
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        ids = sorted(data.draw(st.sets(st.integers(0, len(sizes) - 1))))
+        z = function_of(space, "z", ids, data.draw(st.integers(1, 3)), rng)
+        unread = space._free & ~support(space, z)
+        cases = [(c.ranks, u) for c in blocks_of(space, z).values() for u in {0, unread}]
+    for ranks, unread in cases:
+        block = history_module._bitset(space, ranks)
+        assert history_module._widths(space, block, unread) == oracle_widths(space, ranks)
+
+
 def _rule_block(data):
     """(space, ranks) of a block of 2 to 5 factors of 1 to 3 values.
 
@@ -1299,17 +1348,18 @@ def test_bitset_counts_equal_set_counts_wherever_the_rule_asks(data):
 @pytest.mark.parametrize(
     "sizes, z, folds",
     [
-        ((2,) * 8, lambda o: sum(o) % 2, 56),
-        ((2,) * 6, lambda o: 2 * (o[0] ^ o[2]) + (o[1] + o[3] + o[4] + o[5]) % 2, 88),
-        ((2, 3, 2, 2), lambda o: (o[0] ^ (o[1] % 2)) + 2 * (o[2] & o[3]), 42),
+        ((2,) * 8, lambda o: sum(o) % 2, 26),
+        ((2,) * 6, lambda o: 2 * (o[0] ^ o[2]) + (o[1] + o[3] + o[4] + o[5]) % 2, 44),
+        ((2, 3, 2, 2), lambda o: (o[0] ^ (o[1] % 2)) + 2 * (o[2] & o[3]), 22),
     ],
     ids=["parity-8", "xor-and-parity-6", "mixed-2x3x2x2"],
 )
 def test_factorizing_every_block_takes_the_pinned_folds(monkeypatch, sizes, z, folds):
     # z reads every factor, so each block is factorized on the full space:
-    # the _fold calls of _widths, the prefix projections and the merge
-    # counts, pinned so that a change to the rule or its counts that adds
-    # folds shows here.
+    # the _fold calls of _widths (two per block for the 3-valued factor,
+    # none for a binary one), the prefix projections and the merge counts,
+    # pinned so that a change to the rule or its counts that adds folds
+    # shows here.
     space = make_space(*sizes)
     zvar = make_var(
         space, "z", 4, (z(outcome_unrank(space, r)) for r in range(space.outcome_count))

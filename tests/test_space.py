@@ -235,6 +235,46 @@ def test_digit_tables_match_the_mixed_radix_definition():
             assert tuple(space.digits(i)) == want
 
 
+def test_fold_plan_entries_are_built_on_first_use_from_the_definition():
+    # Each entry is (size, 8 * stride, zero), where zero keeps exactly the
+    # ranks whose coordinate is 0: for a one-value factor every rank, by
+    # the mask -1.  Entries are built in any order and kept.
+    space = make_space(3, 1, 2, 4)
+    every = sum(1 << 8 * r for r in range(space.outcome_count))
+    assert space._plan == [None] * 4
+    for i in (2, 0, 3, 1):
+        size, step, zero = entry = space.fold_axis(i)
+        assert (size, step) == (space.factors[i].size, 8 * space.stride(i))
+        want = sum(
+            1 << 8 * r
+            for r in range(space.outcome_count)
+            if outcome_unrank(space, r)[i] == 0
+        )
+        assert zero & every == want
+        assert space._plan[i] is entry and space.fold_axis(i) is entry
+    assert space.fold_axis(1)[2] == -1
+    with pytest.raises(UnknownFactorError):
+        space.fold_axis(4)
+
+
+@pytest.mark.parametrize("n", [1, 7, 300])
+def test_images_of_bytes_and_tuple_tables_agree_at_both_lane_widths(n):
+    # An eight-byte image of a bytes table is a strided copy and of any
+    # other sequence a pack of every entry; both give lane r = entry r at
+    # either width, and entries past 255 take eight-byte lanes whatever
+    # the width asked.
+    rng = random.Random(f"image:{n}")
+    table = bytes(rng.randrange(256) for _ in range(n))
+    for width in (1, 8):
+        want = (sum(v << 8 * width * r for r, v in enumerate(table)), width)
+        assert space_module._image(table, width) == want
+        assert space_module._image(tuple(table), width) == want
+    wide = tuple(v + 256 * (r % 2) for r, v in enumerate(table)) + (2**64 - 1,)
+    want = (sum(v << 64 * r for r, v in enumerate(wide)), 8)
+    assert space_module._image(wide) == want
+    assert space_module._image(wide, 8) == want
+
+
 def test_factor_columns_are_stored_tables_handed_over_as_they_are():
     # A column is bytes up to 256 values and a tuple past that, as
     # RandomVariable stores a table, so factor_var passes the memoized

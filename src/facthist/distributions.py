@@ -65,7 +65,29 @@ Every cell sum equals the sum over the whole space, so verdicts, reports
 and zero-mass blocks are those of the unreduced check.  verify_soundness
 and find_witness prepare the query once for all of their samples.
 
-verify_soundness checks its samples in chunks, each in one lane pass
+verify_soundness first tries to prove the check for every positive
+distribution at once (_CiQuery.proves).  On a block, let J[a, b] be the
+sum over the quotient outcomes o of cell (a, b) of the product of the
+factor weights w_f[o_f]; a check's cell sums are these times K.  Take an
+attained cell (A, B) as pivot.  Suppose J[a, b] J[A, B] = J[a, B] J[A, b]
+as polynomials for every other attained x-value a and y-value b.  Under
+positive weights J[A, B] > 0, so J[a, b] = J[a, B] J[A, b] / J[A, B] for
+all a and b: J has rank 1, and with row sums r, column sums c and total t,
+J[a, b] t = r[a] c[b].  That is P(x=a, y=b, C) P(C) = P(x=a, C) P(y=b, C)
+once K * K cancels, and t >= J[A, B] > 0, so no block has zero mass.  An
+identity in the quotient's weights holds whatever they are, lump weights
+(sums over assignments) included, so it proves the check on the space.
+Each product is a sum of monomials of coefficient 1, one per pair (o, o')
+of outcomes, fixed by the value pair {o_f, o'_f} of each factor; the
+polynomials are equal iff their monomial multisets are, which _rank_one
+compares by codes whose sums fix the monomial (_pair_codes), stopping at
+the first mismatch.  Sampling only evaluates the same identity at random
+points (Schwartz, JACM 1980).  The test is tried once per query, and only
+if its monomial pairs number at most n * |Q| for n samples, the weights
+their checks would expand; else sampling decides, as below.
+
+Samples are checked in chunks.  A chunk with no zero numerator holds at
+once when the query is proved; otherwise it is checked in one lane pass
 (_CiQuery.all_hold).  Its cell sums come from the body of a single check,
 _CiQuery._sums, with lane arithmetic: every weight is a lane, a sequence
 with one integer per sample, the unit weight is a lane of ones, and each
@@ -83,7 +105,8 @@ max(|Omega|, LANE_WEIGHTS) // L samples, with L the longest list of
 weights the pass expands (the head, or a lump's grid), so its lanes hold
 no more weights than one unreduced check would, or than LANE_WEIGHTS on a
 small space; chunks are as even as that allows, and one of fewer than
-LANES_MIN samples is checked sample by sample, which is cheaper there.
+LANES_MIN samples, unless proved, is checked sample by sample, which is
+cheaper there.
 find_witness still checks one try at a time: it stops at the first
 violating try, which on the benchmark's ci-verify and the law suites is
 almost always the first, so a chunk would mostly draw samples that are
@@ -95,10 +118,11 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
-from itertools import islice, repeat
+from itertools import islice, product, repeat, starmap
 from operator import add, itemgetter, mul
 from typing import Callable, Sequence
 
@@ -467,6 +491,26 @@ def _grid_sum(offsets: Sequence[Sequence[int]]) -> list[int]:
     return out
 
 
+def _pair_codes(sizes: Sequence[int]) -> list[list[int]]:
+    """Per factor, a code per value; two outcomes' summed codes fix their monomial.
+
+    A factor of s values codes v as v * m + v * v, m = 2(s-1)^2 + 1, in a
+    digit of radix (2s-1) * m, so a sum of two codes holds v + v' and
+    v^2 + v'^2 per factor, which fix the pair {v, v'}.
+    """
+    out, radix = [], 1
+    for s in reversed(sizes):
+        m = 2 * (s - 1) ** 2 + 1
+        out.append([(v * m + v * v) * radix for v in range(s)])
+        radix *= (2 * s - 1) * m
+    return out[::-1]
+
+
+def _pair_sums(us: Sequence[int], vs: Sequence[int]) -> list[int]:
+    """The sorted sums of one code from each list: the monomials of a product."""
+    return sorted(starmap(add, product(us, vs)))
+
+
 def _runs(groups: Sequence[Sequence[int]]) -> list[slice]:
     """The slice of each group in the concatenation of the groups."""
     out = []
@@ -597,6 +641,7 @@ class _CiQuery:
     __slots__ = (
         "space", "x", "y", "factors", "sizes", "unread", "lumps", "kept", "head",
         "order", "parts", "tails", "cells", "blocks", "tests", "lanes", "margins",
+        "identity",
     )
 
     def __init__(
@@ -714,6 +759,7 @@ class _CiQuery:
             longest = max(longest, math.prod(sizes[i] for i in ids))
         self.lanes = max(1, max(space.outcome_count, LANE_WEIGHTS) // longest)
         self.margins: list | None = None  # per block, built by all_hold
+        self.identity: bool | None = None  # set by proves
 
     def check(self, p: ProductDistribution) -> CiReport:
         _check_arity(self.space, p)
@@ -799,13 +845,101 @@ class _CiQuery:
         vecs = _per_sample(self.space, [buf[j::m] for j in range(m)])[0]
         return self._sums(vecs, [1] * (len(buf) // m), _lane_product, _lane_sum)
 
+    def _run(self, k: int) -> slice:
+        """The run of cell k's head weights in what self.order lists, one per outcome."""
+        parts = self.cells[k]
+        if self.parts is None:
+            return parts
+        return slice(self.parts[parts.start].start, self.parts[parts.stop - 1].stop)
+
+    def proves(self, samples: int) -> bool:
+        """Whether the rank-1 identity proves check_ints on every positive sample.
+
+        Per block, with pivot cell (A, B) its first attained one, the minors
+        J[a,b] J[A,B] - J[a,B] J[A,b] must vanish (module docstring); one
+        forms at most |J[a,b]| |J[A,B]| + |J[a,B]| |J[A,b]| monomial pairs,
+        |J| counting a cell's outcomes.  Tried once per query, and only if
+        the pairs number at most samples * |Q|, the weights that many checks
+        expand: its loop over minors is that of one lane pass, and its codes,
+        one per outcome, those of one check.  The pairs of one product, held
+        at once, stay within a lane pass's weights, max(|Omega|,
+        LANE_WEIGHTS).  Otherwise it proves nothing.
+        """
+        if self.identity is None:
+            pairs = widest = 0
+            for _, refs in self.blocks:
+                pa, pb, _ = refs[0]
+                # By (on A's row, on B's column): outcomes, and the most in a cell.
+                n, most = Counter(), Counter()
+                for a, b, k in refs:
+                    run = self._run(k)
+                    key, size = (a == pa, b == pb), run.stop - run.start
+                    n[key] += size
+                    most[key] = max(most[key], size)
+                pairs += n[True, True] * n[False, False] + n[True, False] * n[False, True]
+                widest = max(
+                    widest,
+                    most[True, True] * most[False, False],
+                    most[True, False] * most[False, True],
+                )
+            budget = samples * math.prod(self.sizes)
+            cap = max(self.space.outcome_count, LANE_WEIGHTS)
+            self.identity = pairs <= budget and widest <= cap and self._rank_one()
+        return self.identity
+
+    def _rank_one(self) -> bool:
+        """Whether every minor of proves matches monomial for monomial.
+
+        A product's monomials are the sums of two outcomes' codes, and an
+        outcome's code is the sum of its factors' _pair_codes, expanded and
+        listed part after part as _sums does the weights, so the identity
+        holds one code per head outcome, as a check holds one weight.
+        Stops at the first mismatch.
+        """
+        codes = _pair_codes(self.sizes)
+        listed = self.order(_expand(codes[: self.head], 0, add))
+        tail = _expand(codes[self.head :], 0, add)
+
+        def coded(k: int) -> Sequence[int]:
+            if not self.tails:
+                return listed[self._run(k)]
+            out: list[int] = []
+            for j in range(self.cells[k].start, self.cells[k].stop):
+                run = slice(j, j + 1) if self.parts is None else self.parts[j]
+                out += map(add, listed[run], repeat(tail[self.tails[j]]))
+            return out
+
+        for _, refs in self.blocks:
+            pa, pb, k = refs[0]
+            pivot = coded(k)
+            row = {b: coded(k) for a, b, k in refs if a == pa and b != pb}
+            col = {a: coded(k) for a, b, k in refs if b == pb and a != pa}
+            off = 0
+            for a, b, k in refs:
+                if a == pa or b == pb:
+                    continue
+                # J[a,b] J[A,B] is not 0, so neither may J[a,B] nor J[A,b] be.
+                if a not in col or b not in row:
+                    return False
+                if _pair_sums(coded(k), pivot) != _pair_sums(col[a], row[b]):
+                    return False
+                off += 1
+            # Every other minor has J[a,b] = 0, so J[a,B] or J[A,b] must be.
+            if off != len(row) * len(col):
+                return False
+        return True
+
     def all_hold(self, buf: Sequence[int]) -> bool:
         """Whether check_ints holds for every sample in buf, on no zero block.
 
         buf lists the samples' numerators as _draw_chunk does.  False means
         some sample fails or meets a block of zero mass; only check_ints
-        says which, and how.
+        says which, and how.  With no zero numerator every weight is
+        positive, so the chunk holds at once when proves does.
         """
+        m = sum(f.size for f in self.space.factors)
+        if 0 not in buf and self.proves(len(buf) // m):
+            return True
         if self.margins is None:
             self.margins = []
             for (_, refs), tests in zip(self.blocks, self.tests):
@@ -860,13 +994,16 @@ def verify_soundness(
 
     Sample i is sample_product(space, spawn_seed(seed, i)), a function of
     (seed, i) alone: its numerators are read off a SHAKE-256 stream keyed
-    by that child seed, with no generator to seed or carry.  The samples
-    are checked in chunks of at most query.lanes, as even as that allows,
-    each drawn into one buffer (_draw_chunk) and checked by one lane pass
-    (_CiQuery.all_hold) when it holds at least LANES_MIN samples.  A chunk
-    the pass does not clear, and any shorter chunk, is checked sample by
-    sample with check_ints, so the report is exactly that of checking
-    every sample on its own.  The cap
+    by that child seed, with no generator to seed or carry.  The query is
+    first tried as an identity (_CiQuery.proves): if the 2x2 minors of
+    every block's cell sums vanish as polynomials, the sums have rank 1
+    under any positive weights, and that is the check (module docstring).
+    The samples are checked in chunks of at most query.lanes, as even as
+    that allows, each drawn into one buffer (_draw_chunk).  On a proved
+    query a chunk with no zero numerator holds at once; otherwise one of at
+    least LANES_MIN samples gets one lane pass (_CiQuery.all_hold).  A
+    chunk neither clears is checked sample by sample with check_ints, so
+    the report is exactly that of checking every sample on its own.  The cap
     keeps a pass's lanes within the weights of one unreduced check, or
     within LANE_WEIGHTS on a smaller space; a space of at least that many
     outcomes whose quotient does not shrink gets chunks of one.
@@ -879,12 +1016,17 @@ def verify_soundness(
             "conditioner; soundness checks only apply to structural pairs"
         )
     query = _CiQuery(space, x, y, z)
+    # Tried against the checks of all n samples, before any chunk tries it.
+    proved = n > 0 and query.proves(n)
     violations = []
     chunks = -(-n // query.lanes)
     for c in range(chunks):
         chunk = range(n * c // chunks, n * (c + 1) // chunks)
         buf = _draw_chunk(space, [spawn_seed(seed, i) for i in chunk])
-        if len(chunk) >= LANES_MIN and query.all_hold(buf):
+        if len(chunk) >= LANES_MIN:
+            if query.all_hold(buf):
+                continue
+        elif proved and 0 not in buf:
             continue
         for i, nums in zip(chunk, _per_sample(space, buf)):
             report = query.check_ints(nums)

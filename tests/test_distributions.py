@@ -73,11 +73,14 @@ from facthist.distributions import (
     _weights,
 )
 from facthist.errors import FormatError
+from facthist.verification import SuiteConfig, gen_random_space, gen_random_variable
 
 from helpers import function_of, make_space, make_var, xor_bundle
+from test_certificates import restricted_growth_strings
 from oracles import (
     oracle_cell_sums,
     oracle_ci,
+    oracle_ci_all_products,
     oracle_ci_report,
     oracle_event_prob,
     oracle_history,
@@ -1314,3 +1317,263 @@ def test_verify_output_is_pinned(capsys, tmp_path, argv, stdout):
     command, *rest = argv
     assert main([command, str(path), *rest]) == 0
     assert capsys.readouterr().out == stdout
+
+
+# The identity (_CiQuery.proves): each block's 2x2 minors of cell sums,
+# compared monomial by monomial on the quotient.  It must never pass a
+# triple that some positive product makes dependent, which the all-products
+# oracle decides with no sampling.
+
+
+@st.composite
+def _context_instances(draw):
+    """x and y read, on each block of z, their own drawn factor sets.
+
+    In about half the draws y's set leaves out x's on every block, so most
+    of those pairs are structural, and otherwise it takes one of x's.  The
+    sets change from block to block, so a factor x reads on one block and y
+    on another is kept in the quotient; a factor no one reads is dropped,
+    and one that only x, only y or only z reads may be lumped.  In half the
+    draws there are four to six binary factors and z reads one of them; x
+    and y read the two halves of a random split of the others, and swap
+    halves on z's second block, so every factor is kept and four cells per
+    block on up to 64 quotient outcomes let trailing factors fold.
+    """
+    wide = draw(st.booleans())
+    if wide:
+        sizes = [2] * draw(st.integers(4, 6))
+    else:
+        sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=5))
+    n = len(sizes)
+    space = make_space(*sizes)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if wide:
+        zids = [draw(st.integers(0, n - 1))]
+        z = factor_var(space, zids[0])
+    else:
+        zids = sorted(draw(st.sets(st.integers(0, n - 1), max_size=2)))
+        z = function_of(space, "z", zids, draw(st.integers(1, 3)), rng)
+    disjoint = draw(st.booleans())
+    kx, ky = (2, 2) if wide else (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    reads = {}
+    half = {i for i in range(n) if i not in zids and rng.random() < 0.5}
+    for c in sorted(set(z.table)):
+        if wide:
+            xs = half if c == 0 else set(range(n)) - half - set(zids)
+            ys = set(range(n)) - xs - set(zids)
+        else:
+            xs = draw(st.sets(st.integers(0, n - 1)))
+            ys = draw(st.sets(st.integers(0, n - 1))) - xs
+        if xs and not disjoint:
+            ys.add(min(xs))
+        reads[c] = (sorted(xs), sorted(ys), {}, {})
+    tables = ([], [])
+    for r in range(space.outcome_count):
+        o = outcome_unrank(space, r)
+        xs, ys, x_of, y_of = reads[z.table[r]]
+        tables[0].append(x_of.setdefault(tuple(o[i] for i in xs), rng.randrange(kx)))
+        tables[1].append(y_of.setdefault(tuple(o[i] for i in ys), rng.randrange(ky)))
+    x, y = make_var(space, "x", kx, tables[0]), make_var(space, "y", ky, tables[1])
+    return space, x, y, (z if wide or draw(st.booleans()) else None)
+
+
+def _switch_instance(m):
+    """A structural pair whose blocks' cells each hold 2**m quotient outcomes.
+
+    z = u2; on z = 0, x reads u0 and y the parity of u3..u(m+2), on z = 1
+    x reads that parity and y reads u1.  Every factor is kept, so a block's
+    four cells hold 2**m outcomes each and the identity forms 2**(2m+2)
+    monomial pairs over |Q| = 2**(m+3) outcomes.
+    """
+    space = make_space(*(2,) * (m + 3))
+    outcomes = [outcome_unrank(space, r) for r in range(space.outcome_count)]
+    parity = [sum(o[3:]) % 2 for o in outcomes]
+    x = make_var(space, "x", 2, [p if o[2] else o[0] for o, p in zip(outcomes, parity)])
+    y = make_var(space, "y", 2, [o[1] if o[2] else p for o, p in zip(outcomes, parity)])
+    return space, x, y, factor_var(space, 2)
+
+
+@pytest.mark.parametrize("sizes", [(1,), (2,), (3,), (6,), (3, 2, 4), (7, 1, 3), (2,) * 5])
+def test_pair_codes_sum_to_one_code_per_monomial(sizes):
+    # Two outcomes' summed codes must be equal exactly when the outcomes
+    # have the same unordered value pair on every factor, their monomial.
+    codes = distributions._pair_codes(sizes)
+    outcomes = list(product(*(range(s) for s in sizes)))
+    monomial_of = {}
+    for o, p in product(outcomes, repeat=2):
+        code = sum(codes[f][o[f]] + codes[f][p[f]] for f in range(len(sizes)))
+        monomial = tuple(tuple(sorted(pair)) for pair in zip(o, p))
+        assert monomial_of.setdefault(code, monomial) == monomial
+    assert len(monomial_of) == math.prod(s * (s + 1) // 2 for s in sizes)
+
+
+@example(instance=_switch_instance(2))
+@example(instance=FOLD_INSTANCES[1][:4])
+@example(instance=REDUCED_INSTANCES[1][:4])
+@settings(max_examples=200, deadline=None)
+@given(instance=_context_instances())
+def test_identity_proves_only_ci_under_every_product(instance):
+    space, x, y, z = instance
+    if _CiQuery(space, x, y, z)._rank_one():
+        assert oracle_ci_all_products(space, x, y, z or trivial_var(space))
+
+
+def test_context_instances_reach_every_quotient_where_the_identity_holds():
+    # The property above must see the identity hold on quotients that drop,
+    # lump and fold, and see dependent pairs, not only its pinned examples.
+    seen = Counter()
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(_context_instances())
+    def count(instance):
+        space, x, y, z = instance
+        query = _CiQuery(space, x, y, z)
+        if not structurally_independent(space, x, y, z).independent:
+            seen["dependent"] += 1
+            seen["dependent proved"] += query._rank_one()
+        elif query._rank_one():
+            seen["proved"] += 1
+            seen["unread"] += any(space.factors[i].size > 1 for i in query.unread)
+            seen["lumped"] += bool(query.lumps)
+            seen["tail"] += _folds(query) > 0
+
+    count()
+    assert seen["dependent proved"] == 0, seen
+    assert all(seen[k] >= 10 for k in ("dependent", "proved", "unread", "lumped", "tail")), seen
+
+
+@pytest.mark.parametrize("sizes, proved", [((2, 2), 756), ((2, 1, 2), 756)])
+def test_identity_on_every_partition_triple_of_four_outcomes(sizes, proved):
+    # Every (x, y, z) of the 15 partitions, as tests/test_certificates.py
+    # draws them.  Each proved triple is independent under every product,
+    # and 756 is the count of those pinned there, so the identity proves
+    # exactly the independent triples.
+    space = make_space(*sizes)
+    variables = [
+        make_var(space, f"v{k}", max(s) + 1, s)
+        for k, s in enumerate(restricted_growth_strings(space.outcome_count))
+    ]
+    count = 0
+    for z in variables:
+        for i, x in enumerate(variables):
+            for y in variables[i:]:
+                got = _CiQuery(space, x, y, z)._rank_one()
+                assert not got or oracle_ci_all_products(space, x, y, z), (x.table, y.table, z.table)
+                count += got
+    assert count == proved
+
+
+def test_identity_proves_every_structural_suite_instance():
+    # The law suite's instances, 40 seeds of 50, up to 5 factors of 3
+    # values, each given its z and given nothing.
+    tally = Counter()
+    for seed in range(40):
+        cfg = SuiteConfig(seed=seed, iterations=50, max_factors=5, max_domain=3)
+        for i in range(50):
+            space = gen_random_space(cfg, i)
+            x, y, z = (gen_random_variable(space, cfg, 4 * i + j, name=n) for j, n in enumerate("xyz"))
+            for given_z in (z, None):
+                structural = structurally_independent(space, x, y, given_z).independent
+                proved = _CiQuery(space, x, y, given_z)._rank_one()
+                tally[structural, proved] += 1
+    assert tally == {(True, True): 1837, (False, False): 2163}
+
+
+def test_lane_pass_decides_structural_chunks_with_the_identity_off():
+    # The identity answers all_hold on these structural queries, so the lane
+    # pass is run here with it disabled, and with a zero numerator that
+    # skips it: its sums and verdict must be those of check_ints per sample.
+    for space, v in (_ci_verify_space(), _suite_sized_space()):
+        x, y, z = v["X"], v["Y"], v["Z"]
+        for length in (1, distributions.LANES_MIN, 17, 50):
+            buf = _draw_chunk(space, [spawn_seed(length, i) for i in range(length)])
+            samples = _per_sample(space, buf)
+            # u2 keeps mass on one value only: X reads it, and every block
+            # keeps some mass, so the chunk still holds.
+            zeroed = [[*nums[:2], [nums[2][0]] + [0] * (len(nums[2]) - 1), *nums[3:]] for nums in samples]
+            for chunk, disable in ((samples, True), (zeroed, False)):
+                query = _CiQuery(space, x, y, z)
+                if disable:
+                    query.identity = False
+                _assert_sums_match_oracle(query, z, chunk)
+                assert _holds_on_every(query, chunk)
+                assert query.all_hold(bytes(_flat(chunk)))
+                # The margins are built by the lane pass alone.
+                assert query.margins is not None and query.identity is (False if disable else None)
+
+
+def _wide_cell_instance(k):
+    """A structural pair with one 2x2 block of 2**k outcomes per cell.
+
+    z is 0 where u0 = 0, and otherwise names the assignment of the k
+    factors after u2, on which x and y are 0.  On z = 0, x reads u1 and y
+    reads u2.  Every factor is kept, so |Q| = 2**(k+3) and the identity
+    forms 2 * 4**k monomial pairs, 4**k of them in one product.
+    """
+    space = make_space(*(2,) * (k + 3))
+    outcomes = [outcome_unrank(space, r) for r in range(space.outcome_count)]
+    z = make_var(space, "z", 2**k + 1, [o[0] and 1 + (r % 2**k) for r, o in enumerate(outcomes)])
+    x = make_var(space, "x", 2, [o[1] if not o[0] else 0 for o in outcomes])
+    y = make_var(space, "y", 2, [o[2] if not o[0] else 0 for o in outcomes])
+    return space, x, y, z
+
+
+# (instance, samples, whether the identity is tried).  The switch instance
+# forms 1024 pairs: over 5 * |Q| = 640, within 50 * 128.  The wide-cell one
+# forms 32,768, within 50 * |Q| = 51,200, but one product's 16,384 pairs
+# exceed a lane pass's max(|Omega|, LANE_WEIGHTS) = 4096 weights.
+BOUND_CASES = {
+    "switch, 5 samples": (_switch_instance(4), 5, False),
+    "switch, 50 samples": (_switch_instance(4), 50, True),
+    "wide cells, 50 samples": (_wide_cell_instance(7), 50, False),
+}
+
+
+@pytest.mark.parametrize("case", BOUND_CASES)
+def test_soundness_past_the_identity_bound_takes_the_lane_pass(monkeypatch, case):
+    # Past the bound the identity is not tried and lane passes check every
+    # chunk; within it each chunk holds at once.  Either way the report is
+    # that of checking each sample on its own.
+    (space, x, y, z), n, tried = BOUND_CASES[case]
+    assert structurally_independent(space, x, y, z).independent
+    assert _CiQuery(space, x, y, z)._rank_one()
+    query = _CiQuery(space, x, y, z)
+    assert math.prod(query.sizes) == space.outcome_count and _folds(query) > 0
+    monkeypatch.setattr(distributions, "_CiQuery", lambda *args: query)
+    passes = _spy_on_lane_passes(monkeypatch)
+    report = verify_soundness(space, x, y, z, n=n, seed=3)
+    assert report == SoundnessReport(n, _per_sample_violations(space, x, y, z, n, 3))
+    assert report == SoundnessReport(n, ())
+    assert query.identity is tried
+    assert (query.margins is None) == tried
+    assert sum(size for size, _ in passes) == n and all(verdict for _, verdict in passes)
+
+
+def test_short_chunks_of_a_proved_query_skip_check_ints(monkeypatch):
+    # Fewer than LANES_MIN samples make one chunk with no lane pass: on a
+    # proved query with no zero numerator it holds at once, and with a
+    # zero vector on u0 every block has zero mass, so the first sample
+    # raises check_ints' message.
+    space, v = _ci_verify_space()
+    x, y, z = v["X"], v["Y"], v["Z"]
+    n, seed = distributions.LANES_MIN - 1, 8
+
+    def zero_u0(s, nums):
+        nums[0] = [0, 0]
+        return nums
+
+    with pytest.raises(DegenerateBlockError) as want:
+        _CiQuery(space, x, y, z).check_ints(zero_u0(None, _sample_ints(space, spawn_seed(seed, 0))))
+    checked = []
+    check_ints = _CiQuery.check_ints
+    monkeypatch.setattr(
+        _CiQuery, "check_ints", lambda query, nums: checked.append(1) or check_ints(query, nums)
+    )
+    passes = _spy_on_lane_passes(monkeypatch)
+    assert verify_soundness(space, x, y, z, n=n, seed=seed) == SoundnessReport(n, ())
+    assert checked == [] and passes == []
+    monkeypatch.setattr(distributions, "_draw_chunk", _draw_chunk_with(zero_u0))
+    with pytest.raises(DegenerateBlockError) as got:
+        verify_soundness(space, x, y, z, n=n, seed=seed)
+    assert str(got.value) == str(want.value)
+    assert checked == [1] and passes == []

@@ -47,20 +47,22 @@ factors, and its ranks are grouped into (z-value, x-value, y-value) cells
 at O(|Q|).  On the benchmark's ci-verify spaces X, Y given Z goes from
 1296 outcomes to 27, and X, W given Z to 60-108.
 
-Then the trailing quotient factors form a tail of T outcomes: rank r is
-head rank r // T and tail rank r % T, and its weight is the product of a
-head weight and a tail weight.  Each cell is split into parts by tail
-rank.  Trailing factors join the tail while T**2 * cells <= |Q|, that is
-while the parts, at most cells * T, are no more than the |Q| / T head
-weights.  Each distribution then costs the expansion of each lump's
-factors with one C-level sum per class, an O(|Q| / T) expansion of the
-head weights times K, one C-level sum per part over O(|Q|) weights in
-all, and one product by a tail weight per part.  Block totals and the x
-and y marginals come from the cell sums.  A block holds when every value
-pair satisfies P(x=a, y=b, C) * P(C) = P(x=a, C) * P(y=b, C), and the
-(kx - 1)(ky - 1) pairs off its last attained x-value and y-value decide
-the rest (_block_tests); only a failing block compares all |x| * |y|
-value pairs to report the first violation in x-major order.
+Evaluating distributions needs more, built at the first evaluation
+(_CiQuery.prepare).  The trailing quotient factors form a tail of T
+outcomes: rank r is head rank r // T and tail rank r % T, and its weight
+is the product of a head weight and a tail weight.  Each cell is split
+into parts by tail rank.  Trailing factors join the tail while
+T**2 * cells <= |Q|, that is while the parts, at most cells * T, are no
+more than the |Q| / T head weights.  Each distribution then costs the
+expansion of each lump's factors with one C-level sum per class, an
+O(|Q| / T) expansion of the head weights times K, one C-level sum per
+part over O(|Q|) weights in all, and one product by a tail weight per
+part.  Block totals and the x and y marginals come from the cell sums.  A
+block holds when every value pair satisfies
+P(x=a, y=b, C) * P(C) = P(x=a, C) * P(y=b, C), and the (kx - 1)(ky - 1)
+pairs off its last attained x-value and y-value decide the rest
+(_block_tests); only a failing block compares all |x| * |y| value pairs
+to report the first violation in x-major order.
 Every cell sum equals the sum over the whole space, so verdicts, reports
 and zero-mass blocks are those of the unreduced check.  verify_soundness
 and find_witness prepare the query once for all of their samples.
@@ -84,16 +86,19 @@ compares by codes whose sums fix the monomial (_pair_codes), stopping at
 the first mismatch.  Sampling only evaluates the same identity at random
 points (Schwartz, JACM 1980).  The test is tried once per query, and only
 if its monomial pairs number at most n * |Q| for n samples, the weights
-their checks would expand; else sampling decides, as below.
+their checks would expand; else sampling decides, as below.  A proved
+query is answered from its proof: sampled numerators are never zero, so
+every sample's weights are positive and every check holds, and
+verify_soundness draws no sample and builds no evaluation half.
 
-Samples are checked in chunks.  A chunk with no zero numerator holds at
-once when the query is proved; otherwise it is checked in one lane pass
-(_CiQuery.all_hold).  Its cell sums come from the body of a single check,
-_CiQuery._sums, with lane arithmetic: every weight is a lane, a sequence
-with one integer per sample, the unit weight is a lane of ones, and each
-product and sum is a C-level map over lanes.  The chunk's buffer holds m
-numerators per sample, so numerator j of every sample is the strided slice
-buf[j::m], and those slices are the pass's input lanes.  The marginals and
+Samples of a query that is not proved are checked in chunks, each of at
+least LANES_MIN samples in one lane pass (_CiQuery.all_hold).  Its cell
+sums come from the body of a single check, _CiQuery._sums, with lane
+arithmetic: every weight is a lane, a sequence with one integer per
+sample, the unit weight is a lane of ones, and each product and sum is a
+C-level map over lanes.  The chunk's buffer holds m numerators per
+sample, so numerator j of every sample is the strided slice buf[j::m],
+and those slices are the pass's input lanes.  The marginals and
 the cross-multiplied tests of check_ints are maps over lanes too, so the
 Python-level cost of a check is paid once per chunk, not once per sample.
 The pass only says whether every sample holds on every block with none of
@@ -105,8 +110,7 @@ max(|Omega|, LANE_WEIGHTS) // L samples, with L the longest list of
 weights the pass expands (the head, or a lump's grid), so its lanes hold
 no more weights than one unreduced check would, or than LANE_WEIGHTS on a
 small space; chunks are as even as that allows, and one of fewer than
-LANES_MIN samples, unless proved, is checked sample by sample, which is
-cheaper there.
+LANES_MIN samples is checked sample by sample, which is cheaper there.
 find_witness still checks one try at a time: it stops at the first
 violating try, which on the benchmark's ci-verify and the law suites is
 almost always the first, so a chunk would mostly draw samples that are
@@ -118,7 +122,6 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
@@ -181,6 +184,21 @@ LANE_WEIGHTS = 4096
 LANES_MIN = 4
 
 
+def _sums_to_one(vec: Sequence) -> bool:
+    """Whether the entries of vec sum to 1.
+
+    Rationals (int and Fraction entries) are summed as integers over their
+    common denominator, which builds no Fraction; other entries are added
+    as they are.
+    """
+    try:
+        dens = [p.denominator for p in vec]
+    except AttributeError:
+        return sum(vec) == 1
+    scale = math.lcm(*dens)
+    return sum([p.numerator * (scale // d) for p, d in zip(vec, dens)]) == scale
+
+
 @dataclass(frozen=True)
 class ProductDistribution:
     """One exact probability vector per factor, in factor order."""
@@ -195,7 +213,7 @@ class ProductDistribution:
                 raise ValueError(f"factor {k} has an empty probability vector")
             if any(p < 0 for p in vec):
                 raise ValueError(f"factor {k} has a negative probability")
-            if sum(vec) != 1:
+            if not _sums_to_one(vec):
                 raise ValueError(f"factor {k} probabilities sum to {sum(vec)}, not 1")
 
     @property
@@ -629,19 +647,22 @@ class _CiQuery:
     group shrinks, the quotient is the space itself.
 
     Each block of z is split into cells, the quotient ranks where (x, y)
-    takes one attained value pair.  The last quotient factors form a tail:
-    with T tail outcomes, rank r is head rank r // T followed by tail rank
-    r % T, and its weight is w_head[r // T] * w_tail[r % T].  Each cell is
-    split further into parts by tail rank, so a cell's weight is the sum
-    over its parts of w_tail[t] times the part's head sum.  One itemgetter
-    lists the head weights part after part, and each part sums one slice of
-    that list; the classes of a lump are summed the same way.
+    takes one attained value pair.  That much, built at construction, is
+    what proves reads.  The rest, the evaluation half, is built by prepare
+    on the first evaluation, so a query that proves reads none of it.  The
+    last quotient factors form a tail: with T tail outcomes, rank r is head
+    rank r // T followed by tail rank r % T, and its weight is
+    w_head[r // T] * w_tail[r % T].  Each cell is split further into parts
+    by tail rank, so a cell's weight is the sum over its parts of w_tail[t]
+    times the part's head sum.  One itemgetter lists the head weights part
+    after part, and each part sums one slice of that list; the classes of a
+    lump are summed the same way.
     """
 
     __slots__ = (
-        "space", "x", "y", "factors", "sizes", "unread", "lumps", "kept", "head",
-        "order", "parts", "tails", "cells", "blocks", "tests", "lanes", "margins",
-        "identity",
+        "space", "x", "y", "factors", "sizes", "unread", "lumps", "kept", "ranks",
+        "blocks", "head", "order", "parts", "tails", "cells", "tests", "lanes",
+        "margins", "identity",
     )
 
     def __init__(
@@ -713,25 +734,42 @@ class _CiQuery:
         cells: dict[tuple[int, int, int], list[int]] = {}
         for r, key in enumerate(zip(qtables[2], qtables[0], qtables[1])):
             cells.setdefault(key, []).append(r)
-        # Fold trailing factors while the parts, at most (cells * T), stay
-        # no more than the head weights, |Q| / T.  Each sample then expands
-        # |Q| / T weights instead of |Q|, and the per-part overhead does not
-        # outgrow what the fold saves.
+        self.ranks = list(cells.values())  # each cell's quotient ranks
+        # Per block in z-value order: its label and (x-value, y-value, cell
+        # index) for every attained cell.
+        grouped: dict[int, list[tuple[int, int, int]]] = {}
+        for k, (c, a, b) in enumerate(cells):
+            grouped.setdefault(c, []).append((a, b, k))
+        labels = (TRIVIAL_LABEL,) if z is None else z.codomain
+        self.blocks = [(labels[c], grouped[c]) for c in sorted(grouped)]
+        self.order = None  # with the rest of the evaluation half, set by prepare
+        self.margins: list | None = None  # per block, built by all_hold
+        self.identity: bool | None = None  # set by proves
+
+    def prepare(self) -> None:
+        """Build, once, the evaluation half: what cell_sums and all_hold read.
+
+        Trailing quotient factors fold into the tail while the parts, at
+        most (cells * T), stay no more than the head weights, |Q| / T.  Each
+        sample then expands |Q| / T weights instead of |Q|, and the
+        per-part overhead does not outgrow what the fold saves.  Also builds
+        each block's tests (_block_tests) and lanes, the most samples one
+        all_hold pass may carry.
+        """
+        if self.order is not None:
+            return
+        count = math.prod(self.sizes)
         head, tail = len(self.sizes), 1
         while head:
             grown = tail * self.sizes[head - 1]
-            if grown * grown * len(cells) > count:
+            if grown * grown * len(self.ranks) > count:
                 break
             head, tail = head - 1, grown
         self.head = head
         heads: list[list[int]] = []  # each part's head ranks, cell after cell
-        self.tails: list[int] = []  # the tail rank of each part
-        self.cells: list[slice] = []  # each cell's run of parts
-        # Per block in z-value order: its label and (x-value, y-value, cell
-        # index) for every attained cell.
-        grouped: dict[int, list[tuple[int, int, int]]] = {}
-        for (c, a, b), ranks in cells.items():
-            grouped.setdefault(c, []).append((a, b, len(self.cells)))
+        self.tails = []  # the tail rank of each part
+        self.cells = []  # each cell's run of parts
+        for ranks in self.ranks:
             start = len(heads)
             if tail == 1:
                 heads.append(ranks)
@@ -747,19 +785,14 @@ class _CiQuery:
         # listed weights are the part sums.
         self.order = _picker([h for part in heads for h in part])
         self.parts = None if all(len(part) == 1 for part in heads) else _runs(heads)
-        labels = (TRIVIAL_LABEL,) if z is None else z.codomain
-        self.blocks = [(labels[c], grouped[c]) for c in sorted(grouped)]
         self.tests = [_block_tests(refs) for _, refs in self.blocks]
-        # The most samples one all_hold pass may carry: lanes times the
-        # longest list of weights it expands (the head, or a lump's grid)
-        # stay within |Omega|, the weights of one unreduced check, or within
-        # LANE_WEIGHTS on a smaller space.
+        # Lanes times the longest list of weights a pass expands (the head,
+        # or a lump's grid) stay within |Omega|, the weights of one unreduced
+        # check, or within LANE_WEIGHTS on a smaller space.
         longest = math.prod(self.sizes[:head])
-        for ids, _, _ in lumps:
-            longest = max(longest, math.prod(sizes[i] for i in ids))
-        self.lanes = max(1, max(space.outcome_count, LANE_WEIGHTS) // longest)
-        self.margins: list | None = None  # per block, built by all_hold
-        self.identity: bool | None = None  # set by proves
+        for ids in self.factors[: len(self.lumps)]:
+            longest = max(longest, math.prod(self.space.factors[i].size for i in ids))
+        self.lanes = max(1, max(self.space.outcome_count, LANE_WEIGHTS) // longest)
 
     def check(self, p: ProductDistribution) -> CiReport:
         _check_arity(self.space, p)
@@ -773,6 +806,7 @@ class _CiQuery:
         one is the unit weight, times multiplies two weights and total sums
         a list of them: 1, mul and sum for cell_sums, lanes for lane_sums.
         """
+        self.prepare()
         scale = one
         for i in self.unread:
             scale = times(scale, total(vecs[i]))
@@ -845,13 +879,6 @@ class _CiQuery:
         vecs = _per_sample(self.space, [buf[j::m] for j in range(m)])[0]
         return self._sums(vecs, [1] * (len(buf) // m), _lane_product, _lane_sum)
 
-    def _run(self, k: int) -> slice:
-        """The run of cell k's head weights in what self.order lists, one per outcome."""
-        parts = self.cells[k]
-        if self.parts is None:
-            return parts
-        return slice(self.parts[parts.start].start, self.parts[parts.stop - 1].stop)
-
     def proves(self, samples: int) -> bool:
         """Whether the rank-1 identity proves check_ints on every positive sample.
 
@@ -868,19 +895,17 @@ class _CiQuery:
         if self.identity is None:
             pairs = widest = 0
             for _, refs in self.blocks:
-                pa, pb, _ = refs[0]
-                # By (on A's row, on B's column): outcomes, and the most in a cell.
-                n, most = Counter(), Counter()
-                for a, b, k in refs:
-                    run = self._run(k)
-                    key, size = (a == pa, b == pb), run.stop - run.start
-                    n[key] += size
-                    most[key] = max(most[key], size)
-                pairs += n[True, True] * n[False, False] + n[True, False] * n[False, True]
+                pa, pb, k = refs[0]
+                pivot = len(self.ranks[k])
+                # Each cell's outcomes, on A's row, on B's column and off both.
+                row = [len(self.ranks[k]) for a, b, k in refs if a == pa and b != pb]
+                col = [len(self.ranks[k]) for a, b, k in refs if b == pb and a != pa]
+                off = [len(self.ranks[k]) for a, b, k in refs if a != pa and b != pb]
+                pairs += pivot * sum(off) + sum(row) * sum(col)
                 widest = max(
                     widest,
-                    most[True, True] * most[False, False],
-                    most[True, False] * most[False, True],
+                    pivot * max(off, default=0),
+                    max(row, default=0) * max(col, default=0),
                 )
             budget = samples * math.prod(self.sizes)
             cap = max(self.space.outcome_count, LANE_WEIGHTS)
@@ -891,23 +916,15 @@ class _CiQuery:
         """Whether every minor of proves matches monomial for monomial.
 
         A product's monomials are the sums of two outcomes' codes, and an
-        outcome's code is the sum of its factors' _pair_codes, expanded and
-        listed part after part as _sums does the weights, so the identity
-        holds one code per head outcome, as a check holds one weight.
-        Stops at the first mismatch.
+        outcome's code is the sum of its factors' _pair_codes, expanded over
+        Q in rank order, so the identity holds one code per quotient outcome
+        and reads each cell's codes off its quotient ranks.  Stops at the
+        first mismatch.
         """
-        codes = _pair_codes(self.sizes)
-        listed = self.order(_expand(codes[: self.head], 0, add))
-        tail = _expand(codes[self.head :], 0, add)
+        codes = _expand(_pair_codes(self.sizes), 0, add)
 
         def coded(k: int) -> Sequence[int]:
-            if not self.tails:
-                return listed[self._run(k)]
-            out: list[int] = []
-            for j in range(self.cells[k].start, self.cells[k].stop):
-                run = slice(j, j + 1) if self.parts is None else self.parts[j]
-                out += map(add, listed[run], repeat(tail[self.tails[j]]))
-            return out
+            return _picker(self.ranks[k])(codes)
 
         for _, refs in self.blocks:
             pa, pb, k = refs[0]
@@ -934,12 +951,10 @@ class _CiQuery:
 
         buf lists the samples' numerators as _draw_chunk does.  False means
         some sample fails or meets a block of zero mass; only check_ints
-        says which, and how.  With no zero numerator every weight is
-        positive, so the chunk holds at once when proves does.
+        says which, and how.  It always runs the lane pass; verify_soundness
+        calls it only on queries the identity does not prove.
         """
-        m = sum(f.size for f in self.space.factors)
-        if 0 not in buf and self.proves(len(buf) // m):
-            return True
+        sums = self.lane_sums(buf)
         if self.margins is None:
             self.margins = []
             for (_, refs), tests in zip(self.blocks, self.tests):
@@ -951,7 +966,6 @@ class _CiQuery:
                         cols[b].append(k)
                 getters = [[(v, _picker(ks)) for v, ks in d.items()] for d in (rows, cols)]
                 self.margins.append((*getters, tests))
-        sums = self.lane_sums(buf)
         for rows, cols, tests in self.margins:
             wx = {a: _lane_sum(row(sums)) for a, row in rows}
             total = _lane_sum(list(wx.values()))
@@ -998,15 +1012,17 @@ def verify_soundness(
     first tried as an identity (_CiQuery.proves): if the 2x2 minors of
     every block's cell sums vanish as polynomials, the sums have rank 1
     under any positive weights, and that is the check (module docstring).
-    The samples are checked in chunks of at most query.lanes, as even as
-    that allows, each drawn into one buffer (_draw_chunk).  On a proved
-    query a chunk with no zero numerator holds at once; otherwise one of at
-    least LANES_MIN samples gets one lane pass (_CiQuery.all_hold).  A
-    chunk neither clears is checked sample by sample with check_ints, so
-    the report is exactly that of checking every sample on its own.  The cap
-    keeps a pass's lanes within the weights of one unreduced check, or
-    within LANE_WEIGHTS on a smaller space; a space of at least that many
-    outcomes whose quotient does not shrink gets chunks of one.
+    Sampled numerators are never zero, so every sample of a proved query
+    holds: the report has no violation, and no sample is drawn.  Otherwise
+    the samples are checked in chunks of at most query.lanes, as even as
+    that allows, each drawn into one buffer (_draw_chunk).  A chunk of at
+    least LANES_MIN samples gets one lane pass (_CiQuery.all_hold); one
+    that it does not clear, or a shorter one, is checked sample by sample
+    with check_ints, so the report is exactly that of checking every
+    sample on its own.  The cap keeps a pass's lanes within the weights of
+    one unreduced check, or within LANE_WEIGHTS on a smaller space; a space
+    of at least that many outcomes whose quotient does not shrink gets
+    chunks of one.
     """
     if n < 0:
         raise ValueError(f"sample count must be non-negative, got {n}")
@@ -1016,17 +1032,15 @@ def verify_soundness(
             "conditioner; soundness checks only apply to structural pairs"
         )
     query = _CiQuery(space, x, y, z)
-    # Tried against the checks of all n samples, before any chunk tries it.
-    proved = n > 0 and query.proves(n)
+    if n == 0 or query.proves(n):
+        return SoundnessReport(samples=n, violations=())
+    query.prepare()
     violations = []
     chunks = -(-n // query.lanes)
     for c in range(chunks):
         chunk = range(n * c // chunks, n * (c + 1) // chunks)
         buf = _draw_chunk(space, [spawn_seed(seed, i) for i in chunk])
-        if len(chunk) >= LANES_MIN:
-            if query.all_hold(buf):
-                continue
-        elif proved and 0 not in buf:
+        if len(chunk) >= LANES_MIN and query.all_hold(buf):
             continue
         for i, nums in zip(chunk, _per_sample(space, buf)):
             report = query.check_ints(nums)

@@ -111,6 +111,35 @@ def test_distribution_validation():
     assert not zero_ok.is_positive
 
 
+@pytest.mark.parametrize(
+    "per_factor, message",
+    [
+        (((F(1, 2), F(1, 2)), ()), "factor 1 has an empty probability vector"),
+        (((F(3, 2), F(-1, 2)),), "factor 0 has a negative probability"),
+        (((1,), (F(1, 2), F(1, 3))), "factor 1 probabilities sum to 5/6, not 1"),
+        (((F(2, 3), 1),), "factor 0 probabilities sum to 5/3, not 1"),
+        (((0.1, 0.2),), "factor 0 probabilities sum to 0.30000000000000004, not 1"),
+    ],
+)
+def test_distribution_messages_name_the_first_failed_check(per_factor, message):
+    # Each vector is checked for entries, then signs, then its sum, which
+    # int and Fraction entries reach over their common denominator and the
+    # message still names as a sum of the entries.
+    with pytest.raises(ValueError) as got:
+        ProductDistribution(per_factor)
+    assert str(got.value) == message
+
+
+def test_distributions_accept_int_and_fraction_entries():
+    for per_factor in (
+        ((1,), (0, 1)),
+        ((F(1, 3), F(1, 7), F(11, 21)), (F(1, 2), 0, F(1, 2))),
+        ((F(10**30 - 1, 10**30), F(1, 10**30)),),
+        ((0.5, 0.5),),
+    ):
+        assert ProductDistribution(per_factor).per_factor == per_factor
+
+
 def test_sampling_is_deterministic_and_on_grid():
     space = make_space(2, 3)
     assert sample_product(space, 17).per_factor == sample_product(space, 17).per_factor
@@ -559,6 +588,22 @@ def _spy_on_lane_passes(monkeypatch):
     return passes
 
 
+def _identity_off(monkeypatch):
+    """Make verify_soundness's queries unproved, so it draws and checks every chunk.
+
+    A proved query draws nothing, so only an unproved one, or one past the
+    identity's bound, can meet the zero numerators a hook on _draw_chunk
+    puts in its samples.
+    """
+
+    def unproved(*args):
+        query = _CiQuery(*args)
+        query.identity = False
+        return query
+
+    monkeypatch.setattr(distributions, "_CiQuery", unproved)
+
+
 def test_soundness_violations_equal_per_sample_reports(monkeypatch):
     space, u0, u1, xor = xor_bundle()
     # The structural pair holds on every sample.
@@ -579,17 +624,21 @@ def test_soundness_violations_equal_per_sample_reports(monkeypatch):
         assert expected and report.violations == tuple(expected)
     # On the ci-verify shape and on a law-suite-sized space one lane pass
     # carries up to query.lanes samples, so these n span chunk boundaries.
+    # The identity is off, so X and Y's chunks are drawn and checked too.
     # X and W share u2; samples 0 to chunk put all of u2's mass on one
     # value, so they hold and whole chunks pass, while the chunks after them
     # mix holding and violating samples or only violate, and fall back to
     # one check per sample.
     seed = 11
+    _identity_off(monkeypatch)
     passes = _spy_on_lane_passes(monkeypatch)
     for space, v in (_ci_verify_space(), _suite_sized_space()):
         verdicts = set()
         for w in ("Y", "W"):
             x, y, z = v["X"], v[w], v["Z"]
-            chunk = _CiQuery(space, x, y, z).lanes
+            query = _CiQuery(space, x, y, z)
+            query.prepare()
+            chunk = query.lanes
             assert chunk > distributions.LANES_MIN
 
             def fixed_u2(s, nums, held=chunk + 1):
@@ -808,6 +857,7 @@ def test_lane_pass_agrees_with_check_ints_on_drawn_chunks():
     for space, v in (_ci_verify_space(), _suite_sized_space()):
         for w in ("Y", "W"):
             query = _CiQuery(space, v["X"], v[w], v["Z"])
+            query.prepare()
             for seed, length in enumerate(range(1, min(query.lanes, 50) + 1)):
                 buf = _draw_chunk(space, [spawn_seed(seed, i) for i in range(length)])
                 want = all(query.check_ints(nums).holds for nums in _per_sample(space, buf))
@@ -894,7 +944,8 @@ REDUCED_INSTANCES = (
 
 
 def _folds(query):
-    # Folds are counted on the quotient's factors.
+    # Folds are counted on the quotient's factors, by the evaluation half.
+    query.prepare()
     return len(query.sizes) - query.head
 
 
@@ -1232,6 +1283,9 @@ def test_zero_vectors_in_a_chunk_raise_like_per_sample_checks(monkeypatch, case)
         for nums in samples:
             query.check_ints(nums)
     assert not query.all_hold(bytes(_flat(samples)))
+    # X and Y are proved given each z, so only with the identity off are the
+    # zeros drawn.
+    _identity_off(monkeypatch)
     monkeypatch.setattr(distributions, "_draw_chunk", _draw_chunk_with(with_zeros))
     passes = _spy_on_lane_passes(monkeypatch)
     with pytest.raises(DegenerateBlockError) as got:
@@ -1251,12 +1305,14 @@ def _traced_peak(f, *args):
 def test_soundness_checks_hold_no_more_memory_than_one_check(monkeypatch):
     # 2^14 outcomes: x is injective on u0-u6 and y on u7-u13, and there is
     # no conditioner, so nothing is dropped or lumped and the quotient is
-    # the whole space.  The query is prepared once outside the measurement.
+    # the whole space.  The query and its evaluation half are prepared once
+    # outside the measurement.
     space = make_space(*(2,) * 14)
     ranks = range(space.outcome_count)
     x = make_var(space, "x", 128, [r >> 7 for r in ranks])
     y = make_var(space, "y", 128, [r & 127 for r in ranks])
     query = _CiQuery(space, x, y, None)
+    query.prepare()
     assert math.prod(query.sizes) == space.outcome_count
     assert structurally_independent(space, x, y, None).independent
     monkeypatch.setattr(distributions, "_CiQuery", lambda *args: query)
@@ -1480,9 +1536,9 @@ def test_identity_proves_every_structural_suite_instance():
 
 
 def test_lane_pass_decides_structural_chunks_with_the_identity_off():
-    # The identity answers all_hold on these structural queries, so the lane
-    # pass is run here with it disabled, and with a zero numerator that
-    # skips it: its sums and verdict must be those of check_ints per sample.
+    # all_hold runs the lane pass on these proved queries too, with the
+    # identity set off or never tried, and on chunks with a zero numerator:
+    # its sums and verdict must be those of check_ints per sample.
     for space, v in (_ci_verify_space(), _suite_sized_space()):
         x, y, z = v["X"], v["Y"], v["Z"]
         for length in (1, distributions.LANES_MIN, 17, 50):
@@ -1532,8 +1588,8 @@ BOUND_CASES = {
 @pytest.mark.parametrize("case", BOUND_CASES)
 def test_soundness_past_the_identity_bound_takes_the_lane_pass(monkeypatch, case):
     # Past the bound the identity is not tried and lane passes check every
-    # chunk; within it each chunk holds at once.  Either way the report is
-    # that of checking each sample on its own.
+    # chunk; within it the query is proved and no chunk is drawn.  Either
+    # way the report is that of checking each sample on its own.
     (space, x, y, z), n, tried = BOUND_CASES[case]
     assert structurally_independent(space, x, y, z).independent
     assert _CiQuery(space, x, y, z)._rank_one()
@@ -1546,13 +1602,14 @@ def test_soundness_past_the_identity_bound_takes_the_lane_pass(monkeypatch, case
     assert report == SoundnessReport(n, ())
     assert query.identity is tried
     assert (query.margins is None) == tried
-    assert sum(size for size, _ in passes) == n and all(verdict for _, verdict in passes)
+    assert sum(size for size, _ in passes) == (0 if tried else n)
+    assert all(verdict for _, verdict in passes)
 
 
 def test_short_chunks_of_a_proved_query_skip_check_ints(monkeypatch):
-    # Fewer than LANES_MIN samples make one chunk with no lane pass: on a
-    # proved query with no zero numerator it holds at once, and with a
-    # zero vector on u0 every block has zero mass, so the first sample
+    # Fewer than LANES_MIN samples make one chunk with no lane pass.  A
+    # proved query holds at once, with no check.  With the identity off, a
+    # zero vector on u0 gives every block zero mass, so the first sample
     # raises check_ints' message.
     space, v = _ci_verify_space()
     x, y, z = v["X"], v["Y"], v["Z"]
@@ -1572,8 +1629,46 @@ def test_short_chunks_of_a_proved_query_skip_check_ints(monkeypatch):
     passes = _spy_on_lane_passes(monkeypatch)
     assert verify_soundness(space, x, y, z, n=n, seed=seed) == SoundnessReport(n, ())
     assert checked == [] and passes == []
+    _identity_off(monkeypatch)
     monkeypatch.setattr(distributions, "_draw_chunk", _draw_chunk_with(zero_u0))
     with pytest.raises(DegenerateBlockError) as got:
         verify_soundness(space, x, y, z, n=n, seed=seed)
     assert str(got.value) == str(want.value)
     assert checked == [1] and passes == []
+
+
+def test_proved_soundness_draws_and_checks_nothing(monkeypatch):
+    # A proved query is answered from its proof: from 1 to 2 * lanes + 1
+    # samples, verify_soundness draws nothing, checks nothing and never
+    # builds the evaluation half.  With the identity off, and at n = 0, its
+    # report is that of checking each sample on its own.
+    calls = Counter()
+
+    def counted(name, f):
+        def call(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return call
+
+    monkeypatch.setattr(distributions, "_draw_chunk", counted("draw", _draw_chunk))
+    for name in ("prepare", "check_ints", "all_hold"):
+        monkeypatch.setattr(_CiQuery, name, counted(name, getattr(_CiQuery, name)))
+    for space, v in (_ci_verify_space(), _suite_sized_space()):
+        x, y, z = v["X"], v["Y"], v["Z"]
+        query = _CiQuery(space, x, y, z)
+        query.prepare()
+        lanes = query.lanes
+        assert lanes > distributions.LANES_MIN
+        for n in range(1, 2 * lanes + 2):
+            calls.clear()
+            assert verify_soundness(space, x, y, z, n=n, seed=n) == SoundnessReport(n, ())
+            assert not calls, (n, calls)
+        short = distributions.LANES_MIN
+        with monkeypatch.context() as patch:
+            _identity_off(patch)
+            for n in (0, 1, short - 1, short, lanes, lanes + 1, 2 * lanes + 1):
+                calls.clear()
+                report = verify_soundness(space, x, y, z, n=n, seed=n)
+                assert bool(calls["draw"]) == bool(calls["prepare"]) == (n > 0), (n, calls)
+                assert report == SoundnessReport(n, _per_sample_violations(space, x, y, z, n, n))
